@@ -26,8 +26,8 @@ import numpy as np
 from .errors import DomainError, SeriesTruncationError
 from .geometry import Mode, angles_to_unitvec, log_polar_jacobian
 from .models import GeneratorKind, ModelSpec, h_derivative_log, h_log_value, radial_integral
-from .special import LogSign, Partition
-from .zonal import SeriesControl, zonal_series
+from .special import LogSign
+from .zonal import SeriesControl, shared_sum_table, signed_logsumexp, zonal_series
 
 
 class IsotropicKind(Enum):
@@ -89,9 +89,9 @@ def size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
                               ctrl: SeriesControl | None = None) -> DensityValue:
     """Log density of the size-and-shape representative Rmat = V' D ((N-1) x K).
 
-    g(Rmat) = |Sigma|^{-K/2} sum_t sum_kappa h^{(2t)}(tr Sigma^{-1} Rmat Rmat'
-    + tr Omega) C_kappa(Omega Sigma^{-1} Rmat Rmat') / (t! (K/2)_kappa),
-    doubled in no-reflection mode.
+    g(Rmat) = |Sigma|^{-K/2} sum_t h^{(2t)}(tr Sigma^{-1} Rmat Rmat'
+    + tr Omega) S_t(Omega Sigma^{-1} Rmat Rmat') / t!, with
+    S_t = sum_{|kappa|=t} C_kappa / (K/2)_kappa; doubled in no-reflection mode.
     """
     Rmat = np.asarray(Rmat, dtype=float)
     if Rmat.shape != (model.Nm1, model.K):
@@ -101,7 +101,7 @@ def size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
     eigs = _noncentrality_eigs(model, A)
     gen = model.generator
 
-    def coeff(t: int, kappa: Partition) -> LogSign:
+    def coeff(t: int) -> LogSign:
         return h_derivative_log(gen, 2 * t, y0)
 
     series = zonal_series(coeff, eigs, model.K / 2.0, ctrl)
@@ -131,10 +131,11 @@ def shape_logdensity(u: np.ndarray, model: ModelSpec,
                      ctrl: SeriesControl | None = None) -> DensityValue:
     """Log shape density at the angle vector u (length M - 1).
 
-    f(u) = J(u) |Sigma|^{-K/2} sum_t sum_kappa [C_kappa(Omega Sigma^{-1} W W')
-    / (t! (K/2)_kappa)] int_0^inf r^{M+2t-1} h^{(2t)}(r^2 a + b) dr with
-    a = tr Sigma^{-1} W W' and b = tr Omega. Works for any supported
-    generator; the radial integrals are exact closed forms.
+    f(u) = J(u) |Sigma|^{-K/2} sum_t [S_t(Omega Sigma^{-1} W W') / t!]
+    int_0^inf r^{M+2t-1} h^{(2t)}(r^2 a + b) dr with
+    S_t = sum_{|kappa|=t} C_kappa / (K/2)_kappa, a = tr Sigma^{-1} W W' and
+    b = tr Omega. Works for any supported generator; the radial integrals
+    are exact closed forms.
     """
     u = _check_angles(u, model)
     W = _angles_to_W(u, model)
@@ -145,7 +146,7 @@ def shape_logdensity(u: np.ndarray, model: ModelSpec,
     gen = model.generator
     m = model.M - 1
 
-    def coeff(t: int, kappa: Partition) -> LogSign:
+    def coeff(t: int) -> LogSign:
         return radial_integral(gen, t, a, b, m, 1)
 
     series = zonal_series(coeff, eigs, model.K / 2.0, ctrl)
@@ -180,8 +181,8 @@ def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
     """Gaussian shape log density with the radial integrals in closed form.
 
     f(u) = J(u) |Sigma|^{-K/2} (2 pi^{M/2})^{-1} e^{-R tr Omega}
-    sum_t sum_kappa Gamma(M/2 + t) a^{-M/2-t} C_kappa(R Omega Sigma^{-1} W W')
-    / (t! (K/2)_kappa). Requires a Gaussian generator (or Kotz with T = 1).
+    sum_t Gamma(M/2 + t) a^{-M/2-t} S_t(R Omega Sigma^{-1} W W') / t!.
+    Requires a Gaussian generator (or Kotz with T = 1).
     """
     if model.generator.effective_T != 1:
         raise DomainError("gaussian_shape_logdensity needs a Gaussian-type generator")
@@ -195,7 +196,7 @@ def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
     M = model.M
     log_a = math.log(a)
 
-    def coeff(t: int, kappa: Partition) -> LogSign:
+    def coeff(t: int) -> LogSign:
         return LogSign(math.lgamma(M / 2.0 + t) - (M / 2.0 + t) * log_a, 1.0)
 
     series = zonal_series(coeff, eigs, model.K / 2.0, ctrl)
@@ -216,8 +217,7 @@ def isotropic_shape_logdensity(u: np.ndarray, mu: np.ndarray, sigma2: float,
       Gaussian:  pref 1,            B = Gamma(Q)
       Kotz T=2:  pref 2/M,          B = Gamma(Q) (M/2 + x - t)
       Kotz T=3:  pref 4/(M(M+2)),   B = Gamma(Q) [(M/2 + x - t)^2 + M/2 - t]
-    f = J(u) (2 pi^{M/2})^{-1} pref e^{-x} sum_t B(t,x)/t!
-        sum_kappa C_kappa(X) / (K/2)_kappa.
+    f = J(u) (2 pi^{M/2})^{-1} pref e^{-x} sum_t B(t,x) S_t(X) / t!.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2:
@@ -233,10 +233,11 @@ def isotropic_shape_logdensity(u: np.ndarray, mu: np.ndarray, sigma2: float,
     X = (mu.T @ W) @ (W.T @ mu) / (2.0 * sigma2)
     eigs = np.clip(np.linalg.eigvalsh(0.5 * (X + X.T)), 0.0, None)
     x = float(np.sum(mu * mu)) / (2.0 * sigma2)
-    log_pref, bracket = _isotropic_bracket(kind, M, x)
+    ctrl = ctrl or SeriesControl()
+    log_pref, log_b, sign_b = _isotropic_bracket(kind, M, x, ctrl.max_degree)
 
-    def coeff(t: int, kappa: Partition) -> LogSign:
-        return bracket(t)
+    def coeff(t: int) -> LogSign:
+        return LogSign(float(log_b[t]), float(sign_b[t]))
 
     series = zonal_series(coeff, eigs, K / 2.0, ctrl)
     if series.sign <= 0.0:
@@ -276,7 +277,6 @@ def batch_shape_logdensity(U: np.ndarray, model: ModelSpec,
     computed once per degree and only the zonal spectra and a = tr Sigma^{-1}
     W W' vary across the batch. Same values as :func:`shape_logdensity`.
     """
-    from .zonal import ZonalSumTable, signed_logsumexp
     ctrl = ctrl or SeriesControl()
     U = np.asarray(U, dtype=float)
     m = model.M - 1
@@ -300,7 +300,7 @@ def batch_shape_logdensity(U: np.ndarray, model: ModelSpec,
         sign_i[t] = ls.sign
     lgamma_t = np.array([math.lgamma(t + 1) for t in range(tmax + 1)])
     ts = np.arange(tmax + 1, dtype=float)
-    table = ZonalSumTable(K, tmax)
+    table = shared_sum_table(K, tmax)
     log_a = np.log(a)
     logs = (table.logsums(spectra) + (log_i - lgamma_t)[None, :]
             - (M / 2.0 + ts)[None, :] * log_a[:, None])
@@ -317,24 +317,18 @@ def batch_shape_logdensity(U: np.ndarray, model: ModelSpec,
             + series_log + _mode_log_factor(mode))
 
 
-def _isotropic_bracket(kind: IsotropicKind, M: int, x: float):
-    """(log prefactor, t -> B(t, x) in log-sign form) for the closed brackets."""
+def _isotropic_bracket(kind: IsotropicKind, M: int, x: float, tmax: int):
+    """(log prefactor, log |B(t, x)|, sign B(t, x)) of the closed brackets,
+    the last two as arrays over t = 0..tmax."""
+    ts = np.arange(tmax + 1, dtype=float)
+    lg = np.array([math.lgamma(M / 2.0 + t) for t in range(tmax + 1)])
     if kind is IsotropicKind.GAUSSIAN:
-        def bracket(t: int) -> LogSign:
-            return LogSign(math.lgamma(M / 2.0 + t), 1.0)
-        return 0.0, bracket
+        return 0.0, lg, np.ones_like(ts)
     if kind is IsotropicKind.KOTZ_T2:
-        def bracket(t: int) -> LogSign:
-            return LogSign.of(M / 2.0 + x - t).scale(math.lgamma(M / 2.0 + t))
-        return math.log(2.0 / M), bracket
-    if kind is IsotropicKind.KOTZ_T3:
-        def bracket(t: int) -> LogSign:
-            poly = (M / 2.0 + x - t) ** 2 + (M / 2.0 - t)
-            return LogSign.of(poly).scale(math.lgamma(M / 2.0 + t))
-        return math.log(4.0 / (M * (M + 2.0))), bracket
-    raise DomainError(f"unknown isotropic kind {kind!r}")
-
-
-def isotropic_kind_T(kind: IsotropicKind) -> int:
-    return {IsotropicKind.GAUSSIAN: 1, IsotropicKind.KOTZ_T2: 2,
-            IsotropicKind.KOTZ_T3: 3}[kind]
+        log_pref, poly = math.log(2.0 / M), M / 2.0 + x - ts
+    elif kind is IsotropicKind.KOTZ_T3:
+        log_pref = math.log(4.0 / (M * (M + 2.0)))
+        poly = (M / 2.0 + x - ts) ** 2 + (M / 2.0 - ts)
+    else:
+        raise DomainError(f"unknown isotropic kind {kind!r}")
+    return log_pref, lg + np.log(np.abs(np.where(poly == 0, 1.0, poly))), np.sign(poly)

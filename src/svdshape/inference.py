@@ -22,7 +22,7 @@ from .densities import IsotropicKind, _isotropic_bracket
 from .errors import DomainError, NumericError, SeriesTruncationError
 from .geometry import Mode, ShapeCoords
 from .special import chi_square_sf
-from .zonal import SeriesControl, ZonalSumTable, signed_logsumexp
+from .zonal import SeriesControl, shared_sum_table, signed_logsumexp
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,12 @@ class IsotropicLikelihood:
     """Vectorized isotropic log-likelihood of a sample, as a function of mu.
 
     Per specimen the angle density is
-    J(u_i) (2 pi^{M/2})^{-1} pref e^{-x} sum_t B(t, x)/t!
-    sum_kappa C_kappa(mu' W_i W_i' mu / (2 sigma^2)) / (K/2)_kappa;
-    everything that does not depend on mu is precomputed, and the zonal inner
-    sums are evaluated for the whole sample at once from a collapsed monomial
-    table. B(t, x) can be negative for the Kotz kinds, so the degree sum uses
-    a signed log-sum-exp.
+    J(u_i) (2 pi^{M/2})^{-1} pref e^{-x} sum_t B(t, x) S_t(X_i) / t! with
+    X_i = mu' W_i W_i' mu / (2 sigma^2); everything that does not depend on mu
+    is precomputed, and log S_t is evaluated for the whole sample and every
+    degree through max_degree in one pass of the shared zonal table. B(t, x)
+    can be negative for the Kotz kinds, so the degree sum uses a signed
+    log-sum-exp.
     """
 
     def __init__(self, sample: SampleOfShapes, kind: IsotropicKind,
@@ -113,7 +113,7 @@ class IsotropicLikelihood:
         self.M = self.Nm1 * self.K
         self._W = np.stack([sc.W for _, sc in sample.items])     # (S, N-1, K)
         mode_log = -math.log(2.0) if sample.mode is Mode.NO_REFLECTION else 0.0
-        log_pref, _ = _isotropic_bracket(kind, self.M, 0.0)
+        log_pref = _isotropic_bracket(kind, self.M, 0.0, 0)[0]
         logJ = []
         for sid, sc in sample.items:
             lj = _log_jacobian_of(sc)
@@ -124,34 +124,20 @@ class IsotropicLikelihood:
                        + sample.size * (-math.log(2.0)
                                         - self.M / 2.0 * math.log(math.pi)
                                         + log_pref + mode_log))
-        self._table = ZonalSumTable(self.K, self.ctrl.max_degree)
+        self._table = shared_sum_table(self.K, self.ctrl.max_degree)
         self._lgamma_t = np.array(
             [math.lgamma(t + 1) for t in range(self.ctrl.max_degree + 1)])
-        self._ts = np.arange(self.ctrl.max_degree + 1, dtype=float)
 
-    def _bracket_arrays(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        """(log |B(t,x)|, sign) for all degrees at once."""
-        M, ts = self.M, self._ts
-        lg = np.array([math.lgamma(M / 2.0 + t) for t in range(len(ts))])
-        if self.kind is IsotropicKind.GAUSSIAN:
-            return lg, np.ones_like(ts)
-        if self.kind is IsotropicKind.KOTZ_T2:
-            poly = M / 2.0 + x - ts
-        else:
-            poly = (M / 2.0 + x - ts) ** 2 + (M / 2.0 - ts)
-        sign = np.sign(poly)
-        with np.errstate(divide="ignore"):
-            return lg + np.log(np.abs(np.where(poly == 0, 1.0, poly))), sign
-
-    def per_specimen(self, mu: np.ndarray) -> np.ndarray:
-        """Log density of each specimen at location mu."""
+    def _series(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """(log |term| per specimen and degree, log of each specimen's degree
+        sum, x) at location mu."""
         mu = np.asarray(mu, dtype=float).reshape(self.Nm1, self.K)
         x = float(np.sum(mu * mu)) / (2.0 * self.sigma2)
         G = self._W.transpose(0, 2, 1) @ mu                      # (S, K, K)
         X = G.transpose(0, 2, 1) @ G / (2.0 * self.sigma2)
         spectra = np.clip(np.linalg.eigvalsh(X), 0.0, None)
         log_s = self._table.logsums(spectra)                     # (S, tmax+1)
-        lb, sb = self._bracket_arrays(x)
+        _, lb, sb = _isotropic_bracket(self.kind, self.M, x, self.ctrl.max_degree)
         logs = log_s + (lb - self._lgamma_t)[None, :]
         total_log, total_sign = signed_logsumexp(logs, np.broadcast_to(sb, logs.shape))
         if np.any(total_sign <= 0):
@@ -159,19 +145,25 @@ class IsotropicLikelihood:
             raise NumericError(
                 f"specimen {self.sample.items[bad][0]!r}: series summed to a "
                 "non-positive value")
-        self._last_tail = float(np.max(logs[:, -1] - total_log))
+        return logs, total_log, x
+
+    def per_specimen(self, mu: np.ndarray) -> np.ndarray:
+        """Log density of each specimen at location mu."""
+        _, total_log, x = self._series(mu)
         return total_log - x
 
     def loglik(self, mu: np.ndarray) -> float:
         return self._const + float(np.sum(self.per_specimen(mu)))
 
     def check_converged(self, mu: np.ndarray, rel_tol: float = 1e-8) -> None:
-        """Raise if the truncated degree sum has not converged at mu."""
-        self.per_specimen(mu)
-        if self._last_tail > math.log(rel_tol):
+        """Raise if at mu some specimen's degree-max_degree term exceeds
+        ``rel_tol`` times its truncated degree sum."""
+        logs, total_log, _ = self._series(mu)
+        tail = float(np.max(logs[:, -1] - total_log))
+        if tail > math.log(rel_tol):
             raise SeriesTruncationError(
                 f"degree-{self.ctrl.max_degree} truncation leaves a relative "
-                f"tail of exp({self._last_tail:.3g}); raise max_degree")
+                f"tail of exp({tail:.3g}); raise max_degree")
 
 
 def _log_jacobian_of(sc: ShapeCoords) -> float:

@@ -4,16 +4,20 @@ Zonal polynomial values are always computed from eigenvalues, never from
 matrix entries: every argument that appears in the densities enters only
 through its spectrum, so orthogonal invariance is structural.
 
-The evaluation route is the classical recursion for the coefficients of the
-zonal polynomial in the monomial symmetric function basis (the alpha = 2
-member of the Jack family), with the leading coefficient fixed by the hook
-products of the partition. Coefficient tables are memoized per
-(weight, max_parts) because likelihood loops evaluate thousands of series
-with identical partition structure.
+Every series here is sum_t c_t S_t(X) / t! with a coefficient c_t of the
+degree alone and S_t(X) = sum_{|kappa|=t} C_kappa(X) / (a)_kappa. One kernel,
+:class:`ZonalSumTable`, evaluates log S_t; :func:`shared_sum_table` keeps one
+per (K, a), grows it by degree blocks on demand and hands each route a
+fixed view through the degree it sums. Its monomial coefficients
+come from the classical recursion for C_kappa in the monomial basis (the
+alpha = 2 Jack family), with the leading coefficient fixed by the hook
+products, memoized per (weight, max_parts). :func:`zonal_poly` sums the same
+coefficients by direct monomial enumeration: the tests' independent oracle.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import threading
@@ -23,8 +27,6 @@ import numpy as np
 
 from .errors import DomainError, SeriesTruncationError
 from .special import LogSign, Partition, enumerate_partitions, gen_pochhammer_log, multivariate_gamma
-
-_EIG_ZERO = 0.0  # structural zeros only; tiny eigenvalues still contribute
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,9 @@ def _leading_coefficient(kappa: tuple[int, ...]) -> float:
     return math.exp(f * math.log(2.0) + math.lgamma(f + 1) - log_upper) if f else 1.0
 
 
-_table_lock = threading.Lock()
+# guards both caches below; re-entrant because growing a ZonalSumTable
+# fills _table_cache while holding it
+_table_lock = threading.RLock()
 _table_cache: dict[tuple[int, int], dict[tuple[int, ...], dict[tuple[int, ...], float]]] = {}
 
 
@@ -162,13 +166,14 @@ def zonal_poly(kappa: Partition, eigenvalues) -> float:
     """Zonal polynomial C_kappa at the spectrum ``eigenvalues``.
 
     Exactly 0 when kappa has more parts than there are nonzero eigenvalues.
+    The tests' independent oracle for the series kernel: no route calls it.
     """
     eigs = tuple(sorted(float(x) for x in eigenvalues))
     if not eigs:
         raise DomainError("eigenvalue list must be non-empty")
     if len(kappa) == 0:
         return 1.0
-    nonzero = tuple(x for x in eigs if x != _EIG_ZERO)
+    nonzero = tuple(x for x in eigs if x != 0.0)
     if len(kappa.parts) > len(nonzero):
         return 0.0
     table = _zonal_table(kappa.weight, len(nonzero))
@@ -176,100 +181,53 @@ def zonal_poly(kappa: Partition, eigenvalues) -> float:
     return math.fsum(c * _monomial(lam, nonzero) for lam, c in coeffs.items())
 
 
-class _ScaledAccumulator:
-    """Signed accumulator that tracks a floating log scale to avoid overflow."""
-
-    def __init__(self):
-        self.shift = -math.inf
-        self.total = 0.0
-
-    def add(self, term: LogSign):
-        if term.sign == 0.0:
-            return
-        if term.log > self.shift:
-            if math.isfinite(self.shift):
-                self.total *= math.exp(self.shift - term.log)
-            self.shift = term.log
-            self.total += term.sign
-        else:
-            self.total += term.sign * math.exp(term.log - self.shift)
-
-    def logsign(self) -> LogSign:
-        if self.total == 0.0 or not math.isfinite(self.shift):
-            return LogSign.zero()
-        return LogSign(self.shift + math.log(abs(self.total)), math.copysign(1.0, self.total))
-
-    def log_abs(self) -> float:
-        ls = self.logsign()
-        return ls.log if ls.sign != 0.0 else -math.inf
-
-
 def zonal_series(coeff, argument_eigenvalues, denominator_a: float,
                  ctrl: SeriesControl | None = None) -> SeriesResult:
-    """Evaluate sum_t sum_kappa coeff(t, kappa) C_kappa(arg) / (t! (a)_kappa).
+    """Evaluate sum_t coeff(t) S_t(arg) / t!, S_t = sum_{|kappa|=t} C_kappa(arg) / (a)_kappa.
 
-    ``coeff`` returns a :class:`LogSign`; the sum is accumulated degree block
-    by degree block (all kappa of one degree together) because partitions
-    within a degree can cancel. Raises :class:`SeriesTruncationError` when the
-    tail test fails within ``ctrl.max_degree``.
+    ``coeff(t)`` returns a :class:`LogSign`. S_t comes from the shared
+    :class:`ZonalSumTable` for (len(arg), a) (see :func:`shared_sum_table`),
+    grown and evaluated one degree block at a time as the sum reaches it, so
+    the domain is the table's. The sum stops at the first degree completing
+    ``ctrl.tail_window`` consecutive blocks below ``ctrl.rel_tol`` times the
+    running total; :class:`SeriesTruncationError` if none does within
+    ``ctrl.max_degree``.
     """
     ctrl = ctrl or SeriesControl()
-    eigs = tuple(sorted(float(x) for x in argument_eigenvalues))
-    d = max(1, sum(1 for x in eigs if x != _EIG_ZERO))
-    acc = _ScaledAccumulator()
+    eigs = np.asarray(argument_eigenvalues, dtype=float).reshape(1, -1)
+    log_s: list[float] = []
+    logs: list[float] = []
+    signs: list[float] = []
     quiet_blocks = 0
-    last_block = math.inf
-    degrees_used = 0
     for t in range(ctrl.max_degree + 1):
-        block = _ScaledAccumulator()
-        log_tfac = math.lgamma(t + 1)
-        for kappa in enumerate_partitions(t, min(d, t) if t else 1):
-            c = coeff(t, kappa)
-            if c.sign == 0.0:
-                continue
-            ck = zonal_poly(kappa, eigs)
-            if ck == 0.0:
-                continue
-            poch = gen_pochhammer_log(denominator_a, kappa)
-            if poch.sign == 0.0:
-                raise DomainError(
-                    f"series denominator ({denominator_a})_{kappa.parts} vanishes")
-            term = c.mul(LogSign.of(ck)).div(poch).scale(-log_tfac)
-            block.add(term)
-        block_ls = block.logsign()
-        acc.add(block_ls)
-        degrees_used = t
-        total_log = acc.log_abs()
-        block_log = block_ls.log if block_ls.sign != 0.0 else -math.inf
-        last_block = block_log
-        threshold = (total_log + math.log(ctrl.rel_tol)) if math.isfinite(total_log) else -math.inf
-        if t >= 1:
-            if block_log <= threshold:
-                quiet_blocks += 1
-                if quiet_blocks >= ctrl.tail_window:
-                    break
-            else:
-                quiet_blocks = 0
+        c = coeff(t)
+        if c.sign != 0.0 and t >= len(log_s):
+            table = shared_sum_table(eigs.shape[1], t, denominator_a)
+            log_s.extend(table._logsums(eigs, len(log_s))[0])
+        logs.append(c.log + log_s[t] - math.lgamma(t + 1) if c.sign != 0.0 else -math.inf)
+        signs.append(c.sign)
+        total_log, total_sign = map(float, signed_logsumexp(np.array(logs), np.array(signs)))
+        quiet = t >= 1 and logs[-1] <= total_log + math.log(ctrl.rel_tol)
+        quiet_blocks = quiet_blocks + 1 if quiet else 0
+        if quiet_blocks >= ctrl.tail_window:
+            break
     else:
-        result = acc.logsign()
         raise SeriesTruncationError(
             f"zonal series did not converge within degree {ctrl.max_degree} "
-            f"(last block log-magnitude {last_block:.3g})",
-            partial_log=result.log, partial_sign=result.sign, tail_estimate=last_block)
-    result = acc.logsign()
-    total_log = result.log if result.sign != 0.0 else 0.0
-    tail = math.exp(last_block - total_log) if math.isfinite(last_block) else 0.0
-    return SeriesResult(log=result.log, sign=result.sign,
-                        degrees_used=degrees_used, tail_bound=tail)
-
-
-def _unit_coeff(t: int, kappa: Partition) -> LogSign:
-    return LogSign.one()
+            f"(last block log-magnitude {logs[-1]:.3g})",
+            partial_log=total_log, partial_sign=total_sign, tail_estimate=logs[-1])
+    scale = total_log if total_sign != 0.0 else 0.0
+    tail = math.exp(logs[-1] - scale) if math.isfinite(logs[-1]) else 0.0
+    return SeriesResult(log=total_log, sign=total_sign, degrees_used=t, tail_bound=tail)
 
 
 def hypergeom_0F1(b: float, matrix_eigenvalues, ctrl: SeriesControl | None = None) -> float:
-    """Hypergeometric 0F1(b; X) of matrix argument, from the spectrum of X."""
-    return zonal_series(_unit_coeff, matrix_eigenvalues, b, ctrl).value
+    """Hypergeometric 0F1(b; X) of matrix argument, from the spectrum of X.
+
+    Domain as in :func:`zonal_series`: X >= 0 and (b)_kappa > 0. Each
+    distinct b keeps its own shared table (see :func:`shared_sum_table`).
+    """
+    return zonal_series(lambda t: LogSign.one(), matrix_eigenvalues, b, ctrl).value
 
 
 def _falling_factorial_log(p: float, k: int) -> LogSign:
@@ -311,7 +269,7 @@ def power_trace_integral_series(p: float, Y_trace: float, X_gram_eigenvalues,
     if Y_trace == 0.0:
         raise DomainError("tr Y must be nonzero for the power-trace series")
 
-    def coeff(f: int, kappa: Partition) -> LogSign:
+    def coeff(f: int) -> LogSign:
         fall = _falling_factorial_log(p, 2 * f)
         if fall.sign == 0.0:
             return fall
@@ -335,7 +293,7 @@ def exp_trace_integral_series(Y_trace: float, X_gram_eigenvalues, K: int, n: int
     scaled = [r * r * q for q in quarter]
     f01 = hypergeom_0F1(K / 2.0, scaled, ctrl)
 
-    def deriv_coeff(f: int, kappa: Partition) -> LogSign:
+    def deriv_coeff(f: int) -> LogSign:
         if f == 0:
             return LogSign.zero()
         return _real_power_log(r, 2 * f - 1).mul(LogSign.of(2.0 * f))
@@ -345,27 +303,45 @@ def exp_trace_integral_series(Y_trace: float, X_gram_eigenvalues, K: int, n: int
     return vol * math.exp(r * Y_trace) * (Y_trace * f01 + deriv)
 
 
-class ZonalSumTable:
-    """Vectorized evaluator of the inner zonal sums, one value per spectrum.
+# bytes of one (spectra, table rows) float64 temporary in ZonalSumTable.logsums,
+# which holds about four at once: its memory stays near 16 MB for any batch
+_LOGSUMS_CHUNK_BYTES = 4 << 20
 
-    Precomputes, for every degree t <= tmax, the monomial expansion of
-    S_t(X) = sum_{kappa of t} C_kappa(X) / (a)_kappa, collapsed to
-    coefficients d_{t,lam} = sum_kappa c_{kappa,lam} / (a)_kappa >= 0 (zonal
-    monomial coefficients are non-negative and (a)_kappa > 0 for a >= K/2).
-    ``logsums`` then returns log S_t for a whole batch of K-point spectra in
-    one pass, which is what likelihood loops and Monte Carlo mass checks need.
+
+class ZonalSumTable:
+    """The series kernel: log S_t(X) = log sum_{|kappa|=t} C_kappa(X) / (a)_kappa
+    for batches of K-point spectra X.
+
+    Holds, for every degree t <= tmax, the monomial expansion of S_t collapsed
+    to coefficients d_{t,lam} = sum_kappa c_{kappa,lam} / (a)_kappa > 0. Its
+    domain is non-negative spectra and (a)_kappa > 0 for every kappa of at
+    most K parts (else :class:`DomainError`). Growing only appends degree
+    blocks, so a table grown in steps equals one built at once.
     """
 
     def __init__(self, K: int, tmax: int, denominator_a: float | None = None):
         if K < 1 or tmax < 0:
             raise DomainError("need K >= 1 and tmax >= 0")
-        a = K / 2.0 if denominator_a is None else denominator_a
         self.K = K
-        self.tmax = tmax
+        self.a = K / 2.0 if denominator_a is None else float(denominator_a)
+        self._exps = np.zeros((0, K))                   # (NT, K)
+        self._logd = np.zeros(0)                        # (NT,)
+        self._bounds = [0]                              # degree t: rows [b[t], b[t+1])
+        self._grow(tmax)
+
+    @property
+    def tmax(self) -> int:
+        return len(self._bounds) - 2
+
+    def _grow(self, tmax: int) -> None:
+        """Append the degree blocks up to ``tmax`` (under _table_lock if shared)."""
+        if tmax <= self.tmax:
+            return
+        K, a = self.K, self.a
         exps: list[tuple[int, ...]] = []
         logd: list[float] = []
-        bounds = [0]
-        for t in range(tmax + 1):
+        bounds = list(self._bounds)
+        for t in range(self.tmax + 1, tmax + 1):
             lam_coeffs: dict[tuple[int, ...], float] = {}
             if t == 0:
                 lam_coeffs[(0,) * K] = 1.0
@@ -386,17 +362,23 @@ class ZonalSumTable:
                 for perm in sorted(set(itertools.permutations(lam))):
                     exps.append(perm)
                     logd.append(math.log(d))
-            bounds.append(len(exps))
-        self._exps = np.asarray(exps, dtype=float)          # (NT, K)
-        self._logd = np.asarray(logd, dtype=float)          # (NT,)
+            bounds.append(self._bounds[-1] + len(exps))
+        self._exps = np.concatenate(
+            [self._exps, np.asarray(exps, dtype=float).reshape(-1, K)])
+        self._logd = np.concatenate([self._logd, np.asarray(logd, dtype=float)])
         self._bounds = bounds
 
     def logsums(self, spectra: np.ndarray) -> np.ndarray:
         """log S_t for each row of ``spectra``; returns (batch, tmax + 1).
 
         Spectra must be non-negative; zero eigenvalues are handled (their
-        monomials vanish exactly).
+        monomials vanish exactly). Rows go in chunks of _LOGSUMS_CHUNK_BYTES
+        per temporary, which does not change the values.
         """
+        return self._logsums(spectra, 0)
+
+    def _logsums(self, spectra: np.ndarray, first: int) -> np.ndarray:
+        """:meth:`logsums` for the degrees first..tmax only."""
         spectra = np.asarray(spectra, dtype=float)
         if spectra.ndim != 2 or spectra.shape[1] != self.K:
             raise DomainError(f"spectra must be (batch, {self.K})")
@@ -406,13 +388,43 @@ class ZonalSumTable:
         # segment reductions finite (exp underflows to 0 exactly)
         loge = np.where(spectra > 0.0, np.log(np.where(spectra > 0, spectra, 1.0)),
                         -1e12)
-        lm = loge @ self._exps.T + self._logd           # (batch, NT)
-        starts = np.asarray(self._bounds[:-1], dtype=np.intp)
-        peak = np.maximum.reduceat(lm, starts, axis=1)  # (batch, tmax + 1)
-        expanded = np.repeat(peak, np.diff(self._bounds), axis=1)
-        sums = np.add.reduceat(np.exp(lm - expanded), starts, axis=1)
-        with np.errstate(divide="ignore"):
-            return peak + np.log(sums)
+        bounds = self._bounds[first:]
+        exps, logd = self._exps[bounds[0]:bounds[-1]], self._logd[bounds[0]:bounds[-1]]
+        starts = np.asarray(bounds[:-1], dtype=np.intp) - bounds[0]
+        step = max(1, _LOGSUMS_CHUNK_BYTES // (8 * len(logd)))
+        out = np.empty((len(loge), len(starts)))
+        for lo in range(0, len(loge), step):
+            lm = loge[lo:lo + step] @ exps.T + logd      # (chunk, rows)
+            peak = np.maximum.reduceat(lm, starts, axis=1)
+            expanded = np.repeat(peak, np.diff(bounds), axis=1)
+            sums = np.add.reduceat(np.exp(lm - expanded), starts, axis=1)
+            with np.errstate(divide="ignore"):
+                out[lo:lo + step] = peak + np.log(sums)
+        out[~np.any(spectra > 0, axis=1), max(0, 1 - first):] = -np.inf  # S_t(0) = 0, t >= 1
+        return out
+
+
+_sum_tables: dict[tuple[int, float], ZonalSumTable] = {}
+
+
+def shared_sum_table(K: int, tmax: int, denominator_a: float | None = None) -> ZonalSumTable:
+    """The kernel for (K, a = K/2 by default) through exactly degree ``tmax``.
+
+    The process keeps one :class:`ZonalSumTable` per (K, a) asked for, grows
+    it to ``tmax`` on first need and never rebuilds or frees it; the table
+    returned shares its rows and does not change when the shared one grows.
+    """
+    a = K / 2.0 if denominator_a is None else float(denominator_a)
+    with _table_lock:
+        table = _sum_tables.get((K, a))
+        if table is None:
+            table = _sum_tables[(K, a)] = ZonalSumTable(K, tmax, a)
+        table._grow(tmax)
+        view = copy.copy(table)
+    view._bounds = view._bounds[:tmax + 2]
+    view._exps = view._exps[:view._bounds[-1]]
+    view._logd = view._logd[:view._bounds[-1]]
+    return view
 
 
 def signed_logsumexp(logs: np.ndarray, signs: np.ndarray, axis: int = -1):

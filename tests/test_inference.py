@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from svdshape.densities import IsotropicKind, isotropic_shape_logdensity
-from svdshape.errors import DomainError
+from svdshape.errors import DomainError, SeriesTruncationError
 from svdshape.geometry import Mode, svd_shape
 from svdshape.inference import (EvidenceGrade, IsotropicLikelihood,
                                 OptimizerConfig, SampleOfShapes, bic_star,
                                 evidence_grade, fit_location, log_likelihood,
                                 lr_test_equal_means)
-from svdshape.zonal import SeriesControl
+from svdshape import zonal
+from svdshape.zonal import SeriesControl, shared_sum_table
 
 CTRL = SeriesControl(max_degree=60)
 SIGMA2 = 50.0
@@ -88,6 +89,29 @@ class TestLogLikelihood:
                 sc.u, mu_star, SIGMA2, kind, ctrl=CTRL).log_density
                 for _, sc in sample.items)
             assert fast == pytest.approx(slow, abs=1e-9)
+
+
+    def test_loglik_unchanged_when_the_shared_table_grows(self, sample, mu_star):
+        lik = IsotropicLikelihood(sample, IsotropicKind.KOTZ_T3, SIGMA2, CTRL)
+        before = lik.loglik(mu_star)
+        K = lik.K
+        shared_sum_table(K, zonal._sum_tables[(K, K / 2.0)].tmax + 5)
+        assert lik.loglik(mu_star) == before
+
+    def test_check_converged_reads_the_degree_sum_tail(self, sample, mu_star):
+        # at degree 5 the series has converged near the origin but not at
+        # mu_star; at degree 60 it has at mu_star but not three times further out
+        short = IsotropicLikelihood(sample, IsotropicKind.KOTZ_T3, SIGMA2,
+                                    SeriesControl(max_degree=5))
+        state = dict(vars(short))
+        short.check_converged(0.1 * mu_star)
+        with pytest.raises(SeriesTruncationError):
+            short.check_converged(mu_star)
+        assert vars(short).keys() == state.keys()
+        full = IsotropicLikelihood(sample, IsotropicKind.KOTZ_T3, SIGMA2, CTRL)
+        full.check_converged(mu_star)
+        with pytest.raises(SeriesTruncationError):
+            full.check_converged(3.0 * mu_star)
 
 
 class TestBicStar:

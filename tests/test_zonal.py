@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from svdshape import zonal
+from svdshape.densities import IsotropicKind, _isotropic_bracket
 from svdshape.errors import DomainError, SeriesTruncationError
 from svdshape.special import LogSign, Partition, enumerate_partitions, gen_pochhammer
 from svdshape.zonal import (SeriesControl, ZonalSumTable, exp_trace_integral_series,
                             hypergeom_0F1, log_stiefel_volume,
-                            power_trace_integral_series, signed_logsumexp,
+                            power_trace_integral_series, shared_sum_table,
+                            signed_logsumexp,
                             stiefel_mc_integral, zonal_poly, zonal_series)
 
 
@@ -89,7 +93,7 @@ class TestZonalSeries:
     def test_truncation_error_carries_partial(self):
         ctrl = SeriesControl(max_degree=3)
         with pytest.raises(SeriesTruncationError) as err:
-            zonal_series(lambda t, k: LogSign.one(), [50.0, 80.0], 1.0, ctrl)
+            zonal_series(lambda t: LogSign.one(), [50.0, 80.0], 1.0, ctrl)
         assert err.value.partial_log is not None
         assert err.value.tail_estimate is not None
 
@@ -100,22 +104,49 @@ class TestZonalSeries:
         tails = []
         for deg in (20, 30, 40):
             with pytest.raises(SeriesTruncationError) as err:
-                zonal_series(lambda t, k: LogSign.one(), eigs, 1.0,
+                zonal_series(lambda t: LogSign.one(), eigs, 1.0,
                              SeriesControl(max_degree=deg, rel_tol=1e-300,
                                            tail_window=deg))
             tails.append(err.value.tail_estimate)
         assert tails[0] > tails[1] > tails[2]
 
     def test_tail_bound_reported_on_convergent_instance(self):
-        res = zonal_series(lambda t, k: LogSign.one(), [2.0, 3.5], 1.0,
+        res = zonal_series(lambda t: LogSign.one(), [2.0, 3.5], 1.0,
                            SeriesControl(max_degree=60))
         assert 0 <= res.tail_bound < 1e-11
         assert res.degrees_used < 60
 
     def test_vanishing_denominator_raises(self):
         with pytest.raises(DomainError):
-            zonal_series(lambda t, k: LogSign.one(), [1.0, 1.0], 0.5,
+            zonal_series(lambda t: LogSign.one(), [1.0, 1.0], 0.5,
                          SeriesControl(max_degree=10))
+
+
+    def test_zero_spectrum_sums_to_exactly_zero(self):
+        res = zonal_series(lambda t: LogSign.zero() if t == 0 else LogSign.one(),
+                           [0.0, 0.0], 1.0)
+        assert (res.sign, res.log, res.degrees_used) == (0.0, -math.inf, 3)
+
+    def test_negative_eigenvalue_raises(self):
+        with pytest.raises(DomainError):
+            zonal_series(lambda t: LogSign.one(), [1.0, -0.5], 1.0)
+
+    def test_sign_changing_coefficient_matches_zonal_poly_oracle(self):
+        # the Kotz T=3 bracket c_t = Gamma(M/2 + t) [(M/2 + x - t)^2 + M/2 - t]
+        # is negative on a few degrees (7-15% of the sum here); the oracle
+        # sums every kappa explicitly
+        x = 1.0
+        for K, eigs in ((2, [0.4, 0.9]), (3, [0.2, 0.5, 0.8])):
+            M = 3 * K
+            _, log_b, sign_b = _isotropic_bracket(IsotropicKind.KOTZ_T3, M, x, 60)
+            assert -1.0 in sign_b[:10]
+            res = zonal_series(lambda t: LogSign(log_b[t], sign_b[t]), eigs, K / 2.0)
+            oracle = math.fsum(
+                sign_b[t] * math.exp(log_b[t] - math.lgamma(t + 1))
+                * zonal_poly(kappa, eigs) / gen_pochhammer(K / 2.0, kappa)
+                for t in range(res.degrees_used + 1)
+                for kappa in enumerate_partitions(t, K))
+            assert res.value == pytest.approx(oracle, rel=1e-12)
 
 
 class TestZonalSumTable:
@@ -132,6 +163,45 @@ class TestZonalSumTable:
                         zonal_poly(k, s) / gen_pochhammer(K / 2.0, k)
                         for k in enumerate_partitions(t, K))
                     assert math.exp(ls[i, t]) == pytest.approx(direct, rel=1e-10)
+
+    def test_grown_in_steps_equals_built_at_once(self):
+        for K in (2, 3):
+            grown = ZonalSumTable(K, 10)
+            grown._grow(30)
+            once = ZonalSumTable(K, 30)
+            assert grown.tmax == once.tmax == 30
+            assert grown._bounds == once._bounds
+            assert np.array_equal(grown._exps, once._exps)
+            assert np.array_equal(grown._logd, once._logd)
+            spectra = np.abs(np.random.default_rng(K).normal(size=(5, K)))
+            assert np.array_equal(grown.logsums(spectra), once.logsums(spectra))
+
+    def test_shared_table_serves_fixed_views_of_one_table(self):
+        low = shared_sum_table(2, 4, 7.5)
+        high = shared_sum_table(2, 9, 7.5)
+        assert (low.tmax, high.tmax, zonal._sum_tables[(2, 7.5)].tmax) == (4, 9, 9)
+        rows = low._bounds[-1]
+        assert np.array_equal(low._exps, high._exps[:rows])
+        assert np.array_equal(low._logd, high._logd[:rows])
+        spectra = np.array([[0.3, 1.2], [2.0, 0.0]])
+        before = high.logsums(spectra)
+        assert np.array_equal(low.logsums(spectra), before[:, :5])
+        shared_sum_table(2, 12, 7.5)
+        assert (low.tmax, high.tmax, zonal._sum_tables[(2, 7.5)].tmax) == (4, 9, 12)
+        assert np.array_equal(high.logsums(spectra), before)
+
+    def test_logsums_memory_is_bounded_and_chunking_is_exact(self, monkeypatch):
+        tab = ZonalSumTable(2, 60)
+        spectra = np.abs(np.random.default_rng(4).normal(size=(5000, 2))) * 3
+        tracemalloc.start()
+        try:
+            chunked = tab.logsums(spectra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        monkeypatch.setattr(zonal, "_LOGSUMS_CHUNK_BYTES", 2 ** 40)
+        assert np.array_equal(chunked, tab.logsums(spectra))
 
     def test_input_validation(self):
         tab = ZonalSumTable(2, 3)
