@@ -1,8 +1,11 @@
 """Command-line front end.
 
 JSON results go to stdout (or --out FILE); a short human-readable table goes
-to stderr. Exit codes: 0 success, 2 parse error, 3 numeric failure,
-4 non-convergence, 1 failed verification.
+to stderr. Exit codes: 0 success, 1 failed verification, 2 parse error
+(a malformed file, config key or option value), 3 numeric failure or domain
+error (input that parsed but lies outside a model's domain, such as a
+non-positive-definite Theta or a specimen at a chart pole),
+4 non-convergence.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import click
 import numpy as np
 
 from .densities import IsotropicKind, shape_logdensity
-from .errors import NumericError, ParseError, SeriesTruncationError, SvdShapeError
+from .errors import DomainError, NumericError, ParseError, SeriesTruncationError
 from .geometry import Mode, preprocess, svd_shape
 from .inference import (OptimizerConfig, SampleOfShapes, evidence_grade,
                         fit_location, lr_test_equal_means)
@@ -49,8 +52,15 @@ class RunConfig:
     def ctrl(self) -> SeriesControl:
         return SeriesControl(max_degree=self.max_degree, rel_tol=self.rel_tol)
 
+    def check_isotropic(self) -> None:
+        """The isotropic brackets of fit, compare and test fix R = 1/2."""
+        if self.kotz_R != 0.5:
+            raise ParseError(
+                f"inference commands fix kotz R = 0.5, got {self.kotz_R}")
+
     @property
     def isotropic_kind(self) -> IsotropicKind:
+        self.check_isotropic()
         if self.model == "gaussian":
             return IsotropicKind.GAUSSIAN
         if self.kotz_T == 2:
@@ -77,7 +87,7 @@ def _read_config_file(path: str) -> dict:
 
 _CONFIG_CASTS = {
     "model": str, "kotz_T": int, "kotz_R": float, "sigma2": float,
-    "theta": str, "mu": str, "mode": str, "max_degree": int,
+    "theta": str, "mu": str, "mode": Mode, "max_degree": int,
     "tol": float, "seed": int, "out": str,
 }
 
@@ -106,32 +116,26 @@ def common_options(fn):
     return fn
 
 
+_CONFIG_FIELDS = {"theta": "theta_path", "mu": "mu_path", "tol": "rel_tol"}
+
+
 def _build_config(config_path, **flags) -> RunConfig:
+    """RunConfig from the config file's keys overridden by the given flags;
+    RunConfig's defaults fill the rest."""
     values = {}
     if config_path:
         raw = _read_config_file(config_path)
         for key, text in raw.items():
             if key not in _CONFIG_CASTS:
                 raise ParseError(f"unknown config key {key!r}")
-            values[key] = _CONFIG_CASTS[key](text)
-    for key, val in flags.items():
-        if val is not None:
-            values[key] = val
-    values.setdefault("model", "gaussian")
-    kwargs = dict(
-        model=values.get("model", "gaussian"),
-        kotz_T=values.get("kotz_T", 2),
-        kotz_R=values.get("kotz_R", 0.5),
-        sigma2=values.get("sigma2", 1.0),
-        theta_path=values.get("theta"),
-        mu_path=values.get("mu"),
-        mode=Mode(values.get("mode", "reflection")),
-        max_degree=values.get("max_degree", 60),
-        rel_tol=values.get("tol", 1e-12),
-        seed=values.get("seed", 0),
-        out=values.get("out"),
-    )
-    return RunConfig(**kwargs)
+            try:
+                values[key] = _CONFIG_CASTS[key](text)
+            except ValueError:
+                raise ParseError(f"config key {key!r} has a bad value {text!r}") from None
+    values.update((key, val) for key, val in flags.items() if val is not None)
+    if "mode" in values:
+        values["mode"] = Mode(values["mode"])
+    return RunConfig(**{_CONFIG_FIELDS.get(k, k): v for k, v in values.items()})
 
 
 def _emit(config: RunConfig, payload: dict) -> None:
@@ -166,9 +170,9 @@ def _run(fn):
     except (SeriesTruncationError, NumericError) as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
-    except SvdShapeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+    except DomainError as exc:
+        click.echo(f"domain error: {exc}", err=True)
+        sys.exit(EXIT_NUMERIC)
 
 
 def _load_sample(path: str, config: RunConfig, group_id: str) -> SampleOfShapes:
@@ -273,6 +277,7 @@ def cmd_compare(input_file, config_path, **flags):
     """Fit Gaussian, Kotz T=2 and Kotz T=3; rank by modified BIC."""
     def body():
         config = _build_config(config_path, **flags)
+        config.check_isotropic()
         sample = _load_sample(input_file, config, "input")
         fits = {}
         for name, kind in _COMPARE_KINDS:

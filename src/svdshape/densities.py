@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, SeriesTruncationError
-from .geometry import Mode, angles_to_unitvec, log_polar_jacobian
+from .geometry import Mode, angles_to_frame, log_polar_jacobian
 from .models import GeneratorKind, ModelSpec, h_derivative_log, h_log_value, radial_integral
 from .special import LogSign
 from .zonal import SeriesControl, shared_sum_table, signed_logsumexp, zonal_series
@@ -69,19 +69,19 @@ def _noncentrality_eigs(model: ModelSpec, A: np.ndarray) -> np.ndarray:
     return np.clip(eigs, 0.0, None)
 
 
-def _check_angles(u: np.ndarray, model: ModelSpec) -> np.ndarray:
+def _chart(u: np.ndarray, Nm1: int, K: int, batch: bool = False):
+    """(W, log J(u)) of m = (N-1) K - 1 angles, or of a (batch, m) array with
+    ``batch``, after checking that they lie on the chart box."""
     u = np.asarray(u, dtype=float)
-    m = model.M - 1
-    if u.shape != (m,):
-        raise DomainError(f"expected {m} angles for this model, got shape {u.shape}")
-    if np.any(u[:-1] < 0) or np.any(u[:-1] > math.pi) or not 0 <= u[-1] <= 2 * math.pi:
+    m = Nm1 * K - 1
+    if u.ndim != 1 + batch or u.shape[-1] != m:
+        raise DomainError(f"expected {'(batch, m)' if batch else 'm'} angles with "
+                          f"m = {m}, got shape {u.shape}")
+    upper = np.full(m, math.pi)
+    upper[-1] = 2 * math.pi
+    if not np.all((u >= 0) & (u <= upper)):
         raise DomainError("angles must lie in [0,pi]^(m-1) x [0,2pi]")
-    return u
-
-
-def _angles_to_W(u: np.ndarray, model: ModelSpec) -> np.ndarray:
-    v = angles_to_unitvec(u)
-    return v.reshape(model.Nm1, model.K, order="F")
+    return angles_to_frame(u, Nm1, K), log_polar_jacobian(u)
 
 
 def size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
@@ -137,8 +137,7 @@ def shape_logdensity(u: np.ndarray, model: ModelSpec,
     b = tr Omega. Works for any supported generator; the radial integrals
     are exact closed forms.
     """
-    u = _check_angles(u, model)
-    W = _angles_to_W(u, model)
+    W, log_j = _chart(u, model.Nm1, model.K)
     A = W @ W.T
     a = float(np.trace(model.sigma_inv @ A))
     b = model.trace_omega
@@ -152,7 +151,7 @@ def shape_logdensity(u: np.ndarray, model: ModelSpec,
     series = zonal_series(coeff, eigs, model.K / 2.0, ctrl)
     if series.sign <= 0.0:
         raise DomainError("shape series summed to a non-positive value")
-    log = (log_polar_jacobian(u) - model.K / 2.0 * model.log_det_sigma
+    log = (log_j - model.K / 2.0 * model.log_det_sigma
            + series.log + _mode_log_factor(mode))
     return DensityValue(log, series.degrees_used, series.tail_bound, mode)
 
@@ -164,11 +163,10 @@ def central_shape_logdensity(u: np.ndarray, model: ModelSpec,
     f(u) = J(u) |Sigma|^{-K/2} a^{-M/2} Gamma(M/2) / (2 pi^{M/2}); for
     Sigma = sigma^2 I this is the uniform law on the angle box.
     """
-    u = _check_angles(u, model)
-    W = _angles_to_W(u, model)
+    W, log_j = _chart(u, model.Nm1, model.K)
     a = float(np.trace(model.sigma_inv @ (W @ W.T)))
     M = model.M
-    log = (log_polar_jacobian(u) - model.K / 2.0 * model.log_det_sigma
+    log = (log_j - model.K / 2.0 * model.log_det_sigma
            - M / 2.0 * math.log(a) + math.lgamma(M / 2.0)
            - math.log(2.0) - M / 2.0 * math.log(math.pi)
            + _mode_log_factor(mode))
@@ -186,8 +184,7 @@ def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
     """
     if model.generator.effective_T != 1:
         raise DomainError("gaussian_shape_logdensity needs a Gaussian-type generator")
-    u = _check_angles(u, model)
-    W = _angles_to_W(u, model)
+    W, log_j = _chart(u, model.Nm1, model.K)
     A = W @ W.T
     a = float(np.trace(model.sigma_inv @ A))
     b = model.trace_omega
@@ -200,7 +197,7 @@ def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
         return LogSign(math.lgamma(M / 2.0 + t) - (M / 2.0 + t) * log_a, 1.0)
 
     series = zonal_series(coeff, eigs, model.K / 2.0, ctrl)
-    log = (log_polar_jacobian(u) - model.K / 2.0 * model.log_det_sigma
+    log = (log_j - model.K / 2.0 * model.log_det_sigma
            - math.log(2.0) - M / 2.0 * math.log(math.pi)
            - R * b + series.log + _mode_log_factor(mode))
     return DensityValue(log, series.degrees_used, series.tail_bound, mode)
@@ -226,10 +223,7 @@ def isotropic_shape_logdensity(u: np.ndarray, mu: np.ndarray, sigma2: float,
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
     Nm1, K = mu.shape
     M = Nm1 * K
-    u = np.asarray(u, dtype=float)
-    if u.shape != (M - 1,):
-        raise DomainError(f"expected {M - 1} angles, got shape {u.shape}")
-    W = angles_to_unitvec(u).reshape(Nm1, K, order="F")
+    W, log_j = _chart(u, Nm1, K)
     X = (mu.T @ W) @ (W.T @ mu) / (2.0 * sigma2)
     eigs = np.clip(np.linalg.eigvalsh(0.5 * (X + X.T)), 0.0, None)
     x = float(np.sum(mu * mu)) / (2.0 * sigma2)
@@ -242,29 +236,9 @@ def isotropic_shape_logdensity(u: np.ndarray, mu: np.ndarray, sigma2: float,
     series = zonal_series(coeff, eigs, K / 2.0, ctrl)
     if series.sign <= 0.0:
         raise DomainError("isotropic shape series summed to a non-positive value")
-    log = (log_polar_jacobian(u) - math.log(2.0) - M / 2.0 * math.log(math.pi)
+    log = (log_j - math.log(2.0) - M / 2.0 * math.log(math.pi)
            + log_pref - x + series.log + _mode_log_factor(mode))
     return DensityValue(log, series.degrees_used, series.tail_bound, mode)
-
-
-def _angles_batch_to_unitvecs(U: np.ndarray) -> np.ndarray:
-    """Vectorized spherical chart: (S, m) angles -> (S, m + 1) unit vectors."""
-    S, m = U.shape
-    V = np.empty((S, m + 1))
-    sines = np.cumprod(np.sin(U), axis=1)
-    V[:, 0] = np.cos(U[:, 0])
-    V[:, 1:m] = np.cos(U[:, 1:]) * sines[:, :-1]
-    V[:, m] = sines[:, -1]
-    return V
-
-
-def _log_jacobian_batch(U: np.ndarray) -> np.ndarray:
-    m = U.shape[1]
-    s = np.sin(U[:, :m - 1])
-    weights = np.arange(m - 1, 0, -1, dtype=float)
-    with np.errstate(divide="ignore"):
-        logs = np.where(s > 0, np.log(np.where(s > 0, s, 1.0)), -np.inf)
-    return logs @ weights
 
 
 def batch_shape_logdensity(U: np.ndarray, model: ModelSpec,
@@ -278,13 +252,9 @@ def batch_shape_logdensity(U: np.ndarray, model: ModelSpec,
     W W' vary across the batch. Same values as :func:`shape_logdensity`.
     """
     ctrl = ctrl or SeriesControl()
-    U = np.asarray(U, dtype=float)
-    m = model.M - 1
-    if U.ndim != 2 or U.shape[1] != m:
-        raise DomainError(f"angle batch must be (batch, {m})")
     Nm1, K, M = model.Nm1, model.K, model.M
-    V = _angles_batch_to_unitvecs(U)
-    W = V.reshape(-1, K, Nm1).transpose(0, 2, 1)        # column-major unpack
+    m = M - 1
+    W, log_j = _chart(U, Nm1, K, batch=True)            # (S, N-1, K), (S,)
     a = np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W)
     C = model.sigma_inv @ model.mu_whitened             # (N-1, K)
     G = np.einsum("nk,snj->skj", C, W)                  # (S, K, K) = C' W
@@ -313,7 +283,7 @@ def batch_shape_logdensity(U: np.ndarray, model: ModelSpec,
         raise SeriesTruncationError(
             f"batch series tail exp({tail:.3g}) too large at degree {tmax}; "
             "raise max_degree", tail_estimate=tail)
-    return (_log_jacobian_batch(U) - K / 2.0 * model.log_det_sigma
+    return (log_j - K / 2.0 * model.log_det_sigma
             + series_log + _mode_log_factor(mode))
 
 

@@ -1,8 +1,16 @@
-"""Landmark preprocessing and the SVD shape coordinate map.
+"""Landmark preprocessing, the SVD shape coordinate map, and the spherical
+chart.
 
 Pipeline: raw landmarks X (N x K) -> centered Y = L X Theta^{-1/2}
 ((N-1) x K) -> thin SVD shape decomposition (V, D, H) -> size r, shape
 matrix W and generalized polar angles u.
+
+This module is the only place that knows the chart: how m angles map to a
+unit vector of length m + 1 and back, how that vector is the column-major
+vec of an (N-1) x K frame, and the chart Jacobian J(u). Every chart function
+works on one point or on a batch: angles are (..., m), unit vectors
+(..., m + 1), frames (..., N-1, K). J is kept as log J, which stays finite
+where J itself underflows (large N, near-degenerate configurations).
 """
 
 from __future__ import annotations
@@ -64,7 +72,11 @@ class ShapeCoords:
     r: float
     W: np.ndarray        # (N-1) x n
     u: np.ndarray        # m angles
-    jacobian: float
+    log_jacobian: float  # log J(u); -inf at a chart pole
+
+    @property
+    def jacobian(self) -> float:
+        return math.exp(self.log_jacobian)
 
     @property
     def n(self) -> int:
@@ -102,9 +114,15 @@ def theta_inv_sqrt(Theta: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def preprocess(X: LandmarkSet, Theta: np.ndarray | None = None) -> np.ndarray:
-    """Centered, whitened configuration Y = L X Theta^{-1/2}."""
-    Y = helmert_submatrix(X.N) @ X.coords
+def preprocess(X: LandmarkSet | np.ndarray,
+               Theta: np.ndarray | None = None) -> np.ndarray:
+    """Centered, whitened configuration Y = L X Theta^{-1/2}.
+
+    X is one specimen or an (..., N, K) array of landmark matrices; Y is
+    (..., N-1, K).
+    """
+    coords = X.coords if isinstance(X, LandmarkSet) else np.asarray(X, dtype=float)
+    Y = helmert_submatrix(coords.shape[-2]) @ coords
     if Theta is not None:
         Y = Y @ theta_inv_sqrt(Theta)
     return Y
@@ -145,69 +163,78 @@ def svd_shape(Y: np.ndarray, mode: Mode = Mode.REFLECTION) -> ShapeCoords:
             D[-1] = -D[-1]
     V = U.T  # n x (N-1)
     W = (U * D) / r
-    u = unitvec_to_angles(W.reshape(-1, order="F"))
+    u = frame_to_angles(W)
     return ShapeCoords(mode=mode, V=V, D=D, H=H, r=r, W=W, u=u,
-                       jacobian=polar_jacobian(u))
+                       log_jacobian=float(log_polar_jacobian(u)))
 
 
 def angles_to_unitvec(u: np.ndarray) -> np.ndarray:
-    """Standard spherical chart: m angles -> unit vector of length m+1."""
+    """Standard spherical chart: (..., m) angles -> (..., m + 1) unit vectors.
+
+    v_i = cos(u_i) prod_{j<i} sin(u_j) for i < m, and v_m = prod_j sin(u_j).
+    """
     u = np.asarray(u, dtype=float)
-    m = u.shape[0]
-    v = np.empty(m + 1)
-    sines = 1.0
-    for i in range(m):
-        v[i] = math.cos(u[i]) * sines
-        sines *= math.sin(u[i])
-    v[m] = sines
-    return v
+    ones = np.ones(u.shape[:-1] + (1,))
+    sines = np.concatenate([ones, np.cumprod(np.sin(u), axis=-1)], axis=-1)
+    return np.concatenate([np.cos(u), ones], axis=-1) * sines
 
 
 def unitvec_to_angles(v: np.ndarray) -> np.ndarray:
-    """Inverse spherical chart; input is renormalized internally.
+    """Inverse spherical chart: (..., m + 1) vectors -> (..., m) angles; each
+    vector is renormalized internally.
 
-    At chart poles (an all-zero tail) the canonical representative with the
-    remaining angles equal to 0 is returned.
+    The first m-1 angles lie in [0, pi], the last in [0, 2 pi). At chart
+    poles (an all-zero tail) the canonical representative with the remaining
+    angles equal to 0 is returned; a zero vector raises DomainError.
     """
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    norm = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    if np.any(norm == 0.0):
         raise DomainError("zero vector has no angle coordinates")
     v = v / norm
-    m = v.shape[0] - 1
-    u = np.zeros(m)
-    tail = np.sqrt(np.cumsum(v[::-1] ** 2))[::-1]
-    for i in range(m - 1):
-        if tail[i + 1] == 0.0:
-            u[i] = 0.0 if v[i] >= 0 else math.pi
-        else:
-            u[i] = math.atan2(tail[i + 1], v[i])
+    m = v.shape[-1] - 1
+    u = np.zeros(v.shape[:-1] + (m,))
     if m >= 1:
-        u[m - 1] = math.atan2(v[m], v[m - 1]) % (2 * math.pi)
+        tail = np.sqrt(np.cumsum(v[..., ::-1] ** 2, axis=-1))[..., ::-1]
+        head, rest = v[..., :m - 1], tail[..., 1:m]
+        u[..., :m - 1] = np.where(rest == 0.0, np.where(head >= 0, 0.0, math.pi),
+                                  np.arctan2(rest, head))
+        u[..., m - 1] = np.arctan2(v[..., m], v[..., m - 1]) % (2 * math.pi)
     return u
 
 
-def polar_jacobian(u: np.ndarray) -> float:
-    """J(u) = prod_{i=1}^{m} sin^{m-i}(theta_i) (the i = m factor is 1)."""
-    u = np.asarray(u, dtype=float)
-    m = u.shape[0]
-    out = 1.0
-    for i in range(m - 1):
-        out *= math.sin(u[i]) ** (m - 1 - i)
-    return out
+def angles_to_frame(u: np.ndarray, Nm1: int, K: int) -> np.ndarray:
+    """(..., m) angles -> (..., N-1, K) frames whose column-major vec is the
+    chart's unit vector; m + 1 must equal (N-1) K."""
+    v = angles_to_unitvec(u)
+    if v.shape[-1] != Nm1 * K:
+        raise DomainError(f"{v.shape[-1] - 1} angles do not chart an "
+                          f"({Nm1}, {K}) frame")
+    return np.swapaxes(v.reshape(v.shape[:-1] + (K, Nm1)), -1, -2)
 
 
-def log_polar_jacobian(u: np.ndarray) -> float:
-    """log J(u); -inf at chart poles."""
+def frame_to_angles(W: np.ndarray) -> np.ndarray:
+    """(..., N-1, K) frames -> (..., m) angles of their normalized
+    column-major vec; the inverse of :func:`angles_to_frame`."""
+    W = np.asarray(W, dtype=float)
+    return unitvec_to_angles(np.swapaxes(W, -1, -2).reshape(W.shape[:-2] + (-1,)))
+
+
+def log_polar_jacobian(u: np.ndarray) -> np.ndarray | float:
+    """log J(u) = sum_{i=1}^{m-1} (m - i) log sin(theta_i) over the last
+    axis of (..., m) angles; -inf at chart poles."""
     u = np.asarray(u, dtype=float)
-    m = u.shape[0]
-    total = 0.0
-    for i in range(m - 1):
-        s = math.sin(u[i])
-        if s <= 0.0:
-            return -math.inf
-        total += (m - 1 - i) * math.log(s)
-    return total
+    m = u.shape[-1]
+    s = np.sin(u[..., :m - 1])
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.where(s > 0, s, 0.0))
+    return logs @ np.arange(m - 1, 0, -1, dtype=float)
+
+
+def polar_jacobian(u: np.ndarray) -> np.ndarray | float:
+    """J(u) = prod_{i=1}^{m} sin^{m-i}(theta_i) (the i = m factor is 1);
+    underflows to 0 where :func:`log_polar_jacobian` stays finite."""
+    return np.exp(log_polar_jacobian(u))
 
 
 def preshape_angles(Y: np.ndarray) -> np.ndarray:
@@ -223,4 +250,4 @@ def preshape_angles(Y: np.ndarray) -> np.ndarray:
     r = float(np.linalg.norm(Y))
     if r == 0.0:
         raise DegenerateConfigurationError("all landmarks coincide; shape is undefined")
-    return unitvec_to_angles(Y.reshape(-1, order="F") / r)
+    return frame_to_angles(Y / r)

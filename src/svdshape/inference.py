@@ -114,13 +114,10 @@ class IsotropicLikelihood:
         self._W = np.stack([sc.W for _, sc in sample.items])     # (S, N-1, K)
         mode_log = -math.log(2.0) if sample.mode is Mode.NO_REFLECTION else 0.0
         log_pref = _isotropic_bracket(kind, self.M, 0.0, 0)[0]
-        logJ = []
         for sid, sc in sample.items:
-            lj = _log_jacobian_of(sc)
-            if not math.isfinite(lj):
+            if not math.isfinite(sc.log_jacobian):
                 raise DomainError(f"specimen {sid!r} sits at a chart pole")
-            logJ.append(lj)
-        self._const = (float(np.sum(logJ))
+        self._const = (float(np.sum([sc.log_jacobian for _, sc in sample.items]))
                        + sample.size * (-math.log(2.0)
                                         - self.M / 2.0 * math.log(math.pi)
                                         + log_pref + mode_log))
@@ -164,11 +161,6 @@ class IsotropicLikelihood:
             raise SeriesTruncationError(
                 f"degree-{self.ctrl.max_degree} truncation leaves a relative "
                 f"tail of exp({tail:.3g}); raise max_degree")
-
-
-def _log_jacobian_of(sc: ShapeCoords) -> float:
-    j = sc.jacobian
-    return math.log(j) if j > 0 else -math.inf
 
 
 def log_likelihood(sample: SampleOfShapes, mu: np.ndarray, sigma2: float,

@@ -2,8 +2,9 @@
 
 Format: first line ``N K S`` (landmarks per specimen, dimension, specimen
 count); then S blocks, each an optional ``# id`` comment line followed by N
-lines of K whitespace-separated decimals. Emission writes 17 significant
-digits so an emit/ingest round trip is bit exact.
+lines of K whitespace-separated finite decimals (``nan`` and ``inf`` are
+parse errors). Emission writes 17 significant digits so an emit/ingest round
+trip is bit exact.
 """
 
 from __future__ import annotations
@@ -67,11 +68,16 @@ def ingest_landmarks(path: str) -> list[LandmarkSet]:
                     f"specimen {spec_id!r}: expected {K} coordinates, got "
                     f"{len(tokens)}", line=line_no)
             try:
-                rows.append([float(t) for t in tokens])
+                row = [float(t) for t in tokens]
             except ValueError:
                 raise ParseError(
                     f"specimen {spec_id!r}: non-numeric token in {line!r}",
                     line=line_no)
+            if not np.all(np.isfinite(row)):
+                raise ParseError(
+                    f"specimen {spec_id!r}: non-finite coordinate in {line!r}",
+                    line=line_no)
+            rows.append(row)
             if r < N - 1:
                 line, line_no = next_content_line()
         specimens.append(LandmarkSet(id=spec_id, coords=np.array(rows)))
@@ -109,6 +115,8 @@ def read_matrix(path: str) -> np.ndarray:
                 rows.append([float(t) for t in line.split()])
             except ValueError:
                 raise ParseError(f"non-numeric token in matrix row {line!r}", line=i)
+            if not np.all(np.isfinite(rows[-1])):
+                raise ParseError(f"non-finite entry in matrix row {line!r}", line=i)
             if len(rows[-1]) != len(rows[0]):
                 raise ParseError("ragged matrix rows", line=i)
     if not rows:

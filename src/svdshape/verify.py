@@ -16,7 +16,7 @@ from scipy import integrate
 
 from .densities import batch_shape_logdensity
 from .errors import DomainError
-from .geometry import LandmarkSet, Mode, helmert_submatrix, preprocess, unitvec_to_angles
+from .geometry import LandmarkSet, Mode, frame_to_angles, helmert_submatrix, preprocess
 from .models import GeneratorKind, ModelSpec
 from .special import chi_square_sf
 from .zonal import SeriesControl
@@ -149,18 +149,14 @@ def simulation_vs_density(model: ModelSpec, mode: Mode = Mode.REFLECTION,
         raise DomainError("sim_count must be >= 1000")
     Nm1, K, M = model.Nm1, model.K, model.M
     m = M - 1
-    landmarks = sample_landmarks(model, sim_count, seed)
-    rng = np.random.Generator(np.random.Philox(seed + 1))
     if mode is Mode.NO_REFLECTION:
         raise DomainError("simulation comparison is defined for reflection mode")
-    angles = np.empty((sim_count, m))
-    for i, lm in enumerate(landmarks):
-        Y = preprocess(lm, model.Theta)
-        g = rng.standard_normal((K, K))
-        q, r = np.linalg.qr(g)
-        H = q * np.sign(np.diag(r))[None, :]   # Haar on O(K)
-        Yr = Y @ H
-        angles[i] = unitvec_to_angles(Yr.reshape(-1, order="F"))
+    landmarks = sample_landmarks(model, sim_count, seed)
+    Y = preprocess(np.stack([lm.coords for lm in landmarks]), model.Theta)
+    rng = np.random.Generator(np.random.Philox(seed + 1))
+    q, r = np.linalg.qr(rng.standard_normal((sim_count, K, K)))
+    H = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]   # Haar on O(K)
+    angles = frame_to_angles(Y @ H)
     bins = math.ceil(sim_count ** (1.0 / 3.0))
     central_iso = (model.trace_omega < 1e-12
                    and np.allclose(model.Sigma, model.Sigma[0, 0] * np.eye(Nm1)))

@@ -134,11 +134,11 @@ def _zonal_table(weight: int, max_parts: int) -> dict[tuple[int, ...], dict[tupl
                             mu[r] += t
                             mu[s] -= t
                             coef = mu[r] - mu[s]
+                            # moving t to an earlier part adds no part, and
+                            # every key of coeffs is dominated by kappa
                             mu_sorted = tuple(sorted((x for x in mu if x > 0), reverse=True))
-                            if len(mu_sorted) > max_parts:
-                                continue
                             c_mu = coeffs.get(mu_sorted)
-                            if c_mu is not None and _dominates(kappa, mu_sorted):
+                            if c_mu is not None:
                                 total += coef * c_mu
                 denom = rho_k - _rho(lam)
                 if total != 0.0:

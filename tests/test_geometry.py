@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from svdshape.errors import DegenerateConfigurationError, DomainError
-from svdshape.geometry import (LandmarkSet, Mode, angles_to_unitvec,
+from svdshape.geometry import (LandmarkSet, Mode, angles_to_frame,
+                               angles_to_unitvec, frame_to_angles,
                                helmert_submatrix, log_polar_jacobian,
                                polar_jacobian, preprocess, preshape_angles,
                                svd_shape, theta_inv_sqrt, unitvec_to_angles)
@@ -159,6 +160,51 @@ class TestAngleChart:
         est = vol * np.mean([polar_jacobian(u) for u in U])
         surf = 2 * math.pi ** ((m + 1) / 2) / math.gamma((m + 1) / 2)
         assert est == pytest.approx(surf, rel=0.01)
+
+
+class TestBatchChart:
+    """One code path serves a single point and a batch."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(6)
+        V = rng.normal(size=(40, 8))
+        V[::5, 3:] = 0.0                    # zero tails: chart poles
+        V[1::5, 1:] = 0.0
+        V[2::5, 0] = -np.abs(V[2::5, 0])    # negative leading entry
+        V[3] = 0.0
+        V[3, 0] = -2.0                      # the opposite pole
+        self.V = V
+        self.U = unitvec_to_angles(V)
+
+    def test_batch_equals_row_by_row(self):
+        # numpy's vectorized transcendentals may round a strided batch and a
+        # contiguous row differently in the last place
+        assert self.U.shape == (40, 7)
+        for v, u in zip(self.V, self.U):
+            assert np.allclose(unitvec_to_angles(v), u, rtol=0, atol=1e-15)
+        for u, v in zip(self.U, angles_to_unitvec(self.U)):
+            assert np.allclose(angles_to_unitvec(u), v, rtol=0, atol=1e-15)
+        logj = log_polar_jacobian(self.U)
+        assert logj.shape == (40,)
+        assert np.isneginf(logj[::5]).all() and np.isneginf(logj[1::5]).all()
+        for u, lj in zip(self.U, logj):
+            assert log_polar_jacobian(u) == pytest.approx(lj, rel=1e-14)
+        assert self.U[3, 0] == math.pi and np.all(self.U[3, 1:] == 0.0)
+        assert np.all(self.U[::5, 3:] == 0.0) and np.all(self.U[1::5, 1:] == 0.0)
+
+    def test_frame_round_trip(self):
+        U = self.U.reshape(4, 10, 7)
+        W = angles_to_frame(U, 4, 2)
+        assert W.shape == (4, 10, 4, 2)
+        assert np.allclose(frame_to_angles(W), U, atol=1e-14)
+        V = self.V / np.linalg.norm(self.V, axis=1, keepdims=True)
+        assert np.allclose(W.reshape(40, 4, 2)[:, :, 0], V[:, :4], atol=1e-15)
+        with pytest.raises(DomainError):
+            angles_to_frame(U, 3, 2)
+
+    def test_zero_vector_in_batch_raises(self):
+        with pytest.raises(DomainError):
+            unitvec_to_angles(np.vstack([self.V, np.zeros(8)]))
 
 
 class TestPreshapeAngles:

@@ -5,7 +5,7 @@ import pytest
 
 from svdshape.densities import IsotropicKind, isotropic_shape_logdensity
 from svdshape.errors import DomainError, SeriesTruncationError
-from svdshape.geometry import Mode, svd_shape
+from svdshape.geometry import LandmarkSet, Mode, preprocess, svd_shape
 from svdshape.inference import (EvidenceGrade, IsotropicLikelihood,
                                 OptimizerConfig, SampleOfShapes, bic_star,
                                 evidence_grade, fit_location, log_likelihood,
@@ -112,6 +112,28 @@ class TestLogLikelihood:
         full.check_converged(mu_star)
         with pytest.raises(SeriesTruncationError):
             full.check_converged(3.0 * mu_star)
+
+
+class TestLogJacobian:
+    def test_large_n_near_collinear_sample_builds(self):
+        # J underflows to 0 for these specimens while log J stays finite
+        rng = np.random.default_rng(0)
+        N = 160
+        x = np.linspace(0.0, 1.0, N)
+        items = []
+        for i in range(3):
+            X = (np.column_stack([x, 0.002 * rng.standard_normal(N)])
+                 + 0.001 * rng.standard_normal((N, 2)))
+            items.append((f"s{i}", svd_shape(preprocess(LandmarkSet(f"s{i}", X)))))
+        sample = SampleOfShapes("collinear", tuple(items))
+        logj = [sc.log_jacobian for _, sc in sample.items]
+        assert all(sc.jacobian == 0.0 for _, sc in sample.items)
+        assert all(math.isfinite(lj) and lj < -700 for lj in logj)
+        lik = IsotropicLikelihood(sample, IsotropicKind.GAUSSIAN, 1.0, CTRL)
+        M = 2 * (N - 1)
+        assert lik._const == pytest.approx(
+            sum(logj) - 3 * (math.log(2.0) + M / 2.0 * math.log(math.pi)), rel=1e-12)
+        assert math.isfinite(lik.loglik(np.zeros((N - 1, 2))))
 
 
 class TestBicStar:

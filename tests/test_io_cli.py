@@ -121,6 +121,41 @@ class TestCli:
         assert res.exit_code == 2
         assert "parse error" in res.stderr
 
+    def test_non_finite_coordinate_is_a_parse_error(self, tmp_path):
+        bad = tmp_path / "nan.txt"
+        bad.write_text("3 2 1\n0 0\n1 nan\n0 1\n")
+        with pytest.raises(ParseError) as err:
+            ingest_landmarks(str(bad))
+        assert err.value.line == 3
+        res = run_cli("shape", str(bad))
+        assert res.exit_code == 2
+        assert "parse error" in res.stderr
+
+    def test_non_finite_matrix_entry_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("1 0\n0 inf\n")
+        with pytest.raises(ParseError) as err:
+            read_matrix(str(path))
+        assert err.value.line == 2
+
+    def test_domain_error_exit_code(self, landmark_file, tmp_path):
+        # the file parses; a non-positive-definite Theta is outside the domain
+        theta = tmp_path / "theta.txt"
+        theta.write_text("1 2\n2 1\n")
+        res = run_cli("shape", landmark_file, "--theta", str(theta))
+        assert res.exit_code == 3
+        assert "domain error" in res.stderr
+
+    def test_kotz_R_rejected_by_inference_commands(self, landmark_file):
+        for command in ("fit", "compare"):
+            res = run_cli(command, landmark_file, "--sigma2", "0.5",
+                          "--kotz-R", "1.0")
+            assert res.exit_code == 2
+            assert "parse error" in res.stderr
+        res = run_cli("test", landmark_file, landmark_file, "--sigma2", "0.5",
+                      "--kotz-R", "1.0")
+        assert res.exit_code == 2
+
     def test_numeric_failure_exit_code(self, landmark_file, tmp_path):
         # a tiny degree budget cannot sum the series for a huge location
         mu_path = tmp_path / "mu.txt"
@@ -164,6 +199,14 @@ class TestCli:
         cfg.write_text("frobnicate = 3\n")
         res = run_cli("density", landmark_file, "--config", str(cfg))
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("text", ["seed = x\n", "mode = sideways\n"])
+    def test_bad_config_value(self, landmark_file, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        res = run_cli("density", landmark_file, "--config", str(cfg))
+        assert res.exit_code == 2
+        assert "parse error" in res.stderr
 
     def test_fit_deterministic(self, landmark_file):
         args = ("fit", landmark_file, "--sigma2", "0.5", "--max-degree", "40")

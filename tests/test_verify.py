@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from svdshape.errors import DomainError
-from svdshape.geometry import Mode, preprocess
+from svdshape.geometry import Mode, preprocess, preshape_angles
 from svdshape.models import gaussian_model, kotz_model
 from svdshape.verify import mc_normalization, sample_landmarks, simulation_vs_density
 from svdshape.zonal import SeriesControl
@@ -125,3 +125,22 @@ class TestSimulationVsDensity:
         with pytest.raises(DomainError):
             simulation_vs_density(model, mode=Mode.NO_REFLECTION,
                                   sim_count=2000, seed=0)
+
+    def test_observed_counts_match_per_specimen_angles(self, anis):
+        # whitening, Haar rotation and chart rebuilt one specimen at a time
+        Sigma, Theta, mu = anis
+        model = gaussian_model(Sigma, Theta, mu)
+        rep = simulation_vs_density(model, sim_count=1000, seed=13,
+                                    density_samples=2000)
+        rng = np.random.Generator(np.random.Philox(13 + 1))
+        angles = []
+        for lm in sample_landmarks(model, 1000, seed=13):
+            q, r = np.linalg.qr(rng.standard_normal((2, 2)))
+            H = q * np.sign(np.diag(r))[None, :]
+            angles.append(preshape_angles(preprocess(lm, Theta) @ H))
+        angles = np.array(angles)
+        for mr in rep.marginals:
+            hi = 2.0 * math.pi if mr.angle_index == 2 else math.pi
+            expected, _ = np.histogram(angles[:, mr.angle_index],
+                                       bins=np.linspace(0.0, hi, rep.bins + 1))
+            assert np.array_equal(mr.observed, expected)
