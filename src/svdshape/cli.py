@@ -11,6 +11,7 @@ non-positive-definite Theta or a specimen at a chart pole),
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .models import GeneratorKind, GeneratorSpec, ModelSpec
 from .verify import mc_normalization, simulation_vs_density
 from .zonal import SeriesControl
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
@@ -175,23 +176,33 @@ def _run(fn):
         sys.exit(EXIT_NUMERIC)
 
 
-def _load_sample(path: str, config: RunConfig, group_id: str) -> SampleOfShapes:
+def _read_theta(config: RunConfig) -> np.ndarray | None:
+    return read_matrix(config.theta_path) if config.theta_path else None
+
+
+def _load_sample(path: str, config: RunConfig, group_id: str,
+                 theta: np.ndarray | None) -> SampleOfShapes:
+    """The file's specimens, whitened by ``theta`` in one stacked pass."""
     specimens = ingest_landmarks(path)
-    theta = read_matrix(config.theta_path) if config.theta_path else None
+    Y = preprocess(np.stack([sp.coords for sp in specimens]), theta)
     items = []
-    for sp in specimens:
-        items.append((sp.id, svd_shape(preprocess(sp, theta), config.mode)))
+    for sp, y in zip(specimens, Y):
+        try:
+            items.append((sp.id, svd_shape(y, config.mode)))
+        except DomainError as exc:
+            raise type(exc)(f"specimen {sp.id!r}: {exc}") from None
     return SampleOfShapes(group_id, tuple(items))
 
 
-def _build_model(config: RunConfig, Nm1: int, K: int) -> ModelSpec:
+def _build_model(config: RunConfig, Nm1: int, K: int,
+                 theta: np.ndarray | None) -> ModelSpec:
     kind = (GeneratorKind.GAUSSIAN if config.model == "gaussian"
             else GeneratorKind.KOTZ_TYPE_I)
     gen = GeneratorSpec(kind, M=Nm1 * K, T=config.kotz_T, R=config.kotz_R)
-    theta = read_matrix(config.theta_path) if config.theta_path else np.eye(K)
     mu = (read_matrix(config.mu_path) if config.mu_path
           else np.zeros((Nm1, K)))
-    return ModelSpec(gen, config.sigma2 * np.eye(Nm1), theta, mu)
+    return ModelSpec(gen, config.sigma2 * np.eye(Nm1),
+                     np.eye(K) if theta is None else theta, mu)
 
 
 @click.group()
@@ -203,19 +214,22 @@ def main():
 @common_options
 @click.argument("input_file", type=click.Path(exists=True))
 def cmd_shape(input_file, config_path, **flags):
-    """Per-specimen SVD shape coordinates (r, W, u, Jacobian)."""
+    """Per-specimen SVD shape coordinates (r, W, u, Jacobian J and log J)."""
     def body():
         config = _build_config(config_path, **flags)
-        sample = _load_sample(input_file, config, "input")
+        sample = _load_sample(input_file, config, "input", _read_theta(config))
         records = []
         for sid, sc in sample.items:
+            # log J is -inf at a chart pole, which JSON cannot carry: null
+            log_j = sc.log_jacobian if math.isfinite(sc.log_jacobian) else None
             records.append({
                 "id": sid, "r": sc.r, "W": sc.W, "u": sc.u,
-                "jacobian": sc.jacobian, "mode": sc.mode.value,
+                "jacobian": sc.jacobian, "log_jacobian": log_j,
+                "mode": sc.mode.value,
             })
         _emit(config, {"command": "shape", "specimens": records})
-        _table([f"{sid:>16}  r={rec['r']:.6g}  J={rec['jacobian']:.6g}"
-                for sid, rec in ((r["id"], r) for r in records)])
+        _table([f"{sid:>16}  r={sc.r:.6g}  log J={sc.log_jacobian:.6g}"
+                for sid, sc in sample.items])
     _run(body)
 
 
@@ -226,8 +240,9 @@ def cmd_density(input_file, config_path, **flags):
     """Per-specimen shape log-density under the configured model."""
     def body():
         config = _build_config(config_path, **flags)
-        sample = _load_sample(input_file, config, "input")
-        model = _build_model(config, sample.Nm1, sample.K)
+        theta = _read_theta(config)
+        sample = _load_sample(input_file, config, "input", theta)
+        model = _build_model(config, sample.Nm1, sample.K, theta)
         records = []
         for sid, sc in sample.items:
             dv = shape_logdensity(sc.u, model, config.mode, config.ctrl)
@@ -249,7 +264,7 @@ def cmd_fit(input_file, config_path, **flags):
     """Maximum-likelihood location fit (sigma2 fixed by protocol)."""
     def body():
         config = _build_config(config_path, **flags)
-        sample = _load_sample(input_file, config, "input")
+        sample = _load_sample(input_file, config, "input", _read_theta(config))
         fit = fit_location(sample, config.isotropic_kind, config.sigma2,
                            OptimizerConfig(seed=config.seed), config.ctrl)
         _emit(config, {"command": "fit", "model": config.model,
@@ -278,7 +293,7 @@ def cmd_compare(input_file, config_path, **flags):
     def body():
         config = _build_config(config_path, **flags)
         config.check_isotropic()
-        sample = _load_sample(input_file, config, "input")
+        sample = _load_sample(input_file, config, "input", _read_theta(config))
         fits = {}
         for name, kind in _COMPARE_KINDS:
             fit = fit_location(sample, kind, config.sigma2,
@@ -312,8 +327,9 @@ def cmd_test(group1_file, group2_file, config_path, **flags):
     """Likelihood-ratio test of equal mean shapes across two groups."""
     def body():
         config = _build_config(config_path, **flags)
-        s1 = _load_sample(group1_file, config, "group1")
-        s2 = _load_sample(group2_file, config, "group2")
+        theta = _read_theta(config)
+        s1 = _load_sample(group1_file, config, "group1", theta)
+        s2 = _load_sample(group2_file, config, "group2", theta)
         res = lr_test_equal_means(s1, s2, config.isotropic_kind, config.sigma2,
                                   OptimizerConfig(seed=config.seed), config.ctrl)
         _emit(config, {"command": "test", "kind": config.isotropic_kind.value,
@@ -342,7 +358,7 @@ def cmd_verify(config_path, mc_samples, sim_count, n_landmarks, k_dim, **flags):
     """Run the Monte Carlo oracles (normalization mass, simulation match)."""
     def body():
         config = _build_config(config_path, **flags)
-        model = _build_model(config, n_landmarks - 1, k_dim)
+        model = _build_model(config, n_landmarks - 1, k_dim, _read_theta(config))
         mass, se = mc_normalization(model, config.mode, config.ctrl,
                                     mc_samples, config.seed)
         mass_ok = abs(mass - 1.0) < max(3.0 * se, 0.02)

@@ -289,7 +289,10 @@ def batch_shape_logdensity(U: np.ndarray, model: ModelSpec,
 
 def _isotropic_bracket(kind: IsotropicKind, M: int, x: float, tmax: int):
     """(log prefactor, log |B(t, x)|, sign B(t, x)) of the closed brackets,
-    the last two as arrays over t = 0..tmax."""
+    the last two as arrays over t = 0..tmax.
+
+    B(t, x) = Gamma(M/2 + t) p_t(x) with p_t = 1 (Gaussian), M/2 + x - t
+    (Kotz T=2) or (M/2 + x - t)^2 + M/2 - t (Kotz T=3)."""
     ts = np.arange(tmax + 1, dtype=float)
     lg = np.array([math.lgamma(M / 2.0 + t) for t in range(tmax + 1)])
     if kind is IsotropicKind.GAUSSIAN:
@@ -302,3 +305,16 @@ def _isotropic_bracket(kind: IsotropicKind, M: int, x: float, tmax: int):
     else:
         raise DomainError(f"unknown isotropic kind {kind!r}")
     return log_pref, lg + np.log(np.abs(np.where(poly == 0, 1.0, poly))), np.sign(poly)
+
+
+def _isotropic_bracket_slope(kind: IsotropicKind, M: int, x: float, tmax: int) -> np.ndarray:
+    """dp_t/dx over t = 0..tmax for the brackets of :func:`_isotropic_bracket`,
+    so that dB(t, x)/dx = Gamma(M/2 + t) dp_t/dx."""
+    ts = np.arange(tmax + 1, dtype=float)
+    if kind is IsotropicKind.GAUSSIAN:
+        return np.zeros_like(ts)
+    if kind is IsotropicKind.KOTZ_T2:
+        return np.ones_like(ts)
+    if kind is IsotropicKind.KOTZ_T3:
+        return 2.0 * (M / 2.0 + x - ts)
+    raise DomainError(f"unknown isotropic kind {kind!r}")

@@ -2,10 +2,12 @@
 model selection, evidence grading, and the two-group likelihood-ratio test.
 
 The worked inference protocol is isotropic: Sigma = sigma^2 I, Theta = I,
-sigma^2 fixed in advance (variance estimation in these models is known to be
-badly conditioned; a free-sigma^2 fit exists but is experimental). The
-likelihood depends on mu only through mu' W_i W_i' mu and tr mu' mu, so mu is
-identified up to a right O(K) factor; fits are reported with a fixed sign
+sigma^2 fixed in advance. The isotropic shape likelihood depends on
+(mu, sigma^2) only through mu / sigma: loglik(c mu, c^2 sigma^2) =
+loglik(mu, sigma^2) for every c > 0, so sigma^2 is not identified from shapes
+alone, and the free-sigma^2 fit only moves along that ridge. The likelihood
+depends on mu only through mu' W_i W_i' mu and tr mu' mu, so mu is identified
+up to a right O(K) factor; fits are reported with a fixed sign
 canonicalization and the orbit is documented rather than resolved.
 """
 
@@ -18,7 +20,7 @@ from enum import Enum
 import numpy as np
 from scipy import optimize
 
-from .densities import IsotropicKind, _isotropic_bracket
+from .densities import IsotropicKind, _isotropic_bracket, _isotropic_bracket_slope
 from .errors import DomainError, NumericError, SeriesTruncationError
 from .geometry import Mode, ShapeCoords
 from .special import chi_square_sf
@@ -65,12 +67,18 @@ class SampleOfShapes:
         return SampleOfShapes(group_id, self.items + other.items)
 
 
+# a start stops once no component of the log-likelihood gradient exceeds this
+_GTOL = 1e-6
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Multi-start L-BFGS settings for :func:`fit_location`;
+    ``max_evaluations`` caps the value-and-gradient evaluations of one start.
+    """
+
     n_starts: int = 4
     seed: int = 0
-    fatol: float = 1e-8
-    xatol: float = 1e-6
     max_evaluations: int = 50000
 
     def __post_init__(self):
@@ -98,7 +106,8 @@ class IsotropicLikelihood:
     is precomputed, and log S_t is evaluated for the whole sample and every
     degree through max_degree in one pass of the shared zonal table. B(t, x)
     can be negative for the Kotz kinds, so the degree sum uses a signed
-    log-sum-exp.
+    log-sum-exp. :meth:`loglik_and_grad` adds the exact gradient in mu from
+    the same pass.
     """
 
     def __init__(self, sample: SampleOfShapes, kind: IsotropicKind,
@@ -122,40 +131,63 @@ class IsotropicLikelihood:
                                         - self.M / 2.0 * math.log(math.pi)
                                         + log_pref + mode_log))
         self._table = shared_sum_table(self.K, self.ctrl.max_degree)
-        self._lgamma_t = np.array(
-            [math.lgamma(t + 1) for t in range(self.ctrl.max_degree + 1)])
+        ts = range(self.ctrl.max_degree + 1)
+        self._lgamma_t = np.array([math.lgamma(t + 1) for t in ts])
+        # log Gamma(M/2 + t) / t!, the factor of dB(t, x)/dx / t!
+        self._log_slope_scale = np.array(
+            [math.lgamma(self.M / 2.0 + t) for t in ts]) - self._lgamma_t
 
-    def _series(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """(log |term| per specimen and degree, log of each specimen's degree
-        sum, x) at location mu."""
+    def _series(self, mu: np.ndarray):
+        """(log term per specimen and degree, log of each specimen's degree
+        sum, x, gradient of the log-likelihood in mu) at location mu."""
         mu = np.asarray(mu, dtype=float).reshape(self.Nm1, self.K)
         x = float(np.sum(mu * mu)) / (2.0 * self.sigma2)
         G = self._W.transpose(0, 2, 1) @ mu                      # (S, K, K)
         X = G.transpose(0, 2, 1) @ G / (2.0 * self.sigma2)
-        spectra = np.clip(np.linalg.eigvalsh(X), 0.0, None)
-        log_s = self._table.logsums(spectra)                     # (S, tmax+1)
-        _, lb, sb = _isotropic_bracket(self.kind, self.M, x, self.ctrl.max_degree)
-        logs = log_s + (lb - self._lgamma_t)[None, :]
+        lam, V = np.linalg.eigh(X)
+        spectra = np.clip(lam, 0.0, None)
+        log_s, log_ds = self._table.logsums_and_partials(spectra)  # (S, tmax+1[, K])
+        tmax = self.ctrl.max_degree
+        _, lb, sb = _isotropic_bracket(self.kind, self.M, x, tmax)
+        log_coef = lb - self._lgamma_t                           # log |B(t, x)| / t!
+        logs = log_s + log_coef[None, :]
         total_log, total_sign = signed_logsumexp(logs, np.broadcast_to(sb, logs.shape))
         if np.any(total_sign <= 0):
             bad = int(np.argmax(total_sign <= 0))
             raise NumericError(
                 f"specimen {self.sample.items[bad][0]!r}: series summed to a "
                 "non-positive value")
-        return logs, total_log, x
+        # L_i = log sum_t B(t, x) S_t(X_i) / t! - x. Through x: the share of
+        # dB/dx = Gamma(M/2 + t) p_t'(x), taken directly because B itself can
+        # vanish for Kotz; through X_i: the spectral derivative
+        # V diag(dL_i/dlambda) V' of a symmetric function
+        slope = _isotropic_bracket_slope(self.kind, self.M, x, tmax)
+        dx = np.sum(slope * np.exp(log_s + self._log_slope_scale - total_log[:, None]))
+        dlam = np.einsum("t,stk->sk", sb, np.exp(
+            log_ds + log_coef[None, :, None] - total_log[:, None, None]))
+        dX = (V * dlam[:, None, :]) @ V.transpose(0, 2, 1)       # (S, K, K)
+        gradient = ((dx - self.sample.size) * mu
+                    + np.sum(self._W @ (G @ dX), axis=0)) / self.sigma2
+        return logs, total_log, x, gradient
 
     def per_specimen(self, mu: np.ndarray) -> np.ndarray:
         """Log density of each specimen at location mu."""
-        _, total_log, x = self._series(mu)
+        _, total_log, x, _ = self._series(mu)
         return total_log - x
 
     def loglik(self, mu: np.ndarray) -> float:
         return self._const + float(np.sum(self.per_specimen(mu)))
 
+    def loglik_and_grad(self, mu: np.ndarray) -> tuple[float, np.ndarray]:
+        """:meth:`loglik` (the same value, bit for bit) and its (N-1, K)
+        gradient in mu, from one pass of the zonal table."""
+        _, total_log, x, gradient = self._series(mu)
+        return self._const + float(np.sum(total_log - x)), gradient
+
     def check_converged(self, mu: np.ndarray, rel_tol: float = 1e-8) -> None:
         """Raise if at mu some specimen's degree-max_degree term exceeds
         ``rel_tol`` times its truncated degree sum."""
-        logs, total_log, _ = self._series(mu)
+        logs, total_log, _, _ = self._series(mu)
         tail = float(np.max(logs[:, -1] - total_log))
         if tail > math.log(rel_tol):
             raise SeriesTruncationError(
@@ -212,10 +244,17 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
                  free_sigma2: bool = False) -> FitResult:
     """Maximum-likelihood location fit with sigma^2 fixed by protocol.
 
-    Derivative-free simplex search, multi-start: start 0 is the moment seed
+    Multi-start L-BFGS on the exact log-likelihood gradient
+    (:meth:`IsotropicLikelihood.loglik_and_grad`); each start stops once no
+    gradient component exceeds 1e-6. Start 0 is the moment seed
     mean_i(r_i W_i) (an unbiased location estimate up to the rotation orbit),
-    the rest are seeded perturbations. ``free_sigma2`` additionally optimizes
-    log sigma^2 (experimental; variance estimation is poorly conditioned).
+    the rest are seeded perturbations. ``evaluations`` counts the
+    value-and-gradient evaluations over all starts, and ``converged`` is the
+    best start's status. ``free_sigma2`` adds log sigma^2 as one more
+    coordinate. The likelihood depends on (mu, sigma^2) only through
+    mu / sigma, so that coordinate is not identified: its derivative is
+    -1/2 <mu, grad_mu>, the fit ends wherever the ridge is first reached,
+    and the reported sigma^2 says nothing beyond mu_hat / sigma.
     """
     opt = opt or OptimizerConfig()
     like = IsotropicLikelihood(sample, kind, sigma2_fixed, ctrl)
@@ -229,39 +268,39 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
     for _ in range(opt.n_starts - 1):
         starts.append(seed0.reshape(-1) + rng.normal(scale=scale, size=n_loc))
 
-    evaluations = 0
-    best = None
-
     if free_sigma2:
+        # loglik(c mu, c^2 sigma2) = loglik(mu, sigma2), so the objective at
+        # (mu, log sigma2) is the fixed likelihood at mu sigma_fixed / sigma
+        log_s2_fixed = math.log(sigma2_fixed)
+
         def objective(theta):
-            mu, log_s2 = theta[:n_loc], theta[n_loc]
-            lk = IsotropicLikelihood(sample, kind, math.exp(log_s2), ctrl)
-            return -lk.loglik(mu)
-        starts = [np.concatenate([s, [math.log(sigma2_fixed)]]) for s in starts]
+            c = math.exp(-0.5 * (theta[n_loc] - log_s2_fixed))
+            value, grad = like.loglik_and_grad(c * theta[:n_loc])
+            grad_mu = c * grad.reshape(-1)
+            return -value, -np.append(grad_mu, -0.5 * (theta[:n_loc] @ grad_mu))
+        starts = [np.append(s, log_s2_fixed) for s in starts]
     else:
         def objective(theta):
-            return -like.loglik(theta)
+            value, grad = like.loglik_and_grad(theta)
+            return -value, -grad.reshape(-1)
 
+    evaluations = 0
+    best = None
     for x0 in starts:
         res = optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"fatol": opt.fatol, "xatol": opt.xatol,
-                     "maxfev": opt.max_evaluations, "maxiter": opt.max_evaluations})
+            objective, x0, jac=True, method="L-BFGS-B",
+            options={"gtol": _GTOL, "ftol": 0.0, "maxfun": opt.max_evaluations,
+                     "maxiter": opt.max_evaluations})
         evaluations += res.nfev
         if best is None or res.fun < best.fun:
             best = res
     assert best is not None
+    mu_hat = best.x[:n_loc].reshape(Nm1, K)
     if free_sigma2:
-        mu_hat = best.x[:n_loc].reshape(Nm1, K)
-        sigma2 = math.exp(best.x[n_loc])
-        n_params = n_loc + 1
-        final_like = IsotropicLikelihood(sample, kind, sigma2, ctrl)
+        sigma2, n_params = math.exp(best.x[n_loc]), n_loc + 1
     else:
-        mu_hat = best.x.reshape(Nm1, K)
-        sigma2 = sigma2_fixed
-        n_params = n_loc
-        final_like = like
-    final_like.check_converged(mu_hat)
+        sigma2, n_params = sigma2_fixed, n_loc
+    like.check_converged(mu_hat * math.sqrt(sigma2_fixed / sigma2))
     loglik = -float(best.fun)
     return FitResult(mu_hat=_canonical_sign(mu_hat), sigma2=sigma2,
                      loglik=loglik, n_params=n_params,

@@ -379,6 +379,36 @@ class ZonalSumTable:
 
     def _logsums(self, spectra: np.ndarray, first: int) -> np.ndarray:
         """:meth:`logsums` for the degrees first..tmax only."""
+        loge, empty = self._log_spectra(spectra)
+        bounds = self._bounds[first:]
+        rows = slice(bounds[0], bounds[-1])
+        out = _block_logsumexp(loge, self._exps[rows], self._logd[rows], bounds)
+        out[empty, max(0, 1 - first):] = -np.inf        # S_t(0) = 0, t >= 1
+        return out
+
+    def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log S_t, log dS_t/dlambda_k) for each row of ``spectra``:
+        (batch, tmax + 1) equal to :meth:`logsums`, and (batch, tmax + 1, K).
+
+        d log S_t / dlambda_k = exp(log dS_t/dlambda_k - log S_t). Each
+        partial sums the exponent-shifted rows d e_k lambda^(e - 1_k) over
+        the rows with e_k >= 1, so it stays exact at a zero eigenvalue
+        (where lambda_k d log S_t / dlambda_k = 0 says nothing) and at an
+        all-zero spectrum, where S_t = 0 for t >= 1 but dS_1 > 0. Each k is
+        one pass of the size of :meth:`logsums`.
+        """
+        loge, empty = self._log_spectra(spectra)
+        log_s = _block_logsumexp(loge, self._exps, self._logd, self._bounds)
+        log_s[empty, 1:] = -np.inf                      # S_t(0) = 0, t >= 1
+        with np.errstate(divide="ignore"):              # -inf where e_k = 0
+            logc = self._logd + np.log(self._exps.T)    # (K, rows)
+        shifted = self._exps - np.eye(self.K)[:, None, :]   # (K, rows, K)
+        log_ds = np.stack([_block_logsumexp(loge, shifted[k], logc[k], self._bounds)
+                           for k in range(self.K)], axis=-1)
+        return log_s, log_ds
+
+    def _log_spectra(self, spectra) -> tuple[np.ndarray, np.ndarray]:
+        """(log spectra with a stand-in for log 0, mask of all-zero rows)."""
         spectra = np.asarray(spectra, dtype=float)
         if spectra.ndim != 2 or spectra.shape[1] != self.K:
             raise DomainError(f"spectra must be (batch, {self.K})")
@@ -386,22 +416,29 @@ class ZonalSumTable:
             raise DomainError("spectra must be non-negative")
         # zero eigenvalues: a large negative stand-in for log 0 keeps the
         # segment reductions finite (exp underflows to 0 exactly)
-        loge = np.where(spectra > 0.0, np.log(np.where(spectra > 0, spectra, 1.0)),
-                        -1e12)
-        bounds = self._bounds[first:]
-        exps, logd = self._exps[bounds[0]:bounds[-1]], self._logd[bounds[0]:bounds[-1]]
-        starts = np.asarray(bounds[:-1], dtype=np.intp) - bounds[0]
-        step = max(1, _LOGSUMS_CHUNK_BYTES // (8 * len(logd)))
-        out = np.empty((len(loge), len(starts)))
-        for lo in range(0, len(loge), step):
-            lm = loge[lo:lo + step] @ exps.T + logd      # (chunk, rows)
-            peak = np.maximum.reduceat(lm, starts, axis=1)
-            expanded = np.repeat(peak, np.diff(bounds), axis=1)
-            sums = np.add.reduceat(np.exp(lm - expanded), starts, axis=1)
-            with np.errstate(divide="ignore"):
-                out[lo:lo + step] = peak + np.log(sums)
-        out[~np.any(spectra > 0, axis=1), max(0, 1 - first):] = -np.inf  # S_t(0) = 0, t >= 1
-        return out
+        loge = np.where(spectra > 0.0, np.log(np.where(spectra > 0, spectra, 1.0)), -1e12)
+        return loge, ~np.any(spectra > 0, axis=1)
+
+
+def _block_logsumexp(loge: np.ndarray, exps: np.ndarray, logc: np.ndarray,
+                     bounds: list[int]) -> np.ndarray:
+    """log sum_r exp(logc_r + exps_r . loge) over each row block
+    [bounds[j], bounds[j+1]) of ``exps`` (offset by bounds[0]), for every row
+    of ``loge``; (batch, len(bounds) - 1). A block whose terms are all -inf
+    gives -inf. Chunked by _LOGSUMS_CHUNK_BYTES, which does not change the
+    values."""
+    starts = np.asarray(bounds[:-1], dtype=np.intp) - bounds[0]
+    step = max(1, _LOGSUMS_CHUNK_BYTES // (8 * len(logc)))
+    out = np.empty((len(loge), len(starts)))
+    for lo in range(0, len(loge), step):
+        lm = loge[lo:lo + step] @ exps.T + logc          # (chunk, rows)
+        peak = np.maximum.reduceat(lm, starts, axis=1)
+        peak[np.isneginf(peak)] = 0.0                    # a block of -inf terms
+        expanded = np.repeat(peak, np.diff(bounds), axis=1)
+        sums = np.add.reduceat(np.exp(lm - expanded), starts, axis=1)
+        with np.errstate(divide="ignore"):
+            out[lo:lo + step] = peak + np.log(sums)
+    return out
 
 
 _sum_tables: dict[tuple[int, float], ZonalSumTable] = {}

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from svdshape.densities import IsotropicKind, isotropic_shape_logdensity
+from svdshape.densities import (IsotropicKind, _isotropic_bracket,
+                                isotropic_shape_logdensity)
 from svdshape.errors import DomainError, SeriesTruncationError
 from svdshape.geometry import LandmarkSet, Mode, preprocess, svd_shape
-from svdshape.inference import (EvidenceGrade, IsotropicLikelihood,
+from svdshape.inference import (_GTOL, EvidenceGrade, IsotropicLikelihood,
                                 OptimizerConfig, SampleOfShapes, bic_star,
                                 evidence_grade, fit_location, log_likelihood,
                                 lr_test_equal_means)
@@ -114,6 +115,82 @@ class TestLogLikelihood:
             full.check_converged(3.0 * mu_star)
 
 
+def central_gradient(f, mu, h=1e-5):
+    out = np.zeros_like(mu)
+    for idx in np.ndindex(mu.shape):
+        step = np.zeros_like(mu)
+        step[idx] = h
+        out[idx] = (f(mu + step) - f(mu - step)) / (2 * h)
+    return out
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["K2", "K3"])
+def small(request):
+    """A likelihood per kind and a location, with N-1 = 4 and K = 2 or 3;
+    degree 30 keeps the cold K=3 table cheap."""
+    K = request.param
+    mu = np.random.default_rng(10 + K).normal(size=(4, K)) * 1.5
+    sample = make_sample(f"k{K}", mu, 4.0, 8, seed=K)
+    ctrl = SeriesControl(max_degree=30)
+    return {kind: IsotropicLikelihood(sample, kind, 4.0, ctrl)
+            for kind in IsotropicKind}, mu
+
+
+class TestGradient:
+    @pytest.mark.parametrize("kind", list(IsotropicKind))
+    def test_matches_central_differences(self, small, kind):
+        liks, mu = small
+        lik = liks[kind]
+        value, grad = lik.loglik_and_grad(0.9 * mu)
+        assert value == lik.loglik(0.9 * mu)
+        fd = central_gradient(lik.loglik, 0.9 * mu)
+        assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
+
+    @pytest.mark.parametrize("kind", list(IsotropicKind))
+    def test_rank_one_location_with_a_zero_eigenvalue(self, small, kind):
+        liks, mu = small
+        lik = liks[kind]
+        rank_one = np.zeros_like(mu)
+        rank_one[:, 0] = mu[:, 0]
+        G = lik._W.transpose(0, 2, 1) @ rank_one
+        assert np.all(np.linalg.eigh(G.transpose(0, 2, 1) @ G)[0][:, 0] == 0.0)
+        # the zero eigenvalue's partial meets G v = 0 in the chain rule, so
+        # it only has to be finite there (0/0 would poison the gradient)
+        value, grad = lik.loglik_and_grad(rank_one)
+        assert value == lik.loglik(rank_one)
+        assert np.all(np.isfinite(grad))
+        fd = central_gradient(lik.loglik, rank_one)
+        assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
+
+    def test_kotz_t3_bracket_changing_sign(self, sample, mu_star):
+        lik = IsotropicLikelihood(sample, IsotropicKind.KOTZ_T3, SIGMA2, CTRL)
+        x = float(np.sum(mu_star ** 2)) / (2 * SIGMA2)
+        _, _, sign_b = _isotropic_bracket(IsotropicKind.KOTZ_T3, lik.M, x, 60)
+        assert np.any(sign_b < 0) and sign_b[0] > 0
+        value, grad = lik.loglik_and_grad(mu_star)
+        assert value == lik.loglik(mu_star)
+        fd = central_gradient(lik.loglik, mu_star)
+        assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
+
+    def test_free_sigma2_coordinate(self, sample, mu_star):
+        # d loglik / d log sigma2 = -1/2 <mu, grad_mu>: the fit's extra coordinate
+        kind = IsotropicKind.KOTZ_T2
+        _, grad = IsotropicLikelihood(sample, kind, SIGMA2, CTRL).loglik_and_grad(mu_star)
+        h = 1e-5
+        ll = [log_likelihood(sample, mu_star, SIGMA2 * math.exp(s), kind, CTRL)
+              for s in (h, -h)]
+        assert (ll[0] - ll[1]) / (2 * h) == pytest.approx(
+            -0.5 * float(np.sum(mu_star * grad)), rel=1e-7)
+
+    @pytest.mark.parametrize("kind", list(IsotropicKind))
+    def test_scale_invariance_of_the_likelihood(self, sample, mu_star, kind):
+        # (mu, sigma2) enter only through mu / sigma, so sigma2 is not identified
+        base = log_likelihood(sample, mu_star, SIGMA2, kind, CTRL)
+        for c in (0.5, 1.7, 3.0):
+            scaled = log_likelihood(sample, c * mu_star, c * c * SIGMA2, kind, CTRL)
+            assert scaled == pytest.approx(base, rel=1e-12, abs=1e-12)
+
+
 class TestLogJacobian:
     def test_large_n_near_collinear_sample_builds(self):
         # J underflows to 0 for these specimens while log J stays finite
@@ -207,6 +284,26 @@ class TestFitLocation:
                            free_sigma2=True)
         assert fit.n_params == 11
         assert fit.sigma2 > 0
+
+    def test_stops_at_a_stationary_point(self, sample):
+        opt = OptimizerConfig(n_starts=2, seed=0)
+        fit = fit_location(sample, IsotropicKind.KOTZ_T3, SIGMA2, opt, CTRL)
+        like = IsotropicLikelihood(sample, IsotropicKind.KOTZ_T3, SIGMA2, CTRL)
+        value, grad = like.loglik_and_grad(fit.mu_hat)
+        assert fit.converged and value == fit.loglik
+        assert np.max(np.abs(grad)) <= _GTOL
+        assert fit.evaluations < 300
+
+    def test_free_sigma2_reaches_the_fixed_maximum(self, sample):
+        # sigma2 is not identified: every (mu, sigma2) has a twin at the
+        # protocol sigma2, so both fits share one maximum
+        opt = OptimizerConfig(n_starts=1, seed=0)
+        fixed = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, opt, CTRL)
+        free = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, opt, CTRL,
+                            free_sigma2=True)
+        assert free.loglik == pytest.approx(fixed.loglik, abs=1e-8)
+        assert free.loglik == pytest.approx(log_likelihood(
+            sample, free.mu_hat, free.sigma2, IsotropicKind.GAUSSIAN, CTRL), abs=1e-9)
 
 
 class TestLrTest:

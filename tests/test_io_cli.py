@@ -101,11 +101,77 @@ class TestCli:
         res = run_cli("shape", landmark_file)
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["command"] == "shape"
         assert len(payload["specimens"]) == 8
         rec = payload["specimens"][0]
         assert rec["r"] > 0 and len(rec["u"]) == 3
+
+    def test_shape_emits_log_jacobian_where_jacobian_underflows(self, tmp_path):
+        # N=160 near-collinear specimens: J underflows to 0.0, log J is finite
+        from svdshape.geometry import LandmarkSet
+        rng = np.random.default_rng(0)
+        x = np.linspace(0.0, 1.0, 160)
+        specimens = [LandmarkSet(f"s{i}", np.column_stack(
+            [x, 0.002 * rng.standard_normal(160)])
+            + 0.001 * rng.standard_normal((160, 2))) for i in range(3)]
+        path = tmp_path / "collinear.txt"
+        emit_landmarks(specimens, str(path))
+        res = run_cli("shape", str(path))
+        assert res.exit_code == 0
+        records = json.loads(res.stdout)["specimens"]
+        for rec in records:
+            assert rec["jacobian"] == 0.0
+            assert math.isfinite(rec["log_jacobian"])
+            assert rec["log_jacobian"] == pytest.approx(-880.0, abs=10.0)
+        assert "log J=-8" in res.stderr
+
+    def test_shape_json_is_strict_at_a_chart_pole(self, tmp_path):
+        # all y equal: the second column of W is 0, so log J = -inf there;
+        # the JSON must still parse without the non-standard -Infinity token
+        path = tmp_path / "flat.txt"
+        path.write_text("4 2 2\n# flat\n0 1\n1 1\n3 1\n2 1\n"
+                        "# fine\n0 0\n1 0.3\n0 1\n2 2\n")
+        res = run_cli("shape", str(path))
+        assert res.exit_code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        flat, fine = json.loads(res.stdout, parse_constant=reject)["specimens"]
+        assert flat["jacobian"] == 0.0 and flat["log_jacobian"] is None
+        assert math.isfinite(fine["log_jacobian"])
+        assert "log J=-inf" in res.stderr
+
+    def test_sample_is_read_and_whitened_once(self, specimens, landmark_file,
+                                              tmp_path, monkeypatch):
+        import svdshape.cli as cli
+        from svdshape.geometry import preprocess, svd_shape
+        theta_path = tmp_path / "theta.txt"
+        theta_path.write_text("1.0 0.2\n0.2 1.5\n")
+        calls = {"preprocess": 0, "read_matrix": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        res = run_cli("density", landmark_file, "--theta", str(theta_path))
+        assert res.exit_code == 0
+        assert calls == {"preprocess": 1, "read_matrix": 1}
+        res = run_cli("shape", landmark_file, "--theta", str(theta_path))
+        theta = read_matrix(str(theta_path))
+        for sp, rec in zip(specimens, json.loads(res.stdout)["specimens"]):
+            alone = svd_shape(preprocess(sp, theta))
+            assert np.allclose(rec["u"], alone.u, rtol=0, atol=1e-13)
+
+    def test_degenerate_specimen_is_named(self, tmp_path):
+        path = tmp_path / "flat.txt"
+        path.write_text("3 2 2\n# fine\n0 0\n1 0\n0 1\n# dot\n2 2\n2 2\n2 2\n")
+        res = run_cli("shape", str(path))
+        assert res.exit_code == 3
+        assert "specimen 'dot'" in res.stderr
 
     def test_density_runs_and_is_finite(self, landmark_file):
         res = run_cli("density", landmark_file, "--sigma2", "0.5",

@@ -203,6 +203,41 @@ class TestZonalSumTable:
         monkeypatch.setattr(zonal, "_LOGSUMS_CHUNK_BYTES", 2 ** 40)
         assert np.array_equal(chunked, tab.logsums(spectra))
 
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_partials_match_differences(self, K):
+        tab = shared_sum_table(K, 20)
+        spectra = np.abs(np.random.default_rng(K).normal(size=(4, K))) * 2 + 0.1
+        log_s, log_ds = tab.logsums_and_partials(spectra)
+        assert np.array_equal(log_s, tab.logsums(spectra))
+        assert log_ds.shape == log_s.shape + (K,)
+        h = 1e-6
+        for k in range(K):
+            step = np.zeros(K)
+            step[k] = h
+            central = (np.exp(tab.logsums(spectra + step))
+                       - np.exp(tab.logsums(spectra - step))) / (2 * h)
+            assert np.exp(log_ds[:, 1:, k]) == pytest.approx(central[:, 1:], rel=1e-7)
+        assert np.all(log_ds[:, 0] == -np.inf)          # S_0 = 1
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_partials_at_zero_eigenvalues(self, K):
+        tab = shared_sum_table(K, 20)
+        spectra = np.array([[0.0] + [1.3, 0.7][:K - 1], [0.0] * K])
+        log_s, log_ds = tab.logsums_and_partials(spectra)
+        assert np.array_equal(log_s, tab.logsums(spectra))
+        assert np.all(np.isfinite(log_ds[0, 1:]))
+        # one-sided second-order difference in the zero eigenvalue
+        h = 1e-5
+        step = np.zeros(K)
+        step[0] = h
+        S = lambda s: np.exp(tab.logsums(s[None, :]))[0]
+        onesided = (-3 * S(spectra[0]) + 4 * S(spectra[0] + step)
+                    - S(spectra[0] + 2 * step)) / (2 * h)
+        assert np.exp(log_ds[0, 1:, 0]) == pytest.approx(onesided[1:], rel=1e-5)
+        # at the zero spectrum S_1 = tr X / a, the only degree with a slope
+        assert np.exp(log_ds[1, 1]) == pytest.approx(np.full(K, 2.0 / K), rel=1e-15)
+        assert np.all(np.exp(log_ds[1, 2:]) == 0.0)
+
     def test_input_validation(self):
         tab = ZonalSumTable(2, 3)
         with pytest.raises(DomainError):
