@@ -119,11 +119,16 @@ def preprocess(X: LandmarkSet | np.ndarray,
     """Centered, whitened configuration Y = L X Theta^{-1/2}.
 
     X is one specimen or an (..., N, K) array of landmark matrices; Y is
-    (..., N-1, K).
+    (..., N-1, K). Theta must be K x K.
     """
     coords = X.coords if isinstance(X, LandmarkSet) else np.asarray(X, dtype=float)
     Y = helmert_submatrix(coords.shape[-2]) @ coords
     if Theta is not None:
+        Theta = np.asarray(Theta, dtype=float)
+        K = coords.shape[-1]
+        if Theta.shape != (K, K):
+            raise DomainError(f"Theta is {'x'.join(map(str, Theta.shape))} but the "
+                              f"landmarks have K={K} coordinates; it must be {K}x{K}")
         Y = Y @ theta_inv_sqrt(Theta)
     return Y
 

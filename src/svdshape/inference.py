@@ -104,7 +104,7 @@ class IsotropicLikelihood:
     J(u_i) (2 pi^{M/2})^{-1} pref e^{-x} sum_t B(t, x) S_t(X_i) / t! with
     X_i = mu' W_i W_i' mu / (2 sigma^2); everything that does not depend on mu
     is precomputed, and log S_t is evaluated for the whole sample and every
-    degree through max_degree in one pass of the shared zonal table. B(t, x)
+    degree through max_degree in one pass of the shared zonal kernel. B(t, x)
     can be negative for the Kotz kinds, so the degree sum uses a signed
     log-sum-exp. :meth:`loglik_and_grad` adds the exact gradient in mu from
     the same pass.
@@ -180,7 +180,7 @@ class IsotropicLikelihood:
 
     def loglik_and_grad(self, mu: np.ndarray) -> tuple[float, np.ndarray]:
         """:meth:`loglik` (the same value, bit for bit) and its (N-1, K)
-        gradient in mu, from one pass of the zonal table."""
+        gradient in mu, from one pass of the zonal kernel."""
         _, total_log, x, gradient = self._series(mu)
         return self._const + float(np.sum(total_log - x)), gradient
 

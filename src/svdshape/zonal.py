@@ -5,14 +5,18 @@ matrix entries: every argument that appears in the densities enters only
 through its spectrum, so orthogonal invariance is structural.
 
 Every series here is sum_t c_t S_t(X) / t! with a coefficient c_t of the
-degree alone and S_t(X) = sum_{|kappa|=t} C_kappa(X) / (a)_kappa. One kernel,
-:class:`ZonalSumTable`, evaluates log S_t; :func:`shared_sum_table` keeps one
-per (K, a), grows it by degree blocks on demand and hands each route a
-fixed view through the degree it sums. Its monomial coefficients
-come from the classical recursion for C_kappa in the monomial basis (the
-alpha = 2 Jack family), with the leading coefficient fixed by the hook
-products, memoized per (weight, max_parts). :func:`zonal_poly` sums the same
-coefficients by direct monomial enumeration: the tests' independent oracle.
+degree alone and S_t(X) = sum_{|kappa|=t} C_kappa(X) / (a)_kappa. Every
+route gets its log S_t kernel from :func:`shared_sum_table`. For planar
+landmarks (K = 2, a = 1) that is :class:`PlanarZonalSums`, the exact O(2)
+moment in closed form, which builds no table. For every other (K, a), K = 3
+among them, it is :class:`ZonalSumTable`: one per (K, a), grown by degree
+blocks on demand, with each route reading a fixed view through the degree it
+sums. The table's monomial coefficients come from the classical recursion
+for C_kappa in the monomial basis (the alpha = 2 Jack family), with the
+leading coefficient fixed by the hook products, memoized per
+(weight, max_parts).
+:func:`zonal_poly` sums the same coefficients by direct monomial enumeration:
+the tests' independent oracle, as is the table for the closed form.
 """
 
 from __future__ import annotations
@@ -185,13 +189,12 @@ def zonal_series(coeff, argument_eigenvalues, denominator_a: float,
                  ctrl: SeriesControl | None = None) -> SeriesResult:
     """Evaluate sum_t coeff(t) S_t(arg) / t!, S_t = sum_{|kappa|=t} C_kappa(arg) / (a)_kappa.
 
-    ``coeff(t)`` returns a :class:`LogSign`. S_t comes from the shared
-    :class:`ZonalSumTable` for (len(arg), a) (see :func:`shared_sum_table`),
-    grown and evaluated one degree block at a time as the sum reaches it, so
-    the domain is the table's. The sum stops at the first degree completing
-    ``ctrl.tail_window`` consecutive blocks below ``ctrl.rel_tol`` times the
-    running total; :class:`SeriesTruncationError` if none does within
-    ``ctrl.max_degree``.
+    ``coeff(t)`` returns a :class:`LogSign`. S_t comes from the kernel for
+    (len(arg), a) (see :func:`shared_sum_table`), evaluated one degree block
+    at a time as the sum reaches it, so the domain is the kernel's. The sum
+    stops at the first degree completing ``ctrl.tail_window`` consecutive
+    blocks below ``ctrl.rel_tol`` times the running total;
+    :class:`SeriesTruncationError` if none does within ``ctrl.max_degree``.
     """
     ctrl = ctrl or SeriesControl()
     eigs = np.asarray(argument_eigenvalues, dtype=float).reshape(1, -1)
@@ -224,8 +227,9 @@ def zonal_series(coeff, argument_eigenvalues, denominator_a: float,
 def hypergeom_0F1(b: float, matrix_eigenvalues, ctrl: SeriesControl | None = None) -> float:
     """Hypergeometric 0F1(b; X) of matrix argument, from the spectrum of X.
 
-    Domain as in :func:`zonal_series`: X >= 0 and (b)_kappa > 0. Each
-    distinct b keeps its own shared table (see :func:`shared_sum_table`).
+    Domain as in :func:`zonal_series`: X >= 0 and (b)_kappa > 0. A 2 x 2 X
+    with b = 1 is summed in closed form; any other (dimension, b) keeps its
+    own shared table (see :func:`shared_sum_table`).
     """
     return zonal_series(lambda t: LogSign.one(), matrix_eigenvalues, b, ctrl).value
 
@@ -309,8 +313,9 @@ _LOGSUMS_CHUNK_BYTES = 4 << 20
 
 
 class ZonalSumTable:
-    """The series kernel: log S_t(X) = log sum_{|kappa|=t} C_kappa(X) / (a)_kappa
-    for batches of K-point spectra X.
+    """The table kernel: log S_t(X) = log sum_{|kappa|=t} C_kappa(X) / (a)_kappa
+    for batches of K-point spectra X, for every (K, a) but the closed-form
+    K = 2, a = 1 (:class:`PlanarZonalSums`), for which it is the oracle.
 
     Holds, for every degree t <= tmax, the monomial expansion of S_t collapsed
     to coefficients d_{t,lam} = sum_kappa c_{kappa,lam} / (a)_kappa > 0. Its
@@ -405,15 +410,12 @@ class ZonalSumTable:
         shifted = self._exps - np.eye(self.K)[:, None, :]   # (K, rows, K)
         log_ds = np.stack([_block_logsumexp(loge, shifted[k], logc[k], self._bounds)
                            for k in range(self.K)], axis=-1)
+        log_ds[empty, 2:] = -np.inf                     # dS_t(0) = 0, t >= 2
         return log_s, log_ds
 
     def _log_spectra(self, spectra) -> tuple[np.ndarray, np.ndarray]:
         """(log spectra with a stand-in for log 0, mask of all-zero rows)."""
-        spectra = np.asarray(spectra, dtype=float)
-        if spectra.ndim != 2 or spectra.shape[1] != self.K:
-            raise DomainError(f"spectra must be (batch, {self.K})")
-        if np.any(spectra < 0):
-            raise DomainError("spectra must be non-negative")
+        spectra = _check_spectra(spectra, self.K)
         # zero eigenvalues: a large negative stand-in for log 0 keeps the
         # segment reductions finite (exp underflows to 0 exactly)
         loge = np.where(spectra > 0.0, np.log(np.where(spectra > 0, spectra, 1.0)), -1e12)
@@ -441,17 +443,104 @@ def _block_logsumexp(loge: np.ndarray, exps: np.ndarray, logc: np.ndarray,
     return out
 
 
+class PlanarZonalSums:
+    """The K = 2, a = 1 kernel in closed form, with :class:`ZonalSumTable`'s
+    interface and domain: no table, any degree.
+
+    O(2) is two circles, so the degree-t part of 0F1(1; D^2/4) is exact:
+    S_t(lambda) = [(d1 + d2)^(2t) + (d1 - d2)^(2t)] / (2 t!) with
+    d = sqrt(lambda). With s = d1 + d2 and q = |d1 - d2| / s in [0, 1],
+    log S_t = 2t log s + log1p(q^(2t)) - log 2 - log t!, and every term
+    is positive.
+    """
+
+    K = 2
+    a = 1.0
+
+    def __init__(self, tmax: int):
+        if tmax < 0:
+            raise DomainError("need tmax >= 0")
+        self.tmax = tmax
+
+    def logsums(self, spectra: np.ndarray) -> np.ndarray:
+        """log S_t for each row of ``spectra``; returns (batch, tmax + 1)."""
+        return self._logsums(spectra, 0)
+
+    def _logsums(self, spectra: np.ndarray, first: int) -> np.ndarray:
+        """:meth:`logsums` for the degrees first..tmax only."""
+        return self._terms(spectra, first, partials=False)[0]
+
+    def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log S_t, log dS_t/dlambda_k), as :meth:`ZonalSumTable.logsums_and_partials`.
+
+        With n = 2t - 1, the larger root d_b has dS_t/dlambda_b =
+        t (s^n + (q s)^n) / (2 d_b t!), and the smaller has
+        t s^(n-1) (1 - q^n) / (1 - q) / t!, a geometric sum in [1, n] taken
+        through expm1 and log1p with 1 - q = 2 d_small / s, so nothing
+        cancels; at a zero root it is the limit n.
+        """
+        return self._terms(spectra, 0, partials=True)
+
+    def _terms(self, spectra, first: int, partials: bool):
+        spectra = _check_spectra(spectra, self.K)
+        t = np.arange(first, self.tmax + 1, dtype=float)
+        log_fact = np.array([math.lgamma(x + 1.0) for x in t])
+        big = np.argmax(spectra, axis=1)                # ties: either root
+        rows = np.arange(len(spectra))
+        d_big = np.sqrt(spectra[rows, big])[:, None]
+        d_small = np.sqrt(spectra[rows, 1 - big])[:, None]
+        empty = d_big[:, 0] == 0.0
+        s = d_big + d_small
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = 2.0 * d_small / s                       # 1 - q
+            q = (d_big - d_small) / s
+            log_s = np.log(s)
+            out = 2.0 * t * log_s + np.log1p(q ** (2.0 * t)) - math.log(2.0) - log_fact
+            out[empty] = np.where(t == 0, 0.0, -np.inf)     # S_t(0) = 0, t >= 1
+            if not partials:
+                return out, None
+            n = 2.0 * t - 1.0
+            log_t = np.log(t)
+            ds_big = (log_t + n * log_s + np.log1p(q ** n) - math.log(2.0)
+                      - np.log(d_big) - log_fact)
+            geometric = np.where(
+                c > 0.0, np.log(-np.expm1(n * np.log1p(-c))) - np.log(c), np.log(n))
+            ds_small = log_t + (n - 1.0) * log_s + geometric - log_fact
+        log_ds = np.empty(out.shape + (2,))
+        log_ds[rows, :, big] = ds_big
+        log_ds[rows, :, 1 - big] = ds_small
+        log_ds[:, t == 0] = -np.inf                     # S_0 = 1
+        log_ds[empty] = np.where(t == 1, 0.0, -np.inf)[:, None]   # dS_1(0) = 1
+        return out, log_ds
+
+
+def _check_spectra(spectra, K: int) -> np.ndarray:
+    """``spectra`` as a (batch, K) float array; DomainError if it is not one
+    or has a negative entry."""
+    spectra = np.asarray(spectra, dtype=float)
+    if spectra.ndim != 2 or spectra.shape[1] != K:
+        raise DomainError(f"spectra must be (batch, {K})")
+    if np.any(spectra < 0):
+        raise DomainError("spectra must be non-negative")
+    return spectra
+
+
 _sum_tables: dict[tuple[int, float], ZonalSumTable] = {}
 
 
-def shared_sum_table(K: int, tmax: int, denominator_a: float | None = None) -> ZonalSumTable:
+def shared_sum_table(K: int, tmax: int,
+                     denominator_a: float | None = None) -> ZonalSumTable | PlanarZonalSums:
     """The kernel for (K, a = K/2 by default) through exactly degree ``tmax``.
 
-    The process keeps one :class:`ZonalSumTable` per (K, a) asked for, grows
-    it to ``tmax`` on first need and never rebuilds or frees it; the table
-    returned shares its rows and does not change when the shared one grows.
+    For K = 2 and a = 1 this is the closed form :class:`PlanarZonalSums`,
+    which builds nothing. Otherwise the process keeps one
+    :class:`ZonalSumTable` per (K, a) asked for, grows it to ``tmax`` on first
+    need and never rebuilds or frees it; the table returned shares its rows
+    and does not change when the shared one grows.
     """
     a = K / 2.0 if denominator_a is None else float(denominator_a)
+    if (K, a) == (2, 1.0):
+        return PlanarZonalSums(tmax)
     with _table_lock:
         table = _sum_tables.get((K, a))
         if table is None:

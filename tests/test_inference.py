@@ -92,12 +92,16 @@ class TestLogLikelihood:
             assert fast == pytest.approx(slow, abs=1e-9)
 
 
-    def test_loglik_unchanged_when_the_shared_table_grows(self, sample, mu_star):
-        lik = IsotropicLikelihood(sample, IsotropicKind.KOTZ_T3, SIGMA2, CTRL)
-        before = lik.loglik(mu_star)
+    def test_loglik_unchanged_when_the_shared_table_grows(self):
+        # K=3: the K=2 kernel is a closed form with no table to grow
+        mu = np.random.default_rng(13).normal(size=(4, 3)) * 1.5
+        sample = make_sample("k3", mu, 4.0, 8, seed=3)
+        lik = IsotropicLikelihood(sample, IsotropicKind.KOTZ_T3, 4.0,
+                                  SeriesControl(max_degree=30))
+        before = lik.loglik(mu)
         K = lik.K
         shared_sum_table(K, zonal._sum_tables[(K, K / 2.0)].tmax + 5)
-        assert lik.loglik(mu_star) == before
+        assert lik.loglik(mu) == before
 
     def test_check_converged_reads_the_degree_sum_tail(self, sample, mu_star):
         # at degree 5 the series has converged near the origin but not at

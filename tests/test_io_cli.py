@@ -212,6 +212,14 @@ class TestCli:
         assert res.exit_code == 3
         assert "domain error" in res.stderr
 
+    def test_theta_size_must_match_K(self, landmark_file, tmp_path):
+        theta = tmp_path / "theta3.txt"
+        theta.write_text("1 0 0\n0 1 0\n0 0 1\n")
+        res = run_cli("shape", landmark_file, "--theta", str(theta))
+        assert res.exit_code == 3
+        assert "domain error:" in res.stderr
+        assert "3x3" in res.stderr and "K=2" in res.stderr
+
     def test_kotz_R_rejected_by_inference_commands(self, landmark_file):
         for command in ("fit", "compare"):
             res = run_cli(command, landmark_file, "--sigma2", "0.5",

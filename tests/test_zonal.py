@@ -6,10 +6,15 @@ import pytest
 from scipy import integrate
 
 from svdshape import zonal
-from svdshape.densities import IsotropicKind, _isotropic_bracket
+from svdshape.densities import (IsotropicKind, _isotropic_bracket,
+                                batch_shape_logdensity, shape_logdensity)
 from svdshape.errors import DomainError, SeriesTruncationError
+from svdshape.geometry import svd_shape
+from svdshape.inference import OptimizerConfig, SampleOfShapes, fit_location
+from svdshape.models import gaussian_model
 from svdshape.special import LogSign, Partition, enumerate_partitions, gen_pochhammer
-from svdshape.zonal import (SeriesControl, ZonalSumTable, exp_trace_integral_series,
+from svdshape.zonal import (PlanarZonalSums, SeriesControl, ZonalSumTable,
+                            exp_trace_integral_series,
                             hypergeom_0F1, log_stiefel_volume,
                             power_trace_integral_series, shared_sum_table,
                             signed_logsumexp,
@@ -244,6 +249,78 @@ class TestZonalSumTable:
             tab.logsums(np.array([[1.0, -0.5]]))
         with pytest.raises(DomainError):
             tab.logsums(np.ones((3, 3)))
+
+
+def planar_spectra() -> np.ndarray:
+    """240 seeded K=2 spectra over six decades, with exact zeros, ties,
+    all-zero rows, a 1e-12 eigenvalue ratio and eigenvalues up to 1e3."""
+    rng = np.random.default_rng(6)
+    spectra = rng.uniform(0.0, 1.0, size=(240, 2)) * 10.0 ** rng.uniform(-3, 3, size=(240, 1))
+    spectra[:20, 0] = 0.0
+    spectra[20:40, 1] = 0.0
+    spectra[40:60, 1] = spectra[40:60, 0]
+    spectra[60:65] = 0.0
+    spectra[65:85, 1] = spectra[65:85, 0] * 1e-12
+    spectra[85:105, 0] = 1e3
+    spectra[105:110] = [[1e3, 1e3], [1e3, 0.0], [0.0, 1e3], [1e3, 1e-9], [1e-12, 1e-12]]
+    return spectra
+
+
+class TestPlanarZonalSums:
+    def test_is_the_kernel_for_K2_and_a1_only(self):
+        assert isinstance(shared_sum_table(2, 10), PlanarZonalSums)
+        assert isinstance(shared_sum_table(2, 10, 1.0), PlanarZonalSums)
+        assert isinstance(shared_sum_table(2, 4, 7.5), ZonalSumTable)
+        assert isinstance(shared_sum_table(1, 4, 1.0), ZonalSumTable)
+        kernel = shared_sum_table(2, 10)
+        assert (kernel.K, kernel.a, kernel.tmax) == (2, 1.0, 10)
+
+    def test_matches_the_table_to_degree_60(self):
+        spectra = planar_spectra()
+        log_s, log_ds = PlanarZonalSums(60).logsums_and_partials(spectra)
+        ref_s, ref_ds = ZonalSumTable(2, 60).logsums_and_partials(spectra)
+        assert np.array_equal(log_s, PlanarZonalSums(60).logsums(spectra))
+        for got, ref in ((log_s, ref_s), (log_ds, ref_ds)):
+            assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+            assert np.all(np.isfinite(got[~np.isneginf(got)]))
+            finite = np.isfinite(ref)
+            err = np.abs(got[finite] - ref[finite])
+            assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(ref[finite])))
+
+    def test_matches_zonal_poly_sums(self):
+        spectra = planar_spectra()[::6]
+        log_s = PlanarZonalSums(8).logsums(spectra)
+        for i, s in enumerate(spectra):
+            for t in range(9):
+                direct = sum(zonal_poly(k, s) / gen_pochhammer(1.0, k)
+                             for k in enumerate_partitions(t, 2))
+                assert math.exp(log_s[i, t]) == pytest.approx(direct, rel=1e-10, abs=0.0)
+
+    def test_input_validation(self):
+        with pytest.raises(DomainError):
+            PlanarZonalSums(-1)
+        kernel = PlanarZonalSums(3)
+        with pytest.raises(DomainError):
+            kernel.logsums(np.array([[1.0, -0.5]]))
+        with pytest.raises(DomainError):
+            kernel.logsums_and_partials(np.ones((3, 3)))
+
+    def test_planar_routes_build_no_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a K=2 route built a monomial table")
+        monkeypatch.setattr(ZonalSumTable, "__init__", refuse)
+        monkeypatch.setattr(zonal, "_zonal_table", refuse)
+        monkeypatch.setattr(zonal, "_sum_tables", {})   # no table built earlier
+        rng = np.random.default_rng(12)
+        mu = rng.normal(size=(3, 2))
+        model = gaussian_model(0.8 * np.eye(3), np.eye(2), mu)
+        U = np.array([svd_shape(mu + rng.normal(size=(3, 2))).u for _ in range(4)])
+        assert np.all(np.isfinite(batch_shape_logdensity(U, model)))
+        assert math.isfinite(shape_logdensity(U[0], model).log_density)
+        sample = SampleOfShapes("g", tuple(
+            (f"s{i}", svd_shape(mu + rng.normal(size=(3, 2)))) for i in range(6)))
+        fit = fit_location(sample, IsotropicKind.GAUSSIAN, 1.0, OptimizerConfig(seed=0))
+        assert math.isfinite(fit.loglik)
 
 
 class TestSignedLogsumexp:
