@@ -15,7 +15,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, NumericError
 from .geometry import theta_inv_sqrt
@@ -214,6 +213,8 @@ def _kotz_radial_exact(T: int, R: float, t: int, a: float, b: float, q: int) -> 
 def radial_integral_quad(gen: GeneratorSpec, t: int, a: float, b: float,
                          m: int, n: int) -> LogSign:
     """Adaptive-quadrature oracle for :func:`radial_integral`."""
+    from scipy import integrate     # only this oracle needs it; keep imports light
+
     if a <= 0:
         raise DomainError(f"radial scale a must be positive, got {a}")
     q = m + n + 2 * t

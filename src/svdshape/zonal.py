@@ -8,20 +8,23 @@ Every series here is sum_t c_t S_t(X) / t! with a coefficient c_t of the
 degree alone and S_t(X) = sum_{|kappa|=t} C_kappa(X) / (a)_kappa. Every
 route gets its log S_t kernel from :func:`shared_sum_table`. For planar
 landmarks (K = 2, a = 1) that is :class:`PlanarZonalSums`, the exact O(2)
-moment in closed form, which builds no table. For every other (K, a), K = 3
-among them, it is :class:`ZonalSumTable`: one per (K, a), grown by degree
-blocks on demand, with each route reading a fixed view through the degree it
-sums. The table's monomial coefficients come from the classical recursion
-for C_kappa in the monomial basis (the alpha = 2 Jack family), with the
-leading coefficient fixed by the hook products, memoized per
+moment in closed form; for 3-D landmarks (K = 3, a = 3/2) it is
+:class:`SpatialZonalSums`, the exact O(3) moment by Gauss-Legendre quadrature
+over one Euler angle. Neither builds anything. Only the other (K, a) (K = 1,
+K >= 4, a != K/2) reach :class:`ZonalSumTable`: one per (K, a), grown by
+degree blocks on demand, with each route reading a fixed view through the
+degree it sums. The table's monomial coefficients come from the classical
+recursion for C_kappa in the monomial basis (the alpha = 2 Jack family), with
+the leading coefficient fixed by the hook products, memoized per
 (weight, max_parts).
 :func:`zonal_poly` sums the same coefficients by direct monomial enumeration:
-the tests' independent oracle, as is the table for the closed form.
+the tests' independent oracle, as is the table for the K = 2 and K = 3 kernels.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 import threading
@@ -228,8 +231,9 @@ def hypergeom_0F1(b: float, matrix_eigenvalues, ctrl: SeriesControl | None = Non
     """Hypergeometric 0F1(b; X) of matrix argument, from the spectrum of X.
 
     Domain as in :func:`zonal_series`: X >= 0 and (b)_kappa > 0. A 2 x 2 X
-    with b = 1 is summed in closed form; any other (dimension, b) keeps its
-    own shared table (see :func:`shared_sum_table`).
+    with b = 1 and a 3 x 3 X with b = 3/2 build nothing (see
+    :func:`shared_sum_table`); any other (dimension, b) keeps its own shared
+    table.
     """
     return zonal_series(lambda t: LogSign.one(), matrix_eigenvalues, b, ctrl).value
 
@@ -314,8 +318,9 @@ _LOGSUMS_CHUNK_BYTES = 4 << 20
 
 class ZonalSumTable:
     """The table kernel: log S_t(X) = log sum_{|kappa|=t} C_kappa(X) / (a)_kappa
-    for batches of K-point spectra X, for every (K, a) but the closed-form
-    K = 2, a = 1 (:class:`PlanarZonalSums`), for which it is the oracle.
+    for batches of K-point spectra X, for every (K, a) but K = 2, a = 1
+    (:class:`PlanarZonalSums`) and K = 3, a = 3/2 (:class:`SpatialZonalSums`),
+    for which it is the oracle.
 
     Holds, for every degree t <= tmax, the monomial expansion of S_t collapsed
     to coefficients d_{t,lam} = sum_kappa c_{kappa,lam} / (a)_kappa > 0. Its
@@ -514,6 +519,162 @@ class PlanarZonalSums:
         return out, log_ds
 
 
+# above this degree the scaled terms of SpatialZonalSums can leave float64's
+# normal range (a scan of degrees 100-500 met the first non-finite at 500)
+_SPATIAL_MAX_DEGREE = 300
+
+
+class SpatialZonalSums:
+    """The K = 3, a = 3/2 kernel by exact quadrature over O(3), with
+    :class:`ZonalSumTable`'s interface and domain: no table, degrees up to
+    _SPATIAL_MAX_DEGREE.
+
+    S_t(lambda) = 4^t t! / (2t)! E_H[(tr DH)^(2t)] with D = diag(sqrt(lambda))
+    and H Haar on O(3) (James, Ann. Math. Statist. 35, 1964). In ZYZ Euler
+    angles (alpha, beta, gamma), tr(DH) = A cos(phi) + B cos(psi) + C, where
+    c = cos(beta) is uniform on [-1, 1], phi = alpha + gamma and
+    psi = alpha - gamma are independent uniform angles, d = sqrt(lambda),
+    A = (d1 + d2)(1 + c)/2, B = (d1 - d2)(c - 1)/2 and C = d3 c. Averaging
+    phi and psi leaves
+    S_t = 4^t t! (1/2) int_{-1}^{1} sum_{i+j+k=t}
+          (A^2/4)^i/i!^2 (B^2/4)^j/j!^2 C^(2k)/(2k)! dc,
+    a polynomial of degree 2t in c with no negative term, which the
+    (tmax + 1)-point Gauss-Legendre rule integrates exactly.
+    """
+
+    K = 3
+    a = 1.5
+
+    def __init__(self, tmax: int):
+        if not 0 <= tmax <= _SPATIAL_MAX_DEGREE:
+            raise DomainError(f"need 0 <= tmax <= {_SPATIAL_MAX_DEGREE} for K = 3")
+        self.tmax = tmax
+
+    def logsums(self, spectra: np.ndarray) -> np.ndarray:
+        """log S_t for each row of ``spectra``; returns (batch, tmax + 1).
+        Rows go in chunks of _LOGSUMS_CHUNK_BYTES per temporary, which does not
+        change the values."""
+        return self._logsums(spectra, 0)
+
+    def _logsums(self, spectra: np.ndarray, first: int) -> np.ndarray:
+        """:meth:`logsums` for the degrees first..tmax only."""
+        return self._terms(_check_spectra(spectra, self.K), first, partial=False)
+
+    def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log S_t, log dS_t/dlambda_k), as :meth:`ZonalSumTable.logsums_and_partials`.
+
+        dS_t/dlambda_3 replaces C^(2k)/(2k)! in the integrand by
+        k lambda_3^(k-1) c^(2k)/(2k)!, which needs no 1/sqrt(lambda) and so
+        stays exact at zero eigenvalues. S_t is symmetric, so dS_t/dlambda_k
+        is dS_t/dlambda_3 at lambda with entries k and 3 swapped.
+        """
+        spectra = _check_spectra(spectra, self.K)
+        swapped = np.concatenate([spectra[:, [2, 1, 0]], spectra[:, [0, 2, 1]], spectra])
+        log_ds = self._terms(swapped, 0, partial=True).reshape(3, len(spectra), -1)
+        return self._logsums(spectra, 0), np.moveaxis(log_ds, 0, -1)
+
+    def _terms(self, spectra: np.ndarray, first: int, partial: bool) -> np.ndarray:
+        """log S_t, or log dS_t/dlambda_3 if ``partial``, for t = first..tmax.
+
+        Degree t sums the integrand's terms of sequence degree u = t - partial
+        (the power of lambda). Each row is scaled by the largest of A^2/4,
+        B^2/4 and C^2 over the nodes, and each term of sequence degree u by
+        tilt^u, so that the terms stay in float64's range through
+        _SPATIAL_MAX_DEGREE."""
+        tmax = self.tmax
+        out = np.full((len(spectra), tmax + 1 - first), -np.inf)
+        length = tmax + 1 - partial                     # sequence degrees 0..length-1
+        if length == 0:                                 # dS_0 = 0
+            return out
+        c, w = _gauss_legendre(tmax + 1)
+        tilt = max(1.0, tmax * tmax / 9.0)
+        u = np.arange(length)
+        if partial:                                     # k lambda_3^(k-1) c^(2k)/(2k)!, k = u+1
+            log_coef = np.array([math.log(k + 1.0) - math.lgamma(2.0 * k + 3.0) for k in u])
+            weights = w * c * c
+        else:
+            log_coef = np.array([-math.lgamma(2.0 * k + 1.0) for k in u])
+            weights = w
+        coef = np.exp(log_coef + u * math.log(tilt))[:, None, None] * weights  # (length, 1, nodes)
+        first_u = max(first - partial, 0)
+        t = np.arange(first_u, length) + partial
+        log_const = (t * math.log(4.0) + np.array([math.lgamma(x + 1.0) for x in t])
+                     - math.log(2.0))
+        step = max(1, _LOGSUMS_CHUNK_BYTES // (8 * len(c) * length))
+        for lo in range(0, len(spectra), step):
+            lam = spectra[lo:lo + step]
+            d = np.sqrt(lam)
+            x = ((d[:, :1] + d[:, 1:2]) * (1.0 + c) / 4.0) ** 2     # A^2/4, (chunk, nodes)
+            y = ((d[:, :1] - d[:, 1:2]) * (1.0 - c) / 4.0) ** 2     # B^2/4
+            g = lam[:, 2:] * c * c                                  # C^2
+            scale = np.max(np.maximum(np.maximum(x, y), g), axis=1, keepdims=True)
+            scale[scale == 0.0] = 1.0                               # the zero spectrum
+            pairs = _pair_sums(x / scale, y / scale, length, tilt)  # (length, chunk, nodes)
+            singles = (g / scale) ** u[:, None, None]
+            singles *= coef
+            # cross[k, j] sums singles_k pairs_j over the nodes; sequence
+            # degree u is its antidiagonal k + j = u
+            cross = np.moveaxis(singles, 0, 1) @ np.moveaxis(pairs, 0, -1)
+            flipped = cross[..., ::-1]
+            sums = np.stack([np.trace(flipped, length - 1 - v, axis1=1, axis2=2)
+                             for v in range(first_u, length)], axis=-1)
+            with np.errstate(divide="ignore"):
+                out[lo:lo + step, t - first] = (np.log(sums) + log_const
+                                                + (t - partial) * np.log(scale / tilt))
+        # S_0 = 1 and dS_1 = 1/a (S_1 = tr(lambda)/a) exactly, free of the
+        # rounding in the sums of the weights
+        if partial:
+            out[:, 1] = -math.log(self.a)
+        elif first == 0:
+            out[:, 0] = 0.0
+        return out
+
+
+def _pair_sums(alpha: np.ndarray, beta: np.ndarray, length: int, tilt: float) -> np.ndarray:
+    """tilt^n sum_{i+j=n} alpha^i beta^j / (i!^2 j!^2) for n < length, as a
+    (length,) + alpha.shape array.
+
+    n!^2 times the sum is f_n = sum_i C(n, i)^2 alpha^i beta^(n-i), a Legendre
+    polynomial at an argument of at least 1, where the forward recurrence
+    (n+1) f_{n+1} = (2n+1)(alpha+beta) f_n - n (alpha-beta)^2 f_(n-1) is stable.
+    """
+    out = np.empty((length,) + alpha.shape)
+    total = tilt * (alpha + beta)
+    gap = (tilt * (alpha - beta)) ** 2
+    out[0] = 1.0
+    if length > 1:
+        out[1] = total
+    for n in range(1, length - 1):
+        out[n + 1] = ((2 * n + 1) * total * out[n] - gap * out[n - 1] / n) / (n + 1) ** 3
+    return out
+
+
+@functools.lru_cache(maxsize=_SPATIAL_MAX_DEGREE + 1)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], exact
+    for polynomials of degree 2n - 1; read-only.
+
+    Newton's method on the three-term recurrence for P_n from the cosine
+    initial guesses, mirrored about 0. numpy's ``leggauss`` leaves relative
+    errors near 1e-12 in the high moments at n = 100; these are at rounding.
+    """
+    half = np.arange(1, (n + 1) // 2 + 1)
+    x = np.cos(math.pi * (half - 0.25) / (n + 0.5))
+    for _ in range(6):          # quadratic convergence: four steps reach rounding
+        p_prev, p = np.ones_like(x), x.copy()
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        slope = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / slope
+    w = 2.0 / ((1.0 - x * x) * slope * slope)
+    if n % 2:
+        x[-1] = 0.0
+    nodes = np.concatenate([-x, x[::-1][n % 2:]])
+    weights = np.concatenate([w, w[::-1][n % 2:]])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _check_spectra(spectra, K: int) -> np.ndarray:
     """``spectra`` as a (batch, K) float array; DomainError if it is not one
     or has a negative entry."""
@@ -528,19 +689,21 @@ def _check_spectra(spectra, K: int) -> np.ndarray:
 _sum_tables: dict[tuple[int, float], ZonalSumTable] = {}
 
 
-def shared_sum_table(K: int, tmax: int,
-                     denominator_a: float | None = None) -> ZonalSumTable | PlanarZonalSums:
+def shared_sum_table(K: int, tmax: int, denominator_a: float | None = None
+                     ) -> ZonalSumTable | PlanarZonalSums | SpatialZonalSums:
     """The kernel for (K, a = K/2 by default) through exactly degree ``tmax``.
 
-    For K = 2 and a = 1 this is the closed form :class:`PlanarZonalSums`,
-    which builds nothing. Otherwise the process keeps one
-    :class:`ZonalSumTable` per (K, a) asked for, grows it to ``tmax`` on first
-    need and never rebuilds or frees it; the table returned shares its rows
-    and does not change when the shared one grows.
+    For K = 2, a = 1 this is :class:`PlanarZonalSums` and for K = 3, a = 3/2
+    :class:`SpatialZonalSums`; neither builds anything. Otherwise the process
+    keeps one :class:`ZonalSumTable` per (K, a) asked for, grows it to ``tmax``
+    on first need and never rebuilds or frees it; the table returned shares
+    its rows and does not change when the shared one grows.
     """
     a = K / 2.0 if denominator_a is None else float(denominator_a)
     if (K, a) == (2, 1.0):
         return PlanarZonalSums(tmax)
+    if (K, a) == (3, 1.5):
+        return SpatialZonalSums(tmax)
     with _table_lock:
         table = _sum_tables.get((K, a))
         if table is None:

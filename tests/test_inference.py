@@ -93,9 +93,9 @@ class TestLogLikelihood:
 
 
     def test_loglik_unchanged_when_the_shared_table_grows(self):
-        # K=3: the K=2 kernel is a closed form with no table to grow
-        mu = np.random.default_rng(13).normal(size=(4, 3)) * 1.5
-        sample = make_sample("k3", mu, 4.0, 8, seed=3)
+        # K=1: the K=2 and K=3 kernels have no table to grow
+        mu = np.random.default_rng(13).normal(size=(4, 1)) * 1.5
+        sample = make_sample("k1", mu, 4.0, 8, seed=3)
         lik = IsotropicLikelihood(sample, IsotropicKind.KOTZ_T3, 4.0,
                                   SeriesControl(max_degree=30))
         before = lik.loglik(mu)

@@ -13,7 +13,8 @@ from svdshape.geometry import svd_shape
 from svdshape.inference import OptimizerConfig, SampleOfShapes, fit_location
 from svdshape.models import gaussian_model
 from svdshape.special import LogSign, Partition, enumerate_partitions, gen_pochhammer
-from svdshape.zonal import (PlanarZonalSums, SeriesControl, ZonalSumTable,
+from svdshape.zonal import (PlanarZonalSums, SeriesControl, SpatialZonalSums,
+                            ZonalSumTable,
                             exp_trace_integral_series,
                             hypergeom_0F1, log_stiefel_volume,
                             power_trace_integral_series, shared_sum_table,
@@ -319,6 +320,122 @@ class TestPlanarZonalSums:
         assert math.isfinite(shape_logdensity(U[0], model).log_density)
         sample = SampleOfShapes("g", tuple(
             (f"s{i}", svd_shape(mu + rng.normal(size=(3, 2)))) for i in range(6)))
+        fit = fit_location(sample, IsotropicKind.GAUSSIAN, 1.0, OptimizerConfig(seed=0))
+        assert math.isfinite(fit.loglik)
+
+
+def spatial_spectra() -> np.ndarray:
+    """240 seeded K=3 spectra over six decades, with exact zeros in each
+    position, ties, all-zero rows, a 1e-12 eigenvalue ratio and eigenvalues
+    up to 1e3."""
+    rng = np.random.default_rng(7)
+    spectra = rng.uniform(0.0, 1.0, size=(240, 3)) * 10.0 ** rng.uniform(-3, 3, size=(240, 1))
+    for k in range(3):
+        spectra[15 * k:15 * (k + 1), k] = 0.0
+    spectra[45:60, 1:] = 0.0
+    spectra[60:75, 1] = spectra[60:75, 0]
+    spectra[75:90, 2] = spectra[75:90, 0]
+    spectra[90:95] = spectra[90:95, :1]
+    spectra[95:100] = 0.0
+    spectra[100:115, 2] = spectra[100:115, 0] * 1e-12
+    spectra[115:130, 0] = 1e3
+    spectra[130:136] = [[1e3, 1e3, 1e3], [1e3, 0.0, 0.0], [0.0, 0.0, 1e3],
+                        [1e3, 1e-9, 0.0], [1e-12, 1e-12, 1e-12], [0.0, 1e3, 1e3]]
+    return spectra
+
+
+class TestSpatialZonalSums:
+    def test_is_the_kernel_for_K3_and_a_three_halves_only(self):
+        assert isinstance(shared_sum_table(3, 10), SpatialZonalSums)
+        assert isinstance(shared_sum_table(3, 10, 1.5), SpatialZonalSums)
+        assert isinstance(shared_sum_table(3, 4, 2.5), ZonalSumTable)
+        kernel = shared_sum_table(3, 10)
+        assert (kernel.K, kernel.a, kernel.tmax) == (3, 1.5, 10)
+
+    def test_matches_the_table_to_degree_40(self):
+        spectra = spatial_spectra()
+        kernel = SpatialZonalSums(40)
+        log_s, log_ds = kernel.logsums_and_partials(spectra)
+        ref_s, ref_ds = ZonalSumTable(3, 40).logsums_and_partials(spectra)
+        assert np.array_equal(log_s, kernel.logsums(spectra))
+        for got, ref in ((log_s, ref_s), (log_ds, ref_ds)):
+            assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+            assert np.all(np.isfinite(got[~np.isneginf(got)]))
+            finite = np.isfinite(ref)
+            err = np.abs(got[finite] - ref[finite])
+            assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(ref[finite])))
+        # the scalar series asks for one new degree at a time
+        last = kernel._logsums(spectra, 40)[:, 0]
+        finite = np.isfinite(ref_s[:, 40])
+        assert np.array_equal(np.isneginf(last), ~finite)
+        assert np.all(np.abs(last[finite] - ref_s[finite, 40])
+                      <= 1e-12 * np.maximum(1.0, np.abs(ref_s[finite, 40])))
+
+    def test_finite_and_consistent_to_the_maximum_degree(self):
+        spectra = spatial_spectra()[::10]
+        top = zonal._SPATIAL_MAX_DEGREE
+        log_s, log_ds = SpatialZonalSums(top).logsums_and_partials(spectra)
+        empty = ~np.any(spectra > 0, axis=1)
+        assert np.all(np.isfinite(log_s[~empty])) and np.all(np.isfinite(log_ds[~empty, 1:]))
+        # more nodes and another tilt leave the low degrees unchanged
+        low_s, low_ds = SpatialZonalSums(40).logsums_and_partials(spectra)
+        for got, ref in ((log_s[:, :41], low_s), (log_ds[:, :41], low_ds)):
+            assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+            finite = np.isfinite(ref)
+            assert np.all(np.abs(got[finite] - ref[finite])
+                          <= 1e-12 * np.maximum(1.0, np.abs(ref[finite])))
+
+    def test_matches_zonal_poly_sums(self):
+        spectra = spatial_spectra()[::8]
+        log_s = SpatialZonalSums(8).logsums(spectra)
+        for i, s in enumerate(spectra):
+            for t in range(9):
+                direct = sum(zonal_poly(k, s) / gen_pochhammer(1.5, k)
+                             for k in enumerate_partitions(t, 3))
+                assert math.exp(log_s[i, t]) == pytest.approx(direct, rel=1e-10, abs=0.0)
+
+    def test_memory_is_bounded_and_chunking_is_exact(self, monkeypatch):
+        kernel = SpatialZonalSums(60)
+        spectra = np.abs(np.random.default_rng(5).normal(size=(5000, 3))) * 3
+        spectra[:50, 2] = 0.0
+        tracemalloc.start()
+        try:
+            chunked = kernel.logsums(spectra)
+            chunked_ds = kernel.logsums_and_partials(spectra)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        # one chunk of the first 300 rows, where the default takes three
+        monkeypatch.setattr(zonal, "_LOGSUMS_CHUNK_BYTES", 2 ** 40)
+        assert np.array_equal(chunked[:300], kernel.logsums(spectra[:300]))
+        assert np.array_equal(chunked_ds[:300], kernel.logsums_and_partials(spectra[:300])[1])
+
+    def test_input_validation(self):
+        with pytest.raises(DomainError):
+            SpatialZonalSums(-1)
+        with pytest.raises(DomainError):
+            SpatialZonalSums(zonal._SPATIAL_MAX_DEGREE + 1)
+        kernel = SpatialZonalSums(3)
+        with pytest.raises(DomainError):
+            kernel.logsums(np.array([[1.0, -0.5, 2.0]]))
+        with pytest.raises(DomainError):
+            kernel.logsums_and_partials(np.ones((3, 2)))
+
+    def test_spatial_routes_build_no_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a K=3 route built a monomial table")
+        monkeypatch.setattr(ZonalSumTable, "__init__", refuse)
+        monkeypatch.setattr(zonal, "_zonal_table", refuse)
+        monkeypatch.setattr(zonal, "_sum_tables", {})   # no table built earlier
+        rng = np.random.default_rng(13)
+        mu = rng.normal(size=(3, 3))
+        model = gaussian_model(0.8 * np.eye(3), np.eye(3), mu)
+        U = np.array([svd_shape(mu + rng.normal(size=(3, 3))).u for _ in range(4)])
+        assert np.all(np.isfinite(batch_shape_logdensity(U, model)))
+        assert math.isfinite(shape_logdensity(U[0], model).log_density)
+        sample = SampleOfShapes("g", tuple(
+            (f"s{i}", svd_shape(mu + rng.normal(size=(3, 3)))) for i in range(6)))
         fit = fit_location(sample, IsotropicKind.GAUSSIAN, 1.0, OptimizerConfig(seed=0))
         assert math.isfinite(fit.loglik)
 
