@@ -49,6 +49,10 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ParseError(f"seed must be a non-negative integer, got {self.seed}")
+
     @property
     def ctrl(self) -> SeriesControl:
         return SeriesControl(max_degree=self.max_degree, rel_tol=self.rel_tol)

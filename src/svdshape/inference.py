@@ -5,10 +5,10 @@ The worked inference protocol is isotropic: Sigma = sigma^2 I, Theta = I,
 sigma^2 fixed in advance. The isotropic shape likelihood depends on
 (mu, sigma^2) only through mu / sigma: loglik(c mu, c^2 sigma^2) =
 loglik(mu, sigma^2) for every c > 0, so sigma^2 is not identified from shapes
-alone, and the free-sigma^2 fit only moves along that ridge. The likelihood
-depends on mu only through mu' W_i W_i' mu and tr mu' mu, so mu is identified
-up to a right O(K) factor; fits are reported with a fixed sign
-canonicalization and the orbit is documented rather than resolved.
+alone and is fixed by the protocol. The likelihood depends on mu only through
+mu' W_i W_i' mu and tr mu' mu, so mu is identified up to a right O(K) factor;
+fits are reported with a fixed sign canonicalization and the orbit is
+documented rather than resolved.
 """
 
 from __future__ import annotations
@@ -69,17 +69,16 @@ class SampleOfShapes:
 
 # a start stops once no component of the log-likelihood gradient exceeds this
 _GTOL = 1e-6
+# cap on the value-and-gradient evaluations (and iterations) of one start
+_MAX_EVALUATIONS = 50000
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start L-BFGS settings for :func:`fit_location`;
-    ``max_evaluations`` caps the value-and-gradient evaluations of one start.
-    """
+    """Multi-start L-BFGS settings for :func:`fit_location`."""
 
     n_starts: int = 4
     seed: int = 0
-    max_evaluations: int = 50000
 
     def __post_init__(self):
         if self.n_starts < 1:
@@ -240,8 +239,7 @@ def _canonical_sign(mu: np.ndarray) -> np.ndarray:
 
 def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
                  sigma2_fixed: float, opt: OptimizerConfig | None = None,
-                 ctrl: SeriesControl | None = None,
-                 free_sigma2: bool = False) -> FitResult:
+                 ctrl: SeriesControl | None = None) -> FitResult:
     """Maximum-likelihood location fit with sigma^2 fixed by protocol.
 
     Multi-start L-BFGS on the exact log-likelihood gradient
@@ -250,11 +248,9 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
     mean_i(r_i W_i) (an unbiased location estimate up to the rotation orbit),
     the rest are seeded perturbations. ``evaluations`` counts the
     value-and-gradient evaluations over all starts, and ``converged`` is the
-    best start's status. ``free_sigma2`` adds log sigma^2 as one more
-    coordinate. The likelihood depends on (mu, sigma^2) only through
-    mu / sigma, so that coordinate is not identified: its derivative is
-    -1/2 <mu, grad_mu>, the fit ends wherever the ridge is first reached,
-    and the reported sigma^2 says nothing beyond mu_hat / sigma.
+    best start's status. The fit has (N-1)K parameters: the likelihood
+    depends on (mu, sigma^2) only through mu / sigma, so shapes alone do not
+    identify sigma^2.
     """
     opt = opt or OptimizerConfig()
     like = IsotropicLikelihood(sample, kind, sigma2_fixed, ctrl)
@@ -268,43 +264,27 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
     for _ in range(opt.n_starts - 1):
         starts.append(seed0.reshape(-1) + rng.normal(scale=scale, size=n_loc))
 
-    if free_sigma2:
-        # loglik(c mu, c^2 sigma2) = loglik(mu, sigma2), so the objective at
-        # (mu, log sigma2) is the fixed likelihood at mu sigma_fixed / sigma
-        log_s2_fixed = math.log(sigma2_fixed)
-
-        def objective(theta):
-            c = math.exp(-0.5 * (theta[n_loc] - log_s2_fixed))
-            value, grad = like.loglik_and_grad(c * theta[:n_loc])
-            grad_mu = c * grad.reshape(-1)
-            return -value, -np.append(grad_mu, -0.5 * (theta[:n_loc] @ grad_mu))
-        starts = [np.append(s, log_s2_fixed) for s in starts]
-    else:
-        def objective(theta):
-            value, grad = like.loglik_and_grad(theta)
-            return -value, -grad.reshape(-1)
+    def objective(theta):
+        value, grad = like.loglik_and_grad(theta)
+        return -value, -grad.reshape(-1)
 
     evaluations = 0
     best = None
     for x0 in starts:
         res = optimize.minimize(
             objective, x0, jac=True, method="L-BFGS-B",
-            options={"gtol": _GTOL, "ftol": 0.0, "maxfun": opt.max_evaluations,
-                     "maxiter": opt.max_evaluations})
+            options={"gtol": _GTOL, "ftol": 0.0, "maxfun": _MAX_EVALUATIONS,
+                     "maxiter": _MAX_EVALUATIONS})
         evaluations += res.nfev
         if best is None or res.fun < best.fun:
             best = res
     assert best is not None
-    mu_hat = best.x[:n_loc].reshape(Nm1, K)
-    if free_sigma2:
-        sigma2, n_params = math.exp(best.x[n_loc]), n_loc + 1
-    else:
-        sigma2, n_params = sigma2_fixed, n_loc
-    like.check_converged(mu_hat * math.sqrt(sigma2_fixed / sigma2))
+    mu_hat = best.x.reshape(Nm1, K)
+    like.check_converged(mu_hat)
     loglik = -float(best.fun)
-    return FitResult(mu_hat=_canonical_sign(mu_hat), sigma2=sigma2,
-                     loglik=loglik, n_params=n_params,
-                     bic_star=bic_star(loglik, n_params, sample.size),
+    return FitResult(mu_hat=_canonical_sign(mu_hat), sigma2=sigma2_fixed,
+                     loglik=loglik, n_params=n_loc,
+                     bic_star=bic_star(loglik, n_loc, sample.size),
                      converged=bool(best.success), evaluations=evaluations)
 
 

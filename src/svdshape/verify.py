@@ -59,10 +59,13 @@ def sample_landmarks(model: ModelSpec, count: int, seed: int) -> list[LandmarkSe
     return out
 
 
+# angle-box draws per batch_shape_logdensity call in the Monte Carlo oracles
+_MC_CHUNK = 20000
+
+
 def mc_normalization(model: ModelSpec, mode: Mode = Mode.REFLECTION,
                      ctrl: SeriesControl | None = None,
-                     mc_samples: int = 50000, seed: int = 0,
-                     chunk: int = 20000) -> tuple[float, float]:
+                     mc_samples: int = 50000, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo mass of the shape density over the angle box.
 
     Draws u uniformly on [0, pi]^(m-1) x [0, 2 pi] and averages
@@ -78,7 +81,7 @@ def mc_normalization(model: ModelSpec, mode: Mode = Mode.REFLECTION,
     total_sq = 0.0
     done = 0
     while done < mc_samples:
-        b = min(chunk, mc_samples - done)
+        b = min(_MC_CHUNK, mc_samples - done)
         U = np.empty((b, m))
         U[:, :-1] = rng.uniform(0.0, math.pi, size=(b, m - 1))
         U[:, -1] = rng.uniform(0.0, 2.0 * math.pi, size=b)
@@ -198,8 +201,7 @@ def simulation_vs_density(model: ModelSpec, mode: Mode = Mode.REFLECTION,
 
 def _mc_bin_masses(model: ModelSpec, mode: Mode, ctrl: SeriesControl | None,
                    edges_list: list[np.ndarray], samples: int,
-                   seed: int,
-                   chunk: int = 20000) -> tuple[list[np.ndarray], list[np.ndarray]]:
+                   seed: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Expected marginal bin masses of the analytic density, by box MC.
 
     One shared importance sample serves every marginal. Returns the bin
@@ -213,7 +215,7 @@ def _mc_bin_masses(model: ModelSpec, mode: Mode, ctrl: SeriesControl | None,
     sums_sq = [np.zeros(len(edges) - 1) for edges in edges_list]
     done = 0
     while done < samples:
-        b = min(chunk, samples - done)
+        b = min(_MC_CHUNK, samples - done)
         U = np.empty((b, m))
         U[:, :-1] = rng.uniform(0.0, math.pi, size=(b, m - 1))
         U[:, -1] = rng.uniform(0.0, 2.0 * math.pi, size=b)

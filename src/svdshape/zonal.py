@@ -6,24 +6,23 @@ through its spectrum, so orthogonal invariance is structural.
 
 Every series here is sum_t c_t S_t(X) / t! with a coefficient c_t of the
 degree alone and S_t(X) = sum_{|kappa|=t} C_kappa(X) / (a)_kappa. Every
-route gets its log S_t kernel from :func:`shared_sum_table`. For planar
-landmarks (K = 2, a = 1) that is :class:`PlanarZonalSums`, the exact O(2)
-moment in closed form; for 3-D landmarks (K = 3, a = 3/2) it is
+route gets its log S_t kernel from :func:`shared_sum_table`, a plain value
+with ``logsums`` and ``logsums_and_partials`` over the degrees 0..tmax. For
+planar landmarks (K = 2, a = 1) that is :class:`PlanarZonalSums`, the exact
+O(2) moment in closed form; for 3-D landmarks (K = 3, a = 3/2) it is
 :class:`SpatialZonalSums`, the exact O(3) moment by Gauss-Legendre quadrature
 over one Euler angle. Neither builds anything. Only the other (K, a) (K = 1,
-K >= 4, a != K/2) reach :class:`ZonalSumTable`: one per (K, a), grown by
-degree blocks on demand, with each route reading a fixed view through the
-degree it sums. The table's monomial coefficients come from the classical
-recursion for C_kappa in the monomial basis (the alpha = 2 Jack family), with
-the leading coefficient fixed by the hook products, memoized per
-(weight, max_parts).
+K >= 4, a != K/2) fall back to :class:`ZonalSumTable`, which concatenates
+memoized read-only degree blocks of the monomial expansion. The blocks'
+monomial coefficients come from the classical recursion for C_kappa in the
+monomial basis (the alpha = 2 Jack family), with the leading coefficient
+fixed by the hook products, memoized per (weight, max_parts).
 :func:`zonal_poly` sums the same coefficients by direct monomial enumeration:
 the tests' independent oracle, as is the table for the K = 2 and K = 3 kernels.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -36,25 +35,26 @@ from .errors import DomainError, SeriesTruncationError
 from .special import LogSign, Partition, enumerate_partitions, gen_pochhammer_log, multivariate_gamma
 
 
+# consecutive degree blocks below the tolerance that end a scalar series
+_TAIL_WINDOW = 3
+
+
 @dataclass(frozen=True)
 class SeriesControl:
     """Truncation policy for every zonal series in the package.
 
-    Convergence is declared once ``tail_window`` consecutive degree blocks
+    Convergence is declared once _TAIL_WINDOW (3) consecutive degree blocks
     each contribute less than ``rel_tol`` times the accumulated magnitude.
     """
 
     max_degree: int = 60
     rel_tol: float = 1e-12
-    tail_window: int = 3
 
     def __post_init__(self):
         if self.max_degree < 1:
             raise DomainError("max_degree must be >= 1")
         if self.rel_tol <= 0:
             raise DomainError("rel_tol must be positive")
-        if self.tail_window < 1:
-            raise DomainError("tail_window must be >= 1")
 
 
 @dataclass
@@ -104,9 +104,8 @@ def _leading_coefficient(kappa: tuple[int, ...]) -> float:
     return math.exp(f * math.log(2.0) + math.lgamma(f + 1) - log_upper) if f else 1.0
 
 
-# guards both caches below; re-entrant because growing a ZonalSumTable
-# fills _table_cache while holding it
-_table_lock = threading.RLock()
+# guards _table_cache
+_table_lock = threading.Lock()
 _table_cache: dict[tuple[int, int], dict[tuple[int, ...], dict[tuple[int, ...], float]]] = {}
 
 
@@ -193,11 +192,11 @@ def zonal_series(coeff, argument_eigenvalues, denominator_a: float,
     """Evaluate sum_t coeff(t) S_t(arg) / t!, S_t = sum_{|kappa|=t} C_kappa(arg) / (a)_kappa.
 
     ``coeff(t)`` returns a :class:`LogSign`. S_t comes from the kernel for
-    (len(arg), a) (see :func:`shared_sum_table`), evaluated one degree block
-    at a time as the sum reaches it, so the domain is the kernel's. The sum
-    stops at the first degree completing ``ctrl.tail_window`` consecutive
-    blocks below ``ctrl.rel_tol`` times the running total;
-    :class:`SeriesTruncationError` if none does within ``ctrl.max_degree``.
+    (len(arg), a) through degree t (see :func:`shared_sum_table`), asked for
+    as the sum first reaches t, so the domain is the kernel's. The sum stops
+    at the first degree completing _TAIL_WINDOW consecutive blocks below
+    ``ctrl.rel_tol`` times the running total; :class:`SeriesTruncationError`
+    if none does within ``ctrl.max_degree``.
     """
     ctrl = ctrl or SeriesControl()
     eigs = np.asarray(argument_eigenvalues, dtype=float).reshape(1, -1)
@@ -208,14 +207,14 @@ def zonal_series(coeff, argument_eigenvalues, denominator_a: float,
     for t in range(ctrl.max_degree + 1):
         c = coeff(t)
         if c.sign != 0.0 and t >= len(log_s):
-            table = shared_sum_table(eigs.shape[1], t, denominator_a)
-            log_s.extend(table._logsums(eigs, len(log_s))[0])
+            kernel = shared_sum_table(eigs.shape[1], t, denominator_a)
+            log_s.extend(kernel.logsums(eigs)[0, len(log_s):])
         logs.append(c.log + log_s[t] - math.lgamma(t + 1) if c.sign != 0.0 else -math.inf)
         signs.append(c.sign)
         total_log, total_sign = map(float, signed_logsumexp(np.array(logs), np.array(signs)))
         quiet = t >= 1 and logs[-1] <= total_log + math.log(ctrl.rel_tol)
         quiet_blocks = quiet_blocks + 1 if quiet else 0
-        if quiet_blocks >= ctrl.tail_window:
+        if quiet_blocks >= _TAIL_WINDOW:
             break
     else:
         raise SeriesTruncationError(
@@ -232,8 +231,8 @@ def hypergeom_0F1(b: float, matrix_eigenvalues, ctrl: SeriesControl | None = Non
 
     Domain as in :func:`zonal_series`: X >= 0 and (b)_kappa > 0. A 2 x 2 X
     with b = 1 and a 3 x 3 X with b = 3/2 build nothing (see
-    :func:`shared_sum_table`); any other (dimension, b) keeps its own shared
-    table.
+    :func:`shared_sum_table`); any other (dimension, b) sums a
+    :class:`ZonalSumTable` made from memoized degree blocks.
     """
     return zonal_series(lambda t: LogSign.one(), matrix_eigenvalues, b, ctrl).value
 
@@ -318,65 +317,29 @@ _LOGSUMS_CHUNK_BYTES = 4 << 20
 
 class ZonalSumTable:
     """The table kernel: log S_t(X) = log sum_{|kappa|=t} C_kappa(X) / (a)_kappa
-    for batches of K-point spectra X, for every (K, a) but K = 2, a = 1
-    (:class:`PlanarZonalSums`) and K = 3, a = 3/2 (:class:`SpatialZonalSums`),
-    for which it is the oracle.
+    for batches of K-point spectra X through degree ``tmax``, for every (K, a)
+    but K = 2, a = 1 (:class:`PlanarZonalSums`) and K = 3, a = 3/2
+    (:class:`SpatialZonalSums`), for which it is the oracle.
 
     Holds, for every degree t <= tmax, the monomial expansion of S_t collapsed
-    to coefficients d_{t,lam} = sum_kappa c_{kappa,lam} / (a)_kappa > 0. Its
-    domain is non-negative spectra and (a)_kappa > 0 for every kappa of at
-    most K parts (else :class:`DomainError`). Growing only appends degree
-    blocks, so a table grown in steps equals one built at once.
+    to coefficients d_{t,lam} = sum_kappa c_{kappa,lam} / (a)_kappa > 0: the
+    concatenated degree blocks of :func:`_monomial_block`, which are memoized,
+    so a second table for the same (K, a) only copies rows. Its domain is
+    non-negative spectra and (a)_kappa > 0 for every kappa of at most K parts
+    (else :class:`DomainError`).
     """
 
     def __init__(self, K: int, tmax: int, denominator_a: float | None = None):
         if K < 1 or tmax < 0:
             raise DomainError("need K >= 1 and tmax >= 0")
         self.K = K
+        self.tmax = tmax
         self.a = K / 2.0 if denominator_a is None else float(denominator_a)
-        self._exps = np.zeros((0, K))                   # (NT, K)
-        self._logd = np.zeros(0)                        # (NT,)
-        self._bounds = [0]                              # degree t: rows [b[t], b[t+1])
-        self._grow(tmax)
-
-    @property
-    def tmax(self) -> int:
-        return len(self._bounds) - 2
-
-    def _grow(self, tmax: int) -> None:
-        """Append the degree blocks up to ``tmax`` (under _table_lock if shared)."""
-        if tmax <= self.tmax:
-            return
-        K, a = self.K, self.a
-        exps: list[tuple[int, ...]] = []
-        logd: list[float] = []
-        bounds = list(self._bounds)
-        for t in range(self.tmax + 1, tmax + 1):
-            lam_coeffs: dict[tuple[int, ...], float] = {}
-            if t == 0:
-                lam_coeffs[(0,) * K] = 1.0
-            else:
-                table = _zonal_table(t, K)
-                for kappa in enumerate_partitions(t, K):
-                    poch = gen_pochhammer_log(a, kappa)
-                    if poch.sign <= 0.0:
-                        raise DomainError(
-                            f"denominator ({a})_{kappa.parts} is not positive")
-                    inv = math.exp(-poch.log)
-                    for lam, c in table[kappa.parts].items():
-                        padded = lam + (0,) * (K - len(lam))
-                        lam_coeffs[padded] = lam_coeffs.get(padded, 0.0) + c * inv
-            for lam, d in sorted(lam_coeffs.items()):
-                if d <= 0.0:
-                    continue
-                for perm in sorted(set(itertools.permutations(lam))):
-                    exps.append(perm)
-                    logd.append(math.log(d))
-            bounds.append(self._bounds[-1] + len(exps))
-        self._exps = np.concatenate(
-            [self._exps, np.asarray(exps, dtype=float).reshape(-1, K)])
-        self._logd = np.concatenate([self._logd, np.asarray(logd, dtype=float)])
-        self._bounds = bounds
+        blocks = [_monomial_block(t, K, self.a) for t in range(tmax + 1)]
+        self._exps = np.concatenate([exps for exps, _ in blocks])      # (NT, K)
+        self._logd = np.concatenate([logd for _, logd in blocks])      # (NT,)
+        # degree t: rows [b[t], b[t+1])
+        self._bounds = [0] + list(itertools.accumulate(len(logd) for _, logd in blocks))
 
     def logsums(self, spectra: np.ndarray) -> np.ndarray:
         """log S_t for each row of ``spectra``; returns (batch, tmax + 1).
@@ -385,15 +348,9 @@ class ZonalSumTable:
         monomials vanish exactly). Rows go in chunks of _LOGSUMS_CHUNK_BYTES
         per temporary, which does not change the values.
         """
-        return self._logsums(spectra, 0)
-
-    def _logsums(self, spectra: np.ndarray, first: int) -> np.ndarray:
-        """:meth:`logsums` for the degrees first..tmax only."""
         loge, empty = self._log_spectra(spectra)
-        bounds = self._bounds[first:]
-        rows = slice(bounds[0], bounds[-1])
-        out = _block_logsumexp(loge, self._exps[rows], self._logd[rows], bounds)
-        out[empty, max(0, 1 - first):] = -np.inf        # S_t(0) = 0, t >= 1
+        out = _block_logsumexp(loge, self._exps, self._logd, self._bounds)
+        out[empty, 1:] = -np.inf                        # S_t(0) = 0, t >= 1
         return out
 
     def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -427,14 +384,46 @@ class ZonalSumTable:
         return loge, ~np.any(spectra > 0, axis=1)
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_block(t: int, K: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Degree t of :class:`ZonalSumTable`: the exponent rows (rows, K) of every
+    monomial lambda^e with |e| = t and d_{t,lam} > 0, and their log d_{t,lam}
+    (rows,); read-only. :class:`DomainError` if some (a)_kappa is not positive.
+    """
+    lam_coeffs: dict[tuple[int, ...], float] = {}
+    if t == 0:
+        lam_coeffs[(0,) * K] = 1.0
+    else:
+        table = _zonal_table(t, K)
+        for kappa in enumerate_partitions(t, K):
+            poch = gen_pochhammer_log(a, kappa)
+            if poch.sign <= 0.0:
+                raise DomainError(f"denominator ({a})_{kappa.parts} is not positive")
+            inv = math.exp(-poch.log)
+            for lam, c in table[kappa.parts].items():
+                padded = lam + (0,) * (K - len(lam))
+                lam_coeffs[padded] = lam_coeffs.get(padded, 0.0) + c * inv
+    exps: list[tuple[int, ...]] = []
+    logd: list[float] = []
+    for lam, d in sorted(lam_coeffs.items()):
+        if d <= 0.0:
+            continue
+        for perm in sorted(set(itertools.permutations(lam))):
+            exps.append(perm)
+            logd.append(math.log(d))
+    exps_arr = np.asarray(exps, dtype=float).reshape(-1, K)
+    logd_arr = np.asarray(logd, dtype=float)
+    exps_arr.flags.writeable = logd_arr.flags.writeable = False
+    return exps_arr, logd_arr
+
+
 def _block_logsumexp(loge: np.ndarray, exps: np.ndarray, logc: np.ndarray,
                      bounds: list[int]) -> np.ndarray:
     """log sum_r exp(logc_r + exps_r . loge) over each row block
-    [bounds[j], bounds[j+1]) of ``exps`` (offset by bounds[0]), for every row
-    of ``loge``; (batch, len(bounds) - 1). A block whose terms are all -inf
-    gives -inf. Chunked by _LOGSUMS_CHUNK_BYTES, which does not change the
-    values."""
-    starts = np.asarray(bounds[:-1], dtype=np.intp) - bounds[0]
+    [bounds[j], bounds[j+1]) of ``exps``, for every row of ``loge``;
+    (batch, len(bounds) - 1). A block whose terms are all -inf gives -inf.
+    Chunked by _LOGSUMS_CHUNK_BYTES, which does not change the values."""
+    starts = np.asarray(bounds[:-1], dtype=np.intp)
     step = max(1, _LOGSUMS_CHUNK_BYTES // (8 * len(logc)))
     out = np.empty((len(loge), len(starts)))
     for lo in range(0, len(loge), step):
@@ -469,11 +458,7 @@ class PlanarZonalSums:
 
     def logsums(self, spectra: np.ndarray) -> np.ndarray:
         """log S_t for each row of ``spectra``; returns (batch, tmax + 1)."""
-        return self._logsums(spectra, 0)
-
-    def _logsums(self, spectra: np.ndarray, first: int) -> np.ndarray:
-        """:meth:`logsums` for the degrees first..tmax only."""
-        return self._terms(spectra, first, partials=False)[0]
+        return self._terms(spectra, partials=False)[0]
 
     def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log S_t, log dS_t/dlambda_k), as :meth:`ZonalSumTable.logsums_and_partials`.
@@ -484,12 +469,12 @@ class PlanarZonalSums:
         through expm1 and log1p with 1 - q = 2 d_small / s, so nothing
         cancels; at a zero root it is the limit n.
         """
-        return self._terms(spectra, 0, partials=True)
+        return self._terms(spectra, partials=True)
 
-    def _terms(self, spectra, first: int, partials: bool):
+    def _terms(self, spectra, partials: bool):
         spectra = _check_spectra(spectra, self.K)
-        t = np.arange(first, self.tmax + 1, dtype=float)
-        log_fact = np.array([math.lgamma(x + 1.0) for x in t])
+        t = np.arange(self.tmax + 1, dtype=float)
+        log_fact = _log_factorials(self.tmax + 1)
         big = np.argmax(spectra, axis=1)                # ties: either root
         rows = np.arange(len(spectra))
         d_big = np.sqrt(spectra[rows, big])[:, None]
@@ -554,11 +539,7 @@ class SpatialZonalSums:
         """log S_t for each row of ``spectra``; returns (batch, tmax + 1).
         Rows go in chunks of _LOGSUMS_CHUNK_BYTES per temporary, which does not
         change the values."""
-        return self._logsums(spectra, 0)
-
-    def _logsums(self, spectra: np.ndarray, first: int) -> np.ndarray:
-        """:meth:`logsums` for the degrees first..tmax only."""
-        return self._terms(_check_spectra(spectra, self.K), first, partial=False)
+        return self._terms(_check_spectra(spectra, self.K), partial=False)
 
     def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log S_t, log dS_t/dlambda_k), as :meth:`ZonalSumTable.logsums_and_partials`.
@@ -570,11 +551,11 @@ class SpatialZonalSums:
         """
         spectra = _check_spectra(spectra, self.K)
         swapped = np.concatenate([spectra[:, [2, 1, 0]], spectra[:, [0, 2, 1]], spectra])
-        log_ds = self._terms(swapped, 0, partial=True).reshape(3, len(spectra), -1)
-        return self._logsums(spectra, 0), np.moveaxis(log_ds, 0, -1)
+        log_ds = self._terms(swapped, partial=True).reshape(3, len(spectra), -1)
+        return self._terms(spectra, partial=False), np.moveaxis(log_ds, 0, -1)
 
-    def _terms(self, spectra: np.ndarray, first: int, partial: bool) -> np.ndarray:
-        """log S_t, or log dS_t/dlambda_3 if ``partial``, for t = first..tmax.
+    def _terms(self, spectra: np.ndarray, partial: bool) -> np.ndarray:
+        """log S_t, or log dS_t/dlambda_3 if ``partial``, for t = 0..tmax.
 
         Degree t sums the integrand's terms of sequence degree u = t - partial
         (the power of lambda). Each row is scaled by the largest of A^2/4,
@@ -582,24 +563,23 @@ class SpatialZonalSums:
         tilt^u, so that the terms stay in float64's range through
         _SPATIAL_MAX_DEGREE."""
         tmax = self.tmax
-        out = np.full((len(spectra), tmax + 1 - first), -np.inf)
+        out = np.full((len(spectra), tmax + 1), -np.inf)
         length = tmax + 1 - partial                     # sequence degrees 0..length-1
         if length == 0:                                 # dS_0 = 0
             return out
         c, w = _gauss_legendre(tmax + 1)
         tilt = max(1.0, tmax * tmax / 9.0)
         u = np.arange(length)
+        log_fact = _log_factorials(2 * tmax + 1)
         if partial:                                     # k lambda_3^(k-1) c^(2k)/(2k)!, k = u+1
-            log_coef = np.array([math.log(k + 1.0) - math.lgamma(2.0 * k + 3.0) for k in u])
+            log_coef = np.log(u + 1.0) - log_fact[2 * u + 2]
             weights = w * c * c
         else:
-            log_coef = np.array([-math.lgamma(2.0 * k + 1.0) for k in u])
+            log_coef = -log_fact[2 * u]
             weights = w
         coef = np.exp(log_coef + u * math.log(tilt))[:, None, None] * weights  # (length, 1, nodes)
-        first_u = max(first - partial, 0)
-        t = np.arange(first_u, length) + partial
-        log_const = (t * math.log(4.0) + np.array([math.lgamma(x + 1.0) for x in t])
-                     - math.log(2.0))
+        t = u + partial
+        log_const = t * math.log(4.0) + log_fact[t] - math.log(2.0)
         step = max(1, _LOGSUMS_CHUNK_BYTES // (8 * len(c) * length))
         for lo in range(0, len(spectra), step):
             lam = spectra[lo:lo + step]
@@ -614,20 +594,31 @@ class SpatialZonalSums:
             singles *= coef
             # cross[k, j] sums singles_k pairs_j over the nodes; sequence
             # degree u is its antidiagonal k + j = u
-            cross = np.moveaxis(singles, 0, 1) @ np.moveaxis(pairs, 0, -1)
-            flipped = cross[..., ::-1]
-            sums = np.stack([np.trace(flipped, length - 1 - v, axis1=1, axis2=2)
-                             for v in range(first_u, length)], axis=-1)
+            cross = singles.transpose(1, 0, 2) @ pairs.transpose(1, 2, 0)
+            sums = _antidiagonal_sums(cross)
             with np.errstate(divide="ignore"):
-                out[lo:lo + step, t - first] = (np.log(sums) + log_const
-                                                + (t - partial) * np.log(scale / tilt))
+                out[lo:lo + step, t] = np.log(sums) + log_const + u * np.log(scale / tilt)
         # S_0 = 1 and dS_1 = 1/a (S_1 = tr(lambda)/a) exactly, free of the
         # rounding in the sums of the weights
         if partial:
             out[:, 1] = -math.log(self.a)
-        elif first == 0:
+        else:
             out[:, 0] = 0.0
         return out
+
+
+def _antidiagonal_sums(cross: np.ndarray) -> np.ndarray:
+    """sum_{k+j=u} cross[:, k, j] for u < L, of an (n, L, L) array; (n, L).
+
+    One gather puts the entries k <= u of antidiagonal u (flat index
+    k L + u - k) in a run of u + 1, and one segmented sum adds each run; the
+    entries with k + j >= L are never read.
+    """
+    n, L = cross.shape[:2]
+    u, k = np.tril_indices(L)                       # u ascending, then k
+    runs = np.take(cross.reshape(n, L * L), u + k * (L - 1), axis=1)
+    first = np.arange(L)
+    return np.add.reduceat(runs, first * (first + 1) // 2, axis=1)
 
 
 def _pair_sums(alpha: np.ndarray, beta: np.ndarray, length: int, tilt: float) -> np.ndarray:
@@ -675,6 +666,14 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=64)
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k < n; read-only."""
+    out = np.array([math.lgamma(k + 1.0) for k in range(n)])
+    out.flags.writeable = False
+    return out
+
+
 def _check_spectra(spectra, K: int) -> np.ndarray:
     """``spectra`` as a (batch, K) float array; DomainError if it is not one
     or has a negative entry."""
@@ -686,34 +685,21 @@ def _check_spectra(spectra, K: int) -> np.ndarray:
     return spectra
 
 
-_sum_tables: dict[tuple[int, float], ZonalSumTable] = {}
-
-
 def shared_sum_table(K: int, tmax: int, denominator_a: float | None = None
                      ) -> ZonalSumTable | PlanarZonalSums | SpatialZonalSums:
-    """The kernel for (K, a = K/2 by default) through exactly degree ``tmax``.
+    """A new kernel for (K, a = K/2 by default) through exactly degree ``tmax``.
 
     For K = 2, a = 1 this is :class:`PlanarZonalSums` and for K = 3, a = 3/2
-    :class:`SpatialZonalSums`; neither builds anything. Otherwise the process
-    keeps one :class:`ZonalSumTable` per (K, a) asked for, grows it to ``tmax``
-    on first need and never rebuilds or frees it; the table returned shares
-    its rows and does not change when the shared one grows.
+    :class:`SpatialZonalSums`; neither builds anything. Any other (K, a) gets
+    a :class:`ZonalSumTable`, whose degree blocks are memoized, so only the
+    first kernel to reach a degree pays for its block.
     """
     a = K / 2.0 if denominator_a is None else float(denominator_a)
     if (K, a) == (2, 1.0):
         return PlanarZonalSums(tmax)
     if (K, a) == (3, 1.5):
         return SpatialZonalSums(tmax)
-    with _table_lock:
-        table = _sum_tables.get((K, a))
-        if table is None:
-            table = _sum_tables[(K, a)] = ZonalSumTable(K, tmax, a)
-        table._grow(tmax)
-        view = copy.copy(table)
-    view._bounds = view._bounds[:tmax + 2]
-    view._exps = view._exps[:view._bounds[-1]]
-    view._logd = view._logd[:view._bounds[-1]]
-    return view
+    return ZonalSumTable(K, tmax, a)
 
 
 def signed_logsumexp(logs: np.ndarray, signs: np.ndarray, axis: int = -1):
@@ -730,8 +716,12 @@ def signed_logsumexp(logs: np.ndarray, signs: np.ndarray, axis: int = -1):
     return log, sign
 
 
-def stiefel_mc_integral(integrand, n: int, K: int, samples: int, seed: int,
-                        chunk: int = 65536) -> tuple[float, float]:
+# frames drawn per batch by stiefel_mc_integral
+_STIEFEL_MC_CHUNK = 65536
+
+
+def stiefel_mc_integral(integrand, n: int, K: int, samples: int,
+                        seed: int) -> tuple[float, float]:
     """Monte Carlo integral of ``integrand`` over Haar-uniform n x K frames,
     scaled by the frame-manifold volume.
 
@@ -749,7 +739,7 @@ def stiefel_mc_integral(integrand, n: int, K: int, samples: int, seed: int,
     total_sq = 0.0
     done = 0
     while done < samples:
-        b = min(chunk, samples - done)
+        b = min(_STIEFEL_MC_CHUNK, samples - done)
         g = rng.standard_normal((b, n, K))
         u, _, vt = np.linalg.svd(g, full_matrices=False)
         frames = u @ vt

@@ -11,8 +11,7 @@ from svdshape.inference import (_GTOL, EvidenceGrade, IsotropicLikelihood,
                                 OptimizerConfig, SampleOfShapes, bic_star,
                                 evidence_grade, fit_location, log_likelihood,
                                 lr_test_equal_means)
-from svdshape import zonal
-from svdshape.zonal import SeriesControl, shared_sum_table
+from svdshape.zonal import SeriesControl
 
 CTRL = SeriesControl(max_degree=60)
 SIGMA2 = 50.0
@@ -91,18 +90,6 @@ class TestLogLikelihood:
                 for _, sc in sample.items)
             assert fast == pytest.approx(slow, abs=1e-9)
 
-
-    def test_loglik_unchanged_when_the_shared_table_grows(self):
-        # K=1: the K=2 and K=3 kernels have no table to grow
-        mu = np.random.default_rng(13).normal(size=(4, 1)) * 1.5
-        sample = make_sample("k1", mu, 4.0, 8, seed=3)
-        lik = IsotropicLikelihood(sample, IsotropicKind.KOTZ_T3, 4.0,
-                                  SeriesControl(max_degree=30))
-        before = lik.loglik(mu)
-        K = lik.K
-        shared_sum_table(K, zonal._sum_tables[(K, K / 2.0)].tmax + 5)
-        assert lik.loglik(mu) == before
-
     def test_check_converged_reads_the_degree_sum_tail(self, sample, mu_star):
         # at degree 5 the series has converged near the origin but not at
         # mu_star; at degree 60 it has at mu_star but not three times further out
@@ -175,16 +162,6 @@ class TestGradient:
         assert value == lik.loglik(mu_star)
         fd = central_gradient(lik.loglik, mu_star)
         assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
-
-    def test_free_sigma2_coordinate(self, sample, mu_star):
-        # d loglik / d log sigma2 = -1/2 <mu, grad_mu>: the fit's extra coordinate
-        kind = IsotropicKind.KOTZ_T2
-        _, grad = IsotropicLikelihood(sample, kind, SIGMA2, CTRL).loglik_and_grad(mu_star)
-        h = 1e-5
-        ll = [log_likelihood(sample, mu_star, SIGMA2 * math.exp(s), kind, CTRL)
-              for s in (h, -h)]
-        assert (ll[0] - ll[1]) / (2 * h) == pytest.approx(
-            -0.5 * float(np.sum(mu_star * grad)), rel=1e-7)
 
     @pytest.mark.parametrize("kind", list(IsotropicKind))
     def test_scale_invariance_of_the_likelihood(self, sample, mu_star, kind):
@@ -281,14 +258,6 @@ class TestFitLocation:
         flat = fit.mu_hat.reshape(-1)
         assert flat[np.nonzero(flat)[0][0]] > 0
 
-    def test_free_sigma2_extension(self, mu_star):
-        small = make_sample("s", mu_star, SIGMA2, 40, seed=9)
-        opt = OptimizerConfig(n_starts=1, seed=0)
-        fit = fit_location(small, IsotropicKind.GAUSSIAN, SIGMA2, opt, CTRL,
-                           free_sigma2=True)
-        assert fit.n_params == 11
-        assert fit.sigma2 > 0
-
     def test_stops_at_a_stationary_point(self, sample):
         opt = OptimizerConfig(n_starts=2, seed=0)
         fit = fit_location(sample, IsotropicKind.KOTZ_T3, SIGMA2, opt, CTRL)
@@ -297,17 +266,6 @@ class TestFitLocation:
         assert fit.converged and value == fit.loglik
         assert np.max(np.abs(grad)) <= _GTOL
         assert fit.evaluations < 300
-
-    def test_free_sigma2_reaches_the_fixed_maximum(self, sample):
-        # sigma2 is not identified: every (mu, sigma2) has a twin at the
-        # protocol sigma2, so both fits share one maximum
-        opt = OptimizerConfig(n_starts=1, seed=0)
-        fixed = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, opt, CTRL)
-        free = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, opt, CTRL,
-                            free_sigma2=True)
-        assert free.loglik == pytest.approx(fixed.loglik, abs=1e-8)
-        assert free.loglik == pytest.approx(log_likelihood(
-            sample, free.mu_hat, free.sigma2, IsotropicKind.GAUSSIAN, CTRL), abs=1e-9)
 
 
 class TestLrTest:

@@ -282,6 +282,20 @@ class TestCli:
         assert res.exit_code == 2
         assert "parse error" in res.stderr
 
+    def test_negative_seed_flag_is_a_parse_error(self, landmark_file):
+        for args in (("fit", landmark_file), ("compare", landmark_file),
+                     ("test", landmark_file, landmark_file), ("verify",)):
+            res = run_cli(*args, "--seed", "-1")
+            assert res.exit_code == 2, args
+            assert "parse error" in res.stderr and "seed" in res.stderr
+
+    def test_negative_seed_config_key_is_a_parse_error(self, landmark_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -3\n")
+        res = run_cli("fit", landmark_file, "--config", str(cfg))
+        assert res.exit_code == 2
+        assert "parse error" in res.stderr and "seed" in res.stderr
+
     def test_fit_deterministic(self, landmark_file):
         args = ("fit", landmark_file, "--sigma2", "0.5", "--max-degree", "40")
         a = json.loads(run_cli(*args).stdout)

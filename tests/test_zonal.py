@@ -111,8 +111,7 @@ class TestZonalSeries:
         for deg in (20, 30, 40):
             with pytest.raises(SeriesTruncationError) as err:
                 zonal_series(lambda t: LogSign.one(), eigs, 1.0,
-                             SeriesControl(max_degree=deg, rel_tol=1e-300,
-                                           tail_window=deg))
+                             SeriesControl(max_degree=deg, rel_tol=1e-300))
             tails.append(err.value.tail_estimate)
         assert tails[0] > tails[1] > tails[2]
 
@@ -170,31 +169,26 @@ class TestZonalSumTable:
                         for k in enumerate_partitions(t, K))
                     assert math.exp(ls[i, t]) == pytest.approx(direct, rel=1e-10)
 
-    def test_grown_in_steps_equals_built_at_once(self):
-        for K in (2, 3):
-            grown = ZonalSumTable(K, 10)
-            grown._grow(30)
-            once = ZonalSumTable(K, 30)
-            assert grown.tmax == once.tmax == 30
-            assert grown._bounds == once._bounds
-            assert np.array_equal(grown._exps, once._exps)
-            assert np.array_equal(grown._logd, once._logd)
-            spectra = np.abs(np.random.default_rng(K).normal(size=(5, K)))
-            assert np.array_equal(grown.logsums(spectra), once.logsums(spectra))
-
-    def test_shared_table_serves_fixed_views_of_one_table(self):
+    def test_kernels_are_stateless_values(self, monkeypatch):
+        # two kernels of one (K, a) agree on their common degrees
         low = shared_sum_table(2, 4, 7.5)
         high = shared_sum_table(2, 9, 7.5)
-        assert (low.tmax, high.tmax, zonal._sum_tables[(2, 7.5)].tmax) == (4, 9, 9)
-        rows = low._bounds[-1]
-        assert np.array_equal(low._exps, high._exps[:rows])
-        assert np.array_equal(low._logd, high._logd[:rows])
-        spectra = np.array([[0.3, 1.2], [2.0, 0.0]])
-        before = high.logsums(spectra)
-        assert np.array_equal(low.logsums(spectra), before[:, :5])
-        shared_sum_table(2, 12, 7.5)
-        assert (low.tmax, high.tmax, zonal._sum_tables[(2, 7.5)].tmax) == (4, 9, 12)
-        assert np.array_equal(high.logsums(spectra), before)
+        assert (low.tmax, high.tmax) == (4, 9)
+        assert shared_sum_table(2, 4, 7.5) is not low
+        spectra = np.array([[0.3, 1.2], [2.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(low.logsums(spectra), high.logsums(spectra)[:, :5])
+        # a second table reads the memoized degree blocks and builds nothing
+        spectra = np.abs(np.random.default_rng(8).normal(size=(6, 3)))
+        first = ZonalSumTable(3, 20)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a memoized degree block was rebuilt")
+        monkeypatch.setattr(zonal, "_zonal_table", refuse)
+        second = ZonalSumTable(3, 20)
+        assert np.array_equal(first.logsums(spectra), second.logsums(spectra))
+        for got, want in zip(second.logsums_and_partials(spectra),
+                             first.logsums_and_partials(spectra)):
+            assert np.array_equal(got, want)
 
     def test_logsums_memory_is_bounded_and_chunking_is_exact(self, monkeypatch):
         tab = ZonalSumTable(2, 60)
@@ -311,7 +305,6 @@ class TestPlanarZonalSums:
             raise AssertionError("a K=2 route built a monomial table")
         monkeypatch.setattr(ZonalSumTable, "__init__", refuse)
         monkeypatch.setattr(zonal, "_zonal_table", refuse)
-        monkeypatch.setattr(zonal, "_sum_tables", {})   # no table built earlier
         rng = np.random.default_rng(12)
         mu = rng.normal(size=(3, 2))
         model = gaussian_model(0.8 * np.eye(3), np.eye(2), mu)
@@ -364,12 +357,6 @@ class TestSpatialZonalSums:
             finite = np.isfinite(ref)
             err = np.abs(got[finite] - ref[finite])
             assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(ref[finite])))
-        # the scalar series asks for one new degree at a time
-        last = kernel._logsums(spectra, 40)[:, 0]
-        finite = np.isfinite(ref_s[:, 40])
-        assert np.array_equal(np.isneginf(last), ~finite)
-        assert np.all(np.abs(last[finite] - ref_s[finite, 40])
-                      <= 1e-12 * np.maximum(1.0, np.abs(ref_s[finite, 40])))
 
     def test_finite_and_consistent_to_the_maximum_degree(self):
         spectra = spatial_spectra()[::10]
@@ -427,7 +414,6 @@ class TestSpatialZonalSums:
             raise AssertionError("a K=3 route built a monomial table")
         monkeypatch.setattr(ZonalSumTable, "__init__", refuse)
         monkeypatch.setattr(zonal, "_zonal_table", refuse)
-        monkeypatch.setattr(zonal, "_sum_tables", {})   # no table built earlier
         rng = np.random.default_rng(13)
         mu = rng.normal(size=(3, 3))
         model = gaussian_model(0.8 * np.eye(3), np.eye(3), mu)
