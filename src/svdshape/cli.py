@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from .densities import IsotropicKind, shape_logdensity
+from .densities import IsotropicKind, shape_logdensities
 from .errors import DomainError, NumericError, ParseError, SeriesTruncationError
 from .geometry import Mode, preprocess, svd_shape
 from .inference import (OptimizerConfig, SampleOfShapes, evidence_grade,
@@ -247,14 +247,15 @@ def cmd_density(input_file, config_path, **flags):
         theta = _read_theta(config)
         sample = _load_sample(input_file, config, "input", theta)
         model = _build_model(config, sample.Nm1, sample.K, theta)
-        records = []
-        for sid, sc in sample.items:
-            dv = shape_logdensity(sc.u, model, config.mode, config.ctrl)
-            records.append({
-                "id": sid, "log_density": dv.log_density,
-                "series_degrees_used": dv.degrees_used,
-                "tail_bound": dv.tail_bound,
-            })
+        try:
+            logs, used, tails = shape_logdensities(
+                np.array([sc.u for _, sc in sample.items]), model, config.mode, config.ctrl)
+        except SeriesTruncationError as exc:
+            raise type(exc)(f"specimen {sample.items[exc.row][0]!r}: {exc}") from None
+        records = [{"id": sid, "log_density": log, "series_degrees_used": degrees,
+                    "tail_bound": tail}
+                   for (sid, _), log, degrees, tail
+                   in zip(sample.items, logs.tolist(), used.tolist(), tails.tolist())]
         _emit(config, {"command": "density", "model": config.model,
                        "specimens": records})
         _table([f"{r['id']:>16}  log f = {r['log_density']:.10g}" for r in records])
@@ -367,7 +368,7 @@ def cmd_verify(config_path, mc_samples, sim_count, n_landmarks, k_dim, **flags):
                                     mc_samples, config.seed)
         mass_ok = abs(mass - 1.0) < max(3.0 * se, 0.02)
         rep = simulation_vs_density(model, Mode.REFLECTION, config.ctrl,
-                                    max(sim_count, 1000), config.seed)
+                                    sim_count, config.seed)
         _emit(config, {
             "command": "verify",
             "normalization": {"mass": mass, "standard_error": se, "passed": mass_ok},

@@ -23,11 +23,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, SeriesTruncationError
+from .errors import DomainError
 from .geometry import Mode, angles_to_frame, log_polar_jacobian
 from .models import GeneratorKind, ModelSpec, h_derivative_log, h_log_value, radial_integral
 from .special import LogSign
-from .zonal import SeriesControl, shared_sum_table, signed_logsumexp, zonal_series
+from .zonal import SeriesControl, zonal_series, zonal_series_batch
 
 
 class IsotropicKind(Enum):
@@ -56,17 +56,12 @@ def _mode_log_factor(mode: Mode) -> float:
     return -math.log(2.0) if mode is Mode.NO_REFLECTION else 0.0
 
 
-def _noncentrality_eigs(model: ModelSpec, A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of Omega Sigma^{-1} A for symmetric PSD A = W W' or R R'.
-
-    Computed as the spectrum of the K x K symmetric matrix
-    mu' Sigma^{-1} A Sigma^{-1} mu (same nonzero eigenvalues, guaranteed
-    real and non-negative).
-    """
-    mw = model.mu_whitened
-    G = mw.T @ model.sigma_inv @ A @ model.sigma_inv @ mw
-    eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
-    return np.clip(eigs, 0.0, None)
+def _noncentrality_spectra(model: ModelSpec, F: np.ndarray) -> np.ndarray:
+    """Eigenvalues of Omega Sigma^{-1} F F' for each (N-1) x K matrix F of a
+    (batch, N-1, K) array, as the spectra of the K x K G G' with
+    G = mu' Sigma^{-1} F (same nonzero eigenvalues, real and non-negative)."""
+    G = np.einsum("nk,snj->skj", model.sigma_inv @ model.mu_whitened, F)
+    return np.clip(np.linalg.eigvalsh(G @ G.transpose(0, 2, 1)), 0.0, None)
 
 
 def _chart(u: np.ndarray, Nm1: int, K: int, batch: bool = False):
@@ -96,15 +91,10 @@ def size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
     Rmat = np.asarray(Rmat, dtype=float)
     if Rmat.shape != (model.Nm1, model.K):
         raise DomainError(f"Rmat must be (N-1) x K = ({model.Nm1}, {model.K})")
-    A = Rmat @ Rmat.T
-    y0 = float(np.trace(model.sigma_inv @ A)) + model.trace_omega
-    eigs = _noncentrality_eigs(model, A)
-    gen = model.generator
-
-    def coeff(t: int) -> LogSign:
-        return h_derivative_log(gen, 2 * t, y0)
-
-    series = zonal_series(coeff, eigs, model.K / 2.0, ctrl)
+    y0 = float(np.trace(model.sigma_inv @ Rmat @ Rmat.T)) + model.trace_omega
+    eigs = _noncentrality_spectra(model, Rmat[None])[0]
+    series = zonal_series(lambda t: h_derivative_log(model.generator, 2 * t, y0),
+                          eigs, model.K / 2.0, ctrl)
     if series.sign <= 0.0:
         raise DomainError("size-and-shape series summed to a non-positive value")
     log = (-model.K / 2.0 * model.log_det_sigma + series.log
@@ -129,31 +119,46 @@ def central_size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
 def shape_logdensity(u: np.ndarray, model: ModelSpec,
                      mode: Mode = Mode.REFLECTION,
                      ctrl: SeriesControl | None = None) -> DensityValue:
-    """Log shape density at the angle vector u (length M - 1).
+    """Log shape density at the angle vector u (length M - 1): the batch of
+    one of :func:`shape_logdensities`, whose formula and errors it shares."""
+    if np.ndim(u) != 1:
+        raise DomainError(f"expected one vector of m = M - 1 angles, got shape {np.shape(u)}")
+    log, used, tail = shape_logdensities(np.reshape(u, (1, -1)), model, mode, ctrl)
+    return DensityValue(float(log[0]), int(used[0]), float(tail[0]), mode)
+
+
+def shape_logdensities(U: np.ndarray, model: ModelSpec,
+                       mode: Mode = Mode.REFLECTION, ctrl: SeriesControl | None = None
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log shape density at each row of a (batch, M - 1) angle array, with the
+    truncation diagnostics of its series: (log density, degrees used, tail
+    bound), each (batch,).
 
     f(u) = J(u) |Sigma|^{-K/2} sum_t [S_t(Omega Sigma^{-1} W W') / t!]
     int_0^inf r^{M+2t-1} h^{(2t)}(r^2 a + b) dr with
     S_t = sum_{|kappa|=t} C_kappa / (K/2)_kappa, a = tr Sigma^{-1} W W' and
-    b = tr Omega. Works for any supported generator; the radial integrals
-    are exact closed forms.
+    b = tr Omega. The exact scaling int r^{q-1} h^{(2t)}(a r^2 + b) dr
+    = a^{-q/2} int s^{q-1} h^{(2t)}(s^2 + b) ds computes each closed-form
+    radial integral once per degree for the whole batch, and every row's
+    series is summed by one :func:`zonal_series_batch` call, which raises
+    :class:`SeriesTruncationError` with the ``row`` that did not converge.
     """
-    W, log_j = _chart(u, model.Nm1, model.K)
-    A = W @ W.T
-    a = float(np.trace(model.sigma_inv @ A))
-    b = model.trace_omega
-    eigs = _noncentrality_eigs(model, A)
-    gen = model.generator
-    m = model.M - 1
+    K, M = model.K, model.M
+    W, log_j = _chart(U, model.Nm1, K, batch=True)
+    log_a = np.log(np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W))[:, None]
 
-    def coeff(t: int) -> LogSign:
-        return radial_integral(gen, t, a, b, m, 1)
+    def coeff_block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        radial = [radial_integral(model.generator, t, 1.0, model.trace_omega, M - 1, 1)
+                  for t in range(lo, hi)]
+        log_i = np.array([r.log for r in radial]) - (M / 2.0 + np.arange(lo, hi)) * log_a
+        return log_i, np.array([r.sign for r in radial])
 
-    series = zonal_series(coeff, eigs, model.K / 2.0, ctrl)
-    if series.sign <= 0.0:
+    log, sign, used, tail = zonal_series_batch(
+        coeff_block, _noncentrality_spectra(model, W), K / 2.0, ctrl)
+    if np.any(sign <= 0):
         raise DomainError("shape series summed to a non-positive value")
-    log = (log_j - model.K / 2.0 * model.log_det_sigma
-           + series.log + _mode_log_factor(mode))
-    return DensityValue(log, series.degrees_used, series.tail_bound, mode)
+    return (log_j - K / 2.0 * model.log_det_sigma + log + _mode_log_factor(mode),
+            used, tail)
 
 
 def central_shape_logdensity(u: np.ndarray, model: ModelSpec,
@@ -185,11 +190,10 @@ def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
     if model.generator.effective_T != 1:
         raise DomainError("gaussian_shape_logdensity needs a Gaussian-type generator")
     W, log_j = _chart(u, model.Nm1, model.K)
-    A = W @ W.T
-    a = float(np.trace(model.sigma_inv @ A))
+    a = float(np.trace(model.sigma_inv @ W @ W.T))
     b = model.trace_omega
     R = model.generator.R
-    eigs = R * _noncentrality_eigs(model, A)
+    eigs = R * _noncentrality_spectra(model, W[None])[0]
     M = model.M
     log_a = math.log(a)
 
@@ -229,11 +233,7 @@ def isotropic_shape_logdensity(u: np.ndarray, mu: np.ndarray, sigma2: float,
     x = float(np.sum(mu * mu)) / (2.0 * sigma2)
     ctrl = ctrl or SeriesControl()
     log_pref, log_b, sign_b = _isotropic_bracket(kind, M, x, ctrl.max_degree)
-
-    def coeff(t: int) -> LogSign:
-        return LogSign(float(log_b[t]), float(sign_b[t]))
-
-    series = zonal_series(coeff, eigs, K / 2.0, ctrl)
+    series = zonal_series(lambda t: LogSign(log_b[t], sign_b[t]), eigs, K / 2.0, ctrl)
     if series.sign <= 0.0:
         raise DomainError("isotropic shape series summed to a non-positive value")
     log = (log_j - math.log(2.0) - M / 2.0 * math.log(math.pi)
@@ -245,46 +245,9 @@ def batch_shape_logdensity(U: np.ndarray, model: ModelSpec,
                            mode: Mode = Mode.REFLECTION,
                            ctrl: SeriesControl | None = None) -> np.ndarray:
     """Shape log density at many angle vectors at once; returns (batch,).
-
-    Exploits the exact scaling int r^{q-1} h^{(2t)}(a r^2 + b) dr
-    = a^{-q/2} int s^{q-1} h^{(2t)}(s^2 + b) ds, so the radial integrals are
-    computed once per degree and only the zonal spectra and a = tr Sigma^{-1}
-    W W' vary across the batch. Same values as :func:`shape_logdensity`.
-    """
-    ctrl = ctrl or SeriesControl()
-    Nm1, K, M = model.Nm1, model.K, model.M
-    m = M - 1
-    W, log_j = _chart(U, Nm1, K, batch=True)            # (S, N-1, K), (S,)
-    a = np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W)
-    C = model.sigma_inv @ model.mu_whitened             # (N-1, K)
-    G = np.einsum("nk,snj->skj", C, W)                  # (S, K, K) = C' W
-    spectra = np.clip(np.linalg.eigvalsh(G @ G.transpose(0, 2, 1)), 0.0, None)
-    b = model.trace_omega
-    gen = model.generator
-    tmax = ctrl.max_degree
-    log_i = np.empty(tmax + 1)
-    sign_i = np.empty(tmax + 1)
-    for t in range(tmax + 1):
-        ls = radial_integral(gen, t, 1.0, b, m, 1)
-        log_i[t] = ls.log
-        sign_i[t] = ls.sign
-    lgamma_t = np.array([math.lgamma(t + 1) for t in range(tmax + 1)])
-    ts = np.arange(tmax + 1, dtype=float)
-    table = shared_sum_table(K, tmax)
-    log_a = np.log(a)
-    logs = (table.logsums(spectra) + (log_i - lgamma_t)[None, :]
-            - (M / 2.0 + ts)[None, :] * log_a[:, None])
-    series_log, series_sign = signed_logsumexp(
-        logs, np.broadcast_to(sign_i, logs.shape))
-    if np.any(series_sign <= 0):
-        raise DomainError("shape series summed to a non-positive value in batch")
-    tail = np.max(logs[:, -1] - series_log)
-    if b > 0 and tail > math.log(1e-8):
-        raise SeriesTruncationError(
-            f"batch series tail exp({tail:.3g}) too large at degree {tmax}; "
-            "raise max_degree", tail_estimate=tail)
-    return (log_j - K / 2.0 * model.log_det_sigma
-            + series_log + _mode_log_factor(mode))
+    The log densities of :func:`shape_logdensities`, the same values as
+    :func:`shape_logdensity` row by row."""
+    return shape_logdensities(U, model, mode, ctrl)[0]
 
 
 def _isotropic_bracket(kind: IsotropicKind, M: int, x: float, tmax: int):

@@ -16,15 +16,17 @@ class DegenerateConfigurationError(DomainError):
 class SeriesTruncationError(SvdShapeError, ArithmeticError):
     """A zonal series did not converge within the allowed degree budget.
 
-    Carries the partial sum and the magnitude of the last degree block so the
-    caller can diagnose whether raising ``max_degree`` would help.
+    Carries the partial sum and the magnitude of the last term so the caller
+    can diagnose whether raising ``max_degree`` would help, and for a batch
+    of series the index of the unconverged ``row`` they describe.
     """
 
-    def __init__(self, message, partial_log=None, partial_sign=None, tail_estimate=None):
+    def __init__(self, message, partial_log=None, partial_sign=None, tail_estimate=None, row=None):
         super().__init__(message)
         self.partial_log = partial_log
         self.partial_sign = partial_sign
         self.tail_estimate = tail_estimate
+        self.row = row
 
 
 class NumericError(SvdShapeError, ArithmeticError):

@@ -4,21 +4,17 @@ Zonal polynomial values are always computed from eigenvalues, never from
 matrix entries: every argument that appears in the densities enters only
 through its spectrum, so orthogonal invariance is structural.
 
-Every series here is sum_t c_t S_t(X) / t! with a coefficient c_t of the
-degree alone and S_t(X) = sum_{|kappa|=t} C_kappa(X) / (a)_kappa. Every
-route gets its log S_t kernel from :func:`shared_sum_table`, a plain value
-with ``logsums`` and ``logsums_and_partials`` over the degrees 0..tmax. For
-planar landmarks (K = 2, a = 1) that is :class:`PlanarZonalSums`, the exact
-O(2) moment in closed form; for 3-D landmarks (K = 3, a = 3/2) it is
-:class:`SpatialZonalSums`, the exact O(3) moment by Gauss-Legendre quadrature
-over one Euler angle. Neither builds anything. Only the other (K, a) (K = 1,
-K >= 4, a != K/2) fall back to :class:`ZonalSumTable`, which concatenates
-memoized read-only degree blocks of the monomial expansion. The blocks'
-monomial coefficients come from the classical recursion for C_kappa in the
-monomial basis (the alpha = 2 Jack family), with the leading coefficient
-fixed by the hook products, memoized per (weight, max_parts).
-:func:`zonal_poly` sums the same coefficients by direct monomial enumeration:
-the tests' independent oracle, as is the table for the K = 2 and K = 3 kernels.
+Every series here is sum_t c_t S_t(X) / t! with S_t(X) = sum_{|kappa|=t}
+C_kappa(X) / (a)_kappa, and one evaluator, :func:`zonal_series_batch`, sums
+it for a batch of spectra in blocks of degrees under one stop rule. Its log
+S_t kernel comes from :func:`shared_sum_table`: the closed-form
+:class:`PlanarZonalSums` (K = 2, a = 1), the Euler-angle quadrature
+:class:`SpatialZonalSums` (K = 3, a = 3/2), which build nothing, or else
+:class:`ZonalSumTable`, the memoized degree blocks of the monomial
+expansion, whose coefficients come from the classical recursion for C_kappa
+in the monomial basis (the alpha = 2 Jack family). :func:`zonal_poly` sums
+the same coefficients by direct monomial enumeration: the tests' independent
+oracle, as is the table for the K = 2 and K = 3 kernels.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from .errors import DomainError, SeriesTruncationError
 from .special import LogSign, Partition, enumerate_partitions, gen_pochhammer_log, multivariate_gamma
 
 
-# consecutive degree blocks below the tolerance that end a scalar series
+# consecutive terms below the tolerance that end a series
 _TAIL_WINDOW = 3
 
 
@@ -43,8 +39,8 @@ _TAIL_WINDOW = 3
 class SeriesControl:
     """Truncation policy for every zonal series in the package.
 
-    Convergence is declared once _TAIL_WINDOW (3) consecutive degree blocks
-    each contribute less than ``rel_tol`` times the accumulated magnitude.
+    Convergence is declared once _TAIL_WINDOW (3) consecutive terms each
+    contribute less than ``rel_tol`` times the accumulated magnitude.
     """
 
     max_degree: int = 60
@@ -189,51 +185,85 @@ def zonal_poly(kappa: Partition, eigenvalues) -> float:
 
 def zonal_series(coeff, argument_eigenvalues, denominator_a: float,
                  ctrl: SeriesControl | None = None) -> SeriesResult:
-    """Evaluate sum_t coeff(t) S_t(arg) / t!, S_t = sum_{|kappa|=t} C_kappa(arg) / (a)_kappa.
+    """Evaluate sum_t coeff(t) S_t(arg) / t!, S_t = sum_{|kappa|=t} C_kappa(arg) / (a)_kappa,
+    as the batch of one of :func:`zonal_series_batch`, whose stop rule,
+    errors and kernel domain it shares. ``coeff(t)`` returns a
+    :class:`LogSign` and is called once for each degree that a block reaches.
+    """
+    def block(lo: int, hi: int) -> np.ndarray:
+        return np.array([(c.log, c.sign) for c in map(coeff, range(lo, hi))]).T
 
-    ``coeff(t)`` returns a :class:`LogSign`. S_t comes from the kernel for
-    (len(arg), a) through degree t (see :func:`shared_sum_table`), asked for
-    as the sum first reaches t, so the domain is the kernel's. The sum stops
-    at the first degree completing _TAIL_WINDOW consecutive blocks below
-    ``ctrl.rel_tol`` times the running total; :class:`SeriesTruncationError`
-    if none does within ``ctrl.max_degree``.
+    eigs = np.asarray(argument_eigenvalues, dtype=float).reshape(1, -1)
+    log, sign, used, tail = zonal_series_batch(block, eigs, denominator_a, ctrl)
+    return SeriesResult(float(log[0]), float(sign[0]), int(used[0]), float(tail[0]))
+
+
+# degrees added per kernel call by zonal_series_batch
+_DEGREE_BLOCK = 8
+
+
+def zonal_series_batch(coeff_block, spectra, denominator_a: float,
+                       ctrl: SeriesControl | None = None) -> tuple[np.ndarray, ...]:
+    """Evaluate sum_t c_t S_t(X) / t! for every row X of ``spectra`` (batch, K);
+    returns (log |sum|, sign, degrees used, tail bound), each (batch,).
+
+    ``coeff_block(lo, hi)`` gives (log |c_t|, sign c_t) for t = lo..hi-1,
+    each broadcastable to (batch, hi - lo). The degrees grow in blocks of
+    _DEGREE_BLOCK, capped at ``ctrl.max_degree``, each one kernel call (see
+    :func:`shared_sum_table`) for the rows still unconverged. A row stops at
+    the first degree completing _TAIL_WINDOW consecutive terms below
+    ``ctrl.rel_tol`` times its running total, and its tail bound is its last
+    term relative to the sum; :class:`SeriesTruncationError` for the first
+    ``row`` that does not stop within ``ctrl.max_degree``.
     """
     ctrl = ctrl or SeriesControl()
-    eigs = np.asarray(argument_eigenvalues, dtype=float).reshape(1, -1)
-    log_s: list[float] = []
-    logs: list[float] = []
-    signs: list[float] = []
-    quiet_blocks = 0
-    for t in range(ctrl.max_degree + 1):
-        c = coeff(t)
-        if c.sign != 0.0 and t >= len(log_s):
-            kernel = shared_sum_table(eigs.shape[1], t, denominator_a)
-            log_s.extend(kernel.logsums(eigs)[0, len(log_s):])
-        logs.append(c.log + log_s[t] - math.lgamma(t + 1) if c.sign != 0.0 else -math.inf)
-        signs.append(c.sign)
-        total_log, total_sign = map(float, signed_logsumexp(np.array(logs), np.array(signs)))
-        quiet = t >= 1 and logs[-1] <= total_log + math.log(ctrl.rel_tol)
-        quiet_blocks = quiet_blocks + 1 if quiet else 0
-        if quiet_blocks >= _TAIL_WINDOW:
-            break
-    else:
-        raise SeriesTruncationError(
-            f"zonal series did not converge within degree {ctrl.max_degree} "
-            f"(last block log-magnitude {logs[-1]:.3g})",
-            partial_log=total_log, partial_sign=total_sign, tail_estimate=logs[-1])
-    scale = total_log if total_sign != 0.0 else 0.0
-    tail = math.exp(logs[-1] - scale) if math.isfinite(logs[-1]) else 0.0
-    return SeriesResult(log=total_log, sign=total_sign, degrees_used=t, tail_bound=tail)
+    spectra = np.asarray(spectra, dtype=float)
+    batch = len(spectra)
+    out = np.empty((4, batch))                      # log, sign, degrees used, tail
+    # per unconverged row: its running total acc * exp(peak), peak its largest
+    # term, and whether its last _TAIL_WINDOW - 1 terms were quiet
+    rows = np.arange(batch)
+    peak, acc = np.full((batch, 1), -np.inf), np.zeros((batch, 1))
+    quiet = np.zeros((batch, _TAIL_WINDOW - 1), dtype=bool)
+    lo = 0
+    while len(rows):
+        hi = min(lo + _DEGREE_BLOCK, ctrl.max_degree + 1)
+        log_c, sign_c = (np.broadcast_to(x, (batch, hi - lo))[rows] for x in coeff_block(lo, hi))
+        log_s = shared_sum_table(spectra.shape[1], hi - 1, denominator_a).logsums(spectra[rows])
+        terms = np.where(sign_c != 0.0, log_c + log_s[:, lo:] - _log_factorials(hi)[lo:], -np.inf)
+        top = np.maximum(peak, terms.max(axis=1, keepdims=True))
+        safe = np.where(np.isfinite(top), top, 0.0)
+        sums = acc * np.exp(peak - safe) + np.cumsum(sign_c * np.exp(terms - safe), axis=1)
+        with np.errstate(divide="ignore"):
+            running = safe + np.log(np.abs(sums))
+        flags = np.concatenate([quiet, terms <= running + math.log(ctrl.rel_tol)], axis=1)
+        flags[:, _TAIL_WINDOW - 1] &= lo > 0            # degree 0 is never quiet
+        # window j: the flags of the degrees lo + j - _TAIL_WINDOW + 1 .. lo + j
+        window = np.all([flags[:, k:k + hi - lo] for k in range(_TAIL_WINDOW)], axis=0)
+        done = window.any(axis=1)
+        stop = window[done].argmax(axis=1)
+        pick = (np.flatnonzero(done), stop)
+        total, total_sign = running[pick], np.sign(sums[pick])
+        out[:, rows[done]] = (total, total_sign, lo + stop,
+                              np.exp(terms[pick] - np.where(total_sign != 0.0, total, 0.0)))
+        if hi > ctrl.max_degree and not done.all():
+            i = int(np.argmin(done))                    # the first unconverged row
+            raise SeriesTruncationError(
+                f"zonal series did not converge within degree {ctrl.max_degree} "
+                f"(last term log-magnitude {terms[i, -1]:.3g})", row=int(rows[i]),
+                partial_log=float(running[i, -1]), partial_sign=float(np.sign(sums[i, -1])),
+                tail_estimate=float(terms[i, -1]))
+        rows, peak, acc = rows[~done], top[~done], sums[~done, -1:]
+        quiet = flags[~done, 1 - _TAIL_WINDOW:]
+        lo = hi
+    log, sign, used, tail = out
+    return log, sign, used.astype(int), tail
 
 
 def hypergeom_0F1(b: float, matrix_eigenvalues, ctrl: SeriesControl | None = None) -> float:
-    """Hypergeometric 0F1(b; X) of matrix argument, from the spectrum of X.
-
-    Domain as in :func:`zonal_series`: X >= 0 and (b)_kappa > 0. A 2 x 2 X
-    with b = 1 and a 3 x 3 X with b = 3/2 build nothing (see
-    :func:`shared_sum_table`); any other (dimension, b) sums a
-    :class:`ZonalSumTable` made from memoized degree blocks.
-    """
+    """Hypergeometric 0F1(b; X) of matrix argument, from the spectrum of X,
+    by :func:`zonal_series`, whose domain (X >= 0, (b)_kappa > 0) and
+    kernels it shares."""
     return zonal_series(lambda t: LogSign.one(), matrix_eigenvalues, b, ctrl).value
 
 

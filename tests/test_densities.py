@@ -7,7 +7,8 @@ from svdshape.densities import (IsotropicKind, batch_shape_logdensity,
                                 central_shape_logdensity,
                                 central_size_and_shape_logdensity,
                                 gaussian_shape_logdensity,
-                                isotropic_shape_logdensity, shape_logdensity,
+                                isotropic_shape_logdensity, shape_logdensities,
+                                shape_logdensity,
                                 size_and_shape_logdensity)
 from svdshape.errors import DomainError, SeriesTruncationError
 from svdshape.geometry import (LandmarkSet, Mode, log_polar_jacobian,
@@ -152,8 +153,10 @@ class TestBatchEvaluation:
                       kotz_model(Sigma, Theta, mu, T=3),
                       gaussian_model(Sigma, Theta, np.zeros((3, 2)))):
             batch = batch_shape_logdensity(U, model, ctrl=CTRL)
-            scalar = [shape_logdensity(u, model, ctrl=CTRL).log_density for u in U]
-            assert np.allclose(batch, scalar, atol=1e-10)
+            scalar = [shape_logdensity(u, model, ctrl=CTRL) for u in U]
+            assert np.allclose(batch, [dv.log_density for dv in scalar], atol=1e-10)
+            _, used, _ = shape_logdensities(U, model, ctrl=CTRL)
+            assert used.tolist() == [dv.degrees_used for dv in scalar]
 
 
 class TestDiagnosticsAndErrors:

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from svdshape.cli import main
-from svdshape.errors import ParseError
+from svdshape.errors import ParseError, SeriesTruncationError
 from svdshape.io import emit_landmarks, ingest_landmarks, read_matrix
 from svdshape.models import gaussian_model
 from svdshape.verify import sample_landmarks
@@ -312,6 +312,34 @@ class TestCli:
         assert payload["statistic"] == pytest.approx(0.0, abs=1e-4)
         assert payload["p_value"] == pytest.approx(1.0, abs=1e-4)
         assert payload["df"] == 4
+
+    @pytest.mark.parametrize("count", ["10", "-3"])
+    def test_verify_sim_count_below_the_minimum_is_a_domain_error(self, count):
+        res = run_cli("verify", "--mc-samples", "200", "--sim-count", count)
+        assert res.exit_code == 3
+        assert "sim_count must be >= 1000" in res.stderr
+
+    def test_density_names_the_unconverged_specimen(self, specimens, tmp_path):
+        from svdshape.cli import _build_config, _build_model, _load_sample
+        from svdshape.densities import shape_logdensity
+        path = tmp_path / "specimens.txt"
+        emit_landmarks(specimens[1:], str(path))
+        mu_path = tmp_path / "mu.txt"
+        mu_path.write_text("1.2 -0.4\n0.3 0.9\n")
+        flags = {"mu_path": str(mu_path), "sigma2": 0.08, "max_degree": 50}
+        config = _build_config(None, **flags)
+        model = _build_model(config, 2, 2, None)
+        failing = []
+        for sid, sc in _load_sample(str(path), config, "input", None).items:
+            try:
+                shape_logdensity(sc.u, model, ctrl=config.ctrl)
+            except SeriesTruncationError:
+                failing.append(sid)
+        assert failing and failing[0] != specimens[1].id
+        res = run_cli("density", str(path), "--mu", str(mu_path),
+                      "--sigma2", "0.08", "--max-degree", "50")
+        assert res.exit_code == 3
+        assert f"specimen {failing[0]!r}: zonal series did not converge" in res.stderr
 
     def test_verify_central_model(self):
         res = run_cli("verify", "--mc-samples", "4000", "--sim-count", "2000")

@@ -11,7 +11,7 @@ from svdshape.densities import (IsotropicKind, _isotropic_bracket,
 from svdshape.errors import DomainError, SeriesTruncationError
 from svdshape.geometry import svd_shape
 from svdshape.inference import OptimizerConfig, SampleOfShapes, fit_location
-from svdshape.models import gaussian_model
+from svdshape.models import gaussian_model, kotz_model
 from svdshape.special import LogSign, Partition, enumerate_partitions, gen_pochhammer
 from svdshape.zonal import (PlanarZonalSums, SeriesControl, SpatialZonalSums,
                             ZonalSumTable,
@@ -19,7 +19,8 @@ from svdshape.zonal import (PlanarZonalSums, SeriesControl, SpatialZonalSums,
                             hypergeom_0F1, log_stiefel_volume,
                             power_trace_integral_series, shared_sum_table,
                             signed_logsumexp,
-                            stiefel_mc_integral, zonal_poly, zonal_series)
+                            stiefel_mc_integral, zonal_poly, zonal_series,
+                            zonal_series_batch)
 
 
 def sum_identity_error(eigs, f):
@@ -152,6 +153,77 @@ class TestZonalSeries:
                 for t in range(res.degrees_used + 1)
                 for kappa in enumerate_partitions(t, K))
             assert res.value == pytest.approx(oracle, rel=1e-12)
+
+
+def ones(lo, hi):
+    """The coefficient block c_t = 1 of a 0F1 series."""
+    return np.zeros(hi - lo), np.ones(hi - lo)
+
+
+class TestBlockEvaluator:
+    def test_k3_series_makes_one_kernel_call_per_block(self, monkeypatch):
+        calls = []
+        kernel = zonal.shared_sum_table
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+        monkeypatch.setattr(zonal, "shared_sum_table", counted)
+        res = zonal_series(lambda t: LogSign.one(), [20.0, 10.0, 5.0], 1.5)
+        assert res.degrees_used == 31
+        assert len(calls) <= 4
+
+    def test_k3_density_does_not_ask_past_convergence(self):
+        # SpatialZonalSums serves 300 degrees; a block must not ask for more
+        # before the series has converged
+        rng = np.random.default_rng(14)
+        mu = rng.normal(size=(3, 3))
+        model = kotz_model(0.8 * np.eye(3), np.eye(3), mu, T=2)
+        U = np.array([svd_shape(mu + rng.normal(size=(3, 3))).u for _ in range(3)])
+        wide = SeriesControl(max_degree=400)
+        for u in U:
+            assert shape_logdensity(u, model, ctrl=wide) == shape_logdensity(u, model)
+        assert np.array_equal(batch_shape_logdensity(U, model, ctrl=wide),
+                              batch_shape_logdensity(U, model))
+
+    def test_table_series_builds_blocks_near_its_stop_only(self):
+        # a K = 4 series reaches ZonalSumTable, whose cold degree blocks are
+        # costly; a = 2.75 keeps them apart from the blocks of other tests
+        before = zonal._monomial_block.cache_info().currsize
+        res = zonal_series(lambda t: LogSign.one(), [0.05, 0.025, 0.05 / 3, 0.0125], 2.75)
+        built = zonal._monomial_block.cache_info().currsize - before
+        assert res.degrees_used == 9
+        assert built <= res.degrees_used + zonal._DEGREE_BLOCK
+
+    def test_rows_stop_as_batches_of_one(self):
+        spectra = np.array([[0.1, 0.05], [20.0, 9.0], [0.0, 0.0], [3.0, 1.0]])
+        log, sign, used, tail = zonal_series_batch(ones, spectra, 1.0)
+        for i, eigs in enumerate(spectra):
+            one = zonal_series(lambda t: LogSign.one(), eigs, 1.0)
+            assert (log[i], sign[i], used[i], tail[i]) == (
+                one.log, one.sign, one.degrees_used, one.tail_bound)
+        assert len(set(used)) == 4
+
+    def test_per_row_coefficients(self):
+        # c_t = x^t per row sums 0F1(a; x lambda), as S_t has degree t
+        spectra = np.array([[0.4, 1.1, 0.2], [2.0, 0.5, 1.5]])
+        x = np.array([[0.5], [3.0]])
+        log, sign, _, _ = zonal_series_batch(
+            lambda lo, hi: (np.arange(lo, hi) * np.log(x), 1.0), spectra, 1.5)
+        for i in range(2):
+            assert sign[i] * math.exp(log[i]) == pytest.approx(
+                hypergeom_0F1(1.5, x[i] * spectra[i]), rel=1e-12)
+
+    def test_truncation_error_names_the_first_unconverged_row(self):
+        spectra = np.array([[0.01, 0.02], [50.0, 80.0], [60.0, 90.0]])
+        with pytest.raises(SeriesTruncationError) as err:
+            zonal_series_batch(ones, spectra, 1.0, SeriesControl(max_degree=10))
+        assert err.value.row == 1
+        assert err.value.partial_log is not None and err.value.partial_sign == 1.0
+
+    def test_empty_batch(self):
+        log, _, used, _ = zonal_series_batch(ones, np.empty((0, 2)), 1.0)
+        assert log.shape == used.shape == (0,)
 
 
 class TestZonalSumTable:
