@@ -24,9 +24,9 @@ from .io import emit_landmarks, ingest_landmarks, read_matrix
 from .models import (GeneratorKind, GeneratorSpec, ModelSpec, gaussian_model,
                      h_derivative, h_value, kotz_model, radial_integral,
                      radial_integral_quad)
-from .special import LogSign, Partition, chi_square_sf, enumerate_partitions
+from .special import LogSign, chi_square_sf
 from .verify import mc_normalization, sample_landmarks, simulation_vs_density
-from .zonal import (SeriesControl, SeriesResult, ZonalSumTable, hypergeom_0F1,
-                    stiefel_mc_integral, zonal_poly, zonal_series)
+from .zonal import (SeriesControl, SeriesResult, hypergeom_0F1,
+                    stiefel_mc_integral, zonal_series)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .inference import (OptimizerConfig, SampleOfShapes, evidence_grade,
                         fit_location, lr_test_equal_means)
 from .io import ingest_landmarks, read_matrix
 from .models import GeneratorKind, GeneratorSpec, ModelSpec
-from .verify import mc_normalization, simulation_vs_density
+from .verify import check_sim_count, mc_normalization, simulation_vs_density
 from .zonal import SeriesControl
 
 SCHEMA_VERSION = 2
@@ -363,6 +363,7 @@ def cmd_verify(config_path, mc_samples, sim_count, n_landmarks, k_dim, **flags):
     """Run the Monte Carlo oracles (normalization mass, simulation match)."""
     def body():
         config = _build_config(config_path, **flags)
+        check_sim_count(sim_count)          # before the Monte Carlo mass
         model = _build_model(config, n_landmarks - 1, k_dim, _read_theta(config))
         mass, se = mc_normalization(model, config.mode, config.ctrl,
                                     mc_samples, config.seed)

@@ -1,0 +1,340 @@
+"""The tests' oracles for the zonal kernels; no runtime module imports this.
+
+Zonal polynomial coefficients in the monomial basis by the classical
+recursion (the alpha = 2 Jack family), summed by :func:`zonal_poly` and,
+collapsed over kappa for any K and a, by :class:`ZonalSumTable`.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+import threading
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DomainError
+from .special import LogSign
+from .zonal import _LOGSUMS_CHUNK_BYTES, _check_spectra
+
+
+@dataclass(frozen=True)
+class Partition:
+    """An integer partition: positive, non-increasing parts."""
+
+    parts: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(p <= 0 for p in self.parts):
+            raise DomainError(f"partition parts must be positive, got {self.parts}")
+        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
+            raise DomainError(f"partition parts must be non-increasing, got {self.parts}")
+
+    @property
+    def weight(self) -> int:
+        return sum(self.parts)
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def __iter__(self):
+        return iter(self.parts)
+
+    def __repr__(self) -> str:
+        return f"Partition{self.parts}"
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_partitions(weight: int, max_parts: int) -> tuple[Partition, ...]:
+    """All partitions of ``weight`` with at most ``max_parts`` parts.
+
+    Ordered reverse-lexicographically, so (weight,) comes first and the
+    ordering is deterministic across runs. Weight 0 yields the single empty
+    partition.
+    """
+    if weight < 0:
+        raise DomainError(f"weight must be non-negative, got {weight}")
+    if max_parts < 1:
+        raise DomainError(f"max_parts must be positive, got {max_parts}")
+    out: list[Partition] = []
+
+    def rec(remaining: int, cap: int, prefix: list[int], slots: int):
+        if remaining == 0:
+            out.append(Partition(tuple(prefix)))
+            return
+        if slots == 0:
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            prefix.append(part)
+            rec(remaining - part, part, prefix, slots - 1)
+            prefix.pop()
+
+    rec(weight, weight if weight else 1, [], max_parts)
+    return tuple(out)
+
+
+def gen_pochhammer(a: float, kappa: Partition) -> float:
+    """Generalized Pochhammer symbol (a)_kappa = prod_i (a - (i-1)/2)_{k_i}.
+
+    Uses the rising factorial (x)_f = x(x+1)...(x+f-1); the empty partition
+    gives 1. Zero factors are legitimate and give 0.
+    """
+    result = 1.0
+    for i, k in enumerate(kappa):
+        base = a - i / 2.0
+        for j in range(k):
+            result *= base + j
+    return result
+
+
+def gen_pochhammer_log(a: float, kappa: Partition) -> LogSign:
+    """Log-sign form of :func:`gen_pochhammer`, safe against overflow."""
+    log = 0.0
+    sign = 1.0
+    for i, k in enumerate(kappa):
+        base = a - i / 2.0
+        for j in range(k):
+            factor = base + j
+            if factor == 0.0:
+                return LogSign.zero()
+            log += math.log(abs(factor))
+            sign *= math.copysign(1.0, factor)
+    return LogSign(log, sign)
+
+
+def _dominates(kappa: tuple[int, ...], lam: tuple[int, ...]) -> bool:
+    """True if kappa >= lam in the dominance order (equal weights assumed)."""
+    acc_k = acc_l = 0
+    for i in range(max(len(kappa), len(lam))):
+        acc_k += kappa[i] if i < len(kappa) else 0
+        acc_l += lam[i] if i < len(lam) else 0
+        if acc_k < acc_l:
+            return False
+    return True
+
+
+def _rho(kappa: tuple[int, ...]) -> int:
+    return sum(k * (k - (i + 1)) for i, k in enumerate(kappa))
+
+
+def _leading_coefficient(kappa: tuple[int, ...]) -> float:
+    """Coefficient of the monomial m_kappa in C_kappa: 2^f f! / prod(upper hooks)."""
+    f = sum(kappa)
+    conj = [0] * (kappa[0] if kappa else 0)
+    for k in kappa:
+        for j in range(k):
+            conj[j] += 1
+    log_upper = 0.0
+    for i, k in enumerate(kappa):  # cell (i+1, j+1), arm a, leg l
+        for j in range(k):
+            arm = k - (j + 1)
+            leg = conj[j] - (i + 1)
+            log_upper += math.log(2 * (arm + 1) + leg)
+    return math.exp(f * math.log(2.0) + math.lgamma(f + 1) - log_upper) if f else 1.0
+
+
+# guards _table_cache
+_table_lock = threading.Lock()
+_table_cache: dict[tuple[int, int], dict[tuple[int, ...], dict[tuple[int, ...], float]]] = {}
+
+
+def _zonal_table(weight: int, max_parts: int) -> dict[tuple[int, ...], dict[tuple[int, ...], float]]:
+    """Monomial-basis coefficients c[kappa][lam] of C_kappa for all kappa of
+    ``weight`` with at most ``max_parts`` parts (lam restricted likewise)."""
+    key = (weight, max_parts)
+    cached = _table_cache.get(key)
+    if cached is not None:
+        return cached
+    with _table_lock:
+        cached = _table_cache.get(key)
+        if cached is not None:
+            return cached
+        parts_list = [p.parts for p in enumerate_partitions(weight, max_parts)]
+        table: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
+        for kappa in parts_list:
+            coeffs: dict[tuple[int, ...], float] = {kappa: _leading_coefficient(kappa)}
+            rho_k = _rho(kappa)
+            # reverse-lex order refines dominance downwards, so every mu
+            # needed below is already filled when lam is processed
+            for lam in parts_list:
+                if lam == kappa or not _dominates(kappa, lam):
+                    continue
+                total = 0.0
+                lam_l = list(lam)
+                p = len(lam_l)
+                for s in range(1, p):
+                    for r in range(s):
+                        for t in range(1, lam_l[s] + 1):
+                            mu = lam_l.copy()
+                            mu[r] += t
+                            mu[s] -= t
+                            coef = mu[r] - mu[s]
+                            # moving t to an earlier part adds no part, and
+                            # every key of coeffs is dominated by kappa
+                            mu_sorted = tuple(sorted((x for x in mu if x > 0), reverse=True))
+                            c_mu = coeffs.get(mu_sorted)
+                            if c_mu is not None:
+                                total += coef * c_mu
+                denom = rho_k - _rho(lam)
+                if total != 0.0:
+                    coeffs[lam] = total / denom
+            table[kappa] = coeffs
+        _table_cache[key] = table
+        return table
+
+
+def _monomial(lam: tuple[int, ...], eigs: tuple[float, ...]) -> float:
+    """Monomial symmetric function m_lam at the given values."""
+    d = len(eigs)
+    padded = lam + (0,) * (d - len(lam))
+    total = 0.0
+    for perm in set(itertools.permutations(padded)):
+        prod = 1.0
+        for x, e in zip(eigs, perm):
+            if e:
+                prod *= x**e
+        total += prod
+    return total
+
+
+def zonal_poly(kappa: Partition, eigenvalues) -> float:
+    """Zonal polynomial C_kappa at the spectrum ``eigenvalues``.
+
+    Exactly 0 when kappa has more parts than there are nonzero eigenvalues.
+    The tests' independent oracle for the series kernels.
+    """
+    eigs = tuple(sorted(float(x) for x in eigenvalues))
+    if not eigs:
+        raise DomainError("eigenvalue list must be non-empty")
+    if len(kappa) == 0:
+        return 1.0
+    nonzero = tuple(x for x in eigs if x != 0.0)
+    if len(kappa.parts) > len(nonzero):
+        return 0.0
+    table = _zonal_table(kappa.weight, len(nonzero))
+    coeffs = table[kappa.parts]
+    return math.fsum(c * _monomial(lam, nonzero) for lam, c in coeffs.items())
+
+
+class ZonalSumTable:
+    """The table kernel: log S_t(X) = log sum_{|kappa|=t} C_kappa(X) / (a)_kappa
+    for batches of K-point spectra X through degree ``tmax``, for every (K, a):
+    the oracle of the runtime kernels of :mod:`svdshape.zonal`, with their
+    interface.
+
+    Holds, for every degree t <= tmax, the monomial expansion of S_t collapsed
+    to coefficients d_{t,lam} = sum_kappa c_{kappa,lam} / (a)_kappa > 0: the
+    concatenated degree blocks of :func:`_monomial_block`, which are memoized,
+    so a second table for the same (K, a) only copies rows. Its domain is
+    non-negative spectra and (a)_kappa > 0 for every kappa of at most K parts
+    (else :class:`DomainError`).
+    """
+
+    def __init__(self, K: int, tmax: int, denominator_a: float | None = None):
+        if K < 1 or tmax < 0:
+            raise DomainError("need K >= 1 and tmax >= 0")
+        self.K = K
+        self.tmax = tmax
+        self.a = K / 2.0 if denominator_a is None else float(denominator_a)
+        blocks = [_monomial_block(t, K, self.a) for t in range(tmax + 1)]
+        self._exps = np.concatenate([exps for exps, _ in blocks])      # (NT, K)
+        self._logd = np.concatenate([logd for _, logd in blocks])      # (NT,)
+        # degree t: rows [b[t], b[t+1])
+        self._bounds = [0] + list(itertools.accumulate(len(logd) for _, logd in blocks))
+
+    def logsums(self, spectra: np.ndarray) -> np.ndarray:
+        """log S_t for each row of ``spectra``; returns (batch, tmax + 1).
+
+        Spectra must be non-negative; zero eigenvalues are handled (their
+        monomials vanish exactly). Rows go in chunks of _LOGSUMS_CHUNK_BYTES
+        per temporary, which does not change the values.
+        """
+        loge, empty = self._log_spectra(spectra)
+        out = _block_logsumexp(loge, self._exps, self._logd, self._bounds)
+        out[empty, 1:] = -np.inf                        # S_t(0) = 0, t >= 1
+        return out
+
+    def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log S_t, log dS_t/dlambda_k) for each row of ``spectra``:
+        (batch, tmax + 1) equal to :meth:`logsums`, and (batch, tmax + 1, K).
+
+        d log S_t / dlambda_k = exp(log dS_t/dlambda_k - log S_t). Each
+        partial sums the exponent-shifted rows d e_k lambda^(e - 1_k) over
+        the rows with e_k >= 1, so it stays exact at a zero eigenvalue
+        (where lambda_k d log S_t / dlambda_k = 0 says nothing) and at an
+        all-zero spectrum, where S_t = 0 for t >= 1 but dS_1 > 0. Each k is
+        one pass of the size of :meth:`logsums`.
+        """
+        loge, empty = self._log_spectra(spectra)
+        log_s = _block_logsumexp(loge, self._exps, self._logd, self._bounds)
+        log_s[empty, 1:] = -np.inf                      # S_t(0) = 0, t >= 1
+        with np.errstate(divide="ignore"):              # -inf where e_k = 0
+            logc = self._logd + np.log(self._exps.T)    # (K, rows)
+        shifted = self._exps - np.eye(self.K)[:, None, :]   # (K, rows, K)
+        log_ds = np.stack([_block_logsumexp(loge, shifted[k], logc[k], self._bounds)
+                           for k in range(self.K)], axis=-1)
+        log_ds[empty, 2:] = -np.inf                     # dS_t(0) = 0, t >= 2
+        return log_s, log_ds
+
+    def _log_spectra(self, spectra) -> tuple[np.ndarray, np.ndarray]:
+        """(log spectra with a stand-in for log 0, mask of all-zero rows)."""
+        spectra = _check_spectra(spectra, self.K)
+        # zero eigenvalues: a large negative stand-in for log 0 keeps the
+        # segment reductions finite (exp underflows to 0 exactly)
+        loge = np.where(spectra > 0.0, np.log(np.where(spectra > 0, spectra, 1.0)), -1e12)
+        return loge, ~np.any(spectra > 0, axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_block(t: int, K: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Degree t of :class:`ZonalSumTable`: the exponent rows (rows, K) of every
+    monomial lambda^e with |e| = t and d_{t,lam} > 0, and their log d_{t,lam}
+    (rows,); read-only. :class:`DomainError` if some (a)_kappa is not positive.
+    """
+    lam_coeffs: dict[tuple[int, ...], float] = {}
+    if t == 0:
+        lam_coeffs[(0,) * K] = 1.0
+    else:
+        table = _zonal_table(t, K)
+        for kappa in enumerate_partitions(t, K):
+            poch = gen_pochhammer_log(a, kappa)
+            if poch.sign <= 0.0:
+                raise DomainError(f"denominator ({a})_{kappa.parts} is not positive")
+            inv = math.exp(-poch.log)
+            for lam, c in table[kappa.parts].items():
+                padded = lam + (0,) * (K - len(lam))
+                lam_coeffs[padded] = lam_coeffs.get(padded, 0.0) + c * inv
+    exps: list[tuple[int, ...]] = []
+    logd: list[float] = []
+    for lam, d in sorted(lam_coeffs.items()):
+        if d <= 0.0:
+            continue
+        for perm in sorted(set(itertools.permutations(lam))):
+            exps.append(perm)
+            logd.append(math.log(d))
+    exps_arr = np.asarray(exps, dtype=float).reshape(-1, K)
+    logd_arr = np.asarray(logd, dtype=float)
+    exps_arr.flags.writeable = logd_arr.flags.writeable = False
+    return exps_arr, logd_arr
+
+
+def _block_logsumexp(loge: np.ndarray, exps: np.ndarray, logc: np.ndarray,
+                     bounds: list[int]) -> np.ndarray:
+    """log sum_r exp(logc_r + exps_r . loge) over each row block
+    [bounds[j], bounds[j+1]) of ``exps``, for every row of ``loge``;
+    (batch, len(bounds) - 1). A block whose terms are all -inf gives -inf.
+    Chunked by _LOGSUMS_CHUNK_BYTES, which does not change the values."""
+    starts = np.asarray(bounds[:-1], dtype=np.intp)
+    step = max(1, _LOGSUMS_CHUNK_BYTES // (8 * len(logc)))
+    out = np.empty((len(loge), len(starts)))
+    for lo in range(0, len(loge), step):
+        lm = loge[lo:lo + step] @ exps.T + logc          # (chunk, rows)
+        peak = np.maximum.reduceat(lm, starts, axis=1)
+        peak[np.isneginf(peak)] = 0.0                    # a block of -inf terms
+        expanded = np.repeat(peak, np.diff(bounds), axis=1)
+        sums = np.add.reduceat(np.exp(lm - expanded), starts, axis=1)
+        with np.errstate(divide="ignore"):
+            out[lo:lo + step] = peak + np.log(sums)
+    return out

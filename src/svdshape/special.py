@@ -1,4 +1,4 @@
-"""Integer partitions and the scalar special functions used by every series term.
+"""The scalar special functions used by every series term.
 
 All gamma-bearing quantities are computed in log space with explicit sign
 tracking (:class:`LogSign`), because the density prefactors combine ratios of
@@ -9,8 +9,6 @@ for moderate dimensions and series degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from scipy.special import gammaincc
@@ -59,90 +57,6 @@ class LogSign(NamedTuple):
         if self.sign == 0.0:
             return 0.0
         return self.sign * math.exp(self.log)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """An integer partition: positive, non-increasing parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise DomainError(f"partition parts must be positive, got {self.parts}")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise DomainError(f"partition parts must be non-increasing, got {self.parts}")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition{self.parts}"
-
-
-@lru_cache(maxsize=None)
-def enumerate_partitions(weight: int, max_parts: int) -> tuple[Partition, ...]:
-    """All partitions of ``weight`` with at most ``max_parts`` parts.
-
-    Ordered reverse-lexicographically, so (weight,) comes first and the
-    ordering is deterministic across runs. Weight 0 yields the single empty
-    partition.
-    """
-    if weight < 0:
-        raise DomainError(f"weight must be non-negative, got {weight}")
-    if max_parts < 1:
-        raise DomainError(f"max_parts must be positive, got {max_parts}")
-    out: list[Partition] = []
-
-    def rec(remaining: int, cap: int, prefix: list[int], slots: int):
-        if remaining == 0:
-            out.append(Partition(tuple(prefix)))
-            return
-        if slots == 0:
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix, slots - 1)
-            prefix.pop()
-
-    rec(weight, weight if weight else 1, [], max_parts)
-    return tuple(out)
-
-
-def gen_pochhammer(a: float, kappa: Partition) -> float:
-    """Generalized Pochhammer symbol (a)_kappa = prod_i (a - (i-1)/2)_{k_i}.
-
-    Uses the rising factorial (x)_f = x(x+1)...(x+f-1); the empty partition
-    gives 1. Zero factors are legitimate and give 0.
-    """
-    result = 1.0
-    for i, k in enumerate(kappa):
-        base = a - i / 2.0
-        for j in range(k):
-            result *= base + j
-    return result
-
-
-def gen_pochhammer_log(a: float, kappa: Partition) -> LogSign:
-    """Log-sign form of :func:`gen_pochhammer`, safe against overflow."""
-    log = 0.0
-    sign = 1.0
-    for i, k in enumerate(kappa):
-        base = a - i / 2.0
-        for j in range(k):
-            factor = base + j
-            if factor == 0.0:
-                return LogSign.zero()
-            log += math.log(abs(factor))
-            sign *= math.copysign(1.0, factor)
-    return LogSign(log, sign)
 
 
 def multivariate_gamma(n: int, a: float) -> LogSign:

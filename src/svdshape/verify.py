@@ -128,6 +128,13 @@ def _chi2_critical_99(dof: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def check_sim_count(sim_count: int) -> None:
+    """:class:`DomainError` unless ``sim_count`` reaches the 1000 specimens
+    that :func:`simulation_vs_density` needs at least."""
+    if sim_count < 1000:
+        raise DomainError("sim_count must be >= 1000")
+
+
 def simulation_vs_density(model: ModelSpec, mode: Mode = Mode.REFLECTION,
                           ctrl: SeriesControl | None = None,
                           sim_count: int = 100000, seed: int = 0,
@@ -147,8 +154,7 @@ def simulation_vs_density(model: ModelSpec, mode: Mode = Mode.REFLECTION,
     Each marginal is scored by Pearson chi-square against its 99% critical
     value.
     """
-    if sim_count < 1000:
-        raise DomainError("sim_count must be >= 1000")
+    check_sim_count(sim_count)
     Nm1, K, M = model.Nm1, model.K, model.M
     m = M - 1
     if mode is Mode.NO_REFLECTION:

@@ -1,34 +1,23 @@
-"""Zonal polynomials on symmetric-matrix spectra and truncated zonal series.
-
-Zonal polynomial values are always computed from eigenvalues, never from
-matrix entries: every argument that appears in the densities enters only
-through its spectrum, so orthogonal invariance is structural.
+"""Zonal series on symmetric-matrix spectra.
 
 Every series here is sum_t c_t S_t(X) / t! with S_t(X) = sum_{|kappa|=t}
-C_kappa(X) / (a)_kappa, and one evaluator, :func:`zonal_series_batch`, sums
-it for a batch of spectra in blocks of degrees under one stop rule. Its log
-S_t kernel comes from :func:`shared_sum_table`: the closed-form
-:class:`PlanarZonalSums` (K = 2, a = 1), the Euler-angle quadrature
-:class:`SpatialZonalSums` (K = 3, a = 3/2), which build nothing, or else
-:class:`ZonalSumTable`, the memoized degree blocks of the monomial
-expansion, whose coefficients come from the classical recursion for C_kappa
-in the monomial basis (the alpha = 2 Jack family). :func:`zonal_poly` sums
-the same coefficients by direct monomial enumeration: the tests' independent
-oracle, as is the table for the K = 2 and K = 3 kernels.
+C_kappa(X) / (a)_kappa, a = K/2, and X entering only through its spectrum.
+One evaluator, :func:`zonal_series_batch`, sums it for a batch of spectra
+in blocks of degrees under one stop rule, with the table-free log S_t
+kernel that :func:`shared_sum_table` gives for K = 1, 2 or 3. Their oracles
+live in :mod:`svdshape.oracle`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SeriesTruncationError
-from .special import LogSign, Partition, enumerate_partitions, gen_pochhammer_log, multivariate_gamma
+from .special import LogSign, multivariate_gamma
 
 
 # consecutive terms below the tolerance that end a series
@@ -69,120 +58,6 @@ class SeriesResult:
         return self.sign * math.exp(self.log)
 
 
-def _dominates(kappa: tuple[int, ...], lam: tuple[int, ...]) -> bool:
-    """True if kappa >= lam in the dominance order (equal weights assumed)."""
-    acc_k = acc_l = 0
-    for i in range(max(len(kappa), len(lam))):
-        acc_k += kappa[i] if i < len(kappa) else 0
-        acc_l += lam[i] if i < len(lam) else 0
-        if acc_k < acc_l:
-            return False
-    return True
-
-
-def _rho(kappa: tuple[int, ...]) -> int:
-    return sum(k * (k - (i + 1)) for i, k in enumerate(kappa))
-
-
-def _leading_coefficient(kappa: tuple[int, ...]) -> float:
-    """Coefficient of the monomial m_kappa in C_kappa: 2^f f! / prod(upper hooks)."""
-    f = sum(kappa)
-    conj = [0] * (kappa[0] if kappa else 0)
-    for k in kappa:
-        for j in range(k):
-            conj[j] += 1
-    log_upper = 0.0
-    for i, k in enumerate(kappa):  # cell (i+1, j+1), arm a, leg l
-        for j in range(k):
-            arm = k - (j + 1)
-            leg = conj[j] - (i + 1)
-            log_upper += math.log(2 * (arm + 1) + leg)
-    return math.exp(f * math.log(2.0) + math.lgamma(f + 1) - log_upper) if f else 1.0
-
-
-# guards _table_cache
-_table_lock = threading.Lock()
-_table_cache: dict[tuple[int, int], dict[tuple[int, ...], dict[tuple[int, ...], float]]] = {}
-
-
-def _zonal_table(weight: int, max_parts: int) -> dict[tuple[int, ...], dict[tuple[int, ...], float]]:
-    """Monomial-basis coefficients c[kappa][lam] of C_kappa for all kappa of
-    ``weight`` with at most ``max_parts`` parts (lam restricted likewise)."""
-    key = (weight, max_parts)
-    cached = _table_cache.get(key)
-    if cached is not None:
-        return cached
-    with _table_lock:
-        cached = _table_cache.get(key)
-        if cached is not None:
-            return cached
-        parts_list = [p.parts for p in enumerate_partitions(weight, max_parts)]
-        table: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
-        for kappa in parts_list:
-            coeffs: dict[tuple[int, ...], float] = {kappa: _leading_coefficient(kappa)}
-            rho_k = _rho(kappa)
-            # reverse-lex order refines dominance downwards, so every mu
-            # needed below is already filled when lam is processed
-            for lam in parts_list:
-                if lam == kappa or not _dominates(kappa, lam):
-                    continue
-                total = 0.0
-                lam_l = list(lam)
-                p = len(lam_l)
-                for s in range(1, p):
-                    for r in range(s):
-                        for t in range(1, lam_l[s] + 1):
-                            mu = lam_l.copy()
-                            mu[r] += t
-                            mu[s] -= t
-                            coef = mu[r] - mu[s]
-                            # moving t to an earlier part adds no part, and
-                            # every key of coeffs is dominated by kappa
-                            mu_sorted = tuple(sorted((x for x in mu if x > 0), reverse=True))
-                            c_mu = coeffs.get(mu_sorted)
-                            if c_mu is not None:
-                                total += coef * c_mu
-                denom = rho_k - _rho(lam)
-                if total != 0.0:
-                    coeffs[lam] = total / denom
-            table[kappa] = coeffs
-        _table_cache[key] = table
-        return table
-
-
-def _monomial(lam: tuple[int, ...], eigs: tuple[float, ...]) -> float:
-    """Monomial symmetric function m_lam at the given values."""
-    d = len(eigs)
-    padded = lam + (0,) * (d - len(lam))
-    total = 0.0
-    for perm in set(itertools.permutations(padded)):
-        prod = 1.0
-        for x, e in zip(eigs, perm):
-            if e:
-                prod *= x**e
-        total += prod
-    return total
-
-
-def zonal_poly(kappa: Partition, eigenvalues) -> float:
-    """Zonal polynomial C_kappa at the spectrum ``eigenvalues``.
-
-    Exactly 0 when kappa has more parts than there are nonzero eigenvalues.
-    The tests' independent oracle for the series kernel: no route calls it.
-    """
-    eigs = tuple(sorted(float(x) for x in eigenvalues))
-    if not eigs:
-        raise DomainError("eigenvalue list must be non-empty")
-    if len(kappa) == 0:
-        return 1.0
-    nonzero = tuple(x for x in eigs if x != 0.0)
-    if len(kappa.parts) > len(nonzero):
-        return 0.0
-    table = _zonal_table(kappa.weight, len(nonzero))
-    coeffs = table[kappa.parts]
-    return math.fsum(c * _monomial(lam, nonzero) for lam, c in coeffs.items())
-
-
 def zonal_series(coeff, argument_eigenvalues, denominator_a: float,
                  ctrl: SeriesControl | None = None) -> SeriesResult:
     """Evaluate sum_t coeff(t) S_t(arg) / t!, S_t = sum_{|kappa|=t} C_kappa(arg) / (a)_kappa,
@@ -204,20 +79,29 @@ _DEGREE_BLOCK = 8
 
 def zonal_series_batch(coeff_block, spectra, denominator_a: float,
                        ctrl: SeriesControl | None = None) -> tuple[np.ndarray, ...]:
-    """Evaluate sum_t c_t S_t(X) / t! for every row X of ``spectra`` (batch, K);
+    """Evaluate sum_t c_t S_t(X) / t! for every row X of ``spectra`` (batch, n);
     returns (log |sum|, sign, degrees used, tail bound), each (batch,).
 
-    ``coeff_block(lo, hi)`` gives (log |c_t|, sign c_t) for t = lo..hi-1,
-    each broadcastable to (batch, hi - lo). The degrees grow in blocks of
-    _DEGREE_BLOCK, capped at ``ctrl.max_degree``, each one kernel call (see
-    :func:`shared_sum_table`) for the rows still unconverged. A row stops at
-    the first degree completing _TAIL_WINDOW consecutive terms below
-    ``ctrl.rel_tol`` times its running total, and its tail bound is its last
-    term relative to the sum; :class:`SeriesTruncationError` for the first
-    ``row`` that does not stop within ``ctrl.max_degree``.
+    ``denominator_a`` is K/2 for K in {1, 2, 3} and n <= K; rows with n < K
+    are padded with zeros, which is exact, as C_kappa vanishes for kappa of
+    more parts than nonzero eigenvalues. ``coeff_block(lo, hi)`` gives
+    (log |c_t|, sign c_t) for t = lo..hi-1, each broadcastable to
+    (batch, hi - lo). The degrees grow in blocks of _DEGREE_BLOCK, capped at
+    ``ctrl.max_degree``, each one kernel call (see :func:`shared_sum_table`)
+    for the rows still unconverged. A row stops at the first degree
+    completing _TAIL_WINDOW consecutive terms below ``ctrl.rel_tol`` times
+    its running total, and its tail bound is its last term relative to the
+    sum; :class:`SeriesTruncationError` for the first ``row`` that does not
+    stop within ``ctrl.max_degree``.
     """
     ctrl = ctrl or SeriesControl()
+    K = 2 * denominator_a
     spectra = np.asarray(spectra, dtype=float)
+    if K not in _KERNELS or spectra.ndim != 2 or spectra.shape[1] > K:
+        raise DomainError(f"{_SUPPORTED} and spectra (batch, n <= K), got a = "
+                          f"{denominator_a:g} and spectra of shape {spectra.shape}")
+    K = int(K)
+    spectra = np.pad(spectra, ((0, 0), (0, K - spectra.shape[1])))
     batch = len(spectra)
     out = np.empty((4, batch))                      # log, sign, degrees used, tail
     # per unconverged row: its running total acc * exp(peak), peak its largest
@@ -229,7 +113,7 @@ def zonal_series_batch(coeff_block, spectra, denominator_a: float,
     while len(rows):
         hi = min(lo + _DEGREE_BLOCK, ctrl.max_degree + 1)
         log_c, sign_c = (np.broadcast_to(x, (batch, hi - lo))[rows] for x in coeff_block(lo, hi))
-        log_s = shared_sum_table(spectra.shape[1], hi - 1, denominator_a).logsums(spectra[rows])
+        log_s = shared_sum_table(K, hi - 1).logsums(spectra[rows])
         terms = np.where(sign_c != 0.0, log_c + log_s[:, lo:] - _log_factorials(hi)[lo:], -np.inf)
         top = np.maximum(peak, terms.max(axis=1, keepdims=True))
         safe = np.where(np.isfinite(top), top, 0.0)
@@ -262,8 +146,8 @@ def zonal_series_batch(coeff_block, spectra, denominator_a: float,
 
 def hypergeom_0F1(b: float, matrix_eigenvalues, ctrl: SeriesControl | None = None) -> float:
     """Hypergeometric 0F1(b; X) of matrix argument, from the spectrum of X,
-    by :func:`zonal_series`, whose domain (X >= 0, (b)_kappa > 0) and
-    kernels it shares."""
+    by :func:`zonal_series`, whose kernels and domain it shares: b = K/2 for
+    K in {1, 2, 3}, and X >= 0 with at most 2b eigenvalues."""
     return zonal_series(lambda t: LogSign.one(), matrix_eigenvalues, b, ctrl).value
 
 
@@ -340,136 +224,39 @@ def exp_trace_integral_series(Y_trace: float, X_gram_eigenvalues, K: int, n: int
     return vol * math.exp(r * Y_trace) * (Y_trace * f01 + deriv)
 
 
-# bytes of one (spectra, table rows) float64 temporary in ZonalSumTable.logsums,
-# which holds about four at once: its memory stays near 16 MB for any batch
+# bytes of one (spectra, degrees, nodes) float64 temporary of SpatialZonalSums,
+# which holds a few at once, so its memory stays bounded for any batch
 _LOGSUMS_CHUNK_BYTES = 4 << 20
 
 
-class ZonalSumTable:
-    """The table kernel: log S_t(X) = log sum_{|kappa|=t} C_kappa(X) / (a)_kappa
-    for batches of K-point spectra X through degree ``tmax``, for every (K, a)
-    but K = 2, a = 1 (:class:`PlanarZonalSums`) and K = 3, a = 3/2
-    (:class:`SpatialZonalSums`), for which it is the oracle.
-
-    Holds, for every degree t <= tmax, the monomial expansion of S_t collapsed
-    to coefficients d_{t,lam} = sum_kappa c_{kappa,lam} / (a)_kappa > 0: the
-    concatenated degree blocks of :func:`_monomial_block`, which are memoized,
-    so a second table for the same (K, a) only copies rows. Its domain is
-    non-negative spectra and (a)_kappa > 0 for every kappa of at most K parts
-    (else :class:`DomainError`).
+class LinearZonalSums:
+    """The K = 1, a = 1/2 kernel S_t(lambda) = lambda^t / (1/2)_t (the only
+    partition is (t), and C_(t) = lambda^t), with the interface and domain of
+    :func:`shared_sum_table` but no partials, which no route asks of K = 1.
     """
 
-    def __init__(self, K: int, tmax: int, denominator_a: float | None = None):
-        if K < 1 or tmax < 0:
-            raise DomainError("need K >= 1 and tmax >= 0")
-        self.K = K
+    K = 1
+    a = 0.5
+
+    def __init__(self, tmax: int):
+        if tmax < 0:
+            raise DomainError("need tmax >= 0")
         self.tmax = tmax
-        self.a = K / 2.0 if denominator_a is None else float(denominator_a)
-        blocks = [_monomial_block(t, K, self.a) for t in range(tmax + 1)]
-        self._exps = np.concatenate([exps for exps, _ in blocks])      # (NT, K)
-        self._logd = np.concatenate([logd for _, logd in blocks])      # (NT,)
-        # degree t: rows [b[t], b[t+1])
-        self._bounds = [0] + list(itertools.accumulate(len(logd) for _, logd in blocks))
 
     def logsums(self, spectra: np.ndarray) -> np.ndarray:
-        """log S_t for each row of ``spectra``; returns (batch, tmax + 1).
-
-        Spectra must be non-negative; zero eigenvalues are handled (their
-        monomials vanish exactly). Rows go in chunks of _LOGSUMS_CHUNK_BYTES
-        per temporary, which does not change the values.
-        """
-        loge, empty = self._log_spectra(spectra)
-        out = _block_logsumexp(loge, self._exps, self._logd, self._bounds)
-        out[empty, 1:] = -np.inf                        # S_t(0) = 0, t >= 1
-        return out
-
-    def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(log S_t, log dS_t/dlambda_k) for each row of ``spectra``:
-        (batch, tmax + 1) equal to :meth:`logsums`, and (batch, tmax + 1, K).
-
-        d log S_t / dlambda_k = exp(log dS_t/dlambda_k - log S_t). Each
-        partial sums the exponent-shifted rows d e_k lambda^(e - 1_k) over
-        the rows with e_k >= 1, so it stays exact at a zero eigenvalue
-        (where lambda_k d log S_t / dlambda_k = 0 says nothing) and at an
-        all-zero spectrum, where S_t = 0 for t >= 1 but dS_1 > 0. Each k is
-        one pass of the size of :meth:`logsums`.
-        """
-        loge, empty = self._log_spectra(spectra)
-        log_s = _block_logsumexp(loge, self._exps, self._logd, self._bounds)
-        log_s[empty, 1:] = -np.inf                      # S_t(0) = 0, t >= 1
-        with np.errstate(divide="ignore"):              # -inf where e_k = 0
-            logc = self._logd + np.log(self._exps.T)    # (K, rows)
-        shifted = self._exps - np.eye(self.K)[:, None, :]   # (K, rows, K)
-        log_ds = np.stack([_block_logsumexp(loge, shifted[k], logc[k], self._bounds)
-                           for k in range(self.K)], axis=-1)
-        log_ds[empty, 2:] = -np.inf                     # dS_t(0) = 0, t >= 2
-        return log_s, log_ds
-
-    def _log_spectra(self, spectra) -> tuple[np.ndarray, np.ndarray]:
-        """(log spectra with a stand-in for log 0, mask of all-zero rows)."""
+        """log S_t for each row of ``spectra``; returns (batch, tmax + 1)."""
         spectra = _check_spectra(spectra, self.K)
-        # zero eigenvalues: a large negative stand-in for log 0 keeps the
-        # segment reductions finite (exp underflows to 0 exactly)
-        loge = np.where(spectra > 0.0, np.log(np.where(spectra > 0, spectra, 1.0)), -1e12)
-        return loge, ~np.any(spectra > 0, axis=1)
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial_block(t: int, K: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Degree t of :class:`ZonalSumTable`: the exponent rows (rows, K) of every
-    monomial lambda^e with |e| = t and d_{t,lam} > 0, and their log d_{t,lam}
-    (rows,); read-only. :class:`DomainError` if some (a)_kappa is not positive.
-    """
-    lam_coeffs: dict[tuple[int, ...], float] = {}
-    if t == 0:
-        lam_coeffs[(0,) * K] = 1.0
-    else:
-        table = _zonal_table(t, K)
-        for kappa in enumerate_partitions(t, K):
-            poch = gen_pochhammer_log(a, kappa)
-            if poch.sign <= 0.0:
-                raise DomainError(f"denominator ({a})_{kappa.parts} is not positive")
-            inv = math.exp(-poch.log)
-            for lam, c in table[kappa.parts].items():
-                padded = lam + (0,) * (K - len(lam))
-                lam_coeffs[padded] = lam_coeffs.get(padded, 0.0) + c * inv
-    exps: list[tuple[int, ...]] = []
-    logd: list[float] = []
-    for lam, d in sorted(lam_coeffs.items()):
-        if d <= 0.0:
-            continue
-        for perm in sorted(set(itertools.permutations(lam))):
-            exps.append(perm)
-            logd.append(math.log(d))
-    exps_arr = np.asarray(exps, dtype=float).reshape(-1, K)
-    logd_arr = np.asarray(logd, dtype=float)
-    exps_arr.flags.writeable = logd_arr.flags.writeable = False
-    return exps_arr, logd_arr
-
-
-def _block_logsumexp(loge: np.ndarray, exps: np.ndarray, logc: np.ndarray,
-                     bounds: list[int]) -> np.ndarray:
-    """log sum_r exp(logc_r + exps_r . loge) over each row block
-    [bounds[j], bounds[j+1]) of ``exps``, for every row of ``loge``;
-    (batch, len(bounds) - 1). A block whose terms are all -inf gives -inf.
-    Chunked by _LOGSUMS_CHUNK_BYTES, which does not change the values."""
-    starts = np.asarray(bounds[:-1], dtype=np.intp)
-    step = max(1, _LOGSUMS_CHUNK_BYTES // (8 * len(logc)))
-    out = np.empty((len(loge), len(starts)))
-    for lo in range(0, len(loge), step):
-        lm = loge[lo:lo + step] @ exps.T + logc          # (chunk, rows)
-        peak = np.maximum.reduceat(lm, starts, axis=1)
-        peak[np.isneginf(peak)] = 0.0                    # a block of -inf terms
-        expanded = np.repeat(peak, np.diff(bounds), axis=1)
-        sums = np.add.reduceat(np.exp(lm - expanded), starts, axis=1)
-        with np.errstate(divide="ignore"):
-            out[lo:lo + step] = peak + np.log(sums)
-    return out
+        t = np.arange(self.tmax + 1)
+        log_poch = np.concatenate([[0.0], np.cumsum(np.log(self.a + t[:-1]))])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = t * np.log(spectra) - log_poch
+        out[:, 0] = 0.0                                 # S_0 = 1, also at lambda = 0
+        return out
 
 
 class PlanarZonalSums:
-    """The K = 2, a = 1 kernel in closed form, with :class:`ZonalSumTable`'s
-    interface and domain: no table, any degree.
+    """The K = 2, a = 1 kernel in closed form, with the interface and domain
+    of :func:`shared_sum_table`: no table, any degree.
 
     O(2) is two circles, so the degree-t part of 0F1(1; D^2/4) is exact:
     S_t(lambda) = [(d1 + d2)^(2t) + (d1 - d2)^(2t)] / (2 t!) with
@@ -491,7 +278,7 @@ class PlanarZonalSums:
         return self._terms(spectra, partials=False)[0]
 
     def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(log S_t, log dS_t/dlambda_k), as :meth:`ZonalSumTable.logsums_and_partials`.
+        """(log S_t, log dS_t/dlambda_k), as :func:`shared_sum_table` describes.
 
         With n = 2t - 1, the larger root d_b has dS_t/dlambda_b =
         t (s^n + (q s)^n) / (2 d_b t!), and the smaller has
@@ -540,8 +327,8 @@ _SPATIAL_MAX_DEGREE = 300
 
 
 class SpatialZonalSums:
-    """The K = 3, a = 3/2 kernel by exact quadrature over O(3), with
-    :class:`ZonalSumTable`'s interface and domain: no table, degrees up to
+    """The K = 3, a = 3/2 kernel by exact quadrature over O(3), with the
+    interface and domain of :func:`shared_sum_table`: no table, degrees up to
     _SPATIAL_MAX_DEGREE.
 
     S_t(lambda) = 4^t t! / (2t)! E_H[(tr DH)^(2t)] with D = diag(sqrt(lambda))
@@ -572,7 +359,7 @@ class SpatialZonalSums:
         return self._terms(_check_spectra(spectra, self.K), partial=False)
 
     def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(log S_t, log dS_t/dlambda_k), as :meth:`ZonalSumTable.logsums_and_partials`.
+        """(log S_t, log dS_t/dlambda_k), as :func:`shared_sum_table` describes.
 
         dS_t/dlambda_3 replaces C^(2k)/(2k)! in the integrand by
         k lambda_3^(k-1) c^(2k)/(2k)!, which needs no 1/sqrt(lambda) and so
@@ -715,21 +502,21 @@ def _check_spectra(spectra, K: int) -> np.ndarray:
     return spectra
 
 
-def shared_sum_table(K: int, tmax: int, denominator_a: float | None = None
-                     ) -> ZonalSumTable | PlanarZonalSums | SpatialZonalSums:
-    """A new kernel for (K, a = K/2 by default) through exactly degree ``tmax``.
+_KERNELS = {1: LinearZonalSums, 2: PlanarZonalSums, 3: SpatialZonalSums}
+_SUPPORTED = "zonal series support K in {1, 2, 3} with a = K/2"
 
-    For K = 2, a = 1 this is :class:`PlanarZonalSums` and for K = 3, a = 3/2
-    :class:`SpatialZonalSums`; neither builds anything. Any other (K, a) gets
-    a :class:`ZonalSumTable`, whose degree blocks are memoized, so only the
-    first kernel to reach a degree pays for its block.
+
+def shared_sum_table(K: int, tmax: int
+                     ) -> LinearZonalSums | PlanarZonalSums | SpatialZonalSums:
+    """A new table-free kernel for K in {1, 2, 3} (else :class:`DomainError`)
+    and a = K/2 through exactly degree ``tmax``. Its ``logsums(spectra)``
+    gives log S_t, (batch, tmax + 1), for (batch, K) non-negative spectra,
+    and ``logsums_and_partials`` (K = 2, 3) adds log dS_t/dlambda_k,
+    (batch, tmax + 1, K), exact also at zero eigenvalues.
     """
-    a = K / 2.0 if denominator_a is None else float(denominator_a)
-    if (K, a) == (2, 1.0):
-        return PlanarZonalSums(tmax)
-    if (K, a) == (3, 1.5):
-        return SpatialZonalSums(tmax)
-    return ZonalSumTable(K, tmax, a)
+    if K not in _KERNELS:
+        raise DomainError(f"{_SUPPORTED}, got K = {K}")
+    return _KERNELS[K](tmax)
 
 
 def signed_logsumexp(logs: np.ndarray, signs: np.ndarray, axis: int = -1):

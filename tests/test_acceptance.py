@@ -24,11 +24,10 @@ from svdshape.io import ingest_landmarks
 from svdshape.models import (GeneratorKind, GeneratorSpec, gaussian_model,
                              h_derivative, h_value, kotz_model,
                              radial_integral)
+from svdshape.oracle import enumerate_partitions, zonal_poly
 from svdshape.verify import mc_normalization, simulation_vs_density
-from svdshape.zonal import (SeriesControl, enumerate_partitions,
-                            exp_trace_integral_series,
-                            power_trace_integral_series, stiefel_mc_integral,
-                            zonal_poly)
+from svdshape.zonal import (SeriesControl, exp_trace_integral_series,
+                            power_trace_integral_series, stiefel_mc_integral)
 
 CTRL = SeriesControl(max_degree=60)
 

@@ -314,10 +314,33 @@ class TestCli:
         assert payload["df"] == 4
 
     @pytest.mark.parametrize("count", ["10", "-3"])
-    def test_verify_sim_count_below_the_minimum_is_a_domain_error(self, count):
+    def test_verify_sim_count_below_the_minimum_is_a_domain_error(self, count, monkeypatch):
+        # the count is checked before the Monte Carlo mass is computed
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Monte Carlo mass ran before the count check")
+        monkeypatch.setattr("svdshape.cli.mc_normalization", refuse)
         res = run_cli("verify", "--mc-samples", "200", "--sim-count", count)
         assert res.exit_code == 3
         assert "sim_count must be >= 1000" in res.stderr
+
+    @pytest.mark.parametrize("command", ["density", "fit", "verify"])
+    def test_series_commands_reject_K_4_at_once(self, command, tmp_path):
+        # the zonal kernels serve K = 1, 2 and 3; shape still accepts K = 4
+        rng = np.random.default_rng(21)
+        mu = 0.3 * rng.normal(size=(5, 4))
+        path = tmp_path / "k4.txt"
+        emit_landmarks(sample_landmarks(gaussian_model(0.5 * np.eye(5), np.eye(4), mu),
+                                        6, seed=4), str(path))
+        mu_path = tmp_path / "mu.txt"
+        np.savetxt(mu_path, mu)
+        args = {"density": ("density", str(path), "--mu", str(mu_path)),
+                "fit": ("fit", str(path), "--sigma2", "50"),
+                "verify": ("verify", "--landmarks", "6", "--dimension", "4",
+                           "--mc-samples", "200", "--sim-count", "1000")}[command]
+        res = run_cli(*args)
+        assert res.exit_code == 3
+        assert "domain error: zonal series support K in {1, 2, 3}" in res.stderr
+        assert run_cli("shape", str(path)).exit_code == 0
 
     def test_density_names_the_unconverged_specimen(self, specimens, tmp_path):
         from svdshape.cli import _build_config, _build_model, _load_sample

@@ -4,9 +4,9 @@ import pytest
 from scipy.stats import chi2
 
 from svdshape.errors import DomainError
-from svdshape.special import (LogSign, Partition, chi_square_sf,
-                              enumerate_partitions, gen_pochhammer,
-                              gen_pochhammer_log, multivariate_gamma)
+from svdshape.oracle import (Partition, enumerate_partitions, gen_pochhammer,
+                             gen_pochhammer_log)
+from svdshape.special import LogSign, chi_square_sf, multivariate_gamma
 
 
 class TestLogSign:

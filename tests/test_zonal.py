@@ -1,25 +1,32 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from svdshape import zonal
+import svdshape
+from svdshape import oracle, zonal
 from svdshape.densities import (IsotropicKind, _isotropic_bracket,
                                 batch_shape_logdensity, shape_logdensity)
 from svdshape.errors import DomainError, SeriesTruncationError
 from svdshape.geometry import svd_shape
 from svdshape.inference import OptimizerConfig, SampleOfShapes, fit_location
 from svdshape.models import gaussian_model, kotz_model
-from svdshape.special import LogSign, Partition, enumerate_partitions, gen_pochhammer
-from svdshape.zonal import (PlanarZonalSums, SeriesControl, SpatialZonalSums,
-                            ZonalSumTable,
+from svdshape.oracle import (Partition, ZonalSumTable, enumerate_partitions,
+                             gen_pochhammer, zonal_poly)
+from svdshape.special import LogSign
+from svdshape.zonal import (LinearZonalSums, PlanarZonalSums, SeriesControl,
+                            SpatialZonalSums,
                             exp_trace_integral_series,
                             hypergeom_0F1, log_stiefel_volume,
                             power_trace_integral_series, shared_sum_table,
                             signed_logsumexp,
-                            stiefel_mc_integral, zonal_poly, zonal_series,
+                            stiefel_mc_integral, zonal_series,
                             zonal_series_batch)
 
 
@@ -186,15 +193,6 @@ class TestBlockEvaluator:
         assert np.array_equal(batch_shape_logdensity(U, model, ctrl=wide),
                               batch_shape_logdensity(U, model))
 
-    def test_table_series_builds_blocks_near_its_stop_only(self):
-        # a K = 4 series reaches ZonalSumTable, whose cold degree blocks are
-        # costly; a = 2.75 keeps them apart from the blocks of other tests
-        before = zonal._monomial_block.cache_info().currsize
-        res = zonal_series(lambda t: LogSign.one(), [0.05, 0.025, 0.05 / 3, 0.0125], 2.75)
-        built = zonal._monomial_block.cache_info().currsize - before
-        assert res.degrees_used == 9
-        assert built <= res.degrees_used + zonal._DEGREE_BLOCK
-
     def test_rows_stop_as_batches_of_one(self):
         spectra = np.array([[0.1, 0.05], [20.0, 9.0], [0.0, 0.0], [3.0, 1.0]])
         log, sign, used, tail = zonal_series_batch(ones, spectra, 1.0)
@@ -241,27 +239,6 @@ class TestZonalSumTable:
                         for k in enumerate_partitions(t, K))
                     assert math.exp(ls[i, t]) == pytest.approx(direct, rel=1e-10)
 
-    def test_kernels_are_stateless_values(self, monkeypatch):
-        # two kernels of one (K, a) agree on their common degrees
-        low = shared_sum_table(2, 4, 7.5)
-        high = shared_sum_table(2, 9, 7.5)
-        assert (low.tmax, high.tmax) == (4, 9)
-        assert shared_sum_table(2, 4, 7.5) is not low
-        spectra = np.array([[0.3, 1.2], [2.0, 0.0], [0.0, 0.0]])
-        assert np.array_equal(low.logsums(spectra), high.logsums(spectra)[:, :5])
-        # a second table reads the memoized degree blocks and builds nothing
-        spectra = np.abs(np.random.default_rng(8).normal(size=(6, 3)))
-        first = ZonalSumTable(3, 20)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a memoized degree block was rebuilt")
-        monkeypatch.setattr(zonal, "_zonal_table", refuse)
-        second = ZonalSumTable(3, 20)
-        assert np.array_equal(first.logsums(spectra), second.logsums(spectra))
-        for got, want in zip(second.logsums_and_partials(spectra),
-                             first.logsums_and_partials(spectra)):
-            assert np.array_equal(got, want)
-
     def test_logsums_memory_is_bounded_and_chunking_is_exact(self, monkeypatch):
         tab = ZonalSumTable(2, 60)
         spectra = np.abs(np.random.default_rng(4).normal(size=(5000, 2))) * 3
@@ -272,7 +249,7 @@ class TestZonalSumTable:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
-        monkeypatch.setattr(zonal, "_LOGSUMS_CHUNK_BYTES", 2 ** 40)
+        monkeypatch.setattr(oracle, "_LOGSUMS_CHUNK_BYTES", 2 ** 40)
         assert np.array_equal(chunked, tab.logsums(spectra))
 
     @pytest.mark.parametrize("K", [2, 3])
@@ -336,9 +313,6 @@ def planar_spectra() -> np.ndarray:
 class TestPlanarZonalSums:
     def test_is_the_kernel_for_K2_and_a1_only(self):
         assert isinstance(shared_sum_table(2, 10), PlanarZonalSums)
-        assert isinstance(shared_sum_table(2, 10, 1.0), PlanarZonalSums)
-        assert isinstance(shared_sum_table(2, 4, 7.5), ZonalSumTable)
-        assert isinstance(shared_sum_table(1, 4, 1.0), ZonalSumTable)
         kernel = shared_sum_table(2, 10)
         assert (kernel.K, kernel.a, kernel.tmax) == (2, 1.0, 10)
 
@@ -376,7 +350,7 @@ class TestPlanarZonalSums:
         def refuse(*args, **kwargs):
             raise AssertionError("a K=2 route built a monomial table")
         monkeypatch.setattr(ZonalSumTable, "__init__", refuse)
-        monkeypatch.setattr(zonal, "_zonal_table", refuse)
+        monkeypatch.setattr(oracle, "_zonal_table", refuse)
         rng = np.random.default_rng(12)
         mu = rng.normal(size=(3, 2))
         model = gaussian_model(0.8 * np.eye(3), np.eye(2), mu)
@@ -412,8 +386,6 @@ def spatial_spectra() -> np.ndarray:
 class TestSpatialZonalSums:
     def test_is_the_kernel_for_K3_and_a_three_halves_only(self):
         assert isinstance(shared_sum_table(3, 10), SpatialZonalSums)
-        assert isinstance(shared_sum_table(3, 10, 1.5), SpatialZonalSums)
-        assert isinstance(shared_sum_table(3, 4, 2.5), ZonalSumTable)
         kernel = shared_sum_table(3, 10)
         assert (kernel.K, kernel.a, kernel.tmax) == (3, 1.5, 10)
 
@@ -485,7 +457,7 @@ class TestSpatialZonalSums:
         def refuse(*args, **kwargs):
             raise AssertionError("a K=3 route built a monomial table")
         monkeypatch.setattr(ZonalSumTable, "__init__", refuse)
-        monkeypatch.setattr(zonal, "_zonal_table", refuse)
+        monkeypatch.setattr(oracle, "_zonal_table", refuse)
         rng = np.random.default_rng(13)
         mu = rng.normal(size=(3, 3))
         model = gaussian_model(0.8 * np.eye(3), np.eye(3), mu)
@@ -496,6 +468,79 @@ class TestSpatialZonalSums:
             (f"s{i}", svd_shape(mu + rng.normal(size=(3, 3)))) for i in range(6)))
         fit = fit_location(sample, IsotropicKind.GAUSSIAN, 1.0, OptimizerConfig(seed=0))
         assert math.isfinite(fit.loglik)
+
+
+class TestLinearZonalSums:
+    def test_matches_the_table_to_degree_30(self):
+        rng = np.random.default_rng(9)
+        spectra = np.concatenate([[[0.0], [1e-12], [1e3]],
+                                  10.0 ** rng.uniform(-3, 3, size=(47, 1))])
+        log_s = shared_sum_table(1, 30).logsums(spectra)
+        ref = ZonalSumTable(1, 30).logsums(spectra)
+        assert np.array_equal(np.isneginf(log_s), np.isneginf(ref))
+        finite = np.isfinite(ref)
+        err = np.abs(log_s[finite] - ref[finite])
+        assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(ref[finite])))
+
+    def test_input_validation(self):
+        with pytest.raises(DomainError):
+            LinearZonalSums(-1)
+        with pytest.raises(DomainError):
+            LinearZonalSums(3).logsums(np.array([[-0.5]]))
+        with pytest.raises(DomainError):
+            LinearZonalSums(3).logsums(np.ones((3, 2)))
+
+
+class TestKernelDomain:
+    def test_K1_is_served_and_K_outside_1_to_3_raises(self):
+        kernel = shared_sum_table(1, 7)
+        assert isinstance(kernel, LinearZonalSums)
+        assert (kernel.K, kernel.a, kernel.tmax) == (1, 0.5, 7)
+        for K in (0, 4, 5):
+            with pytest.raises(DomainError, match=r"K in \{1, 2, 3\}"):
+                shared_sum_table(K, 7)
+
+    def test_other_a_or_a_wider_spectrum_raises(self):
+        for b, eigs in ((2.0, [0.1, 0.2, 0.3, 0.4]), (2.0, [0.1]), (1.25, [0.1, 0.2])):
+            with pytest.raises(DomainError, match=r"K in \{1, 2, 3\}"):
+                hypergeom_0F1(b, eigs)
+        with pytest.raises(DomainError, match="n <= K"):
+            hypergeom_0F1(1.0, [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("n,K", [(1, 2), (1, 3), (2, 3)])
+    def test_short_spectra_are_zero_padded_exactly(self, n, K):
+        # C_kappa vanishes for kappa of more parts than nonzero eigenvalues,
+        # so the K-column kernel on padded spectra sums what the n-column
+        # table sums at a = K/2
+        table = ZonalSumTable(n, 30, K / 2.0)
+        rng = np.random.default_rng(10 * n + K)
+        spectra = np.concatenate([np.zeros((1, n)), np.abs(rng.normal(size=(6, n))) * 3])
+        log_s = table.logsums(spectra)
+        for eigs, ref in zip(spectra, log_s):
+            res = zonal_series(lambda t: LogSign.one(), eigs, K / 2.0,
+                               SeriesControl(max_degree=30))
+            oracle_sum = math.fsum(math.exp(ref[t] - math.lgamma(t + 1))
+                                   for t in range(res.degrees_used + 1))
+            assert res.value == pytest.approx(oracle_sum, rel=1e-12)
+
+
+# every name that left the runtime for svdshape.oracle
+_ORACLE_NAMES = ("ZonalSumTable", "_monomial_block", "_block_logsumexp", "_zonal_table",
+                 "_table_lock", "_table_cache", "_dominates", "_rho", "_leading_coefficient",
+                 "_monomial", "zonal_poly", "Partition", "enumerate_partitions",
+                 "gen_pochhammer", "gen_pochhammer_log")
+
+
+def test_the_runtime_never_imports_the_oracle():
+    code = ("import json, sys, svdshape.cli\n"
+            "mods = {k: m for k, m in sys.modules.items() if k.startswith('svdshape')}\n"
+            f"print(json.dumps(['svdshape.oracle' in mods, sorted(k + '.' + name "
+            f"for k, m in mods.items() for name in {_ORACLE_NAMES!r} if hasattr(m, name))]))")
+    src = os.path.dirname(os.path.dirname(svdshape.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert json.loads(out.stdout) == [False, []]
 
 
 class TestSignedLogsumexp:
