@@ -22,8 +22,7 @@ from .inference import (EvidenceGrade, FitResult, IsotropicLikelihood,
                         log_likelihood, lr_test_equal_means)
 from .io import emit_landmarks, ingest_landmarks, read_matrix
 from .models import (GeneratorKind, GeneratorSpec, ModelSpec, gaussian_model,
-                     h_derivative, h_value, kotz_model, radial_integral,
-                     radial_integral_quad)
+                     h_derivative, h_value, kotz_model, radial_integral)
 from .special import LogSign, chi_square_sf
 from .verify import mc_normalization, sample_landmarks, simulation_vs_density
 from .zonal import (SeriesControl, SeriesResult, hypergeom_0F1,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from .densities import IsotropicKind, shape_logdensities
+from .densities import IsotropicKind, central_shape_logdensity, shape_logdensities
 from .errors import DomainError, NumericError, ParseError, SeriesTruncationError
 from .geometry import Mode, preprocess, svd_shape
 from .inference import (OptimizerConfig, SampleOfShapes, evidence_grade,
@@ -247,15 +247,20 @@ def cmd_density(input_file, config_path, **flags):
         theta = _read_theta(config)
         sample = _load_sample(input_file, config, "input", theta)
         model = _build_model(config, sample.Nm1, sample.K, theta)
-        try:
-            logs, used, tails = shape_logdensities(
-                np.array([sc.u for _, sc in sample.items]), model, config.mode, config.ctrl)
-        except SeriesTruncationError as exc:
-            raise type(exc)(f"specimen {sample.items[exc.row][0]!r}: {exc}") from None
+        if np.any(model.mu):
+            try:
+                logs, used, tails = shape_logdensities(
+                    np.array([sc.u for _, sc in sample.items]), model, config.mode,
+                    config.ctrl)
+            except SeriesTruncationError as exc:
+                raise type(exc)(f"specimen {sample.items[exc.row][0]!r}: {exc}") from None
+            values = zip(logs.tolist(), used.tolist(), tails.tolist())
+        else:                   # central: the closed form, no series, any K
+            values = ((central_shape_logdensity(sc.u, model, config.mode).log_density, 0, 0.0)
+                      for _, sc in sample.items)
         records = [{"id": sid, "log_density": log, "series_degrees_used": degrees,
                     "tail_bound": tail}
-                   for (sid, _), log, degrees, tail
-                   in zip(sample.items, logs.tolist(), used.tolist(), tails.tolist())]
+                   for (sid, _), (log, degrees, tail) in zip(sample.items, values)]
         _emit(config, {"command": "density", "model": config.model,
                        "specimens": records})
         _table([f"{r['id']:>16}  log f = {r['log_density']:.10g}" for r in records])

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import optimize
 
 from .densities import IsotropicKind, _isotropic_bracket, _isotropic_bracket_slope
 from .errors import DomainError, NumericError, SeriesTruncationError
@@ -71,11 +70,16 @@ class SampleOfShapes:
 _GTOL = 1e-6
 # cap on the value-and-gradient evaluations (and iterations) of one start
 _MAX_EVALUATIONS = 50000
+# strong-Wolfe constants of the line search: sufficient decrease, curvature
+_WOLFE_C1 = 1e-4
+_WOLFE_C2 = 0.9
+# trial steps one line search may evaluate before it gives up
+_LINE_SEARCH_TRIALS = 40
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start L-BFGS settings for :func:`fit_location`."""
+    """Multi-start BFGS settings for :func:`fit_location`."""
 
     n_starts: int = 4
     seed: int = 0
@@ -229,6 +233,110 @@ def evidence_grade(delta_bic: float) -> EvidenceGrade:
     return EvidenceGrade.VERY_STRONG
 
 
+@dataclass(frozen=True)
+class _Minimum:
+    """Where one BFGS start stopped; ``converged`` means the gradient test
+    was met there."""
+
+    x: np.ndarray
+    value: float
+    converged: bool
+    evaluations: int
+
+
+def _minimize_bfgs(fun, x0: np.ndarray) -> _Minimum:
+    """Minimize ``fun(x) -> (value, gradient)`` from x0 by BFGS.
+
+    A dense inverse Hessian, scaled by s'y / y'y before its first update,
+    and a strong-Wolfe line search (Nocedal and Wright, Numerical
+    Optimization, 2nd ed., Alg. 6.1 with Alg. 3.5 and 3.6). The first trial
+    step has length 1. The run stops once no gradient component exceeds
+    ``_GTOL`` (converged), after ``_MAX_EVALUATIONS`` evaluations, or when a
+    line search finds no acceptable step.
+    """
+    evaluations = 0
+
+    def evaluate(x):
+        nonlocal evaluations
+        evaluations += 1
+        value, grad = fun(x)
+        return float(value), np.asarray(grad, dtype=float)
+
+    x = np.asarray(x0, dtype=float).copy()
+    f, g = evaluate(x)
+    H = np.eye(x.size)
+    first = True
+    while np.max(np.abs(g)) > _GTOL and evaluations < _MAX_EVALUATIONS:
+        p = -H @ g
+        alpha = min(1.0, 1.0 / float(np.linalg.norm(p))) if first else 1.0
+        step = _wolfe_search(evaluate, _MAX_EVALUATIONS - evaluations,
+                             x, f, p, float(g @ p), alpha)
+        if step is None:
+            break
+        x_new, f, g_new = step
+        s, y = x_new - x, g_new - g
+        x, g = x_new, g_new
+        sy = float(s @ y)
+        if sy <= 0.0:
+            continue
+        if first:
+            H *= sy / float(y @ y)
+            first = False
+        rho = 1.0 / sy
+        Hy = H @ y
+        H += ((rho * rho * float(y @ Hy) + rho) * np.outer(s, s)
+              - rho * (np.outer(Hy, s) + np.outer(s, Hy)))
+    return _Minimum(x, f, bool(np.max(np.abs(g)) <= _GTOL), evaluations)
+
+
+def _wolfe_search(evaluate, budget, x, f0, p, slope0, alpha):
+    """(x + alpha p, value, gradient) at a step alpha meeting the strong
+    Wolfe conditions along the descent direction p, or None when none is
+    found within ``_LINE_SEARCH_TRIALS`` trials or ``budget`` evaluations.
+    A non-finite value counts as too long a step."""
+    lo = (0.0, f0, slope0)          # (step, value, slope) of the best step so far
+    hi = None                       # the bracket's other end, once there is one
+    for _ in range(min(_LINE_SEARCH_TRIALS, budget)):
+        if hi is not None:
+            alpha = _cubic_step(lo, hi)
+        xa = x + alpha * p
+        value, grad = evaluate(xa)
+        d = float(grad @ p)
+        if not value <= f0 + _WOLFE_C1 * alpha * slope0 or value >= lo[1]:
+            hi = (alpha, value, d)
+        elif abs(d) <= -_WOLFE_C2 * slope0:
+            return xa, value, grad
+        else:
+            # the value rises from alpha towards the far end (while
+            # extrapolating, towards +inf): the minimum lies between lo and alpha
+            far = math.inf if hi is None else hi[0]
+            if d * (far - lo[0]) >= 0.0:
+                hi = lo
+            lo = (alpha, value, d)
+            if hi is None:
+                alpha *= 2.0
+    return None
+
+
+def _cubic_step(lo, hi) -> float:
+    """Minimizer of the cubic through two (step, value, slope) points,
+    kept at least a tenth of the bracket from either end (bisection when
+    the cubic has no usable minimizer)."""
+    (a, fa, da), (b, fb, db) = lo, hi
+    width = b - a
+    if math.isfinite(fb) and math.isfinite(db):
+        d1 = da + db - 3.0 * (fa - fb) / (a - b)
+        disc = d1 * d1 - da * db
+        if disc >= 0.0:
+            d2 = math.copysign(math.sqrt(disc), width)
+            denom = db - da + 2.0 * d2
+            if denom != 0.0:
+                c = b - width * (db + d2 - d1) / denom
+                if 0.1 <= (c - a) / width <= 0.9:
+                    return c
+    return a + 0.5 * width
+
+
 def _canonical_sign(mu: np.ndarray) -> np.ndarray:
     flat = mu.reshape(-1)
     nz = flat[flat != 0]
@@ -242,7 +350,7 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
                  ctrl: SeriesControl | None = None) -> FitResult:
     """Maximum-likelihood location fit with sigma^2 fixed by protocol.
 
-    Multi-start L-BFGS on the exact log-likelihood gradient
+    Multi-start BFGS on the exact log-likelihood gradient
     (:meth:`IsotropicLikelihood.loglik_and_grad`); each start stops once no
     gradient component exceeds 1e-6. Start 0 is the moment seed
     mean_i(r_i W_i) (an unbiased location estimate up to the rotation orbit),
@@ -268,24 +376,16 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
         value, grad = like.loglik_and_grad(theta)
         return -value, -grad.reshape(-1)
 
-    evaluations = 0
-    best = None
-    for x0 in starts:
-        res = optimize.minimize(
-            objective, x0, jac=True, method="L-BFGS-B",
-            options={"gtol": _GTOL, "ftol": 0.0, "maxfun": _MAX_EVALUATIONS,
-                     "maxiter": _MAX_EVALUATIONS})
-        evaluations += res.nfev
-        if best is None or res.fun < best.fun:
-            best = res
-    assert best is not None
+    runs = [_minimize_bfgs(objective, x0) for x0 in starts]
+    best = min(runs, key=lambda run: run.value)
     mu_hat = best.x.reshape(Nm1, K)
     like.check_converged(mu_hat)
-    loglik = -float(best.fun)
+    loglik = -best.value
     return FitResult(mu_hat=_canonical_sign(mu_hat), sigma2=sigma2_fixed,
                      loglik=loglik, n_params=n_loc,
                      bic_star=bic_star(loglik, n_loc, sample.size),
-                     converged=bool(best.success), evaluations=evaluations)
+                     converged=best.converged,
+                     evaluations=sum(run.evaluations for run in runs))
 
 
 @dataclass(frozen=True)

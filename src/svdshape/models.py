@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .geometry import theta_inv_sqrt
 from .special import LogSign
 
@@ -208,44 +208,6 @@ def _kotz_radial_exact(T: int, R: float, t: int, a: float, b: float, q: int) -> 
         if total == 0 or mp.fabs(total) < mp.mpf(10) ** -45 * mp.gamma(mp.mpf(q) / 2):
             return LogSign.zero()
         return LogSign(float(mp.log(mp.fabs(total))), 1.0 if total > 0 else -1.0)
-
-
-def radial_integral_quad(gen: GeneratorSpec, t: int, a: float, b: float,
-                         m: int, n: int) -> LogSign:
-    """Adaptive-quadrature oracle for :func:`radial_integral`."""
-    from scipy import integrate     # only this oracle needs it; keep imports light
-
-    if a <= 0:
-        raise DomainError(f"radial scale a must be positive, got {a}")
-    q = m + n + 2 * t
-    R = gen.R
-
-    def log_integrand(r: float) -> tuple[float, float]:
-        h = h_derivative_log(gen, 2 * t, a * r * r + b)
-        if h.sign == 0.0 or r <= 0.0:
-            return -math.inf, 0.0
-        return (q - 1) * math.log(r) + h.log, h.sign
-
-    # locate the peak magnitude to choose a scale and an integration window
-    r_peak = math.sqrt(max(q - 1, 1) / (2 * R * a))
-    grid = np.geomspace(r_peak * 1e-3, r_peak * 30, 400)
-    logs = np.array([log_integrand(r)[0] for r in grid])
-    scale = float(logs.max())
-    if not math.isfinite(scale):
-        return LogSign.zero()
-    above = grid[logs > scale - 40]
-    lo, hi = float(above.min()), float(above.max())
-
-    def f(r):
-        lg, sg = log_integrand(r)
-        return sg * math.exp(lg - scale) if math.isfinite(lg) else 0.0
-
-    val, err = integrate.quad(f, lo, hi, limit=300)
-    if abs(err) > 1e-7 * max(abs(val), 1.0):
-        raise NumericError(f"radial quadrature did not converge (value {val}, error {err})")
-    if val == 0.0:
-        return LogSign.zero()
-    return LogSign(scale + math.log(abs(val)), math.copysign(1.0, val))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""The tests' oracles for the zonal kernels; no runtime module imports this.
+"""The tests' oracles; no runtime module imports this.
 
 Zonal polynomial coefficients in the monomial basis by the classical
 recursion (the alpha = 2 Jack family), summed by :func:`zonal_poly` and,
-collapsed over kappa for any K and a, by :class:`ZonalSumTable`.
+collapsed over kappa for any K and a, by :class:`ZonalSumTable`; and the
+radial integral by adaptive quadrature (:func:`radial_integral_quad`, the
+only user of scipy in the package).
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
+from .models import GeneratorSpec, h_derivative_log
 from .special import LogSign
 from .zonal import _LOGSUMS_CHUNK_BYTES, _check_spectra
 
@@ -338,3 +341,41 @@ def _block_logsumexp(loge: np.ndarray, exps: np.ndarray, logc: np.ndarray,
         with np.errstate(divide="ignore"):
             out[lo:lo + step] = peak + np.log(sums)
     return out
+
+
+def radial_integral_quad(gen: GeneratorSpec, t: int, a: float, b: float,
+                         m: int, n: int) -> LogSign:
+    """Adaptive-quadrature oracle for :func:`svdshape.models.radial_integral`."""
+    from scipy import integrate
+
+    if a <= 0:
+        raise DomainError(f"radial scale a must be positive, got {a}")
+    q = m + n + 2 * t
+    R = gen.R
+
+    def log_integrand(r: float) -> tuple[float, float]:
+        h = h_derivative_log(gen, 2 * t, a * r * r + b)
+        if h.sign == 0.0 or r <= 0.0:
+            return -math.inf, 0.0
+        return (q - 1) * math.log(r) + h.log, h.sign
+
+    # locate the peak magnitude to choose a scale and an integration window
+    r_peak = math.sqrt(max(q - 1, 1) / (2 * R * a))
+    grid = np.geomspace(r_peak * 1e-3, r_peak * 30, 400)
+    logs = np.array([log_integrand(r)[0] for r in grid])
+    scale = float(logs.max())
+    if not math.isfinite(scale):
+        return LogSign.zero()
+    above = grid[logs > scale - 40]
+    lo, hi = float(above.min()), float(above.max())
+
+    def f(r):
+        lg, sg = log_integrand(r)
+        return sg * math.exp(lg - scale) if math.isfinite(lg) else 0.0
+
+    val, err = integrate.quad(f, lo, hi, limit=300)
+    if abs(err) > 1e-7 * max(abs(val), 1.0):
+        raise NumericError(f"radial quadrature did not converge (value {val}, error {err})")
+    if val == 0.0:
+        return LogSign.zero()
+    return LogSign(scale + math.log(abs(val)), math.copysign(1.0, val))

@@ -128,6 +128,26 @@ def _chi2_critical_99(dof: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def sine_power_integrals(p: int, edges: np.ndarray) -> np.ndarray:
+    """int sin^p x dx over each interval [edges[i], edges[i+1]], exactly, by
+    I_p = [-sin^(p-1) x cos x / p] + (p-1)/p I_(p-2), I_0 = b - a and
+    I_1 = cos a - cos b.
+
+    Each integral carries an absolute rounding error of a few ulps of
+    b - a; an interval on which sin^p is tiny (near 0 or pi at large p) is
+    therefore exact in absolute terms only.
+    """
+    if p < 0:
+        raise DomainError(f"power must be non-negative, got {p}")
+    a, b = edges[:-1], edges[1:]
+    sin_a, cos_a, sin_b, cos_b = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+    I = [b - a, cos_a - cos_b]
+    for q in range(2, p + 1):
+        I.append((sin_a ** (q - 1) * cos_a - sin_b ** (q - 1) * cos_b) / q
+                 + (q - 1) / q * I[q - 2])
+    return I[p]
+
+
 def check_sim_count(sim_count: int) -> None:
     """:class:`DomainError` unless ``sim_count`` reaches the 1000 specimens
     that :func:`simulation_vs_density` needs at least."""
@@ -148,9 +168,10 @@ def simulation_vs_density(model: ModelSpec, mode: Mode = Mode.REFLECTION,
     simulated configuration gets an independent Haar right rotation before
     its angles are read off the free spherical chart.
 
-    Expected bin masses come from exact quadrature when the model is central
-    with isotropic Sigma (the density is then uniform on the box times the
-    chart Jacobian), and from a larger importance-sampling run otherwise.
+    Expected bin masses are exact (:func:`sine_power_integrals`) when the
+    model is central with isotropic Sigma (the density is then uniform on the
+    box times the chart Jacobian), and come from a larger importance-sampling
+    run otherwise.
     Each marginal is scored by Pearson chi-square against its 99% critical
     value.
     """
@@ -179,12 +200,9 @@ def simulation_vs_density(model: ModelSpec, mode: Mode = Mode.REFLECTION,
         observed, _ = np.histogram(angles[:, j], bins=edges)
         if central_iso:
             if j < m - 1:
-                from scipy import integrate   # only these bin masses need it
-                p = m - 1 - j  # marginal density proportional to sin^p
-                norm = integrate.quad(lambda x: math.sin(x) ** p, 0.0, math.pi)[0]
-                expected = np.array([
-                    integrate.quad(lambda x: math.sin(x) ** p, edges[i], edges[i + 1])[0]
-                    for i in range(bins)]) / norm
+                # marginal density proportional to sin^p; the bins cover [0, pi]
+                masses = sine_power_integrals(m - 1 - j, edges)
+                expected = masses / masses.sum()
             else:
                 expected = np.full(bins, 1.0 / bins)
             expected_var = np.zeros(bins)

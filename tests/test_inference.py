@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from svdshape import inference
 from svdshape.densities import (IsotropicKind, _isotropic_bracket,
                                 isotropic_shape_logdensity)
 from svdshape.errors import DomainError, SeriesTruncationError
 from svdshape.geometry import LandmarkSet, Mode, preprocess, svd_shape
 from svdshape.inference import (_GTOL, EvidenceGrade, IsotropicLikelihood,
-                                OptimizerConfig, SampleOfShapes, bic_star,
-                                evidence_grade, fit_location, log_likelihood,
-                                lr_test_equal_means)
+                                OptimizerConfig, SampleOfShapes, _minimize_bfgs,
+                                bic_star, evidence_grade, fit_location,
+                                log_likelihood, lr_test_equal_means)
 from svdshape.zonal import SeriesControl
 
 CTRL = SeriesControl(max_degree=60)
@@ -266,6 +267,53 @@ class TestFitLocation:
         assert fit.converged and value == fit.loglik
         assert np.max(np.abs(grad)) <= _GTOL
         assert fit.evaluations < 300
+
+
+def _rosenbrock(x):
+    r = x[1:] - x[:-1] ** 2
+    grad = np.zeros_like(x)
+    grad[:-1] = -400.0 * x[:-1] * r - 2.0 * (1.0 - x[:-1])
+    grad[1:] += 200.0 * r
+    return float(np.sum(100.0 * r * r + (1.0 - x[:-1]) ** 2)), grad
+
+
+class TestBfgs:
+    def test_convex_quadratic(self):
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(10, 10))
+        A = A @ A.T + np.eye(10)
+        b = rng.normal(size=10)
+        res = _minimize_bfgs(lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b), np.zeros(10))
+        assert res.converged
+        assert np.max(np.abs(A @ res.x - b)) <= _GTOL
+        assert res.x == pytest.approx(np.linalg.solve(A, b), abs=1e-5)
+
+    @pytest.mark.parametrize("x0", [[-1.2, 1.0], [-1.0] * 6, [0.0] * 15])
+    def test_rosenbrock(self, x0):
+        res = _minimize_bfgs(_rosenbrock, np.array(x0))
+        value, grad = _rosenbrock(res.x)
+        assert res.converged and res.value == value
+        assert np.max(np.abs(grad)) <= _GTOL
+        assert np.max(np.abs(res.x - 1.0)) < 1e-5
+        assert res.evaluations < 200
+
+    def test_stops_at_the_evaluation_cap(self, monkeypatch):
+        monkeypatch.setattr(inference, "_MAX_EVALUATIONS", 10)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return _rosenbrock(x)
+
+        res = _minimize_bfgs(counted, np.array([-1.2, 1.0]))
+        assert not res.converged
+        assert res.evaluations == len(calls) == 10
+
+    def test_fit_reports_the_cap(self, sample, monkeypatch):
+        monkeypatch.setattr(inference, "_MAX_EVALUATIONS", 3)
+        fit = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2,
+                           OptimizerConfig(n_starts=2, seed=0), CTRL)
+        assert not fit.converged and fit.evaluations <= 6
 
 
 class TestLrTest:

@@ -1,14 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import svdshape
 from svdshape.cli import main
+from svdshape.densities import central_shape_logdensity, shape_logdensity
 from svdshape.errors import ParseError, SeriesTruncationError
+from svdshape.geometry import preprocess, svd_shape
 from svdshape.io import emit_landmarks, ingest_landmarks, read_matrix
-from svdshape.models import gaussian_model
+from svdshape.models import gaussian_model, kotz_model
 from svdshape.verify import sample_landmarks
 
 
@@ -370,3 +376,94 @@ class TestCli:
         payload = json.loads(res.stdout)
         assert payload["normalization"]["passed"]
         assert payload["simulation"]["passed"]
+
+    def test_central_density_at_K_4(self, tmp_path):
+        # a zero --mu takes the closed central density, which serves any K
+        rng = np.random.default_rng(21)
+        specimens = sample_landmarks(
+            gaussian_model(0.5 * np.eye(5), np.eye(4), 0.3 * rng.normal(size=(5, 4))),
+            6, seed=4)
+        path = tmp_path / "k4.txt"
+        emit_landmarks(specimens, str(path))
+        res = run_cli("density", str(path), "--sigma2", "0.5")
+        assert res.exit_code == 0
+        records = json.loads(res.stdout)["specimens"]
+        model = gaussian_model(0.5 * np.eye(5), np.eye(4), np.zeros((5, 4)))
+        for lm, rec in zip(specimens, records):
+            want = central_shape_logdensity(svd_shape(preprocess(lm)).u, model)
+            assert rec["log_density"] == want.log_density
+            assert rec["series_degrees_used"] == 0 and rec["tail_bound"] == 0.0
+
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("model_args", [("--model", "gaussian"),
+                                            ("--model", "kotz", "--kotz-T", "3")])
+    def test_central_density_agrees_with_the_series(self, K, model_args, tmp_path):
+        rng = np.random.default_rng(K)
+        specimens = sample_landmarks(
+            gaussian_model(np.eye(3), np.eye(K), rng.normal(size=(3, K))), 5, seed=K)
+        path = tmp_path / "central.txt"
+        emit_landmarks(specimens, str(path))
+        mu_path = tmp_path / "zero-mu.txt"
+        np.savetxt(mu_path, np.zeros((3, K)))
+        model = (gaussian_model(0.7 * np.eye(3), np.eye(K), np.zeros((3, K)))
+                 if model_args[1] == "gaussian"
+                 else kotz_model(0.7 * np.eye(3), np.eye(K), np.zeros((3, K)), T=3))
+        for extra in ((), ("--mu", str(mu_path))):
+            res = run_cli("density", str(path), "--sigma2", "0.7", *model_args, *extra)
+            assert res.exit_code == 0
+            for lm, rec in zip(specimens, json.loads(res.stdout)["specimens"]):
+                series = shape_logdensity(svd_shape(preprocess(lm)).u, model)
+                assert rec["log_density"] == pytest.approx(series.log_density,
+                                                           rel=1e-12, abs=0.0)
+                assert rec["series_degrees_used"] == 0
+
+
+_SRC = os.path.dirname(os.path.dirname(svdshape.__file__))
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None          # any scipy import now raises ImportError
+from click.testing import CliRunner
+from svdshape.cli import main
+out = {}
+for name, args in json.loads(sys.argv[1]).items():
+    res = CliRunner().invoke(main, args)
+    out[name] = [res.exit_code, repr(res.exception)]
+print(json.dumps(out))
+"""
+
+
+class TestNoScipyAtRunTime:
+    def test_cli_import_loads_no_scipy(self):
+        res = _python("import sys, svdshape.cli\n"
+                      "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
+    def test_commands_run_without_scipy(self, landmark_file, tmp_path):
+        mu_path = tmp_path / "mu.txt"
+        mu_path.write_text("0.8 -0.3\n0.4 0.6\n")
+        small = ("--sigma2", "1")
+        verify = ("verify", "--mc-samples", "2000", "--sim-count", "1000")
+        commands = {
+            "density": ("density", landmark_file, "--mu", str(mu_path), "--sigma2", "0.5"),
+            "density-central": ("density", landmark_file),
+            "verify-noncentral": verify + ("--mu", str(mu_path), "--sigma2", "0.9"),
+            "verify-central": verify,
+            "fit": ("fit", landmark_file) + small,
+            "compare": ("compare", landmark_file) + small,
+            "test": ("test", landmark_file, landmark_file) + small,
+        }
+        res = _python(_WITHOUT_SCIPY, json.dumps(commands))
+        assert res.returncode == 0, res.stderr
+        codes = json.loads(res.stdout)
+        assert codes == {name: [0, "None"] for name in commands}

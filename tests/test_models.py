@@ -6,8 +6,8 @@ import pytest
 from svdshape.errors import DomainError
 from svdshape.models import (GeneratorKind, GeneratorSpec, ModelSpec,
                              gaussian_model, h_derivative, h_derivative_log,
-                             h_value, kotz_model, radial_integral,
-                             radial_integral_quad)
+                             h_value, kotz_model, radial_integral)
+from svdshape.oracle import radial_integral_quad
 
 
 def kotz(M, T, R=0.5):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import chi2
 
@@ -117,14 +118,20 @@ class TestMultivariateGamma:
 
 class TestChiSquareSf:
     def test_against_scipy_stats(self):
-        for df in (1, 5, 10):
-            for x in (0.5, 3.0, 20.0):
-                assert chi_square_sf(x, df) == pytest.approx(
-                    chi2.sf(x, df), rel=1e-12)
+        for df in list(range(1, 60)) + [99, 100, 317, 318, 400]:
+            for x in np.geomspace(1e-6, 5 * df + 200, 200):
+                want = chi2.sf(x, df)
+                assert want > 0.0
+                assert chi_square_sf(float(x), df) == pytest.approx(
+                    want, rel=1e-12, abs=0.0), (df, x)
 
     def test_edges(self):
         assert chi_square_sf(0.0, 3) == 1.0
+        assert chi_square_sf(0.0, 4) == 1.0
+        assert chi_square_sf(math.inf, 3) == 0.0
         with pytest.raises(DomainError):
             chi_square_sf(-1.0, 3)
         with pytest.raises(DomainError):
             chi_square_sf(1.0, 0)
+        with pytest.raises(DomainError):
+            chi_square_sf(1.0, 2.5)

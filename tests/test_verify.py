@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from svdshape.errors import DomainError
 from svdshape.geometry import Mode, preprocess, preshape_angles
 from svdshape.models import gaussian_model, kotz_model
-from svdshape.verify import mc_normalization, sample_landmarks, simulation_vs_density
+from svdshape.verify import (mc_normalization, sample_landmarks, simulation_vs_density,
+                             sine_power_integrals)
 from svdshape.zonal import SeriesControl
 
 
@@ -95,6 +96,35 @@ class TestMcNormalization:
         model = gaussian_model(Sigma, Theta, mu)
         assert (mc_normalization(model, mc_samples=2000, seed=8)
                 == mc_normalization(model, mc_samples=2000, seed=8))
+
+
+class TestSinePowerIntegrals:
+    @pytest.mark.parametrize("p", range(13))
+    def test_against_quadrature(self, p):
+        # the bins of simulation_vs_density, and an uneven partition of [0, pi]
+        grids = [np.linspace(0.0, math.pi, bins + 1) for bins in (10, 22, 47)]
+        grids.append(np.concatenate([[0.0], np.sort(np.random.default_rng(p).uniform(
+            0.0, math.pi, 30)), [math.pi]]))
+        for edges in grids:
+            got = sine_power_integrals(p, edges)
+            want = np.array([integrate.quad(lambda x: math.sin(x) ** p, lo, hi,
+                                            epsabs=0.0, epsrel=1e-13)[0]
+                             for lo, hi in zip(edges[:-1], edges[1:])])
+            total = want.sum()
+            # every interval to a few ulps of the total; relative 1e-12 on
+            # each one holding at least 1e-4 of it, which covers every bin a
+            # chi-square at sim_count <= 50,000 scores (expected count > 5)
+            assert np.max(np.abs(got - want)) <= 1e-15 * total
+            big = want >= 1e-4 * total
+            assert np.all(np.abs(got - want)[big] <= 1e-12 * want[big])
+
+    def test_closed_forms(self):
+        edges = np.array([0.0, 0.5, math.pi])
+        assert np.array_equal(sine_power_integrals(0, edges), np.diff(edges))
+        assert sine_power_integrals(2, np.array([0.0, math.pi]))[0] == pytest.approx(
+            math.pi / 2.0, rel=1e-15)
+        with pytest.raises(DomainError):
+            sine_power_integrals(-1, edges)
 
 
 class TestSimulationVsDensity:
