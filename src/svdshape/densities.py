@@ -9,6 +9,9 @@ the angles only through W W', so it takes the same value on the SVD chart.
 The size-and-shape density is the O(K) average of the configuration density
 and lives on rotation-quotient representatives Rmat = V' D.
 
+At K = 2 the shape density sums no series: it is e^z times a polynomial
+in z, summed over two values of z (:func:`_planar_log_series`).
+
 All series coefficients, gamma factors and prefactors are handled in log
 space with sign tracking. No-reflection mode divides every density by 2 (the
 excluding-reflection law keeps the same representative chart, each reflection
@@ -23,11 +26,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .geometry import Mode, angles_to_frame, log_polar_jacobian
-from .models import GeneratorKind, ModelSpec, h_derivative_log, h_log_value, radial_integral
+from .models import (ModelSpec, h_derivative_log, h_log_value, radial_degree_differences,
+                     radial_integral)
 from .special import LogSign
-from .zonal import SeriesControl, zonal_series, zonal_series_batch
+from .zonal import SeriesControl, signed_logsumexp, zonal_series, zonal_series_batch
 
 
 class IsotropicKind(Enum):
@@ -56,11 +60,18 @@ def _mode_log_factor(mode: Mode) -> float:
     return -math.log(2.0) if mode is Mode.NO_REFLECTION else 0.0
 
 
+def _noncentrality_factor(model: ModelSpec, F: np.ndarray) -> np.ndarray:
+    """G = mu' Sigma^{-1} F (K x K, mu column-whitened) for each (N-1) x K
+    matrix F of a (batch, N-1, K) array."""
+    return np.einsum("nk,snj->skj", model.sigma_inv @ model.mu_whitened, F)
+
+
 def _noncentrality_spectra(model: ModelSpec, F: np.ndarray) -> np.ndarray:
     """Eigenvalues of Omega Sigma^{-1} F F' for each (N-1) x K matrix F of a
-    (batch, N-1, K) array, as the spectra of the K x K G G' with
-    G = mu' Sigma^{-1} F (same nonzero eigenvalues, real and non-negative)."""
-    G = np.einsum("nk,snj->skj", model.sigma_inv @ model.mu_whitened, F)
+    (batch, N-1, K) array, as the spectra of G G' with G from
+    :func:`_noncentrality_factor` (same nonzero eigenvalues, real and
+    non-negative)."""
+    G = _noncentrality_factor(model, F)
     return np.clip(np.linalg.eigvalsh(G @ G.transpose(0, 2, 1)), 0.0, None)
 
 
@@ -142,23 +153,104 @@ def shape_logdensities(U: np.ndarray, model: ModelSpec,
     radial integral once per degree for the whole batch, and every row's
     series is summed by one :func:`zonal_series_batch` call, which raises
     :class:`SeriesTruncationError` with the ``row`` that did not converge.
+    At K = 2 the series has a closed form (:func:`_planar_log_series`): no
+    degree is summed, and every row reports 0 degrees and tail bound 0.
     """
     K, M = model.K, model.M
     W, log_j = _chart(U, model.Nm1, K, batch=True)
-    log_a = np.log(np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W))[:, None]
+    a = np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W)
+    if K == 2:
+        log = _planar_log_series(model, W, a)
+        used, tail = np.zeros(len(log), dtype=int), np.zeros(len(log))
+    else:
+        log_a = np.log(a)[:, None]
 
-    def coeff_block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        radial = [radial_integral(model.generator, t, 1.0, model.trace_omega, M - 1, 1)
-                  for t in range(lo, hi)]
-        log_i = np.array([r.log for r in radial]) - (M / 2.0 + np.arange(lo, hi)) * log_a
-        return log_i, np.array([r.sign for r in radial])
+        def coeff_block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            radial = [radial_integral(model.generator, t, 1.0, model.trace_omega, M - 1, 1)
+                      for t in range(lo, hi)]
+            log_i = np.array([r.log for r in radial]) - (M / 2.0 + np.arange(lo, hi)) * log_a
+            return log_i, np.array([r.sign for r in radial])
 
-    log, sign, used, tail = zonal_series_batch(
-        coeff_block, _noncentrality_spectra(model, W), K / 2.0, ctrl)
-    if np.any(sign <= 0):
-        raise DomainError("shape series summed to a non-positive value")
+        log, sign, used, tail = zonal_series_batch(
+            coeff_block, _noncentrality_spectra(model, W), K / 2.0, ctrl)
+        if np.any(sign <= 0):
+            raise DomainError("shape series summed to a non-positive value")
     return (log_j - K / 2.0 * model.log_det_sigma + log + _mode_log_factor(mode),
             used, tail)
+
+
+# decimal digits that the K = 2 Kotz closed form may lose to cancellation
+# before it raises NumericError
+_PLANAR_DIGITS_LOST = 6.0
+
+
+def _planar_log_series(model: ModelSpec, W: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """log sum_t S_t(Omega Sigma^{-1} W W') / t! int_0^inf r^{M+2t-1}
+    h^{(2t)}(r^2 a + b) dr at K = 2 for each (N-1) x 2 frame W of a batch,
+    in closed form; ``a`` holds tr Sigma^{-1} W W' per frame.
+
+    With n = M/2 = N - 1 (an integer), S_t = [s+^{2t} + s-^{2t}] / (2 t!)
+    for s+ and s- the sum and the difference of the singular values of
+    G = mu' Sigma^{-1} W (James, Ann. Math. Statist. 35, 1964):
+    s+^2 = (g11 + g22)^2 + (g21 - g12)^2, s-^2 = (g11 - g22)^2 + (g12 + g21)^2
+    (swapped when det G < 0, which the sum over both ignores). With the
+    radial integrals of :func:`radial_degree_differences` the series is
+    e^{log_norm_const - R b} R^{-n} a^{-n} / 2 times
+    (1/2) sum_+- sum_t Gamma(n + t) P(t) z^t / (t!)^2 at z = R s+-^2 / a, and
+    P(t) = sum_j delta_j binom(t, j). Kummer's transformation and the
+    Laguerre form of 1F1 (DLMF 13.2.39, 18.5.12) give
+    sum_t Gamma(n + t) binom(t, j) z^t / (t!)^2
+    = e^z Gamma(n + j) / j!^2 z^j sum_{k<n} C(n - 1, k) z^k / (j + 1)_k,
+    so each +- term is e^z Q(z) for one polynomial Q of degree n + T - 2 with
+    q_m = sum_{j+k=m} delta_j Gamma(n + j) C(n - 1, k) / (j! m!). Each Q(z)
+    is summed in log space, so no power or coefficient overflows or
+    underflows at any N, and z is added to its log only then: each log term
+    carries a rounding error of eps times its size, which cancellation
+    multiplies, so the terms leave z out. Raises
+    :class:`DomainError` where the sum is not positive. For Kotz the q_m
+    alternate in sign: the sum over |delta_j| over the sum gives the digits
+    lost to cancellation, and more than ``_PLANAR_DIGITS_LOST`` raise
+    :class:`NumericError`.
+    """
+    gen = model.generator
+    n, R, b = model.Nm1, gen.R, model.trace_omega
+    deltas = radial_degree_differences(gen, b)
+    T = len(deltas)
+    degree = n + T - 2
+    lf = np.array([math.lgamma(i + 1.0) for i in range(degree + 2)])   # log i!
+    j = np.arange(T)[:, None]
+    m = np.arange(degree + 1)[None, :]
+    k = np.clip(m - j, 0, n - 1)
+    logs = lf[n + j - 1] + lf[n - 1] - lf[k] - lf[n - 1 - k] - lf[j] - lf[m]
+    with np.errstate(divide="ignore"):
+        logs = np.where((m - j >= 0) & (m - j < n), logs + np.log(np.abs(deltas))[:, None],
+                        -np.inf)
+    signs = np.broadcast_to(np.sign(deltas)[:, None], logs.shape)
+    log_q, sign_q = signed_logsumexp(logs, signs, axis=0)
+
+    G = _noncentrality_factor(model, W)
+    g11, g12, g21, g22 = G[:, 0, 0], G[:, 0, 1], G[:, 1, 0], G[:, 1, 1]
+    z = (R / a)[:, None] * np.stack([(g11 + g22) ** 2 + (g21 - g12) ** 2,
+                                     (g11 - g22) ** 2 + (g12 + g21) ** 2], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_zm = np.where(m > 0, m * np.log(z)[:, :, None], 0.0)     # log z^m, z^0 = 1 at 0
+    log_Q, sign_Q = signed_logsumexp(log_zm + log_q, sign_q, axis=2)
+    log, sign = signed_logsumexp(z + log_Q, sign_Q, axis=1)
+    if np.any(sign <= 0):
+        raise DomainError("shape series summed to a non-positive value")
+    if np.any(deltas < 0):
+        # the same sum over |delta_j|, over the sum: the digits that the
+        # alternating terms cancel
+        log_abs_q = signed_logsumexp(logs, np.abs(signs), axis=0)[0]
+        log_abs = signed_logsumexp((z[:, :, None] + log_zm + log_abs_q).reshape(len(z), -1),
+                                   1.0, axis=1)[0]
+        lost = (log_abs - log) / math.log(10.0)
+        if np.any(lost > _PLANAR_DIGITS_LOST):
+            row = int(np.argmax(lost))
+            raise NumericError(f"K = 2 Kotz density at row {row} lost {lost[row]:.1f} digits "
+                               f"to cancellation (limit {_PLANAR_DIGITS_LOST:g})")
+    return (gen.log_norm_const - R * b - n * math.log(R) - 2.0 * math.log(2.0)
+            - n * np.log(a) + log)
 
 
 def central_shape_logdensity(u: np.ndarray, model: ModelSpec,

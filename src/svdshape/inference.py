@@ -293,15 +293,20 @@ def _wolfe_search(evaluate, budget, x, f0, p, slope0, alpha):
     """(x + alpha p, value, gradient) at a step alpha meeting the strong
     Wolfe conditions along the descent direction p, or None when none is
     found within ``_LINE_SEARCH_TRIALS`` trials or ``budget`` evaluations.
-    A non-finite value counts as too long a step."""
+    A non-finite value, or a :class:`NumericError` (a likelihood series
+    that sums to a non-positive value there), counts as too long a step."""
     lo = (0.0, f0, slope0)          # (step, value, slope) of the best step so far
     hi = None                       # the bracket's other end, once there is one
     for _ in range(min(_LINE_SEARCH_TRIALS, budget)):
         if hi is not None:
             alpha = _cubic_step(lo, hi)
         xa = x + alpha * p
-        value, grad = evaluate(xa)
-        d = float(grad @ p)
+        try:
+            value, grad = evaluate(xa)
+        except NumericError:
+            value, d = math.inf, math.nan
+        else:
+            d = float(grad @ p)
         if not value <= f0 + _WOLFE_C1 * alpha * slope0 or value >= lo[1]:
             hi = (alpha, value, d)
         elif abs(d) <= -_WOLFE_C2 * slope0:

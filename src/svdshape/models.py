@@ -185,6 +185,45 @@ def radial_integral(gen: GeneratorSpec, t: int, a: float, b: float,
     return out.scale(gen.log_norm_const - R * b)
 
 
+def radial_degree_differences(gen: GeneratorSpec, b: float) -> np.ndarray:
+    """Forward differences Delta^j P(0), j = 0..T-1, of the polynomial P of
+    degree at most T - 1 in t with
+
+        radial_integral(gen, t, 1, b, M - 1, 1)
+            = e^{log_norm_const - R b} R^{t - M/2} Gamma(M/2 + t) P(t) / 2,
+
+    so that P(t) = sum_j Delta^j P(0) binom(t, j). P is the Leibniz and
+    binomial double sum of :func:`radial_integral` with
+    Gamma(M/2 + t + l) = Gamma(M/2 + t) (M/2 + t)_l factored out:
+    P(t) = sum_{j<T} (-1)^j binom(2t, j) (T-1)_(j) R^{-j}
+    sum_{l<=T-1-j} binom(T-1-j, l) b^{T-1-j-l} R^{-l} (M/2 + t)_l,
+    and P = 1 for the Gaussian. P is built in powers of t, whose
+    coefficients are sums of like-sized terms, and converted by
+    Delta^j t^k (0) = j! S(k, j) (Stirling numbers of the second kind):
+    differencing its values at t = 0..T-1 instead would cancel all but a
+    few digits of the higher differences when b is large.
+    """
+    if b < 0:
+        raise DomainError(f"noncentrality b must be non-negative, got {b}")
+    T, R, half_m = gen.effective_T, gen.R, gen.M / 2.0
+    power = np.zeros(T)                       # P(t) = sum_k power[k] t^k
+    binom_2t = np.ones(1)                     # binom(2t, j) in powers of t
+    for j in range(T):
+        jj = T - 1 - j
+        inner, rising = np.zeros(jj + 1), np.ones(1)   # rising: (M/2 + t)_l
+        for l in range(jj + 1):
+            inner[:l + 1] += math.comb(jj, l) * b ** (jj - l) / R ** l * rising
+            rising = np.convolve(rising, [half_m + l, 1.0])
+        term = (-1) ** j * _poly_fall(T, j) / R ** j * np.convolve(binom_2t, inner)
+        power[:len(term)] += term
+        binom_2t = np.convolve(binom_2t, [-j, 2.0]) / (j + 1)
+    stirling = np.zeros((T, T))               # stirling[k, j] = S(k, j)
+    stirling[0, 0] = 1.0
+    for k in range(1, T):
+        stirling[k, 1:] = np.arange(1, T) * stirling[k - 1, 1:] + stirling[k - 1, :-1]
+    return np.array([math.factorial(j) for j in range(T)]) * (power @ stirling)
+
+
 def _kotz_radial_exact(T: int, R: float, t: int, a: float, b: float, q: int) -> LogSign:
     """60-digit recomputation of the Kotz sum, for near-total cancellation."""
     import mpmath as mp

@@ -15,7 +15,7 @@ import numpy as np
 
 from .densities import batch_shape_logdensity
 from .errors import DomainError
-from .geometry import LandmarkSet, Mode, frame_to_angles, helmert_submatrix, preprocess
+from .geometry import LandmarkSet, Mode, frame_to_angles, helmert_submatrix, theta_inv_sqrt
 from .models import GeneratorKind, ModelSpec
 from .special import chi_square_sf
 from .zonal import SeriesControl
@@ -28,15 +28,9 @@ def _matrix_sqrt(A: np.ndarray) -> np.ndarray:
     return (evecs * np.sqrt(evals)) @ evecs.T
 
 
-def sample_landmarks(model: ModelSpec, count: int, seed: int) -> list[LandmarkSet]:
-    """Draw landmark sets X (N x K) whose centered Y = L X follows the model.
-
-    The elliptical law is a scale mixture: a Frobenius-uniform direction
-    times the radial law r^2 ~ Gamma(M/2 + T - 1, rate R) (T = 1 recovers the
-    Gaussian), colored by Sigma^{1/2} and Theta^{1/2} around mu. The lift to
-    N landmarks prepends the zero Helmert component, so preprocessing
-    recovers Y exactly.
-    """
+def _sample_centred(model: ModelSpec, count: int, seed: int) -> np.ndarray:
+    """(count, N-1, K) centred configurations Y = L X drawn from the model
+    (see :func:`sample_landmarks`), on the Philox stream of ``seed``."""
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     gen = model.generator
@@ -50,13 +44,21 @@ def sample_landmarks(model: ModelSpec, count: int, seed: int) -> list[LandmarkSe
     r2 = rng.gamma(shape=M / 2.0 + gen.effective_T - 1, scale=1.0 / gen.R, size=count)
     sig_half = _matrix_sqrt(model.Sigma)
     th_half = _matrix_sqrt(model.Theta)
-    Y = model.mu[None] + np.sqrt(r2)[:, None, None] * (sig_half @ U @ th_half)
-    L = helmert_submatrix(Nm1 + 1)
-    lift = L.T  # N x (N-1), exact left inverse of L on centered configs
-    out = []
-    for i in range(count):
-        out.append(LandmarkSet(id=f"sim-{i:05d}", coords=lift @ Y[i]))
-    return out
+    return model.mu[None] + np.sqrt(r2)[:, None, None] * (sig_half @ U @ th_half)
+
+
+def sample_landmarks(model: ModelSpec, count: int, seed: int) -> list[LandmarkSet]:
+    """Draw landmark sets X (N x K) whose centered Y = L X follows the model.
+
+    The elliptical law is a scale mixture: a Frobenius-uniform direction
+    times the radial law r^2 ~ Gamma(M/2 + T - 1, rate R) (T = 1 recovers the
+    Gaussian), colored by Sigma^{1/2} and Theta^{1/2} around mu. The lift to
+    N landmarks prepends the zero Helmert component, so preprocessing
+    recovers Y exactly.
+    """
+    Y = _sample_centred(model, count, seed)
+    lift = helmert_submatrix(model.Nm1 + 1).T  # N x (N-1), exact left inverse of L
+    return [LandmarkSet(id=f"sim-{i:05d}", coords=lift @ y) for i, y in enumerate(Y)]
 
 
 # angle-box draws per batch_shape_logdensity call in the Monte Carlo oracles
@@ -117,10 +119,13 @@ class SimulationReport:
 
 
 def _chi2_critical_99(dof: int) -> float:
-    # invert the survival function by bisection; dof is small
+    # invert the survival function by bisection; dof is small. Once the
+    # midpoint is no longer strictly inside, further steps change nothing
     lo, hi = 0.0, 10.0 * dof + 100.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if chi_square_sf(mid, dof) > 0.01:
             lo = mid
         else:
@@ -180,8 +185,7 @@ def simulation_vs_density(model: ModelSpec, mode: Mode = Mode.REFLECTION,
     m = M - 1
     if mode is Mode.NO_REFLECTION:
         raise DomainError("simulation comparison is defined for reflection mode")
-    landmarks = sample_landmarks(model, sim_count, seed)
-    Y = preprocess(np.stack([lm.coords for lm in landmarks]), model.Theta)
+    Y = _sample_centred(model, sim_count, seed) @ theta_inv_sqrt(model.Theta)
     rng = np.random.Generator(np.random.Philox(seed + 1))
     q, r = np.linalg.qr(rng.standard_normal((sim_count, K, K)))
     H = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]   # Haar on O(K)

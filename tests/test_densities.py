@@ -10,7 +10,7 @@ from svdshape.densities import (IsotropicKind, batch_shape_logdensity,
                                 isotropic_shape_logdensity, shape_logdensities,
                                 shape_logdensity,
                                 size_and_shape_logdensity)
-from svdshape.errors import DomainError, SeriesTruncationError
+from svdshape.errors import DomainError, NumericError, SeriesTruncationError
 from svdshape.geometry import (LandmarkSet, Mode, log_polar_jacobian,
                                preprocess, preshape_angles, svd_shape)
 from svdshape.models import gaussian_model, kotz_model
@@ -159,9 +159,19 @@ class TestBatchEvaluation:
             assert used.tolist() == [dv.degrees_used for dv in scalar]
 
 
+@pytest.fixture(scope="module")
+def setup_k3():
+    """A K = 3 model and specimen: at K = 2 the shape density has a closed
+    form and sums no series, so truncation is observable at K = 3 only."""
+    rng = np.random.default_rng(12)
+    Sigma = np.array([[1.0, 0.3, 0.0], [0.3, 0.7, 0.1], [0.0, 0.1, 1.2]])
+    Theta = np.array([[1.0, 0.15, 0.0], [0.15, 0.9, 0.05], [0.0, 0.05, 1.1]])
+    return Sigma, Theta, rng.normal(size=(3, 3)) * 0.7, svd_shape(rng.normal(size=(3, 3)))
+
+
 class TestDiagnosticsAndErrors:
-    def test_density_value_fields(self, setup):
-        Sigma, Theta, mu, Y, sc = setup
+    def test_density_value_fields(self, setup_k3):
+        Sigma, Theta, mu, sc = setup_k3
         dv = shape_logdensity(sc.u, gaussian_model(Sigma, Theta, mu), ctrl=CTRL)
         assert dv.density == pytest.approx(math.exp(dv.log_density))
         assert dv.degrees_used > 0
@@ -177,9 +187,9 @@ class TestDiagnosticsAndErrors:
         with pytest.raises(DomainError):
             shape_logdensity(bad, model)
 
-    def test_truncation_failure_raises(self, setup):
-        Sigma, Theta, _, Y, sc = setup
-        model = gaussian_model(Sigma, Theta, np.ones((3, 2)) * 40.0)
+    def test_truncation_failure_raises(self, setup_k3):
+        Sigma, Theta, _, sc = setup_k3
+        model = gaussian_model(Sigma, Theta, np.ones((3, 3)) * 40.0)
         with pytest.raises(SeriesTruncationError):
             shape_logdensity(sc.u, model, ctrl=SeriesControl(max_degree=5))
 
@@ -214,3 +224,209 @@ class TestSizeAndShape:
         a = size_and_shape_logdensity(Rmat, model, ctrl=CTRL).log_density
         b = size_and_shape_logdensity(Rmat @ Q, model, ctrl=CTRL).log_density
         assert a == pytest.approx(b, abs=1e-10)
+
+
+# --- K = 2 closed form ------------------------------------------------------
+
+SERIES_CTRL = SeriesControl(max_degree=300)
+RATIOS = [0.5, 1.5, 3.0, 6.0]          # |mu| / sigma, i.e. sqrt(tr Omega)
+
+
+def _planar_case(Nm1: int, ratio: float, T: int, isotropic: bool, seed: int = 0):
+    """(model, angles) at K = 2: Gaussian (T = 1) or Kotz T, with sqrt(tr Omega)
+    = ratio; Sigma = 0.8 I and Theta = I, or a diagonal Sigma and a
+    non-identity Theta; five seeded rows of angles."""
+    rng = np.random.default_rng(100 * Nm1 + 10 * T + seed)
+    if isotropic:
+        Sigma, Theta = 0.8 * np.eye(Nm1), np.eye(2)
+    else:
+        Sigma, Theta = np.diag(rng.uniform(0.5, 1.5, Nm1)), np.array([[1.0, 0.3], [0.3, 0.8]])
+
+    def make(mu):
+        return gaussian_model(Sigma, Theta, mu) if T == 1 else kotz_model(Sigma, Theta, mu, T=T)
+
+    mu = rng.normal(size=(Nm1, 2))
+    model = make(mu * ratio / math.sqrt(make(mu).trace_omega))
+    m = 2 * Nm1 - 1
+    U = np.empty((5, m))
+    U[:, :-1] = rng.uniform(0.0, math.pi, size=(5, m - 1))
+    U[:, -1] = rng.uniform(0.0, 2.0 * math.pi, size=5)
+    return model, U
+
+
+def _series_logdensities(U, model, mode, ctrl):
+    """The degree series of shape_logdensities, summed by zonal_series_batch
+    as at K = 1 and 3, whatever K."""
+    from svdshape.densities import _chart, _noncentrality_spectra
+    from svdshape.models import radial_integral
+    from svdshape.zonal import zonal_series_batch
+    K, M = model.K, model.M
+    W, log_j = _chart(U, model.Nm1, K, batch=True)
+    log_a = np.log(np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W))[:, None]
+
+    def coeff_block(lo, hi):
+        radial = [radial_integral(model.generator, t, 1.0, model.trace_omega, M - 1, 1)
+                  for t in range(lo, hi)]
+        return (np.array([r.log for r in radial]) - (M / 2.0 + np.arange(lo, hi)) * log_a,
+                np.array([r.sign for r in radial]))
+
+    log, sign, _, _ = zonal_series_batch(coeff_block, _noncentrality_spectra(model, W),
+                                         K / 2.0, ctrl)
+    assert np.all(sign > 0)
+    mode_log = -math.log(2.0) if mode is Mode.NO_REFLECTION else 0.0
+    return log_j - K / 2.0 * model.log_det_sigma + log + mode_log
+
+
+def _mpmath_logdensity(u, model):
+    """The K = 2 shape log density (reflection mode) as the degree series
+    summed at 50 digits: S_t = [(d1 + d2)^(2t) + (d1 - d2)^(2t)] / (2 t!)
+    from the eigenvalues of G G', and the Kotz radial integrals as their
+    Leibniz-binomial double sum, until a term falls below 1e-45 of the sum."""
+    import mpmath as mp
+    from svdshape.geometry import angles_to_frame
+    gen = model.generator
+    W = angles_to_frame(np.asarray(u), model.Nm1, 2)
+    a = float(np.trace(model.sigma_inv @ W @ W.T))
+    G = (model.sigma_inv @ model.mu_whitened).T @ W
+    with mp.workdps(50):
+        GG = mp.matrix(G.tolist()) * mp.matrix(G.T.tolist())
+        tr, det = GG[0, 0] + GG[1, 1], GG[0, 0] * GG[1, 1] - GG[0, 1] * GG[1, 0]
+        root = mp.sqrt(max(tr * tr - 4 * det, 0))
+        d1, d2 = mp.sqrt((tr + root) / 2), mp.sqrt(max((tr - root) / 2, 0))
+        T, R, b, am = gen.effective_T, mp.mpf(gen.R), mp.mpf(model.trace_omega), mp.mpf(a)
+        n = mp.mpf(model.M) / 2
+        total, t, quiet = mp.mpf(0), 0, 0
+        while quiet < 4:
+            radial = mp.mpf(0)
+            for j in range(min(2 * t, T - 1) + 1):
+                jj = T - 1 - j
+                cj = mp.binomial(2 * t, j) * mp.ff(T - 1, j) * (-R) ** (2 * t - j)
+                for l in range(jj + 1):
+                    radial += (cj * mp.binomial(jj, l) * b ** (jj - l) / 2
+                               * R ** (-(n + t + l)) * mp.gamma(n + t + l))
+            s_t = ((d1 + d2) ** (2 * t) + (d1 - d2) ** (2 * t)) / (2 * mp.factorial(t))
+            term = radial * am ** (-(n + t)) * s_t / mp.factorial(t)
+            total += term
+            quiet = quiet + 1 if t > 2 and abs(term) < mp.mpf(10) ** -45 * abs(total) else 0
+            t += 1
+        log = mp.log(total) + gen.log_norm_const - R * b
+    return float(log) + log_polar_jacobian(np.asarray(u)) - model.log_det_sigma
+
+
+def _assert_close(values, oracle):
+    oracle = np.asarray(oracle)
+    assert np.all(np.abs(values - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
+
+
+class TestPlanarClosedForm:
+    @pytest.mark.parametrize("mode", [Mode.REFLECTION, Mode.NO_REFLECTION])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    @pytest.mark.parametrize("Nm1", [2, 3, 5])
+    def test_gaussian_matches_the_series(self, Nm1, ratio, mode):
+        for isotropic in (True, False):
+            model, U = _planar_case(Nm1, ratio, 1, isotropic)
+            log, used, tail = shape_logdensities(U, model, mode)
+            assert used.tolist() == [0] * len(U) and tail.tolist() == [0.0] * len(U)
+            _assert_close(log, [gaussian_shape_logdensity(u, model, mode, SERIES_CTRL).log_density
+                                for u in U])
+            if isotropic:
+                _assert_close(log, [isotropic_shape_logdensity(
+                    u, model.mu, 0.8, IsotropicKind.GAUSSIAN, mode, SERIES_CTRL).log_density
+                    for u in U])
+
+    @pytest.mark.parametrize("mode", [Mode.REFLECTION, Mode.NO_REFLECTION])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    @pytest.mark.parametrize("Nm1", [2, 3, 5])
+    @pytest.mark.parametrize("T,kind", [(2, IsotropicKind.KOTZ_T2), (3, IsotropicKind.KOTZ_T3)])
+    def test_kotz_matches_the_series(self, T, kind, Nm1, ratio, mode):
+        model, U = _planar_case(Nm1, ratio, T, isotropic=True)
+        log = shape_logdensities(U, model, mode)[0]
+        _assert_close(log, [isotropic_shape_logdensity(u, model.mu, 0.8, kind, mode,
+                                                       SERIES_CTRL).log_density for u in U])
+        model, U = _planar_case(Nm1, ratio, T, isotropic=False)
+        _assert_close(shape_logdensities(U, model, mode)[0],
+                      _series_logdensities(U, model, mode, SERIES_CTRL))
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    @pytest.mark.parametrize("Nm1", [2, 3, 5])
+    def test_kotz_t4_matches_a_50_digit_sum(self, Nm1, ratio):
+        # the double-precision series loses up to ~1e-11 here, so the
+        # oracle is the same series at 50 digits
+        model, U = _planar_case(Nm1, ratio, 4, isotropic=False)
+        _assert_close(shape_logdensities(U[:3], model)[0],
+                      [_mpmath_logdensity(u, model) for u in U[:3]])
+
+    @pytest.mark.parametrize("ratio", [6.0, 12.0])
+    @pytest.mark.parametrize("Nm1", [2, 3, 5])
+    def test_kotz_t6_is_accurate_or_raises(self, Nm1, ratio):
+        # at T = 6 Q's alternating coefficients cancel up to 7.5 digits:
+        # past 6 the closed form raises NumericError, and short of that it
+        # keeps 1e-9 against the 50-digit sum
+        model, U = _planar_case(Nm1, ratio, 6, isotropic=False)
+        try:
+            log = shape_logdensities(U[:3], model)[0]
+        except NumericError as exc:
+            assert "cancellation" in str(exc)
+            return
+        assert (Nm1, ratio) != (2, 12.0)     # loses 7.0 digits at row 1
+        oracle = np.array([_mpmath_logdensity(u, model) for u in U[:3]])
+        assert np.all(np.abs(log - oracle) <= 1e-9 * np.maximum(1.0, np.abs(oracle)))
+
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_finite_where_the_series_does_not_converge(self, T):
+        model, U = _planar_case(2, 12.0, T, isotropic=False)
+        with pytest.raises(SeriesTruncationError):
+            _series_logdensities(U, model, Mode.REFLECTION, SeriesControl())
+        log, used, tail = shape_logdensities(U, model)
+        assert np.all(np.isfinite(log))
+        assert used.tolist() == [0] * len(U) and tail.tolist() == [0.0] * len(U)
+        _assert_close(log[:2], [_mpmath_logdensity(u, model) for u in U[:2]])
+
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_many_landmarks_far_out(self, n):
+        # N - 1 = n, frames near the location and z near 1e4: z^(n-1) alone
+        # overflows a double and the leading coefficient 1/(n-1)! underflows
+        # from n = 171. Oracle: the Gaussian form Gamma(n) e^z L_{n-1}(-z)
+        # (Laguerre) at 50 digits, with s+- from the singular values of G
+        import mpmath as mp
+        from svdshape.geometry import angles_to_frame, frame_to_angles
+        model, _ = _planar_case(n, float(n), 1, isotropic=False)
+        rng = np.random.default_rng(3)
+        Y = model.mu_whitened + 5.0 * rng.normal(size=(2, n, 2))
+        U = frame_to_angles(Y)
+        R, b = model.generator.R, model.trace_omega
+        expected, zmax = [], 0.0
+        for u in U:
+            W = angles_to_frame(u, n, 2)
+            a = float(np.trace(model.sigma_inv @ W @ W.T))
+            d1, d2 = np.linalg.svd((model.sigma_inv @ model.mu_whitened).T @ W,
+                                   compute_uv=False)
+            zmax = max(zmax, R * (d1 + d2) ** 2 / a)
+            with mp.workdps(50):
+                zs = [R * mp.mpf(s) ** 2 / a for s in (d1 + d2, d1 - d2)]
+                series = sum(mp.exp(z) * mp.laguerre(n - 1, 0, -z) for z in zs) / 2
+                expected.append(float(mp.log(series) + mp.loggamma(n))
+                                - math.log(2.0) - n * math.log(math.pi) - R * b
+                                - n * math.log(a) + log_polar_jacobian(u)
+                                - model.log_det_sigma)
+        assert zmax > 5e3
+        _assert_close(shape_logdensities(U, model)[0], expected)
+
+    def test_no_series_is_summed(self, monkeypatch):
+        import svdshape.densities as densities
+        import svdshape.zonal as zonal
+        from svdshape.verify import mc_normalization, simulation_vs_density
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a K = 2 shape density summed a degree series")
+
+        monkeypatch.setattr(densities, "zonal_series_batch", forbidden)
+        monkeypatch.setattr(zonal, "zonal_series_batch", forbidden)
+        monkeypatch.setattr(zonal.PlanarZonalSums, "_terms", forbidden)
+        for T in (1, 2, 3):
+            model, U = _planar_case(3, 3.0, T, isotropic=False)
+            assert np.all(np.isfinite(batch_shape_logdensity(U, model)))
+            assert shape_logdensity(U[0], model, Mode.NO_REFLECTION).degrees_used == 0
+        mass, _ = mc_normalization(model, mc_samples=2000, seed=1)
+        assert math.isfinite(mass)
+        assert simulation_vs_density(model, sim_count=1000, seed=2).marginals

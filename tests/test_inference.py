@@ -6,7 +6,7 @@ import pytest
 from svdshape import inference
 from svdshape.densities import (IsotropicKind, _isotropic_bracket,
                                 isotropic_shape_logdensity)
-from svdshape.errors import DomainError, SeriesTruncationError
+from svdshape.errors import DomainError, NumericError, SeriesTruncationError
 from svdshape.geometry import LandmarkSet, Mode, preprocess, svd_shape
 from svdshape.inference import (_GTOL, EvidenceGrade, IsotropicLikelihood,
                                 OptimizerConfig, SampleOfShapes, _minimize_bfgs,
@@ -308,6 +308,22 @@ class TestBfgs:
         res = _minimize_bfgs(counted, np.array([-1.2, 1.0]))
         assert not res.converged
         assert res.evaluations == len(calls) == 10
+
+    def test_numeric_error_at_a_trial_point_shortens_the_step(self):
+        # the first trial step has length 1 and lands outside the radius 0.5
+        # where the objective is defined; the minimum at c lies inside it
+        c = np.array([0.3, 0.0])
+
+        def bounded(x):
+            if np.linalg.norm(x) > 0.5:
+                raise NumericError("series summed to a non-positive value")
+            return float((x - c) @ (x - c)), 2.0 * (x - c)
+
+        res = _minimize_bfgs(bounded, np.zeros(2))
+        assert res.converged
+        assert res.x == pytest.approx(c, abs=1e-6)
+        with pytest.raises(NumericError):       # not at the start point
+            _minimize_bfgs(bounded, np.array([1.0, 0.0]))
 
     def test_fit_reports_the_cap(self, sample, monkeypatch):
         monkeypatch.setattr(inference, "_MAX_EVALUATIONS", 3)

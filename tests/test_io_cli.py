@@ -32,6 +32,15 @@ def landmark_file(specimens, tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def specimens_k3():
+    """N = 4, K = 3 specimens: at K = 2 the shape density has a closed form,
+    so a series that fails to converge needs K = 3."""
+    mu = np.array([[1.2, -0.4, 0.5], [0.3, 0.9, -0.2], [-0.6, 0.1, 0.8]])
+    model = gaussian_model(0.5 * np.eye(3), np.eye(3), mu)
+    return sample_landmarks(model, 8, seed=3)
+
+
 class TestIngestEmit:
     def test_roundtrip_bit_exact(self, specimens, landmark_file):
         back = ingest_landmarks(landmark_file)
@@ -236,11 +245,13 @@ class TestCli:
                       "--kotz-R", "1.0")
         assert res.exit_code == 2
 
-    def test_numeric_failure_exit_code(self, landmark_file, tmp_path):
-        # a tiny degree budget cannot sum the series for a huge location
+    def test_numeric_failure_exit_code(self, specimens_k3, tmp_path):
+        # a tiny degree budget cannot sum the K = 3 series for a huge location
+        path = tmp_path / "k3.txt"
+        emit_landmarks(specimens_k3, str(path))
         mu_path = tmp_path / "mu.txt"
-        mu_path.write_text("40 40\n40 40\n")
-        res = run_cli("density", landmark_file, "--mu", str(mu_path),
+        mu_path.write_text("40 40 40\n40 40 40\n40 40 40\n")
+        res = run_cli("density", str(path), "--mu", str(mu_path),
                       "--max-degree", "2")
         assert res.exit_code == 3
         assert "numeric failure" in res.stderr
@@ -348,16 +359,17 @@ class TestCli:
         assert "domain error: zonal series support K in {1, 2, 3}" in res.stderr
         assert run_cli("shape", str(path)).exit_code == 0
 
-    def test_density_names_the_unconverged_specimen(self, specimens, tmp_path):
+    def test_density_names_the_unconverged_specimen(self, specimens_k3, tmp_path):
         from svdshape.cli import _build_config, _build_model, _load_sample
         from svdshape.densities import shape_logdensity
+        specimens = specimens_k3
         path = tmp_path / "specimens.txt"
         emit_landmarks(specimens[1:], str(path))
         mu_path = tmp_path / "mu.txt"
-        mu_path.write_text("1.2 -0.4\n0.3 0.9\n")
-        flags = {"mu_path": str(mu_path), "sigma2": 0.08, "max_degree": 50}
+        mu_path.write_text("1.2 -0.4 0.5\n0.3 0.9 -0.2\n-0.6 0.1 0.8\n")
+        flags = {"mu_path": str(mu_path), "sigma2": 0.05, "max_degree": 88}
         config = _build_config(None, **flags)
-        model = _build_model(config, 2, 2, None)
+        model = _build_model(config, 3, 3, None)
         failing = []
         for sid, sc in _load_sample(str(path), config, "input", None).items:
             try:
@@ -366,7 +378,7 @@ class TestCli:
                 failing.append(sid)
         assert failing and failing[0] != specimens[1].id
         res = run_cli("density", str(path), "--mu", str(mu_path),
-                      "--sigma2", "0.08", "--max-degree", "50")
+                      "--sigma2", "0.05", "--max-degree", "88")
         assert res.exit_code == 3
         assert f"specimen {failing[0]!r}: zonal series did not converge" in res.stderr
 
@@ -442,6 +454,19 @@ print(json.dumps(out))
 """
 
 
+_LOADED_MODULES = """
+import json, sys
+from click.testing import CliRunner
+from svdshape.cli import main
+out = {}
+for name, args in json.loads(sys.argv[1]).items():
+    res = CliRunner().invoke(main, args)
+    out[name] = [res.exit_code, sorted(m for m in sys.modules
+                                       if m.startswith(("numpy.polynomial", "mpmath")))]
+print(json.dumps(out))
+"""
+
+
 class TestNoScipyAtRunTime:
     def test_cli_import_loads_no_scipy(self):
         res = _python("import sys, svdshape.cli\n"
@@ -467,3 +492,20 @@ class TestNoScipyAtRunTime:
         assert res.returncode == 0, res.stderr
         codes = json.loads(res.stdout)
         assert codes == {name: [0, "None"] for name in commands}
+
+    def test_k2_commands_load_neither_numpy_polynomial_nor_mpmath(self, landmark_file,
+                                                                   tmp_path):
+        # the K = 2 closed form evaluates its polynomial by Horner's rule
+        # and needs no multiprecision fallback
+        mu_path = tmp_path / "mu.txt"
+        mu_path.write_text("0.8 -0.3\n0.4 0.6\n")
+        commands = {
+            "verify": ("verify", "--mc-samples", "2000", "--sim-count", "1000",
+                       "--mu", str(mu_path), "--sigma2", "0.9"),
+            "density-kotz": ("density", landmark_file, "--mu", str(mu_path),
+                             "--sigma2", "0.5", "--model", "kotz", "--kotz-T", "3"),
+        }
+        res = _python(_LOADED_MODULES, json.dumps(commands))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {name: [0, []] for name in commands}
+
