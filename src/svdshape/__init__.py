@@ -2,30 +2,52 @@
 non-isotropic, non-central elliptical models, with likelihood inference.
 
 Core pipeline: landmark files -> Helmertized, whitened configurations ->
-SVD shape coordinates -> truncated zonal-polynomial densities -> ML fits,
-modified-BIC model comparison, two-group likelihood-ratio test.
+SVD shape coordinates -> shape densities (closed form at K = 2, zonal
+series otherwise) -> ML fits, modified-BIC model comparison, two-group
+likelihood-ratio test.
+
+The names below load their module on first use (PEP 562), so a command
+imports only the modules it runs.
 """
 
-from .densities import (DensityValue, IsotropicKind, batch_shape_logdensity,
-                        central_shape_logdensity,
-                        central_size_and_shape_logdensity,
-                        gaussian_shape_logdensity, isotropic_shape_logdensity,
-                        shape_logdensity, size_and_shape_logdensity)
-from .errors import (DegenerateConfigurationError, DomainError, NumericError,
-                     ParseError, SeriesTruncationError, SvdShapeError)
-from .geometry import (LandmarkSet, Mode, ShapeCoords, angles_to_unitvec,
-                       helmert_submatrix, polar_jacobian, preprocess,
-                       preshape_angles, svd_shape, unitvec_to_angles)
-from .inference import (EvidenceGrade, FitResult, IsotropicLikelihood,
-                        LrTestResult, OptimizerConfig, SampleOfShapes,
-                        bic_star, evidence_grade, fit_location,
-                        log_likelihood, lr_test_equal_means)
-from .io import emit_landmarks, ingest_landmarks, read_matrix
-from .models import (GeneratorKind, GeneratorSpec, ModelSpec, gaussian_model,
-                     h_derivative, h_value, kotz_model, radial_integral)
-from .special import LogSign, chi_square_sf
-from .verify import mc_normalization, sample_landmarks, simulation_vs_density
-from .zonal import (SeriesControl, SeriesResult, hypergeom_0F1,
-                    stiefel_mc_integral, zonal_series)
+import importlib
 
+_EXPORTS = {
+    "densities": ("DensityValue", "IsotropicKind", "batch_shape_logdensity",
+                  "central_shape_logdensity", "central_size_and_shape_logdensity",
+                  "gaussian_shape_logdensity", "isotropic_shape_logdensity",
+                  "shape_logdensity", "size_and_shape_logdensity"),
+    "errors": ("DegenerateConfigurationError", "DomainError", "NumericError",
+               "ParseError", "SeriesTruncationError", "SvdShapeError"),
+    "geometry": ("LandmarkSet", "Mode", "SampleOfShapes", "ShapeCoords",
+                 "angles_to_unitvec", "helmert_submatrix", "polar_jacobian",
+                 "preprocess", "preshape_angles", "svd_shape", "unitvec_to_angles"),
+    "inference": ("EvidenceGrade", "FitResult", "IsotropicLikelihood", "LrTestResult",
+                  "OptimizerConfig", "bic_star", "evidence_grade", "fit_location",
+                  "log_likelihood", "lr_test_equal_means"),
+    "io": ("emit_landmarks", "ingest_landmarks", "read_matrix"),
+    "models": ("GeneratorKind", "GeneratorSpec", "ModelSpec", "gaussian_model",
+               "h_value", "kotz_model"),
+    "oracle": ("h_derivative", "radial_integral"),
+    "special": ("LogSign", "chi_square_sf"),
+    "verify": ("mc_normalization", "sample_landmarks", "simulation_vs_density"),
+    "zonal": ("SeriesControl", "SeriesResult", "hypergeom_0F1", "stiefel_mc_integral",
+              "zonal_series"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -20,13 +20,13 @@ import numpy as np
 
 from .densities import IsotropicKind, central_shape_logdensity, shape_logdensities
 from .errors import DomainError, NumericError, ParseError, SeriesTruncationError
-from .geometry import Mode, preprocess, svd_shape
-from .inference import (OptimizerConfig, SampleOfShapes, evidence_grade,
-                        fit_location, lr_test_equal_means)
+from .geometry import Mode, SampleOfShapes, preprocess, svd_shape
 from .io import ingest_landmarks, read_matrix
 from .models import GeneratorKind, GeneratorSpec, ModelSpec
-from .verify import check_sim_count, mc_normalization, simulation_vs_density
 from .zonal import SeriesControl
+
+# inference (fit, compare, test) and verify (verify) are imported inside the
+# commands that run them, so the other commands do not load them
 
 SCHEMA_VERSION = 2
 
@@ -252,7 +252,9 @@ def cmd_density(input_file, config_path, **flags):
                 logs, used, tails = shape_logdensities(
                     np.array([sc.u for _, sc in sample.items]), model, config.mode,
                     config.ctrl)
-            except SeriesTruncationError as exc:
+            except (SeriesTruncationError, NumericError) as exc:
+                if exc.row is None:
+                    raise
                 raise type(exc)(f"specimen {sample.items[exc.row][0]!r}: {exc}") from None
             values = zip(logs.tolist(), used.tolist(), tails.tolist())
         else:                   # central: the closed form, no series, any K
@@ -273,6 +275,7 @@ def cmd_density(input_file, config_path, **flags):
 def cmd_fit(input_file, config_path, **flags):
     """Maximum-likelihood location fit (sigma2 fixed by protocol)."""
     def body():
+        from .inference import OptimizerConfig, fit_location
         config = _build_config(config_path, **flags)
         sample = _load_sample(input_file, config, "input", _read_theta(config))
         fit = fit_location(sample, config.isotropic_kind, config.sigma2,
@@ -301,6 +304,7 @@ _COMPARE_KINDS = (("gaussian", IsotropicKind.GAUSSIAN),
 def cmd_compare(input_file, config_path, **flags):
     """Fit Gaussian, Kotz T=2 and Kotz T=3; rank by modified BIC."""
     def body():
+        from .inference import OptimizerConfig, evidence_grade, fit_location
         config = _build_config(config_path, **flags)
         config.check_isotropic()
         sample = _load_sample(input_file, config, "input", _read_theta(config))
@@ -336,6 +340,7 @@ def cmd_compare(input_file, config_path, **flags):
 def cmd_test(group1_file, group2_file, config_path, **flags):
     """Likelihood-ratio test of equal mean shapes across two groups."""
     def body():
+        from .inference import OptimizerConfig, lr_test_equal_means
         config = _build_config(config_path, **flags)
         theta = _read_theta(config)
         s1 = _load_sample(group1_file, config, "group1", theta)
@@ -367,6 +372,7 @@ def cmd_test(group1_file, group2_file, config_path, **flags):
 def cmd_verify(config_path, mc_samples, sim_count, n_landmarks, k_dim, **flags):
     """Run the Monte Carlo oracles (normalization mass, simulation match)."""
     def body():
+        from .verify import check_sim_count, mc_normalization, simulation_vs_density
         config = _build_config(config_path, **flags)
         check_sim_count(sim_count)          # before the Monte Carlo mass
         model = _build_model(config, n_landmarks - 1, k_dim, _read_theta(config))

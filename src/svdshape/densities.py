@@ -26,12 +26,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .geometry import Mode, angles_to_frame, log_polar_jacobian
-from .models import (ModelSpec, h_derivative_log, h_log_value, radial_degree_differences,
-                     radial_integral)
+from .models import ModelSpec, binomial_basis, coefficient_polynomial, h_log_value
 from .special import LogSign
-from .zonal import SeriesControl, signed_logsumexp, zonal_series, zonal_series_batch
+from .zonal import (SeriesControl, check_cancellation, signed_logsumexp, zonal_series,
+                    zonal_series_batch)
 
 
 class IsotropicKind(Enum):
@@ -103,14 +103,34 @@ def size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
     if Rmat.shape != (model.Nm1, model.K):
         raise DomainError(f"Rmat must be (N-1) x K = ({model.Nm1}, {model.K})")
     y0 = float(np.trace(model.sigma_inv @ Rmat @ Rmat.T)) + model.trace_omega
-    eigs = _noncentrality_spectra(model, Rmat[None])[0]
-    series = zonal_series(lambda t: h_derivative_log(model.generator, 2 * t, y0),
-                          eigs, model.K / 2.0, ctrl)
-    if series.sign <= 0.0:
+    gen = model.generator
+    delta = coefficient_polynomial(gen, y0, radial=False)[0]
+
+    def coeff_block(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        # h^(2t)(y0) = e^(log_norm_const - R y0) R^(2t) P(t)
+        return _polynomial_block(delta, lo, hi, gen.log_norm_const - gen.R * y0
+                                 + 2.0 * math.log(gen.R) * np.arange(lo, hi))
+
+    log, sign, used, tail = zonal_series_batch(
+        coeff_block, _noncentrality_spectra(model, Rmat[None]), model.K / 2.0, ctrl)
+    if sign[0] <= 0.0:
         raise DomainError("size-and-shape series summed to a non-positive value")
-    log = (-model.K / 2.0 * model.log_det_sigma + series.log
+    log = (-model.K / 2.0 * model.log_det_sigma + float(log[0])
            + _mode_log_factor(mode))
-    return DensityValue(log, series.degrees_used, series.tail_bound, mode)
+    return DensityValue(log, int(used[0]), float(tail[0]), mode)
+
+
+def _polynomial_block(delta: np.ndarray, lo: int, hi: int, log_factor
+                      ) -> tuple[np.ndarray, ...]:
+    """The coefficient block of :func:`zonal_series_batch` for
+    c_t = e^log_factor P(t), t = lo..hi-1, with P(t) = sum_j delta_j binom(t, j)
+    from :func:`coefficient_polynomial`: (log |c_t|, sign c_t, log m_t) with
+    the magnitudes m_t = e^log_factor sum_j |delta_j| binom(t, j)."""
+    basis = binomial_basis(lo, hi, len(delta))
+    p = basis @ delta
+    with np.errstate(divide="ignore"):
+        return (log_factor + np.log(np.abs(p)), np.sign(p),
+                log_factor + np.log(basis @ np.abs(delta)))
 
 
 def central_size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
@@ -149,12 +169,15 @@ def shape_logdensities(U: np.ndarray, model: ModelSpec,
     int_0^inf r^{M+2t-1} h^{(2t)}(r^2 a + b) dr with
     S_t = sum_{|kappa|=t} C_kappa / (K/2)_kappa, a = tr Sigma^{-1} W W' and
     b = tr Omega. The exact scaling int r^{q-1} h^{(2t)}(a r^2 + b) dr
-    = a^{-q/2} int s^{q-1} h^{(2t)}(s^2 + b) ds computes each closed-form
-    radial integral once per degree for the whole batch, and every row's
-    series is summed by one :func:`zonal_series_batch` call, which raises
-    :class:`SeriesTruncationError` with the ``row`` that did not converge.
-    At K = 2 the series has a closed form (:func:`_planar_log_series`): no
-    degree is summed, and every row reports 0 degrees and tail bound 0.
+    = a^{-q/2} int s^{q-1} h^{(2t)}(s^2 + b) ds leaves one polynomial P(t)
+    of degree at most T - 1 for the whole batch
+    (:func:`coefficient_polynomial`), and every row's series is summed by one
+    :func:`zonal_series_batch` call, which raises
+    :class:`SeriesTruncationError` with the ``row`` that did not converge
+    and :class:`NumericError` with the ``row`` whose signed Kotz series lost
+    too many digits to cancellation. At K = 2 the series has a closed form
+    (:func:`_planar_log_series`): no degree is summed, and every row reports
+    0 degrees and tail bound 0.
     """
     K, M = model.K, model.M
     W, log_j = _chart(U, model.Nm1, K, batch=True)
@@ -163,13 +186,18 @@ def shape_logdensities(U: np.ndarray, model: ModelSpec,
         log = _planar_log_series(model, W, a)
         used, tail = np.zeros(len(log), dtype=int), np.zeros(len(log))
     else:
-        log_a = np.log(a)[:, None]
+        gen, b = model.generator, model.trace_omega
+        delta = coefficient_polynomial(gen, b)[0]
+        log_r, log_a = math.log(gen.R), np.log(a)[:, None]
+        base = gen.log_norm_const - gen.R * b - M / 2.0 * log_r - math.log(2.0)
 
-        def coeff_block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            radial = [radial_integral(model.generator, t, 1.0, model.trace_omega, M - 1, 1)
-                      for t in range(lo, hi)]
-            log_i = np.array([r.log for r in radial]) - (M / 2.0 + np.arange(lo, hi)) * log_a
-            return log_i, np.array([r.sign for r in radial])
+        def coeff_block(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+            # e^(log_norm_const - R b) R^(t - M/2) Gamma(M/2 + t) P(t) / 2,
+            # times a^(-M/2 - t)
+            t = np.arange(lo, hi)
+            log_gamma = np.array([math.lgamma(M / 2.0 + i) for i in range(lo, hi)])
+            return _polynomial_block(delta, lo, hi, base + t * log_r + log_gamma
+                                     - (M / 2.0 + t) * log_a)
 
         log, sign, used, tail = zonal_series_batch(
             coeff_block, _noncentrality_spectra(model, W), K / 2.0, ctrl)
@@ -177,11 +205,6 @@ def shape_logdensities(U: np.ndarray, model: ModelSpec,
             raise DomainError("shape series summed to a non-positive value")
     return (log_j - K / 2.0 * model.log_det_sigma + log + _mode_log_factor(mode),
             used, tail)
-
-
-# decimal digits that the K = 2 Kotz closed form may lose to cancellation
-# before it raises NumericError
-_PLANAR_DIGITS_LOST = 6.0
 
 
 def _planar_log_series(model: ModelSpec, W: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -194,7 +217,7 @@ def _planar_log_series(model: ModelSpec, W: np.ndarray, a: np.ndarray) -> np.nda
     G = mu' Sigma^{-1} W (James, Ann. Math. Statist. 35, 1964):
     s+^2 = (g11 + g22)^2 + (g21 - g12)^2, s-^2 = (g11 - g22)^2 + (g12 + g21)^2
     (swapped when det G < 0, which the sum over both ignores). With the
-    radial integrals of :func:`radial_degree_differences` the series is
+    radial integrals of :func:`coefficient_polynomial` the series is
     e^{log_norm_const - R b} R^{-n} a^{-n} / 2 times
     (1/2) sum_+- sum_t Gamma(n + t) P(t) z^t / (t!)^2 at z = R s+-^2 / a, and
     P(t) = sum_j delta_j binom(t, j). Kummer's transformation and the
@@ -209,12 +232,12 @@ def _planar_log_series(model: ModelSpec, W: np.ndarray, a: np.ndarray) -> np.nda
     multiplies, so the terms leave z out. Raises
     :class:`DomainError` where the sum is not positive. For Kotz the q_m
     alternate in sign: the sum over |delta_j| over the sum gives the digits
-    lost to cancellation, and more than ``_PLANAR_DIGITS_LOST`` raise
-    :class:`NumericError`.
+    lost to cancellation, and too many raise :class:`NumericError`
+    (:func:`check_cancellation`).
     """
     gen = model.generator
     n, R, b = model.Nm1, gen.R, model.trace_omega
-    deltas = radial_degree_differences(gen, b)
+    deltas = coefficient_polynomial(gen, b)[0]
     T = len(deltas)
     degree = n + T - 2
     lf = np.array([math.lgamma(i + 1.0) for i in range(degree + 2)])   # log i!
@@ -244,11 +267,7 @@ def _planar_log_series(model: ModelSpec, W: np.ndarray, a: np.ndarray) -> np.nda
         log_abs_q = signed_logsumexp(logs, np.abs(signs), axis=0)[0]
         log_abs = signed_logsumexp((z[:, :, None] + log_zm + log_abs_q).reshape(len(z), -1),
                                    1.0, axis=1)[0]
-        lost = (log_abs - log) / math.log(10.0)
-        if np.any(lost > _PLANAR_DIGITS_LOST):
-            row = int(np.argmax(lost))
-            raise NumericError(f"K = 2 Kotz density at row {row} lost {lost[row]:.1f} digits "
-                               f"to cancellation (limit {_PLANAR_DIGITS_LOST:g})")
+        check_cancellation(log_abs, log)
     return (gen.log_norm_const - R * b - n * math.log(R) - 2.0 * math.log(2.0)
             - n * np.log(a) + log)
 
@@ -360,16 +379,3 @@ def _isotropic_bracket(kind: IsotropicKind, M: int, x: float, tmax: int):
     else:
         raise DomainError(f"unknown isotropic kind {kind!r}")
     return log_pref, lg + np.log(np.abs(np.where(poly == 0, 1.0, poly))), np.sign(poly)
-
-
-def _isotropic_bracket_slope(kind: IsotropicKind, M: int, x: float, tmax: int) -> np.ndarray:
-    """dp_t/dx over t = 0..tmax for the brackets of :func:`_isotropic_bracket`,
-    so that dB(t, x)/dx = Gamma(M/2 + t) dp_t/dx."""
-    ts = np.arange(tmax + 1, dtype=float)
-    if kind is IsotropicKind.GAUSSIAN:
-        return np.zeros_like(ts)
-    if kind is IsotropicKind.KOTZ_T2:
-        return np.ones_like(ts)
-    if kind is IsotropicKind.KOTZ_T3:
-        return 2.0 * (M / 2.0 + x - ts)
-    raise DomainError(f"unknown isotropic kind {kind!r}")

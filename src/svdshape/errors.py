@@ -30,7 +30,13 @@ class SeriesTruncationError(SvdShapeError, ArithmeticError):
 
 
 class NumericError(SvdShapeError, ArithmeticError):
-    """A numerical procedure (quadrature, optimizer) failed to converge."""
+    """A numerical procedure failed to converge, or a sum lost too many
+    digits to cancellation; for a batch of sums, ``row`` is the index of
+    the one it describes."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class ParseError(SvdShapeError, ValueError):

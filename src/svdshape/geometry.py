@@ -3,7 +3,7 @@ chart.
 
 Pipeline: raw landmarks X (N x K) -> centered Y = L X Theta^{-1/2}
 ((N-1) x K) -> thin SVD shape decomposition (V, D, H) -> size r, shape
-matrix W and generalized polar angles u.
+matrix W and generalized polar angles u; a sample is a group of them.
 
 This module is the only place that knows the chart: how m angles map to a
 unit vector of length m + 1 and back, how that vector is the column-major
@@ -256,3 +256,43 @@ def preshape_angles(Y: np.ndarray) -> np.ndarray:
     if r == 0.0:
         raise DegenerateConfigurationError("all landmarks coincide; shape is undefined")
     return frame_to_angles(Y / r)
+
+
+@dataclass(frozen=True)
+class SampleOfShapes:
+    """A homogeneous group of shape coordinates."""
+
+    group_id: str
+    items: tuple[tuple[str, ShapeCoords], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "items", tuple(self.items))
+        if not self.items:
+            raise DomainError(f"sample {self.group_id!r} is empty")
+        shapes = [sc for _, sc in self.items]
+        first = shapes[0]
+        for _, sc in self.items:
+            if sc.W.shape != first.W.shape or sc.mode is not first.mode:
+                raise DomainError(
+                    f"sample {self.group_id!r} mixes dimensions or modes")
+
+    @property
+    def size(self) -> int:
+        return len(self.items)
+
+    @property
+    def Nm1(self) -> int:
+        return self.items[0][1].W.shape[0]
+
+    @property
+    def K(self) -> int:
+        return self.items[0][1].W.shape[1]
+
+    @property
+    def mode(self) -> Mode:
+        return self.items[0][1].mode
+
+    def merged(self, other: "SampleOfShapes", group_id: str) -> "SampleOfShapes":
+        if (self.Nm1, self.K, self.mode) != (other.Nm1, other.K, other.mode):
+            raise DomainError("cannot pool samples with different dimensions or modes")
+        return SampleOfShapes(group_id, self.items + other.items)

@@ -19,52 +19,16 @@ from enum import Enum
 
 import numpy as np
 
-from .densities import IsotropicKind, _isotropic_bracket, _isotropic_bracket_slope
+from .densities import IsotropicKind
 from .errors import DomainError, NumericError, SeriesTruncationError
-from .geometry import Mode, ShapeCoords
+from .geometry import Mode, SampleOfShapes
+from .models import GeneratorKind, GeneratorSpec, binomial_basis, coefficient_polynomial
 from .special import chi_square_sf
 from .zonal import SeriesControl, shared_sum_table, signed_logsumexp
 
 
-@dataclass(frozen=True)
-class SampleOfShapes:
-    """A homogeneous group of shape coordinates."""
-
-    group_id: str
-    items: tuple[tuple[str, ShapeCoords], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        if not self.items:
-            raise DomainError(f"sample {self.group_id!r} is empty")
-        shapes = [sc for _, sc in self.items]
-        first = shapes[0]
-        for _, sc in self.items:
-            if sc.W.shape != first.W.shape or sc.mode is not first.mode:
-                raise DomainError(
-                    f"sample {self.group_id!r} mixes dimensions or modes")
-
-    @property
-    def size(self) -> int:
-        return len(self.items)
-
-    @property
-    def Nm1(self) -> int:
-        return self.items[0][1].W.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.items[0][1].W.shape[1]
-
-    @property
-    def mode(self) -> Mode:
-        return self.items[0][1].mode
-
-    def merged(self, other: "SampleOfShapes", group_id: str) -> "SampleOfShapes":
-        if (self.Nm1, self.K, self.mode) != (other.Nm1, other.K, other.mode):
-            raise DomainError("cannot pool samples with different dimensions or modes")
-        return SampleOfShapes(group_id, self.items + other.items)
-
+# the Kotz shape T of each isotropic family (rate R = 1/2)
+_KOTZ_SHAPE = {IsotropicKind.GAUSSIAN: 1, IsotropicKind.KOTZ_T2: 2, IsotropicKind.KOTZ_T3: 3}
 
 # a start stops once no component of the log-likelihood gradient exceeds this
 _GTOL = 1e-6
@@ -103,14 +67,18 @@ class FitResult:
 class IsotropicLikelihood:
     """Vectorized isotropic log-likelihood of a sample, as a function of mu.
 
-    Per specimen the angle density is
-    J(u_i) (2 pi^{M/2})^{-1} pref e^{-x} sum_t B(t, x) S_t(X_i) / t! with
-    X_i = mu' W_i W_i' mu / (2 sigma^2); everything that does not depend on mu
-    is precomputed, and log S_t is evaluated for the whole sample and every
-    degree through max_degree in one pass of the shared zonal kernel. B(t, x)
-    can be negative for the Kotz kinds, so the degree sum uses a signed
-    log-sum-exp. :meth:`loglik_and_grad` adds the exact gradient in mu from
-    the same pass.
+    Per specimen the angle density is the shape density of
+    :func:`svdshape.densities.shape_logdensities` at Sigma = sigma^2 I,
+    Theta = I and R = 1/2:
+    J(u_i) e^(log_norm_const) R^(-M/2) / 2 e^{-x} sum_t c_t(x) S_t(X_i) / t!
+    with X_i = mu' W_i W_i' mu / (2 sigma^2), x = tr(mu' mu) / (2 sigma^2) and
+    c_t(x) = Gamma(M/2 + t) P(t) for the coefficient polynomial P of the
+    kind's generator at b = 2x (:func:`coefficient_polynomial`), which also
+    gives dc_t/dx. Everything that does not depend on mu is precomputed, and
+    log S_t is evaluated for the whole sample and every degree through
+    max_degree in one pass of the shared zonal kernel. c_t can be negative
+    for the Kotz kinds, so the degree sum uses a signed log-sum-exp.
+    :meth:`loglik_and_grad` adds the exact gradient in mu from the same pass.
     """
 
     def __init__(self, sample: SampleOfShapes, kind: IsotropicKind,
@@ -124,21 +92,22 @@ class IsotropicLikelihood:
         self.Nm1, self.K = sample.Nm1, sample.K
         self.M = self.Nm1 * self.K
         self._W = np.stack([sc.W for _, sc in sample.items])     # (S, N-1, K)
+        # Kotz T = 1 is the Gaussian
+        self._gen = GeneratorSpec(GeneratorKind.KOTZ_TYPE_I, M=self.M, T=_KOTZ_SHAPE[kind])
         mode_log = -math.log(2.0) if sample.mode is Mode.NO_REFLECTION else 0.0
-        log_pref = _isotropic_bracket(kind, self.M, 0.0, 0)[0]
         for sid, sc in sample.items:
             if not math.isfinite(sc.log_jacobian):
                 raise DomainError(f"specimen {sid!r} sits at a chart pole")
         self._const = (float(np.sum([sc.log_jacobian for _, sc in sample.items]))
-                       + sample.size * (-math.log(2.0)
-                                        - self.M / 2.0 * math.log(math.pi)
-                                        + log_pref + mode_log))
+                       + sample.size * (self._gen.log_norm_const - math.log(2.0)
+                                        - self.M / 2.0 * math.log(self._gen.R)
+                                        + mode_log))
         self._table = shared_sum_table(self.K, self.ctrl.max_degree)
-        ts = range(self.ctrl.max_degree + 1)
-        self._lgamma_t = np.array([math.lgamma(t + 1) for t in ts])
-        # log Gamma(M/2 + t) / t!, the factor of dB(t, x)/dx / t!
-        self._log_slope_scale = np.array(
-            [math.lgamma(self.M / 2.0 + t) for t in ts]) - self._lgamma_t
+        tmax = self.ctrl.max_degree
+        self._basis = binomial_basis(0, tmax + 1, self._gen.effective_T)
+        # log Gamma(M/2 + t) / t!, the factor of c_t / t! and dc_t/dx / t!
+        self._log_scale = np.array([math.lgamma(self.M / 2.0 + t) - math.lgamma(t + 1)
+                                    for t in range(tmax + 1)])
 
     def _series(self, mu: np.ndarray):
         """(log term per specimen and degree, log of each specimen's degree
@@ -150,22 +119,24 @@ class IsotropicLikelihood:
         lam, V = np.linalg.eigh(X)
         spectra = np.clip(lam, 0.0, None)
         log_s, log_ds = self._table.logsums_and_partials(spectra)  # (S, tmax+1[, K])
-        tmax = self.ctrl.max_degree
-        _, lb, sb = _isotropic_bracket(self.kind, self.M, x, tmax)
-        log_coef = lb - self._lgamma_t                           # log |B(t, x)| / t!
+        delta, delta_slope = coefficient_polynomial(self._gen, 2.0 * x)
+        poly = self._basis @ delta
+        sb = np.sign(poly)
+        with np.errstate(divide="ignore"):
+            log_coef = self._log_scale + np.log(np.abs(poly))    # log |c_t(x)| / t!
         logs = log_s + log_coef[None, :]
         total_log, total_sign = signed_logsumexp(logs, np.broadcast_to(sb, logs.shape))
         if np.any(total_sign <= 0):
             bad = int(np.argmax(total_sign <= 0))
             raise NumericError(
                 f"specimen {self.sample.items[bad][0]!r}: series summed to a "
-                "non-positive value")
-        # L_i = log sum_t B(t, x) S_t(X_i) / t! - x. Through x: the share of
-        # dB/dx = Gamma(M/2 + t) p_t'(x), taken directly because B itself can
-        # vanish for Kotz; through X_i: the spectral derivative
+                "non-positive value", row=bad)
+        # L_i = log sum_t c_t(x) S_t(X_i) / t! - x. Through x: the share of
+        # dc_t/dx = Gamma(M/2 + t) 2 dP/db, taken directly because c_t itself
+        # can vanish for Kotz; through X_i: the spectral derivative
         # V diag(dL_i/dlambda) V' of a symmetric function
-        slope = _isotropic_bracket_slope(self.kind, self.M, x, tmax)
-        dx = np.sum(slope * np.exp(log_s + self._log_slope_scale - total_log[:, None]))
+        slope = 2.0 * (self._basis @ delta_slope)
+        dx = np.sum(slope * np.exp(log_s + self._log_scale - total_log[:, None]))
         dlam = np.einsum("t,stk->sk", sb, np.exp(
             log_ds + log_coef[None, :, None] - total_log[:, None, None]))
         dX = (V * dlam[:, None, :]) @ V.transpose(0, 2, 1)       # (S, K, K)

@@ -1,10 +1,16 @@
 """The tests' oracles; no runtime module imports this.
 
-Zonal polynomial coefficients in the monomial basis by the classical
-recursion (the alpha = 2 Jack family), summed by :func:`zonal_poly` and,
-collapsed over kappa for any K and a, by :class:`ZonalSumTable`; and the
-radial integral by adaptive quadrature (:func:`radial_integral_quad`, the
-only user of scipy in the package).
+- Zonal polynomial coefficients in the monomial basis by the classical
+  recursion (the alpha = 2 Jack family), summed by :func:`zonal_poly` and,
+  collapsed over kappa for any K and a, by :class:`ZonalSumTable`.
+- The generator derivative h^(k)(y) (:func:`h_derivative_log`,
+  :func:`h_derivative`) and the radial integral (:func:`radial_integral`),
+  one degree at a time as Leibniz and binomial sums of log terms
+  (:func:`_sum_signed_log_terms`), with a 60-digit mpmath recomputation
+  (:func:`_kotz_radial_exact`) where a Kotz sum cancels: the references of
+  :func:`svdshape.models.coefficient_polynomial`.
+- The radial integral by adaptive quadrature (:func:`radial_integral_quad`,
+  the only user of scipy in the package).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .models import GeneratorSpec, h_derivative_log
+from .models import GeneratorSpec, h_log_value
 from .special import LogSign
 from .zonal import _LOGSUMS_CHUNK_BYTES, _check_spectra
 
@@ -343,9 +349,147 @@ def _block_logsumexp(loge: np.ndarray, exps: np.ndarray, logc: np.ndarray,
     return out
 
 
+def _poly_fall(T: int, j: int) -> float:
+    """prod_{i=0}^{j-1} (T - 1 - i); vanishes for j >= T."""
+    out = 1.0
+    for i in range(j):
+        out *= T - 1 - i
+    return out
+
+
+def _sum_signed_log_terms(terms: list[tuple[float, float]], exact=None) -> LogSign:
+    """Sum of terms given as (log magnitude, sign), watching for cancellation.
+
+    Sums with fsum after scaling by the largest magnitude. If more than ~10
+    digits cancel and an ``exact`` recomputation callback is given, defer to
+    it (the finite Kotz sums can cancel exactly to zero, which double
+    arithmetic cannot distinguish from noise).
+    """
+    finite = [(lg, sg) for lg, sg in terms if math.isfinite(lg) and sg != 0.0]
+    if not finite:
+        return LogSign.zero()
+    shift = max(lg for lg, _ in finite)
+    total = math.fsum(sg * math.exp(lg - shift) for lg, sg in finite)
+    if abs(total) < 1e-10 and exact is not None:
+        return exact()
+    return LogSign.of(total).scale(shift)
+
+
+def h_derivative_log(gen: GeneratorSpec, k: int, y: float) -> LogSign:
+    """k-th derivative of h at y, in log-sign form.
+
+    Uses the Leibniz expansion of d^k/dy^k [y^{T-1} e^{-Ry}], which is finite
+    for integer T and regular at y = 0 (the printed 1/y factors of the
+    product-rule form are removable).
+    """
+    if k < 0:
+        raise DomainError(f"derivative order must be non-negative, got {k}")
+    if y < 0:
+        raise DomainError(f"generator argument must be non-negative, got {y}")
+    T, R = gen.effective_T, gen.R
+    if T == 1:
+        base = h_log_value(gen, y)
+        sign = -1.0 if k % 2 else 1.0
+        return base.mul(LogSign(k * math.log(R), sign))
+    terms = []
+    for j in range(min(k, T - 1) + 1):
+        p = _poly_fall(T, j)
+        if p == 0.0:
+            continue
+        expo = T - 1 - j
+        if y == 0.0 and expo > 0:
+            continue
+        log_y_pow = 0.0 if expo == 0 else expo * math.log(y)
+        sign = (1.0 if (k - j) % 2 == 0 else -1.0) * math.copysign(1.0, p)
+        log_mag = (math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
+                   + math.log(abs(p)) + (k - j) * math.log(R) + log_y_pow)
+        terms.append((log_mag, sign))
+    # near a sign change of h^(k) the bracket cancels; absolute accuracy there
+    # is eps times the leading term, which is all downstream sums need
+    return _sum_signed_log_terms(terms).scale(gen.log_norm_const - R * y)
+
+
+def h_derivative(gen: GeneratorSpec, k: int, y: float) -> float:
+    return h_derivative_log(gen, k, y).value
+
+
+def radial_integral(gen: GeneratorSpec, t: int, a: float, b: float,
+                    m: int, n: int) -> LogSign:
+    """Closed form of int_0^inf r^(m+n+2t-1) h^(2t)(r^2 a + b) dr.
+
+    Gaussian: R^{M/2-(m+n)/2+t} / (2 pi^{M/2}) e^{-Rb} a^{-(m+n)/2-t}
+    Gamma((m+n)/2 + t). Kotz integer T: the finite double sum obtained by
+    expanding the Leibniz derivative and the binomial (r^2 a + b)^j; both are
+    cross-validated against the quadrature oracle.
+    """
+    if t < 0:
+        raise DomainError(f"series degree t must be non-negative, got {t}")
+    if a <= 0:
+        raise DomainError(f"radial scale a must be positive, got {a}")
+    if b < 0:
+        raise DomainError(f"noncentrality b must be non-negative, got {b}")
+    if m + n < 1:
+        raise DomainError(f"need m + n >= 1, got m={m}, n={n}")
+    T, R, M = gen.effective_T, gen.R, gen.M
+    q = m + n + 2 * t
+    if T == 1:
+        log = ((M / 2.0 - (m + n) / 2.0 + t) * math.log(R) - math.log(2.0)
+               - M / 2.0 * math.log(math.pi) - R * b
+               - ((m + n) / 2.0 + t) * math.log(a) + math.lgamma((m + n) / 2.0 + t))
+        return LogSign(log, 1.0)
+    k = 2 * t
+    terms = []
+    log_b = math.log(b) if b > 0 else -math.inf
+    for j in range(min(k, T - 1) + 1):
+        p = _poly_fall(T, j)
+        if p == 0.0:
+            continue
+        jj = T - 1 - j
+        sign_j = (1.0 if (k - j) % 2 == 0 else -1.0) * math.copysign(1.0, p)
+        log_cj = (math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
+                  + math.log(abs(p)) + (k - j) * math.log(R))
+        for l in range(jj + 1):
+            if b == 0.0 and l < jj:
+                continue
+            log_binom = math.lgamma(jj + 1) - math.lgamma(l + 1) - math.lgamma(jj - l + 1)
+            log_term = (log_cj + log_binom + l * math.log(a)
+                        + (jj - l) * (log_b if jj - l else 0.0)
+                        - math.log(2.0) - (q / 2.0 + l) * (math.log(R) + math.log(a))
+                        + math.lgamma(q / 2.0 + l))
+            terms.append((log_term, sign_j))
+    out = _sum_signed_log_terms(
+        terms, exact=lambda: _kotz_radial_exact(T, R, t, a, b, q))
+    return out.scale(gen.log_norm_const - R * b)
+
+
+def _kotz_radial_exact(T: int, R: float, t: int, a: float, b: float, q: int) -> LogSign:
+    """60-digit recomputation of the Kotz sum, for near-total cancellation."""
+    import mpmath as mp
+    k = 2 * t
+    with mp.workdps(60):
+        Rm, am, bm = mp.mpf(R), mp.mpf(a), mp.mpf(b)
+        total = mp.mpf(0)
+        for j in range(min(k, T - 1) + 1):
+            p = _poly_fall(T, j)
+            if p == 0.0:
+                continue
+            jj = T - 1 - j
+            cj = mp.binomial(k, j) * p * (-Rm) ** (k - j)
+            for l in range(jj + 1):
+                if b == 0.0 and l < jj:
+                    continue
+                total += (cj * mp.binomial(jj, l) * am**l
+                          * (bm ** (jj - l) if jj - l else 1)
+                          * mp.mpf("0.5") * (Rm * am) ** (-(mp.mpf(q) / 2 + l))
+                          * mp.gamma(mp.mpf(q) / 2 + l))
+        if total == 0 or mp.fabs(total) < mp.mpf(10) ** -45 * mp.gamma(mp.mpf(q) / 2):
+            return LogSign.zero()
+        return LogSign(float(mp.log(mp.fabs(total))), 1.0 if total > 0 else -1.0)
+
+
 def radial_integral_quad(gen: GeneratorSpec, t: int, a: float, b: float,
                          m: int, n: int) -> LogSign:
-    """Adaptive-quadrature oracle for :func:`svdshape.models.radial_integral`."""
+    """Adaptive-quadrature oracle for :func:`radial_integral`."""
     from scipy import integrate
 
     if a <= 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SeriesTruncationError
+from .errors import DomainError, NumericError, SeriesTruncationError
 from .special import LogSign, multivariate_gamma
 
 
@@ -86,13 +86,16 @@ def zonal_series_batch(coeff_block, spectra, denominator_a: float,
     are padded with zeros, which is exact, as C_kappa vanishes for kappa of
     more parts than nonzero eigenvalues. ``coeff_block(lo, hi)`` gives
     (log |c_t|, sign c_t) for t = lo..hi-1, each broadcastable to
-    (batch, hi - lo). The degrees grow in blocks of _DEGREE_BLOCK, capped at
-    ``ctrl.max_degree``, each one kernel call (see :func:`shared_sum_table`)
-    for the rows still unconverged. A row stops at the first degree
-    completing _TAIL_WINDOW consecutive terms below ``ctrl.rel_tol`` times
-    its running total, and its tail bound is its last term relative to the
-    sum; :class:`SeriesTruncationError` for the first ``row`` that does not
-    stop within ``ctrl.max_degree``.
+    (batch, hi - lo), and may add log m_t, the sum of the magnitudes that c_t
+    was computed from: then m_t S_t / t! is summed to the same degree, and
+    :func:`check_cancellation` raises :class:`NumericError` for a ``row``
+    that lost too many digits in and across the c_t. The degrees grow in
+    blocks of _DEGREE_BLOCK, capped at ``ctrl.max_degree``, each one kernel
+    call (see :func:`shared_sum_table`) for the rows still unconverged. A row
+    stops at the first degree completing _TAIL_WINDOW consecutive terms below
+    ``ctrl.rel_tol`` times its running total, and its tail bound is its last
+    term relative to the sum; :class:`SeriesTruncationError` for the first
+    ``row`` that does not stop within ``ctrl.max_degree``.
     """
     ctrl = ctrl or SeriesControl()
     K = 2 * denominator_a
@@ -105,14 +108,17 @@ def zonal_series_batch(coeff_block, spectra, denominator_a: float,
     batch = len(spectra)
     out = np.empty((4, batch))                      # log, sign, degrees used, tail
     # per unconverged row: its running total acc * exp(peak), peak its largest
-    # term, and whether its last _TAIL_WINDOW - 1 terms were quiet
+    # term, the log of its running sum over magnitudes, and whether its last
+    # _TAIL_WINDOW - 1 terms were quiet
     rows = np.arange(batch)
     peak, acc = np.full((batch, 1), -np.inf), np.zeros((batch, 1))
+    log_m_acc = np.full((batch, 1), -np.inf)
     quiet = np.zeros((batch, _TAIL_WINDOW - 1), dtype=bool)
     lo = 0
     while len(rows):
         hi = min(lo + _DEGREE_BLOCK, ctrl.max_degree + 1)
-        log_c, sign_c = (np.broadcast_to(x, (batch, hi - lo))[rows] for x in coeff_block(lo, hi))
+        log_c, sign_c, *log_m = (np.broadcast_to(x, (batch, hi - lo))[rows]
+                                 for x in coeff_block(lo, hi))
         log_s = shared_sum_table(K, hi - 1).logsums(spectra[rows])
         terms = np.where(sign_c != 0.0, log_c + log_s[:, lo:] - _log_factorials(hi)[lo:], -np.inf)
         top = np.maximum(peak, terms.max(axis=1, keepdims=True))
@@ -130,6 +136,12 @@ def zonal_series_batch(coeff_block, spectra, denominator_a: float,
         total, total_sign = running[pick], np.sign(sums[pick])
         out[:, rows[done]] = (total, total_sign, lo + stop,
                               np.exp(terms[pick] - np.where(total_sign != 0.0, total, 0.0)))
+        if log_m:
+            log_m_run = np.logaddexp.accumulate(np.concatenate(
+                [log_m_acc, log_m[0] + log_s[:, lo:] - _log_factorials(hi)[lo:]], axis=1),
+                axis=1)[:, 1:]
+            check_cancellation(log_m_run[pick], total, rows[done])
+            log_m_acc = log_m_run[~done, -1:]
         if hi > ctrl.max_degree and not done.all():
             i = int(np.argmin(done))                    # the first unconverged row
             raise SeriesTruncationError(
@@ -142,6 +154,26 @@ def zonal_series_batch(coeff_block, spectra, denominator_a: float,
         lo = hi
     log, sign, used, tail = out
     return log, sign, used.astype(int), tail
+
+
+# decimal digits that a signed sum may lose to cancellation before
+# check_cancellation raises NumericError
+_MAX_DIGITS_LOST = 6.0
+
+
+def check_cancellation(log_magnitudes: np.ndarray, log_sums: np.ndarray,
+                       rows: np.ndarray | None = None) -> None:
+    """Raise :class:`NumericError` for the row that lost most if a sum, of log
+    magnitude ``log_sums``, lost over _MAX_DIGITS_LOST decimal digits to
+    cancellation against ``log_magnitudes``, the same sum over the magnitudes
+    of its terms. ``rows`` numbers the entries (default: their index)."""
+    with np.errstate(invalid="ignore"):             # -inf - -inf: no terms at all
+        lost = (np.asarray(log_magnitudes) - log_sums) / math.log(10.0)
+    if np.any(lost > _MAX_DIGITS_LOST):
+        i = int(np.nanargmax(lost))
+        row = i if rows is None else int(rows[i])
+        raise NumericError(f"the sum at row {row} lost {lost[i]:.1f} digits to "
+                           f"cancellation (limit {_MAX_DIGITS_LOST:g})", row=row)
 
 
 def hypergeom_0F1(b: float, matrix_eigenvalues, ctrl: SeriesControl | None = None) -> float:
@@ -535,6 +567,8 @@ def signed_logsumexp(logs: np.ndarray, signs: np.ndarray, axis: int = -1):
 
 # frames drawn per batch by stiefel_mc_integral
 _STIEFEL_MC_CHUNK = 65536
+# largest entry of F F' - I that a frame F of stiefel_mc_integral may have
+_FRAME_TOL = 1e-12
 
 
 def stiefel_mc_integral(integrand, n: int, K: int, samples: int,
@@ -557,9 +591,7 @@ def stiefel_mc_integral(integrand, n: int, K: int, samples: int,
     done = 0
     while done < samples:
         b = min(_STIEFEL_MC_CHUNK, samples - done)
-        g = rng.standard_normal((b, n, K))
-        u, _, vt = np.linalg.svd(g, full_matrices=False)
-        frames = u @ vt
+        frames = _polar_factor(rng.standard_normal((b, n, K)))
         vals = np.asarray(integrand(frames), dtype=float)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
@@ -568,3 +600,26 @@ def stiefel_mc_integral(integrand, n: int, K: int, samples: int,
     var = max(total_sq / samples - mean * mean, 0.0)
     se = math.sqrt(var / samples)
     return vol * mean, vol * se
+
+
+def _polar_factor(g: np.ndarray) -> np.ndarray:
+    """The polar factor (g g')^(-1/2) g of each n x K matrix (n <= K) of a
+    batch, from eigh of the n x n Gram matrix, whose rounding grows with the
+    square of g's condition number, then one Newton-Schulz step
+    F <- (3 F - F F' F) / 2, which squares a small departure from orthonormal
+    rows. A frame still off by more than _FRAME_TOL, or singular, takes the
+    SVD's. Transposes are copied: batched matmul is slower on strided views.
+    """
+    def gram(A):
+        return A @ np.ascontiguousarray(A.transpose(0, 2, 1))
+
+    w, V = np.linalg.eigh(gram(g))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F = ((V / np.sqrt(w)[:, None, :]) @ np.ascontiguousarray(V.transpose(0, 2, 1))) @ g
+        F = 1.5 * F - 0.5 * gram(F) @ F
+        off = np.abs(gram(F) - np.eye(g.shape[1])).max(axis=(1, 2))
+    bad = ~(off <= _FRAME_TOL)                      # NaN: a singular draw
+    if bad.any():
+        u, _, vt = np.linalg.svd(g[bad], full_matrices=False)
+        F[bad] = u @ vt
+    return F

@@ -21,10 +21,9 @@ from svdshape.inference import (EvidenceGrade, OptimizerConfig, SampleOfShapes,
                                 bic_star, evidence_grade, fit_location,
                                 lr_test_equal_means)
 from svdshape.io import ingest_landmarks
-from svdshape.models import (GeneratorKind, GeneratorSpec, gaussian_model,
-                             h_derivative, h_value, kotz_model,
-                             radial_integral)
-from svdshape.oracle import enumerate_partitions, zonal_poly
+from svdshape.models import (GeneratorKind, GeneratorSpec, gaussian_model, h_value,
+                             kotz_model)
+from svdshape.oracle import enumerate_partitions, h_derivative, radial_integral, zonal_poly
 from svdshape.verify import mc_normalization, simulation_vs_density
 from svdshape.zonal import (SeriesControl, exp_trace_integral_series,
                             power_trace_integral_series, stiefel_mc_integral)

@@ -258,7 +258,7 @@ def _series_logdensities(U, model, mode, ctrl):
     """The degree series of shape_logdensities, summed by zonal_series_batch
     as at K = 1 and 3, whatever K."""
     from svdshape.densities import _chart, _noncentrality_spectra
-    from svdshape.models import radial_integral
+    from svdshape.oracle import radial_integral
     from svdshape.zonal import zonal_series_batch
     K, M = model.K, model.M
     W, log_j = _chart(U, model.Nm1, K, batch=True)
@@ -430,3 +430,66 @@ class TestPlanarClosedForm:
         mass, _ = mc_normalization(model, mc_samples=2000, seed=1)
         assert math.isfinite(mass)
         assert simulation_vs_density(model, sim_count=1000, seed=2).marginals
+
+
+def _spatial_case(ratio: float):
+    """A K = 3 Kotz T = 6 model at sqrt(tr Omega) = ratio and four frames near
+    its location."""
+    from svdshape.geometry import frame_to_angles
+    rng = np.random.default_rng(5)
+    mu = rng.normal(size=(3, 3))
+    model = kotz_model(0.8 * np.eye(3), np.eye(3), mu * ratio / math.sqrt(np.sum(mu ** 2) / 0.8),
+                       T=6)
+    return model, frame_to_angles(model.mu_whitened + 0.5 * rng.normal(size=(4, 3, 3)))
+
+
+def _exact_coefficient_logdensities(U, model, tmax):
+    """The K = 3 shape log densities with every series coefficient at 50
+    digits (P(t) in Newton form from its Leibniz-binomial double sum at
+    t = 0..T-1) and the runtime kernel's log S_t, summed through ``tmax``:
+    only the coefficients differ from :func:`shape_logdensities`."""
+    import mpmath as mp
+    from svdshape.densities import _chart, _noncentrality_spectra
+    from svdshape.zonal import shared_sum_table
+    gen, K = model.generator, model.K
+    W, log_j = _chart(U, model.Nm1, K, batch=True)
+    a = np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W)
+    log_s = shared_sum_table(K, tmax).logsums(_noncentrality_spectra(model, W))
+    T = gen.effective_T
+    with mp.workdps(50):
+        R, b, n = mp.mpf(gen.R), mp.mpf(model.trace_omega), mp.mpf(model.M) / 2
+        values = [sum((-1) ** j * mp.binomial(2 * t, j) * mp.ff(T - 1, j) * R ** -j
+                      * mp.binomial(T - 1 - j, l) * b ** (T - 1 - j - l) * R ** -l
+                      * mp.rf(n + t, l) for j in range(T) for l in range(T - j))
+                  for t in range(T)]
+        delta = [sum((-1) ** (j - i) * mp.binomial(j, i) * values[i] for i in range(j + 1))
+                 for j in range(T)]
+        log_norm = ((T - 1 + n) * mp.log(R) + mp.loggamma(n) - n * mp.log(mp.pi)
+                    - mp.loggamma(T - 1 + n))
+        out = []
+        for row in range(len(U)):
+            total = mp.mpf(0)
+            for t in range(tmax + 1):
+                poly = sum(d * mp.binomial(t, j) for j, d in enumerate(delta))
+                total += (poly * mp.exp(log_norm - R * b + (t - n) * mp.log(R)
+                                        + mp.loggamma(n + t) - (n + t) * mp.log(a[row])
+                                        + log_s[row, t] - mp.loggamma(t + 1)) / 2)
+            out.append(float(mp.log(total)))
+    return np.array(out) + log_j - K / 2.0 * model.log_det_sigma
+
+
+class TestSpatialKotzCancellation:
+    def test_kotz_t6_keeps_its_digits_short_of_the_limit(self):
+        # about 5 digits cancel, so 1e-9 as at K = 2; the per-degree sum
+        # (oracle.radial_integral) is 2e-7 off here
+        model, U = _spatial_case(8.0)
+        log = shape_logdensities(U[:2], model, ctrl=SERIES_CTRL)[0]
+        oracle = _exact_coefficient_logdensities(U[:2], model, 130)
+        assert np.all(np.abs(log - oracle) <= 1e-9 * np.maximum(1.0, np.abs(oracle)))
+
+    def test_kotz_t6_raises_past_the_limit(self):
+        # the alternating coefficients cancel 6.9 digits at row 2
+        model, U = _spatial_case(10.0)
+        with pytest.raises(NumericError) as err:
+            shape_logdensities(U, model, ctrl=SERIES_CTRL)
+        assert err.value.row == 2 and "cancellation" in str(err.value)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -335,7 +336,7 @@ class TestCli:
         # the count is checked before the Monte Carlo mass is computed
         def refuse(*args, **kwargs):
             raise AssertionError("the Monte Carlo mass ran before the count check")
-        monkeypatch.setattr("svdshape.cli.mc_normalization", refuse)
+        monkeypatch.setattr("svdshape.verify.mc_normalization", refuse)
         res = run_cli("verify", "--mc-samples", "200", "--sim-count", count)
         assert res.exit_code == 3
         assert "sim_count must be >= 1000" in res.stderr
@@ -381,6 +382,25 @@ class TestCli:
                       "--sigma2", "0.05", "--max-degree", "88")
         assert res.exit_code == 3
         assert f"specimen {failing[0]!r}: zonal series did not converge" in res.stderr
+
+    def test_density_names_the_specimen_that_lost_digits(self, tmp_path):
+        # six N = 3 specimens around a location of Frobenius norm 12: the
+        # K = 2 Kotz T = 6 closed form cancels more than 6 digits on every
+        # row, and the error names the specimen of the row that lost most
+        rng = np.random.default_rng(4)
+        mu = rng.normal(size=(2, 2))
+        mu *= 12.0 / np.linalg.norm(mu)
+        specimens = sample_landmarks(gaussian_model(np.eye(2), np.eye(2), mu), 6, seed=4)
+        path = tmp_path / "far.txt"
+        emit_landmarks(specimens, str(path))
+        mu_path = tmp_path / "mu.txt"
+        mu_path.write_text("".join(f"{a:.17g} {b:.17g}\n" for a, b in mu))
+        res = run_cli("density", str(path), "--mu", str(mu_path), "--sigma2", "1",
+                      "--model", "kotz", "--kotz-T", "6")
+        assert res.exit_code == 3
+        row = int(re.search(r"at row (\d+) lost", res.stderr).group(1))
+        assert row > 0
+        assert f"specimen {specimens[row].id!r}: the sum at row {row} lost" in res.stderr
 
     def test_verify_central_model(self):
         res = run_cli("verify", "--mc-samples", "4000", "--sim-count", "2000")
@@ -462,7 +482,7 @@ out = {}
 for name, args in json.loads(sys.argv[1]).items():
     res = CliRunner().invoke(main, args)
     out[name] = [res.exit_code, sorted(m for m in sys.modules
-                                       if m.startswith(("numpy.polynomial", "mpmath")))]
+                                       if m.startswith(tuple(json.loads(sys.argv[2]))))]
 print(json.dumps(out))
 """
 
@@ -493,19 +513,51 @@ class TestNoScipyAtRunTime:
         codes = json.loads(res.stdout)
         assert codes == {name: [0, "None"] for name in commands}
 
-    def test_k2_commands_load_neither_numpy_polynomial_nor_mpmath(self, landmark_file,
-                                                                   tmp_path):
-        # the K = 2 closed form evaluates its polynomial by Horner's rule
-        # and needs no multiprecision fallback
+    def test_commands_load_neither_numpy_polynomial_nor_mpmath(self, landmark_file,
+                                                               specimens_k3, tmp_path):
+        # every coefficient is one numpy polynomial in Newton form, with no
+        # multiprecision fallback; mpmath is a test-only dependency
         mu_path = tmp_path / "mu.txt"
         mu_path.write_text("0.8 -0.3\n0.4 0.6\n")
+        k3_path = tmp_path / "k3.txt"
+        emit_landmarks(specimens_k3, str(k3_path))
+        mu3_path = tmp_path / "mu3.txt"
+        mu3_path.write_text("1.2 -0.4 0.5\n0.3 0.9 -0.2\n-0.6 0.1 0.8\n")
+        kotz = ("--model", "kotz", "--kotz-T", "3")
+        small = ("--sigma2", "1")
         commands = {
+            "shape": ("shape", landmark_file),
+            "density-kotz": ("density", landmark_file, "--mu", str(mu_path),
+                             "--sigma2", "0.5") + kotz,
+            "density-k3-kotz": ("density", str(k3_path), "--mu", str(mu3_path),
+                                "--sigma2", "0.5") + kotz,
+            "fit": ("fit", landmark_file) + small + kotz,
+            "compare": ("compare", landmark_file) + small,
+            "test": ("test", landmark_file, landmark_file) + small + kotz,
             "verify": ("verify", "--mc-samples", "2000", "--sim-count", "1000",
                        "--mu", str(mu_path), "--sigma2", "0.9"),
-            "density-kotz": ("density", landmark_file, "--mu", str(mu_path),
-                             "--sigma2", "0.5", "--model", "kotz", "--kotz-T", "3"),
         }
-        res = _python(_LOADED_MODULES, json.dumps(commands))
+        res = _python(_LOADED_MODULES, json.dumps(commands),
+                      json.dumps(["numpy.polynomial", "mpmath"]))
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout) == {name: [0, []] for name in commands}
 
+    @pytest.mark.parametrize("command,unused", [
+        ("density-k3", ["svdshape.inference", "svdshape.verify"]),
+        ("verify", ["svdshape.inference"]),
+    ])
+    def test_each_command_loads_only_its_modules(self, command, unused, specimens_k3,
+                                                 tmp_path):
+        k3_path = tmp_path / "k3.txt"
+        emit_landmarks(specimens_k3, str(k3_path))
+        mu3_path = tmp_path / "mu3.txt"
+        mu3_path.write_text("1.2 -0.4 0.5\n0.3 0.9 -0.2\n-0.6 0.1 0.8\n")
+        args = {"density-k3": ("density", str(k3_path), "--mu", str(mu3_path),
+                               "--model", "kotz", "--kotz-T", "2"),
+                "verify": ("verify", "--mc-samples", "2000", "--sim-count", "1000")}
+        res = _python(_LOADED_MODULES, json.dumps({command: args[command]}),
+                      json.dumps(["svdshape."]))
+        assert res.returncode == 0, res.stderr
+        code, loaded = json.loads(res.stdout)[command]
+        assert code == 0 and "svdshape.densities" in loaded
+        assert not set(unused) & set(loaded)

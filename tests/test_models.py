@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from svdshape.errors import DomainError
-from svdshape.models import (GeneratorKind, GeneratorSpec, ModelSpec,
-                             gaussian_model, h_derivative, h_derivative_log,
-                             h_value, kotz_model, radial_integral)
-from svdshape.oracle import radial_integral_quad
+from svdshape.models import (GeneratorKind, GeneratorSpec, ModelSpec, binomial_basis,
+                             coefficient_polynomial, gaussian_model, h_value, kotz_model)
+from svdshape.oracle import h_derivative, radial_integral, radial_integral_quad
 
 
 def kotz(M, T, R=0.5):
@@ -128,6 +127,73 @@ class TestRadialIntegral:
             radial_integral(gen, 0, 1.0, -0.5, 3, 1)
         with pytest.raises(DomainError):
             radial_integral(gen, -1, 1.0, 0.0, 3, 1)
+
+
+def _radial_log_factor(gen, b, t):
+    """log of e^(log_norm_const - R b) R^(t - M/2) Gamma(M/2 + t) / 2."""
+    M, R = gen.M, gen.R
+    return (gen.log_norm_const - R * b + (t - M / 2.0) * math.log(R)
+            + math.lgamma(M / 2.0 + t) - math.log(2.0))
+
+
+class TestCoefficientPolynomial:
+    @pytest.mark.parametrize("T", [1, 2, 3, 4])
+    def test_radial_matches_the_per_degree_sum(self, T):
+        # within 1e-11 of the sum of |terms|, the per-degree sum's own error
+        for M, R in ((3, 0.5), (8, 0.7), (15, 0.5)):
+            gen = kotz(M, T=T, R=R) if T > 1 else gauss(M, R=R)
+            for b in (0.0, 0.3, 3.0, 36.0):
+                delta, _ = coefficient_polynomial(gen, b)
+                basis = binomial_basis(0, 61, T)
+                for t in range(0, 61, 6):
+                    scale = math.exp(_radial_log_factor(gen, b, t))
+                    got = scale * float(basis[t] @ delta)
+                    ref = radial_integral(gen, t, 1.0, b, M - 1, 1).value
+                    assert abs(got - ref) <= 1e-11 * scale * float(basis[t] @ np.abs(delta))
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 5])
+    def test_derivative_form_matches_h_derivative(self, T):
+        # h^(2t)(y) = e^(log_norm_const - R y) R^(2t) P(t)
+        gen = kotz(6, T=T, R=0.7) if T > 1 else gauss(6, R=0.7)
+        basis = binomial_basis(0, 30, T)
+        for y in (0.0, 0.4, 3.0, 20.0):
+            delta, _ = coefficient_polynomial(gen, y, radial=False)
+            for t in range(30):
+                scale = math.exp(gen.log_norm_const - gen.R * y + 2 * t * math.log(gen.R))
+                ref = h_derivative(gen, 2 * t, y)
+                assert abs(scale * float(basis[t] @ delta) - ref) <= (
+                    1e-13 * scale * float(basis[t] @ np.abs(delta)))
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_isotropic_brackets_are_the_radial_polynomial(self, T):
+        # at R = 1/2 and b = 2x, P(t) = 2^(T-1) p_t(x), and dP/db = 2^(T-2) dp_t/dx
+        M, ts = 9, np.arange(61.0)
+        gen = kotz(M, T=T)
+        for x in (0.0, 0.7, 5.0, 30.0):
+            delta, slope = coefficient_polynomial(gen, 2.0 * x)
+            basis = binomial_basis(0, 61, T)
+            # the brackets of isotropic_shape_logdensity
+            p_t = M / 2.0 + x - ts if T == 2 else (M / 2.0 + x - ts) ** 2 + M / 2.0 - ts
+            dp_t = np.ones_like(ts) if T == 2 else 2.0 * (M / 2.0 + x - ts)
+            magnitude = basis @ np.abs(delta)
+            assert np.all(np.abs(basis @ delta - 2.0 ** (T - 1) * p_t) <= 1e-14 * magnitude)
+            assert np.allclose(basis @ slope, 2.0 ** (T - 2) * dp_t, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("T", [2, 4, 6])
+    def test_slope_is_the_b_derivative(self, T):
+        gen = kotz(10, T=T, R=0.6)
+        for b in (0.5, 4.0, 40.0):
+            _, slope = coefficient_polynomial(gen, b)
+            h = 1e-4 * b
+            upper, lower = (coefficient_polynomial(gen, b + s)[0] for s in (h, -h))
+            assert np.allclose(slope, (upper - lower) / (2 * h), rtol=1e-7,
+                               atol=1e-9 * np.abs(upper).max())
+
+    def test_gaussian_and_domain(self):
+        delta, slope = coefficient_polynomial(gauss(5), 3.0)
+        assert delta.tolist() == [1.0] and slope.tolist() == [0.0]
+        with pytest.raises(DomainError):
+            coefficient_polynomial(kotz(5, T=2), -0.1)
 
 
 class TestModelSpec:

@@ -13,7 +13,7 @@ import svdshape
 from svdshape import oracle, zonal
 from svdshape.densities import (IsotropicKind, _isotropic_bracket,
                                 batch_shape_logdensity, shape_logdensity)
-from svdshape.errors import DomainError, SeriesTruncationError
+from svdshape.errors import DomainError, NumericError, SeriesTruncationError
 from svdshape.geometry import svd_shape
 from svdshape.inference import OptimizerConfig, SampleOfShapes, fit_location
 from svdshape.models import gaussian_model, kotz_model
@@ -21,7 +21,7 @@ from svdshape.oracle import (Partition, ZonalSumTable, enumerate_partitions,
                              gen_pochhammer, zonal_poly)
 from svdshape.special import LogSign
 from svdshape.zonal import (LinearZonalSums, PlanarZonalSums, SeriesControl,
-                            SpatialZonalSums,
+                            SpatialZonalSums, _polar_factor,
                             exp_trace_integral_series,
                             hypergeom_0F1, log_stiefel_volume,
                             power_trace_integral_series, shared_sum_table,
@@ -218,6 +218,24 @@ class TestBlockEvaluator:
             zonal_series_batch(ones, spectra, 1.0, SeriesControl(max_degree=10))
         assert err.value.row == 1
         assert err.value.partial_log is not None and err.value.partial_sign == 1.0
+
+    def test_magnitudes_report_the_cancellation_and_its_row(self):
+        # c_t = (-1)^t at K = 1 sums 0F1(1/2; -lambda) = cos(2 sqrt(lambda)),
+        # and the same series over |c_t| is cosh(2 sqrt(lambda)): at
+        # lambda = 100 that loses 8.8 digits
+        def alternating(lo, hi):
+            return np.zeros(hi - lo), (-1.0) ** np.arange(lo, hi), np.zeros(hi - lo)
+
+        spectra = np.array([[0.5], [2.0], [1.0]])
+        log, sign, used, tail = zonal_series_batch(alternating, spectra, 0.5)
+        assert np.allclose(sign * np.exp(log), np.cos(2.0 * np.sqrt(spectra[:, 0])),
+                           rtol=1e-12, atol=0.0)
+        plain = zonal_series_batch(lambda lo, hi: alternating(lo, hi)[:2], spectra, 0.5)
+        assert all(np.array_equal(x, y) for x, y in zip((log, sign, used, tail), plain))
+        spectra[1] = 100.0
+        with pytest.raises(NumericError) as err:
+            zonal_series_batch(alternating, spectra, 0.5, SeriesControl(max_degree=200))
+        assert err.value.row == 1 and "lost 8.8 digits" in str(err.value)
 
     def test_empty_batch(self):
         log, _, used, _ = zonal_series_batch(ones, np.empty((0, 2)), 1.0)
@@ -593,3 +611,29 @@ class TestFrameIntegrals:
         a = stiefel_mc_integral(f, 2, 2, samples=5000, seed=5)
         b = stiefel_mc_integral(f, 2, 2, samples=5000, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("n,K", [(2, 2), (3, 3), (2, 3), (1, 3)])
+    def test_frames_are_orthonormal_polar_factors_of_the_draws(self, n, K):
+        # the frames come from eigh of the Gram matrix, not the SVD; every one
+        # keeps orthonormal rows to 1e-12, ill-conditioned draws included, and
+        # is the polar factor of its Philox draw
+        seen = []
+
+        def record(F):
+            seen.append(F.copy())
+            return np.zeros(len(F))
+
+        stiefel_mc_integral(record, n, K, samples=200000, seed=11)
+        F = np.concatenate(seen)
+        rng = np.random.Generator(np.random.Philox(11))
+        g = np.concatenate([rng.standard_normal((b, n, K)) for b in (65536,) * 3 + (3392,)])
+        u, sv, vt = np.linalg.svd(g, full_matrices=False)
+        assert n == 1 or np.max(sv[:, 0] / sv[:, -1]) > 1e3   # some draws are ill-conditioned
+        assert np.max(np.abs(F @ F.transpose(0, 2, 1) - np.eye(n))) <= 1e-12
+        assert np.max(np.abs(F - u @ vt)) <= 1e-9
+
+    def test_singular_draw_takes_the_svd(self):
+        g = np.array([[[1.0, 2.0, 0.5], [2.0, 4.0, 1.0]], [[0.3, -1.0, 2.0], [1.0, 0.4, 0.2]]])
+        F = _polar_factor(g)
+        assert np.all(np.isfinite(F))
+        assert np.max(np.abs(F @ F.transpose(0, 2, 1) - np.eye(2))) <= 1e-12
