@@ -13,22 +13,22 @@ imports only the modules it runs.
 import importlib
 
 _EXPORTS = {
-    "densities": ("DensityValue", "IsotropicKind", "batch_shape_logdensity",
+    "densities": ("DensityValue", "batch_shape_logdensity",
                   "central_shape_logdensity", "central_size_and_shape_logdensity",
-                  "gaussian_shape_logdensity", "isotropic_shape_logdensity",
-                  "shape_logdensity", "size_and_shape_logdensity"),
+                  "gaussian_shape_logdensity", "shape_logdensity",
+                  "size_and_shape_logdensity"),
     "errors": ("DegenerateConfigurationError", "DomainError", "NumericError",
                "ParseError", "SeriesTruncationError", "SvdShapeError"),
     "geometry": ("LandmarkSet", "Mode", "SampleOfShapes", "ShapeCoords",
                  "angles_to_unitvec", "helmert_submatrix", "polar_jacobian",
                  "preprocess", "preshape_angles", "svd_shape", "unitvec_to_angles"),
-    "inference": ("EvidenceGrade", "FitResult", "IsotropicLikelihood", "LrTestResult",
-                  "OptimizerConfig", "bic_star", "evidence_grade", "fit_location",
+    "inference": ("EvidenceGrade", "FitResult", "LrTestResult", "OptimizerConfig",
+                  "ShapeLikelihood", "bic_star", "evidence_grade", "fit_location",
                   "log_likelihood", "lr_test_equal_means"),
     "io": ("emit_landmarks", "ingest_landmarks", "read_matrix"),
-    "models": ("GeneratorKind", "GeneratorSpec", "ModelSpec", "gaussian_model",
-               "h_value", "kotz_model"),
-    "oracle": ("h_derivative", "radial_integral"),
+    "models": ("GeneratorKind", "GeneratorSpec", "IsotropicKind", "ModelSpec",
+               "gaussian_model", "h_value", "kotz_model"),
+    "oracle": ("h_derivative", "isotropic_shape_logdensity", "radial_integral"),
     "special": ("LogSign", "chi_square_sf"),
     "verify": ("mc_normalization", "sample_landmarks", "simulation_vs_density"),
     "zonal": ("SeriesControl", "SeriesResult", "hypergeom_0F1", "stiefel_mc_integral",

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from .densities import IsotropicKind, central_shape_logdensity, shape_logdensities
+from .densities import central_shape_logdensity, shape_logdensities
 from .errors import DomainError, NumericError, ParseError, SeriesTruncationError
 from .geometry import Mode, SampleOfShapes, preprocess, svd_shape
 from .io import ingest_landmarks, read_matrix
-from .models import GeneratorKind, GeneratorSpec, ModelSpec
+from .models import GeneratorKind, GeneratorSpec, IsotropicKind, ModelSpec
 from .zonal import SeriesControl
 
 # inference (fit, compare, test) and verify (verify) are imported inside the
@@ -58,7 +58,7 @@ class RunConfig:
         return SeriesControl(max_degree=self.max_degree, rel_tol=self.rel_tol)
 
     def check_isotropic(self) -> None:
-        """The isotropic brackets of fit, compare and test fix R = 1/2."""
+        """The generators of fit, compare and test fix R = 1/2."""
         if self.kotz_R != 0.5:
             raise ParseError(
                 f"inference commands fix kotz R = 0.5, got {self.kotz_R}")
@@ -68,12 +68,9 @@ class RunConfig:
         self.check_isotropic()
         if self.model == "gaussian":
             return IsotropicKind.GAUSSIAN
-        if self.kotz_T == 2:
-            return IsotropicKind.KOTZ_T2
-        if self.kotz_T == 3:
-            return IsotropicKind.KOTZ_T3
-        raise ParseError(
-            f"inference commands support kotz T in {{2, 3}}, got {self.kotz_T}")
+        if self.kotz_T not in (2, 3):
+            raise ParseError(f"inference commands support kotz T in {{2, 3}}, got {self.kotz_T}")
+        return IsotropicKind(f"kotz-t{self.kotz_T}")
 
 
 def _read_config_file(path: str) -> dict:
@@ -180,6 +177,16 @@ def _run(fn):
         sys.exit(EXIT_NUMERIC)
 
 
+def _naming_specimen(items, fn):
+    """fn(); a series error with a ``row`` gets that specimen of ``items`` named."""
+    try:
+        return fn()
+    except (SeriesTruncationError, NumericError) as exc:
+        if exc.row is None:
+            raise
+        raise type(exc)(f"specimen {items[exc.row][0]!r}: {exc}") from None
+
+
 def _read_theta(config: RunConfig) -> np.ndarray | None:
     return read_matrix(config.theta_path) if config.theta_path else None
 
@@ -248,14 +255,8 @@ def cmd_density(input_file, config_path, **flags):
         sample = _load_sample(input_file, config, "input", theta)
         model = _build_model(config, sample.Nm1, sample.K, theta)
         if np.any(model.mu):
-            try:
-                logs, used, tails = shape_logdensities(
-                    np.array([sc.u for _, sc in sample.items]), model, config.mode,
-                    config.ctrl)
-            except (SeriesTruncationError, NumericError) as exc:
-                if exc.row is None:
-                    raise
-                raise type(exc)(f"specimen {sample.items[exc.row][0]!r}: {exc}") from None
+            logs, used, tails = _naming_specimen(sample.items, lambda: shape_logdensities(
+                np.array([sc.u for _, sc in sample.items]), model, config.mode, config.ctrl))
             values = zip(logs.tolist(), used.tolist(), tails.tolist())
         else:                   # central: the closed form, no series, any K
             values = ((central_shape_logdensity(sc.u, model, config.mode).log_density, 0, 0.0)
@@ -278,8 +279,9 @@ def cmd_fit(input_file, config_path, **flags):
         from .inference import OptimizerConfig, fit_location
         config = _build_config(config_path, **flags)
         sample = _load_sample(input_file, config, "input", _read_theta(config))
-        fit = fit_location(sample, config.isotropic_kind, config.sigma2,
-                           OptimizerConfig(seed=config.seed), config.ctrl)
+        fit = _naming_specimen(sample.items, lambda: fit_location(
+            sample, config.isotropic_kind, config.sigma2,
+            OptimizerConfig(seed=config.seed), config.ctrl))
         _emit(config, {"command": "fit", "model": config.model,
                        "kind": config.isotropic_kind.value,
                        "mu_hat": fit.mu_hat, "sigma2": fit.sigma2,
@@ -293,11 +295,6 @@ def cmd_fit(input_file, config_path, **flags):
     _run(body)
 
 
-_COMPARE_KINDS = (("gaussian", IsotropicKind.GAUSSIAN),
-                  ("kotz-t2", IsotropicKind.KOTZ_T2),
-                  ("kotz-t3", IsotropicKind.KOTZ_T3))
-
-
 @main.command("compare")
 @common_options
 @click.argument("input_file", type=click.Path(exists=True))
@@ -308,11 +305,10 @@ def cmd_compare(input_file, config_path, **flags):
         config = _build_config(config_path, **flags)
         config.check_isotropic()
         sample = _load_sample(input_file, config, "input", _read_theta(config))
-        fits = {}
-        for name, kind in _COMPARE_KINDS:
-            fit = fit_location(sample, kind, config.sigma2,
-                               OptimizerConfig(seed=config.seed), config.ctrl)
-            fits[name] = fit
+        fits = {kind.value: _naming_specimen(sample.items, lambda: fit_location(
+                    sample, kind, config.sigma2, OptimizerConfig(seed=config.seed),
+                    config.ctrl))
+                for kind in IsotropicKind}
         ranked = sorted(fits, key=lambda k: fits[k].bic_star)
         pairwise = []
         for i, a in enumerate(ranked):
@@ -345,8 +341,10 @@ def cmd_test(group1_file, group2_file, config_path, **flags):
         theta = _read_theta(config)
         s1 = _load_sample(group1_file, config, "group1", theta)
         s2 = _load_sample(group2_file, config, "group2", theta)
-        res = lr_test_equal_means(s1, s2, config.isotropic_kind, config.sigma2,
-                                  OptimizerConfig(seed=config.seed), config.ctrl)
+        # an error's row numbers the pooled specimens
+        res = _naming_specimen(s1.items + s2.items, lambda: lr_test_equal_means(
+            s1, s2, config.isotropic_kind, config.sigma2,
+            OptimizerConfig(seed=config.seed), config.ctrl))
         _emit(config, {"command": "test", "kind": config.isotropic_kind.value,
                        "statistic": res.statistic, "df": res.df,
                        "p_value": res.p_value,

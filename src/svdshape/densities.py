@@ -20,26 +20,20 @@ orbit carrying half the mass).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
 from .geometry import Mode, angles_to_frame, log_polar_jacobian
-from .models import ModelSpec, binomial_basis, coefficient_polynomial, h_log_value
+from .models import (GeneratorSpec, ModelSpec, _centered_table, binomial_basis,
+                     coefficient_polynomial, h_log_value)
 from .special import LogSign
-from .zonal import (SeriesControl, check_cancellation, signed_logsumexp, zonal_series,
-                    zonal_series_batch)
-
-
-class IsotropicKind(Enum):
-    """Closed-bracket isotropic families with sigma^2 I covariance, R = 1/2."""
-
-    GAUSSIAN = "gaussian"
-    KOTZ_T2 = "kotz-t2"
-    KOTZ_T3 = "kotz-t3"
+from .zonal import (SeriesControl, _log_factorials, check_cancellation, shared_sum_table,
+                    zonal_series, zonal_series_batch)
 
 
 @dataclass(frozen=True)
@@ -168,108 +162,160 @@ def shape_logdensities(U: np.ndarray, model: ModelSpec,
     f(u) = J(u) |Sigma|^{-K/2} sum_t [S_t(Omega Sigma^{-1} W W') / t!]
     int_0^inf r^{M+2t-1} h^{(2t)}(r^2 a + b) dr with
     S_t = sum_{|kappa|=t} C_kappa / (K/2)_kappa, a = tr Sigma^{-1} W W' and
-    b = tr Omega. The exact scaling int r^{q-1} h^{(2t)}(a r^2 + b) dr
-    = a^{-q/2} int s^{q-1} h^{(2t)}(s^2 + b) ds leaves one polynomial P(t)
-    of degree at most T - 1 for the whole batch
-    (:func:`coefficient_polynomial`), and every row's series is summed by one
-    :func:`zonal_series_batch` call, which raises
-    :class:`SeriesTruncationError` with the ``row`` that did not converge
-    and :class:`NumericError` with the ``row`` whose signed Kotz series lost
-    too many digits to cancellation. At K = 2 the series has a closed form
-    (:func:`_planar_log_series`): no degree is summed, and every row reports
-    0 degrees and tail bound 0.
+    b = tr Omega; the sum is :func:`_shape_log_series` of the frames W.
     """
-    K, M = model.K, model.M
-    W, log_j = _chart(U, model.Nm1, K, batch=True)
+    W, log_j = _chart(U, model.Nm1, model.K, batch=True)
     a = np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W)
-    if K == 2:
-        log = _planar_log_series(model, W, a)
-        used, tail = np.zeros(len(log), dtype=int), np.zeros(len(log))
-    else:
-        gen, b = model.generator, model.trace_omega
-        delta = coefficient_polynomial(gen, b)[0]
-        log_r, log_a = math.log(gen.R), np.log(a)[:, None]
-        base = gen.log_norm_const - gen.R * b - M / 2.0 * log_r - math.log(2.0)
-
-        def coeff_block(lo: int, hi: int) -> tuple[np.ndarray, ...]:
-            # e^(log_norm_const - R b) R^(t - M/2) Gamma(M/2 + t) P(t) / 2,
-            # times a^(-M/2 - t)
-            t = np.arange(lo, hi)
-            log_gamma = np.array([math.lgamma(M / 2.0 + i) for i in range(lo, hi)])
-            return _polynomial_block(delta, lo, hi, base + t * log_r + log_gamma
-                                     - (M / 2.0 + t) * log_a)
-
-        log, sign, used, tail = zonal_series_batch(
-            coeff_block, _noncentrality_spectra(model, W), K / 2.0, ctrl)
-        if np.any(sign <= 0):
-            raise DomainError("shape series summed to a non-positive value")
-    return (log_j - K / 2.0 * model.log_det_sigma + log + _mode_log_factor(mode),
+    log, used, tail = _shape_log_series(model.generator, _noncentrality_factor(model, W),
+                                        a, model.trace_omega, ctrl)
+    return (log_j - model.K / 2.0 * model.log_det_sigma + log + _mode_log_factor(mode),
             used, tail)
 
 
-def _planar_log_series(model: ModelSpec, W: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """log sum_t S_t(Omega Sigma^{-1} W W') / t! int_0^inf r^{M+2t-1}
-    h^{(2t)}(r^2 a + b) dr at K = 2 for each (N-1) x 2 frame W of a batch,
-    in closed form; ``a`` holds tr Sigma^{-1} W W' per frame.
+def _shape_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: float,
+                      ctrl: SeriesControl | None = None, partials: bool = False):
+    """(log series, degrees used, tail bound), each (batch,), of the sum
+    over t of :func:`shape_logdensities` for frames with G = mu' Sigma^{-1} W
+    (batch, K, K), a = tr Sigma^{-1} W W' (batch,) and b = tr Omega; with
+    ``partials``, also its derivatives in G and in b.
 
-    With n = M/2 = N - 1 (an integer), S_t = [s+^{2t} + s-^{2t}] / (2 t!)
-    for s+ and s- the sum and the difference of the singular values of
-    G = mu' Sigma^{-1} W (James, Ann. Math. Statist. 35, 1964):
-    s+^2 = (g11 + g22)^2 + (g21 - g12)^2, s-^2 = (g11 - g22)^2 + (g12 + g21)^2
-    (swapped when det G < 0, which the sum over both ignores). With the
-    radial integrals of :func:`coefficient_polynomial` the series is
-    e^{log_norm_const - R b} R^{-n} a^{-n} / 2 times
-    (1/2) sum_+- sum_t Gamma(n + t) P(t) z^t / (t!)^2 at z = R s+-^2 / a, and
-    P(t) = sum_j delta_j binom(t, j). Kummer's transformation and the
-    Laguerre form of 1F1 (DLMF 13.2.39, 18.5.12) give
-    sum_t Gamma(n + t) binom(t, j) z^t / (t!)^2
-    = e^z Gamma(n + j) / j!^2 z^j sum_{k<n} C(n - 1, k) z^k / (j + 1)_k,
-    so each +- term is e^z Q(z) for one polynomial Q of degree n + T - 2 with
-    q_m = sum_{j+k=m} delta_j Gamma(n + j) C(n - 1, k) / (j! m!). Each Q(z)
-    is summed in log space, so no power or coefficient overflows or
-    underflows at any N, and z is added to its log only then: each log term
-    carries a rounding error of eps times its size, which cancellation
-    multiplies, so the terms leave z out. Raises
-    :class:`DomainError` where the sum is not positive. For Kotz the q_m
-    alternate in sign: the sum over |delta_j| over the sum gives the digits
-    lost to cancellation, and too many raise :class:`NumericError`
-    (:func:`check_cancellation`).
+    The scaling int r^{q-1} h^{(2t)}(a r^2 + b) dr = a^{-q/2}
+    int s^{q-1} h^{(2t)}(s^2 + b) ds leaves one polynomial P(t)
+    (:func:`coefficient_polynomial`) for the batch, and one
+    :func:`zonal_series_batch` call on the spectra of G G' sums every row,
+    raising :class:`SeriesTruncationError` or :class:`NumericError` with
+    the ``row``. The partials sum each row to its own degree with one
+    ``logsums_and_partials`` call, mapped to G by V diag(d/dlambda) V'. At
+    K = 2 a closed form (:func:`_planar_log_series`) sums no degree, and
+    every row reports 0 degrees and tail bound 0.
     """
-    gen = model.generator
-    n, R, b = model.Nm1, gen.R, model.trace_omega
-    deltas = coefficient_polynomial(gen, b)[0]
-    T = len(deltas)
-    degree = n + T - 2
-    lf = np.array([math.lgamma(i + 1.0) for i in range(degree + 2)])   # log i!
-    j = np.arange(T)[:, None]
-    m = np.arange(degree + 1)[None, :]
-    k = np.clip(m - j, 0, n - 1)
-    logs = lf[n + j - 1] + lf[n - 1] - lf[k] - lf[n - 1 - k] - lf[j] - lf[m]
-    with np.errstate(divide="ignore"):
-        logs = np.where((m - j >= 0) & (m - j < n), logs + np.log(np.abs(deltas))[:, None],
-                        -np.inf)
-    signs = np.broadcast_to(np.sign(deltas)[:, None], logs.shape)
-    log_q, sign_q = signed_logsumexp(logs, signs, axis=0)
+    K, M = G.shape[1], gen.M
+    if K == 2:
+        log, *rest = _planar_log_series(gen, G, a, b, partials)
+        return (log, np.zeros(len(a), dtype=int), np.zeros(len(a)), *rest)
+    delta, slope = coefficient_polynomial(gen, b)
+    log_r, log_a = math.log(gen.R), np.log(a)[:, None]
+    base = gen.log_norm_const - gen.R * b - M / 2.0 * log_r - math.log(2.0)
 
-    G = _noncentrality_factor(model, W)
-    g11, g12, g21, g22 = G[:, 0, 0], G[:, 0, 1], G[:, 1, 0], G[:, 1, 1]
-    z = (R / a)[:, None] * np.stack([(g11 + g22) ** 2 + (g21 - g12) ** 2,
-                                     (g11 - g22) ** 2 + (g12 + g21) ** 2], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_zm = np.where(m > 0, m * np.log(z)[:, :, None], 0.0)     # log z^m, z^0 = 1 at 0
-    log_Q, sign_Q = signed_logsumexp(log_zm + log_q, sign_q, axis=2)
-    log, sign = signed_logsumexp(z + log_Q, sign_Q, axis=1)
+    def log_factor(lo: int, hi: int) -> np.ndarray:
+        # e^(log_norm_const - R b) R^(t - M/2) Gamma(M/2 + t) a^(-M/2 - t) / 2,
+        # the factor of P(t)
+        t = np.arange(lo, hi)
+        log_gamma = np.array([math.lgamma(M / 2.0 + i) for i in range(lo, hi)])
+        return base + t * log_r + log_gamma - (M / 2.0 + t) * log_a
+
+    lam, V = np.linalg.eigh(G @ G.transpose(0, 2, 1))
+    spectra = np.clip(lam, 0.0, None)
+    log, sign, used, tail = zonal_series_batch(
+        lambda lo, hi: _polynomial_block(delta, lo, hi, log_factor(lo, hi)),
+        spectra, K / 2.0, ctrl)
     if np.any(sign <= 0):
         raise DomainError("shape series summed to a non-positive value")
-    if np.any(deltas < 0):
-        # the same sum over |delta_j|, over the sum: the digits that the
-        # alternating terms cancel
-        log_abs_q = signed_logsumexp(logs, np.abs(signs), axis=0)[0]
-        log_abs = signed_logsumexp((z[:, :, None] + log_zm + log_abs_q).reshape(len(z), -1),
-                                   1.0, axis=1)[0]
-        check_cancellation(log_abs, log)
-    return (gen.log_norm_const - R * b - n * math.log(R) - 2.0 * math.log(2.0)
-            - n * np.log(a) + log)
+    if not partials:
+        return log, used, tail
+    tmax = int(used.max())
+    log_s, log_ds = shared_sum_table(K, tmax).logsums_and_partials(spectra)
+    # each term over the row's sum, zero past the row's own degree
+    scale = np.where(np.arange(tmax + 1) <= used[:, None],
+                     log_factor(0, tmax + 1) - _log_factorials(tmax + 1) - log[:, None],
+                     -np.inf)
+    p = binomial_basis(0, tmax + 1, len(delta))
+    d_lam = np.einsum("t,stk->sk", p @ delta, np.exp(scale[:, :, None] + log_ds))
+    d_b = -gen.R + np.sum((p @ slope) * np.exp(scale + log_s), axis=1)
+    # d tr(D G G') / dG = 2 D G
+    d_G = 2.0 * (V * d_lam[:, None, :]) @ V.transpose(0, 2, 1) @ G
+    return log, used, tail, d_G, d_b
+
+
+def _planar_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: float,
+                       partials: bool = False):
+    """The K = 2 log series of :func:`_shape_log_series` in closed form,
+    with its derivatives in G and b if ``partials``.
+
+    S_t = [s+^{2t} + s-^{2t}] / (2 t!), s+- the sum and the difference of
+    G's singular values (James, Ann. Math. Statist. 35, 1964), so with
+    n = M/2 the series is e^{log_norm_const - R b} (R a)^{-n} / 4 times
+    sum_+- E[P(t)]: E[f] = sum_t f(t) Gamma(n + t) z^t / (t!)^2 at
+    z = R s+-^2 / a, P of :func:`coefficient_polynomial`. By Kummer (DLMF
+    13.2.39) E[1] = Gamma(n) e^z h(z), h(z) = sum_{k<n} C(n - 1, k) z^k / k!,
+    and as t z^t = z d/dz z^t, E[(t - z)^k] = Gamma(n) e^z (B^k g)_0 with
+    g_i = h^(i)(z) / i!, (B g)_i = g_(i-1) + i g_i + z (i + 1) g_(i+1): sums
+    of positive terms. Taken in R b - t and t (:func:`_planar_tables`),
+    P(z + d) = sum_k pi_k d^k has no large pi_k at any separation.
+    :class:`DomainError` where the sum is not positive, :class:`NumericError`
+    past too many digits lost against sum |pi_k| (B^k g)_0. In z,
+    dE[P]/dz = E[t P(t)] / z = E[P] + sum_k pi_k Gamma(n) e^z (B^k g)_1.
+    """
+    n, R, T = gen.M // 2, gen.R, gen.effective_T
+    adjugate = G[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])     # adj(G)'
+    A = np.stack([G + adjugate, G - adjugate], axis=1)      # |G +- adj(G)'|^2 = 2 s+-^2
+    z = (R / (2.0 * a))[:, None] * np.sum(A * A, axis=(2, 3))
+    pi_table, slope_table, log_coef, exponent, moment_table = _planar_tables(T, gen.M, R)
+    # log g_i, i <= min(T, n - 1), from h's terms k >= i; the largest is finite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = log_coef + np.where(exponent > 0, exponent * np.log(z)[..., None, None], 0.0)
+    top = logs.max(axis=3, keepdims=True)
+    log_g = top[..., 0] + np.log(np.sum(np.exp(logs - top), axis=3))
+    powers = z[..., None] ** np.arange(T)
+    scaled = np.exp(log_g - log_g[..., :1])[..., :, None] * powers[..., None, :]
+    moments = scaled.reshape(z.shape + (-1,)) @ moment_table      # (B^k g)_0, _1 over g_0
+    v_powers = (R * b - z)[..., None] ** np.arange(T)
+    vz = (v_powers[..., :, None] * powers[..., None, :]).reshape(z.shape + (-1,))   # v^p z^q
+    pi = vz @ pi_table
+    value = np.sum(pi * moments[0], axis=2)
+    base = z + log_g[..., 0]                        # log e^z h(z) = log E[1] - lgamma(n)
+    peak = base.max(axis=1, keepdims=True)
+    weight = np.exp(base - peak)
+    total = np.sum(weight * value, axis=1)
+    if np.any(total <= 0):
+        raise DomainError("shape series summed to a non-positive value")
+    log = peak[:, 0] + np.log(total)
+    check_cancellation(np.log(np.sum(weight * np.sum(np.abs(pi) * moments[0], axis=2), axis=1))
+                       + peak[:, 0], log)
+    out = (gen.log_norm_const - R * b - n * math.log(R) - 2.0 * math.log(2.0) + math.lgamma(n)
+           - n * np.log(a) + log)
+    if not partials:
+        return (out,)
+    share = weight / total[:, None]                 # E[1] over the sum of both
+    dz = share * (value + np.sum(pi * moments[1], axis=2)) * (2.0 * R / a)[:, None]
+    slope = vz @ slope_table
+    d_b = -R + np.sum(share * np.sum(slope * moments[0], axis=2), axis=1)
+    # ds+-^2/dG = 2 (G +- adj(G)')
+    return out, np.einsum("sx,sxij->sij", dz, A), d_b
+
+
+@functools.lru_cache(maxsize=64)
+def _planar_tables(T: int, M: int, R: float) -> tuple[np.ndarray, ...]:
+    """(C, D, L, E, B), read-only: P(z + d) and dP/db(z + d) are sum
+    C[p T + q, m] v^p z^q d^m and the same with D at v = R b - z
+    (:func:`_centered_table`); e^(L[i, k]) z^(E[i, k]) are the terms of g_i,
+    i <= min(T, n - 1); and (B^j g)_r = sum B[r, 0, i T + q, j] g_i z^q."""
+    table = _centered_table(T, M) * R ** (1 - T)
+    C, D = np.zeros((T, T, T)), np.zeros((T, T, T))
+    for i, k in zip(*np.nonzero(table)):
+        # (v - d)^i (z + d)^k, and d/db (v - d)^i = R i (v - d)^(i-1)
+        for a, c in itertools.product(range(i + 1), range(k + 1)):
+            w = table[i, k] * (-1) ** a * math.comb(k, c)
+            C[i - a, k - c, a + c] += w * math.comb(i, a)
+            if a < i:
+                D[i - 1 - a, k - c, a + c] += w * R * i * math.comb(i - 1, a)
+    n, lf = M // 2, _log_factorials(M // 2)
+    i, k = np.arange(min(T, n - 1) + 1)[:, None], np.arange(n)
+    L = np.where(k >= i, lf[n - 1] - lf[k] - lf[n - 1 - k] - lf[i] - lf[abs(k - i)], -np.inf)
+    # B^j as [row, i, q], the coefficient of g_i z^q; rows 0 and 1 for j < T
+    power, rows = np.eye(T + 1)[:, :, None] * (np.arange(T) == 0), np.arange(T + 1)[:, None, None]
+    moments = np.empty((2, T + 1, T, T))
+    for j in range(T):
+        moments[..., j] = power[:2]
+        step = rows * power
+        step[1:] += power[:-1]
+        step[:-1, :, 1:] += rows[1:] * power[1:, :, :-1]
+        power = step
+    out = (C.reshape(T * T, T), D.reshape(T * T, T), L, np.maximum(k - i, 0).astype(float),
+           moments[:, :len(L)].reshape(2, 1, -1, T))
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 def central_shape_logdensity(u: np.ndarray, model: ModelSpec,
@@ -318,40 +364,6 @@ def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
     return DensityValue(log, series.degrees_used, series.tail_bound, mode)
 
 
-def isotropic_shape_logdensity(u: np.ndarray, mu: np.ndarray, sigma2: float,
-                               kind: IsotropicKind,
-                               mode: Mode = Mode.REFLECTION,
-                               ctrl: SeriesControl | None = None) -> DensityValue:
-    """Shape log density under Sigma = sigma^2 I, Theta = I, R = 1/2.
-
-    Single-series closed brackets with Q = M/2 + t and
-    x = tr(mu' mu) / (2 sigma^2), X = mu' W W' mu / (2 sigma^2):
-      Gaussian:  pref 1,            B = Gamma(Q)
-      Kotz T=2:  pref 2/M,          B = Gamma(Q) (M/2 + x - t)
-      Kotz T=3:  pref 4/(M(M+2)),   B = Gamma(Q) [(M/2 + x - t)^2 + M/2 - t]
-    f = J(u) (2 pi^{M/2})^{-1} pref e^{-x} sum_t B(t,x) S_t(X) / t!.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 2:
-        raise DomainError("mu must be an (N-1) x K matrix")
-    if sigma2 <= 0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
-    Nm1, K = mu.shape
-    M = Nm1 * K
-    W, log_j = _chart(u, Nm1, K)
-    X = (mu.T @ W) @ (W.T @ mu) / (2.0 * sigma2)
-    eigs = np.clip(np.linalg.eigvalsh(0.5 * (X + X.T)), 0.0, None)
-    x = float(np.sum(mu * mu)) / (2.0 * sigma2)
-    ctrl = ctrl or SeriesControl()
-    log_pref, log_b, sign_b = _isotropic_bracket(kind, M, x, ctrl.max_degree)
-    series = zonal_series(lambda t: LogSign(log_b[t], sign_b[t]), eigs, K / 2.0, ctrl)
-    if series.sign <= 0.0:
-        raise DomainError("isotropic shape series summed to a non-positive value")
-    log = (log_j - math.log(2.0) - M / 2.0 * math.log(math.pi)
-           + log_pref - x + series.log + _mode_log_factor(mode))
-    return DensityValue(log, series.degrees_used, series.tail_bound, mode)
-
-
 def batch_shape_logdensity(U: np.ndarray, model: ModelSpec,
                            mode: Mode = Mode.REFLECTION,
                            ctrl: SeriesControl | None = None) -> np.ndarray:
@@ -359,23 +371,3 @@ def batch_shape_logdensity(U: np.ndarray, model: ModelSpec,
     The log densities of :func:`shape_logdensities`, the same values as
     :func:`shape_logdensity` row by row."""
     return shape_logdensities(U, model, mode, ctrl)[0]
-
-
-def _isotropic_bracket(kind: IsotropicKind, M: int, x: float, tmax: int):
-    """(log prefactor, log |B(t, x)|, sign B(t, x)) of the closed brackets,
-    the last two as arrays over t = 0..tmax.
-
-    B(t, x) = Gamma(M/2 + t) p_t(x) with p_t = 1 (Gaussian), M/2 + x - t
-    (Kotz T=2) or (M/2 + x - t)^2 + M/2 - t (Kotz T=3)."""
-    ts = np.arange(tmax + 1, dtype=float)
-    lg = np.array([math.lgamma(M / 2.0 + t) for t in range(tmax + 1)])
-    if kind is IsotropicKind.GAUSSIAN:
-        return 0.0, lg, np.ones_like(ts)
-    if kind is IsotropicKind.KOTZ_T2:
-        log_pref, poly = math.log(2.0 / M), M / 2.0 + x - ts
-    elif kind is IsotropicKind.KOTZ_T3:
-        log_pref = math.log(4.0 / (M * (M + 2.0)))
-        poly = (M / 2.0 + x - ts) ** 2 + (M / 2.0 - ts)
-    else:
-        raise DomainError(f"unknown isotropic kind {kind!r}")
-    return log_pref, lg + np.log(np.abs(np.where(poly == 0, 1.0, poly))), np.sign(poly)

@@ -2,13 +2,14 @@
 model selection, evidence grading, and the two-group likelihood-ratio test.
 
 The worked inference protocol is isotropic: Sigma = sigma^2 I, Theta = I,
-sigma^2 fixed in advance. The isotropic shape likelihood depends on
-(mu, sigma^2) only through mu / sigma: loglik(c mu, c^2 sigma^2) =
-loglik(mu, sigma^2) for every c > 0, so sigma^2 is not identified from shapes
-alone and is fixed by the protocol. The likelihood depends on mu only through
-mu' W_i W_i' mu and tr mu' mu, so mu is identified up to a right O(K) factor;
-fits are reported with a fixed sign canonicalization and the orbit is
-documented rather than resolved.
+sigma^2 fixed in advance, a Kotz generator at R = 1/2 (:class:`IsotropicKind`).
+Its likelihood (:class:`ShapeLikelihood`) sums the exact shape densities:
+closed form at K = 2, series that raise where they do not converge at K = 1
+or 3, so no fit is truncated silently. It depends on (mu, sigma^2) only
+through mu / sigma, loglik(c mu, c^2 sigma^2) = loglik(mu, sigma^2) for
+c > 0, so shapes alone do not identify sigma^2 and the protocol fixes it;
+and on mu only through mu' W_i W_i' mu and tr mu' mu, so mu is identified up
+to a right O(K) factor, reported with a fixed sign canonicalization.
 """
 
 from __future__ import annotations
@@ -19,16 +20,12 @@ from enum import Enum
 
 import numpy as np
 
-from .densities import IsotropicKind
+from .densities import _shape_log_series
 from .errors import DomainError, NumericError, SeriesTruncationError
 from .geometry import Mode, SampleOfShapes
-from .models import GeneratorKind, GeneratorSpec, binomial_basis, coefficient_polynomial
+from .models import GeneratorSpec, IsotropicKind
 from .special import chi_square_sf
-from .zonal import SeriesControl, shared_sum_table, signed_logsumexp
-
-
-# the Kotz shape T of each isotropic family (rate R = 1/2)
-_KOTZ_SHAPE = {IsotropicKind.GAUSSIAN: 1, IsotropicKind.KOTZ_T2: 2, IsotropicKind.KOTZ_T3: 3}
+from .zonal import SeriesControl
 
 # a start stops once no component of the log-likelihood gradient exceeds this
 _GTOL = 1e-6
@@ -64,115 +61,56 @@ class FitResult:
     evaluations: int
 
 
-class IsotropicLikelihood:
-    """Vectorized isotropic log-likelihood of a sample, as a function of mu.
-
-    Per specimen the angle density is the shape density of
-    :func:`svdshape.densities.shape_logdensities` at Sigma = sigma^2 I,
-    Theta = I and R = 1/2:
-    J(u_i) e^(log_norm_const) R^(-M/2) / 2 e^{-x} sum_t c_t(x) S_t(X_i) / t!
-    with X_i = mu' W_i W_i' mu / (2 sigma^2), x = tr(mu' mu) / (2 sigma^2) and
-    c_t(x) = Gamma(M/2 + t) P(t) for the coefficient polynomial P of the
-    kind's generator at b = 2x (:func:`coefficient_polynomial`), which also
-    gives dc_t/dx. Everything that does not depend on mu is precomputed, and
-    log S_t is evaluated for the whole sample and every degree through
-    max_degree in one pass of the shared zonal kernel. c_t can be negative
-    for the Kotz kinds, so the degree sum uses a signed log-sum-exp.
-    :meth:`loglik_and_grad` adds the exact gradient in mu from the same pass.
+class ShapeLikelihood:
+    """Log-likelihood of a sample of shapes in the location mu, under a
+    generator with Sigma = sigma^2 I and Theta = I: the sum of the shape log
+    densities of :func:`svdshape.densities.shape_logdensities`, from the
+    same series on W_i, log J(u_i) and a_i = tr W_i W_i' / sigma^2, fixed per
+    sample. At K = 1 or 3 each specimen's series stops at its own degree,
+    and :class:`SeriesTruncationError` names its ``row`` past
+    ``ctrl.max_degree``.
     """
 
-    def __init__(self, sample: SampleOfShapes, kind: IsotropicKind,
+    def __init__(self, sample: SampleOfShapes, generator: GeneratorSpec,
                  sigma2: float, ctrl: SeriesControl | None = None):
-        if sigma2 <= 0:
-            raise DomainError(f"sigma2 must be positive, got {sigma2}")
-        self.sample = sample
-        self.kind = kind
-        self.sigma2 = float(sigma2)
-        self.ctrl = ctrl or SeriesControl()
-        self.Nm1, self.K = sample.Nm1, sample.K
-        self.M = self.Nm1 * self.K
-        self._W = np.stack([sc.W for _, sc in sample.items])     # (S, N-1, K)
-        # Kotz T = 1 is the Gaussian
-        self._gen = GeneratorSpec(GeneratorKind.KOTZ_TYPE_I, M=self.M, T=_KOTZ_SHAPE[kind])
-        mode_log = -math.log(2.0) if sample.mode is Mode.NO_REFLECTION else 0.0
+        if sigma2 <= 0 or generator.M != sample.Nm1 * sample.K:
+            raise DomainError(f"need sigma2 > 0 and M = (N-1)K, got {sigma2} and M={generator.M}")
         for sid, sc in sample.items:
             if not math.isfinite(sc.log_jacobian):
                 raise DomainError(f"specimen {sid!r} sits at a chart pole")
-        self._const = (float(np.sum([sc.log_jacobian for _, sc in sample.items]))
-                       + sample.size * (self._gen.log_norm_const - math.log(2.0)
-                                        - self.M / 2.0 * math.log(self._gen.R)
-                                        + mode_log))
-        self._table = shared_sum_table(self.K, self.ctrl.max_degree)
-        tmax = self.ctrl.max_degree
-        self._basis = binomial_basis(0, tmax + 1, self._gen.effective_T)
-        # log Gamma(M/2 + t) / t!, the factor of c_t / t! and dc_t/dx / t!
-        self._log_scale = np.array([math.lgamma(self.M / 2.0 + t) - math.lgamma(t + 1)
-                                    for t in range(tmax + 1)])
+        self.sample, self.generator = sample, generator
+        self.sigma2, self.ctrl = float(sigma2), ctrl
+        self._W = np.stack([sc.W for _, sc in sample.items])     # (S, N-1, K)
+        self._a = np.sum(self._W * self._W, axis=(1, 2)) / self.sigma2
+        # log J(u_i), |Sigma|^(-K/2) and the mode factor of every density
+        mode_log = -math.log(2.0) if sample.mode is Mode.NO_REFLECTION else 0.0
+        self._const = (math.fsum(sc.log_jacobian for _, sc in sample.items)
+                       + sample.size * (mode_log - sample.K * sample.Nm1 / 2.0
+                                        * math.log(self.sigma2)))
 
-    def _series(self, mu: np.ndarray):
-        """(log term per specimen and degree, log of each specimen's degree
-        sum, x, gradient of the log-likelihood in mu) at location mu."""
-        mu = np.asarray(mu, dtype=float).reshape(self.Nm1, self.K)
-        x = float(np.sum(mu * mu)) / (2.0 * self.sigma2)
-        G = self._W.transpose(0, 2, 1) @ mu                      # (S, K, K)
-        X = G.transpose(0, 2, 1) @ G / (2.0 * self.sigma2)
-        lam, V = np.linalg.eigh(X)
-        spectra = np.clip(lam, 0.0, None)
-        log_s, log_ds = self._table.logsums_and_partials(spectra)  # (S, tmax+1[, K])
-        delta, delta_slope = coefficient_polynomial(self._gen, 2.0 * x)
-        poly = self._basis @ delta
-        sb = np.sign(poly)
-        with np.errstate(divide="ignore"):
-            log_coef = self._log_scale + np.log(np.abs(poly))    # log |c_t(x)| / t!
-        logs = log_s + log_coef[None, :]
-        total_log, total_sign = signed_logsumexp(logs, np.broadcast_to(sb, logs.shape))
-        if np.any(total_sign <= 0):
-            bad = int(np.argmax(total_sign <= 0))
-            raise NumericError(
-                f"specimen {self.sample.items[bad][0]!r}: series summed to a "
-                "non-positive value", row=bad)
-        # L_i = log sum_t c_t(x) S_t(X_i) / t! - x. Through x: the share of
-        # dc_t/dx = Gamma(M/2 + t) 2 dP/db, taken directly because c_t itself
-        # can vanish for Kotz; through X_i: the spectral derivative
-        # V diag(dL_i/dlambda) V' of a symmetric function
-        slope = 2.0 * (self._basis @ delta_slope)
-        dx = np.sum(slope * np.exp(log_s + self._log_scale - total_log[:, None]))
-        dlam = np.einsum("t,stk->sk", sb, np.exp(
-            log_ds + log_coef[None, :, None] - total_log[:, None, None]))
-        dX = (V * dlam[:, None, :]) @ V.transpose(0, 2, 1)       # (S, K, K)
-        gradient = ((dx - self.sample.size) * mu
-                    + np.sum(self._W @ (G @ dX), axis=0)) / self.sigma2
-        return logs, total_log, x, gradient
-
-    def per_specimen(self, mu: np.ndarray) -> np.ndarray:
-        """Log density of each specimen at location mu."""
-        _, total_log, x, _ = self._series(mu)
-        return total_log - x
+    def _series(self, mu: np.ndarray, partials: bool):
+        mu = np.asarray(mu, dtype=float).reshape(self.sample.Nm1, self.sample.K)
+        G = np.einsum("nk,snj->skj", mu, self._W) / self.sigma2
+        out = _shape_log_series(self.generator, G, self._a,
+                                float(np.sum(mu * mu)) / self.sigma2, self.ctrl, partials)
+        return mu, self._const + float(np.sum(out[0])), out[3:]
 
     def loglik(self, mu: np.ndarray) -> float:
-        return self._const + float(np.sum(self.per_specimen(mu)))
+        return self._series(mu, partials=False)[1]
 
     def loglik_and_grad(self, mu: np.ndarray) -> tuple[float, np.ndarray]:
         """:meth:`loglik` (the same value, bit for bit) and its (N-1, K)
-        gradient in mu, from one pass of the zonal kernel."""
-        _, total_log, x, gradient = self._series(mu)
-        return self._const + float(np.sum(total_log - x)), gradient
-
-    def check_converged(self, mu: np.ndarray, rel_tol: float = 1e-8) -> None:
-        """Raise if at mu some specimen's degree-max_degree term exceeds
-        ``rel_tol`` times its truncated degree sum."""
-        logs, total_log, _, _ = self._series(mu)
-        tail = float(np.max(logs[:, -1] - total_log))
-        if tail > math.log(rel_tol):
-            raise SeriesTruncationError(
-                f"degree-{self.ctrl.max_degree} truncation leaves a relative "
-                f"tail of exp({tail:.3g}); raise max_degree")
+        gradient in mu, through dG_i/dmu and db/dmu = 2 mu / sigma^2."""
+        mu, value, (d_G, d_b) = self._series(mu, partials=True)
+        return value, (np.einsum("skj,snj->nk", d_G, self._W)
+                       + 2.0 * float(np.sum(d_b)) * mu) / self.sigma2
 
 
 def log_likelihood(sample: SampleOfShapes, mu: np.ndarray, sigma2: float,
                    kind: IsotropicKind, ctrl: SeriesControl | None = None) -> float:
-    """Sum of isotropic shape log densities over the sample's specimens."""
-    return IsotropicLikelihood(sample, kind, sigma2, ctrl).loglik(mu)
+    """Sum of the sample's shape log densities: :class:`ShapeLikelihood` of the kind."""
+    return ShapeLikelihood(sample, kind.generator(sample.Nm1 * sample.K),
+                           sigma2, ctrl).loglik(mu)
 
 
 def bic_star(loglik: float, n_params: int, sample_size: int) -> float:
@@ -264,8 +202,8 @@ def _wolfe_search(evaluate, budget, x, f0, p, slope0, alpha):
     """(x + alpha p, value, gradient) at a step alpha meeting the strong
     Wolfe conditions along the descent direction p, or None when none is
     found within ``_LINE_SEARCH_TRIALS`` trials or ``budget`` evaluations.
-    A non-finite value, or a :class:`NumericError` (a likelihood series
-    that sums to a non-positive value there), counts as too long a step."""
+    A non-finite value, :class:`NumericError` or :class:`SeriesTruncationError`
+    (a likelihood series that fails there) counts as too long a step."""
     lo = (0.0, f0, slope0)          # (step, value, slope) of the best step so far
     hi = None                       # the bracket's other end, once there is one
     for _ in range(min(_LINE_SEARCH_TRIALS, budget)):
@@ -274,7 +212,7 @@ def _wolfe_search(evaluate, budget, x, f0, p, slope0, alpha):
         xa = x + alpha * p
         try:
             value, grad = evaluate(xa)
-        except NumericError:
+        except (NumericError, SeriesTruncationError):
             value, d = math.inf, math.nan
         else:
             d = float(grad @ p)
@@ -327,7 +265,7 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
     """Maximum-likelihood location fit with sigma^2 fixed by protocol.
 
     Multi-start BFGS on the exact log-likelihood gradient
-    (:meth:`IsotropicLikelihood.loglik_and_grad`); each start stops once no
+    (:meth:`ShapeLikelihood.loglik_and_grad`); each start stops once no
     gradient component exceeds 1e-6. Start 0 is the moment seed
     mean_i(r_i W_i) (an unbiased location estimate up to the rotation orbit),
     the rest are seeded perturbations. ``evaluations`` counts the
@@ -337,9 +275,9 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
     identify sigma^2.
     """
     opt = opt or OptimizerConfig()
-    like = IsotropicLikelihood(sample, kind, sigma2_fixed, ctrl)
     Nm1, K = sample.Nm1, sample.K
     n_loc = Nm1 * K
+    like = ShapeLikelihood(sample, kind.generator(n_loc), sigma2_fixed, ctrl)
     seed0 = np.mean([sc.r * sc.W for _, sc in sample.items], axis=0)
     rng = np.random.Generator(np.random.Philox(opt.seed))
     scale = 0.25 * float(np.linalg.norm(seed0)) / math.sqrt(n_loc) \
@@ -354,10 +292,8 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
 
     runs = [_minimize_bfgs(objective, x0) for x0 in starts]
     best = min(runs, key=lambda run: run.value)
-    mu_hat = best.x.reshape(Nm1, K)
-    like.check_converged(mu_hat)
     loglik = -best.value
-    return FitResult(mu_hat=_canonical_sign(mu_hat), sigma2=sigma2_fixed,
+    return FitResult(mu_hat=_canonical_sign(best.x.reshape(Nm1, K)), sigma2=sigma2_fixed,
                      loglik=loglik, n_params=n_loc,
                      bic_star=bic_star(loglik, n_loc, sample.size),
                      converged=best.converged,
@@ -383,14 +319,21 @@ def lr_test_equal_means(sample1: SampleOfShapes, sample2: SampleOfShapes,
     H0 fits one pooled mu, H1 fits each group separately; the statistic
     2 (loglik_H1 - loglik_H0) is referred to chi-square with (N-1)K degrees
     of freedom. A statistic below -1e-6 means an optimizer failure (the
-    models are nested) and raises instead of returning a bogus p-value.
+    models are nested) and raises instead of returning a bogus p-value. The
+    ``row`` of a likelihood error numbers the specimens of the pooled sample,
+    group 1's first.
     """
     if (sample1.Nm1, sample1.K, sample1.mode) != (sample2.Nm1, sample2.K, sample2.mode):
         raise DomainError("groups must share N, K and mode")
     pooled = sample1.merged(sample2, f"{sample1.group_id}+{sample2.group_id}")
     fit0 = fit_location(pooled, kind, sigma2_fixed, opt, ctrl)
     fit1 = fit_location(sample1, kind, sigma2_fixed, opt, ctrl)
-    fit2 = fit_location(sample2, kind, sigma2_fixed, opt, ctrl)
+    try:
+        fit2 = fit_location(sample2, kind, sigma2_fixed, opt, ctrl)
+    except (SeriesTruncationError, NumericError) as exc:
+        if exc.row is not None:
+            exc.row += sample1.size
+        raise
     stat = 2.0 * (fit1.loglik + fit2.loglik - fit0.loglik)
     if stat < -1e-6:
         raise NumericError(

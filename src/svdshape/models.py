@@ -13,6 +13,7 @@ quadrature oracle live in :mod:`svdshape.oracle`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -60,6 +61,19 @@ class GeneratorSpec:
                 - M / 2.0 * math.log(math.pi) - math.lgamma(T - 1 + M / 2.0))
 
 
+class IsotropicKind(Enum):
+    """The generators of the inference protocol: Kotz type I at rate R = 1/2
+    with shape T = 1 (the Gaussian), 2 or 3."""
+
+    GAUSSIAN = "gaussian"
+    KOTZ_T2 = "kotz-t2"
+    KOTZ_T3 = "kotz-t3"
+
+    def generator(self, M: int) -> GeneratorSpec:
+        T = {"gaussian": 1, "kotz-t2": 2, "kotz-t3": 3}[self.value]
+        return GeneratorSpec(GeneratorKind.KOTZ_TYPE_I, M=M, T=T)
+
+
 def h_log_value(gen: GeneratorSpec, y: float) -> LogSign:
     """Log-sign form of the generator value h(y)."""
     if y < 0:
@@ -77,33 +91,57 @@ def h_value(gen: GeneratorSpec, y: float) -> float:
 
 
 @lru_cache(maxsize=64)
+def _radial_terms(T: int, M: int | None) -> tuple[tuple[int, ...], ...]:
+    """Integer coefficients c_p[k] of t^k (p, k < T) with R^(p+1-T) c_p(t) /
+    2^(T-1) the coefficient of b^p in the P(t) of :func:`coefficient_polynomial`
+    (``M`` None: the derivative form, only l = 0): 2^(T-1) sum_j (-1)^j
+    binom(2t, j) (T-1)_(j) binom(T-1-j, l) (M/2 + t)_l, l = T - 1 - j - p."""
+    out = []
+    for p in range(T):
+        c = [0] * T
+        for j in range(T - p):
+            l = T - 1 - j - p
+            if M is None and l:
+                continue
+            term = [(-1) ** j * math.comb(T - 1, j) * math.comb(T - 1 - j, l) * 2 ** (T - 1 - l)]
+            for root in [-i for i in range(j)] + [M + 2 * i for i in range(l)]:
+                term = [root * x + 2 * y for x, y in zip(term + [0], [0] + term)]   # (2t + root)
+            c = [x + y for x, y in zip(c, term + [0] * T)]
+        out.append(tuple(c))
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
 def _newton_table(T: int, R: float, M: int | None) -> np.ndarray:
     """A[p, j] with delta_j(b) = sum_p A[p, j] b^p for the polynomials of
-    :func:`coefficient_polynomial` (``M`` None: the derivative form);
-    read-only. The coefficient of b^p in P(t) is R^(p + 1 - T) times
-    sum_j (-1)^j binom(2t, j) (T-1)_(j) binom(T-1-j, p) (M/2 + t)_l with
-    l = T - 1 - j - p (only l = 0 without M). Times 2^(T-1) every term is an
-    integer, so its values at t = 0..T-1 and their forward differences are
-    exact, and each entry is rounded once.
+    :func:`coefficient_polynomial`; read-only. The values of the integer
+    polynomials of :func:`_radial_terms` at t = 0..T-1 and their forward
+    differences are exact, and each entry is rounded once.
     """
     table = np.zeros((T, T))
-    for p in range(T):
-        values = []
-        for t in range(T):
-            total = 0
-            for j in range(T - p):
-                l = T - 1 - j - p
-                if M is None and l:
-                    continue
-                rising = math.prod(M + 2 * t + 2 * i for i in range(l))   # 2^l (M/2 + t)_l
-                total += ((-1) ** j * math.comb(2 * t, j) * math.perm(T - 1, j)
-                          * math.comb(T - 1 - j, p) * 2 ** (T - 1 - l) * rising)
-            values.append(total)
+    for p, c in enumerate(_radial_terms(T, M)):
+        values = [sum(x * t ** k for k, x in enumerate(c)) for t in range(T)]
         for j in range(T):
             diff = sum((-1) ** (j - i) * math.comb(j, i) * values[i] for i in range(j + 1))
             table[p, j] = diff / 2 ** (T - 1) / R ** (T - 1 - p)
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=64)
+def _centered_table(T: int, M: int) -> np.ndarray:
+    """E[i, k] with P(t) = R^(1-T) sum_{i,k} E[i, k] (R b - t)^i t^k for the
+    radial P of :func:`coefficient_polynomial`, by (R b)^p = ((R b - t) + t)^p
+    in :func:`_radial_terms`; read-only. Its leading part is (R b - t)^(T-1):
+    the large powers of t cancel exactly, and each entry is rounded once."""
+    table = [[0] * T for _ in range(T)]
+    for p, c in enumerate(_radial_terms(T, M)):
+        for i, k in itertools.product(range(p + 1), range(T)):
+            if c[k]:
+                table[i][p - i + k] += math.comb(p, i) * c[k]
+    out = np.array(table, dtype=float) / 2 ** (T - 1)
+    out.flags.writeable = False
+    return out
 
 
 def coefficient_polynomial(gen: GeneratorSpec, b: float, radial: bool = True

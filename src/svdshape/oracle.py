@@ -11,6 +11,8 @@
   :func:`svdshape.models.coefficient_polynomial`.
 - The radial integral by adaptive quadrature (:func:`radial_integral_quad`,
   the only user of scipy in the package).
+- The isotropic shape density (:func:`isotropic_shape_logdensity`) from its
+  closed brackets, one degree at a time.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .densities import DensityValue, Mode, _chart, _mode_log_factor
 from .errors import DomainError, NumericError
-from .models import GeneratorSpec, h_log_value
+from .models import GeneratorSpec, IsotropicKind, h_log_value
 from .special import LogSign
-from .zonal import _LOGSUMS_CHUNK_BYTES, _check_spectra
+from .zonal import _LOGSUMS_CHUNK_BYTES, SeriesControl, _check_spectra, zonal_series
 
 
 @dataclass(frozen=True)
@@ -523,3 +526,57 @@ def radial_integral_quad(gen: GeneratorSpec, t: int, a: float, b: float,
     if val == 0.0:
         return LogSign.zero()
     return LogSign(scale + math.log(abs(val)), math.copysign(1.0, val))
+
+
+def isotropic_shape_logdensity(u: np.ndarray, mu: np.ndarray, sigma2: float,
+                               kind: IsotropicKind,
+                               mode: Mode = Mode.REFLECTION,
+                               ctrl: SeriesControl | None = None) -> DensityValue:
+    """Shape log density under Sigma = sigma^2 I, Theta = I, R = 1/2.
+
+    Single-series closed brackets with Q = M/2 + t and
+    x = tr(mu' mu) / (2 sigma^2), X = mu' W W' mu / (2 sigma^2):
+      Gaussian:  pref 1,            B = Gamma(Q)
+      Kotz T=2:  pref 2/M,          B = Gamma(Q) (M/2 + x - t)
+      Kotz T=3:  pref 4/(M(M+2)),   B = Gamma(Q) [(M/2 + x - t)^2 + M/2 - t]
+    f = J(u) (2 pi^{M/2})^{-1} pref e^{-x} sum_t B(t,x) S_t(X) / t!.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 2:
+        raise DomainError("mu must be an (N-1) x K matrix")
+    if sigma2 <= 0:
+        raise DomainError(f"sigma2 must be positive, got {sigma2}")
+    Nm1, K = mu.shape
+    M = Nm1 * K
+    W, log_j = _chart(u, Nm1, K)
+    X = (mu.T @ W) @ (W.T @ mu) / (2.0 * sigma2)
+    eigs = np.clip(np.linalg.eigvalsh(0.5 * (X + X.T)), 0.0, None)
+    x = float(np.sum(mu * mu)) / (2.0 * sigma2)
+    ctrl = ctrl or SeriesControl()
+    log_pref, log_b, sign_b = _isotropic_bracket(kind, M, x, ctrl.max_degree)
+    series = zonal_series(lambda t: LogSign(log_b[t], sign_b[t]), eigs, K / 2.0, ctrl)
+    if series.sign <= 0.0:
+        raise DomainError("isotropic shape series summed to a non-positive value")
+    log = (log_j - math.log(2.0) - M / 2.0 * math.log(math.pi)
+           + log_pref - x + series.log + _mode_log_factor(mode))
+    return DensityValue(log, series.degrees_used, series.tail_bound, mode)
+
+
+def _isotropic_bracket(kind: IsotropicKind, M: int, x: float, tmax: int):
+    """(log prefactor, log |B(t, x)|, sign B(t, x)) of the closed brackets,
+    the last two as arrays over t = 0..tmax.
+
+    B(t, x) = Gamma(M/2 + t) p_t(x) with p_t = 1 (Gaussian), M/2 + x - t
+    (Kotz T=2) or (M/2 + x - t)^2 + M/2 - t (Kotz T=3)."""
+    ts = np.arange(tmax + 1, dtype=float)
+    lg = np.array([math.lgamma(M / 2.0 + t) for t in range(tmax + 1)])
+    if kind is IsotropicKind.GAUSSIAN:
+        return 0.0, lg, np.ones_like(ts)
+    if kind is IsotropicKind.KOTZ_T2:
+        log_pref, poly = math.log(2.0 / M), M / 2.0 + x - ts
+    elif kind is IsotropicKind.KOTZ_T3:
+        log_pref = math.log(4.0 / (M * (M + 2.0)))
+        poly = (M / 2.0 + x - ts) ** 2 + (M / 2.0 - ts)
+    else:
+        raise DomainError(f"unknown isotropic kind {kind!r}")
+    return log_pref, lg + np.log(np.abs(np.where(poly == 0, 1.0, poly))), np.sign(poly)

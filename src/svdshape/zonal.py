@@ -264,7 +264,7 @@ _LOGSUMS_CHUNK_BYTES = 4 << 20
 class LinearZonalSums:
     """The K = 1, a = 1/2 kernel S_t(lambda) = lambda^t / (1/2)_t (the only
     partition is (t), and C_(t) = lambda^t), with the interface and domain of
-    :func:`shared_sum_table` but no partials, which no route asks of K = 1.
+    :func:`shared_sum_table`.
     """
 
     K = 1
@@ -277,18 +277,26 @@ class LinearZonalSums:
 
     def logsums(self, spectra: np.ndarray) -> np.ndarray:
         """log S_t for each row of ``spectra``; returns (batch, tmax + 1)."""
+        return self.logsums_and_partials(spectra)[0]
+
+    def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log S_t, log dS_t/dlambda), as :func:`shared_sum_table` describes:
+        dS_t/dlambda = t lambda^(t-1) / (1/2)_t, so dS_1 = 2 also at 0."""
         spectra = _check_spectra(spectra, self.K)
         t = np.arange(self.tmax + 1)
         log_poch = np.concatenate([[0.0], np.cumsum(np.log(self.a + t[:-1]))])
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = t * np.log(spectra) - log_poch
+            log_lam = np.log(spectra)
+            out = t * log_lam - log_poch
+            log_ds = np.log(t) + np.where(t > 1, (t - 1) * log_lam, 0.0) - log_poch
         out[:, 0] = 0.0                                 # S_0 = 1, also at lambda = 0
-        return out
+        return out, log_ds[:, :, None]
 
 
 class PlanarZonalSums:
     """The K = 2, a = 1 kernel in closed form, with the interface and domain
-    of :func:`shared_sum_table`: no table, any degree.
+    of :func:`shared_sum_table`: no table, any degree, and no partials, which
+    the closed-form K = 2 likelihood does not ask for.
 
     O(2) is two circles, so the degree-t part of 0F1(1; D^2/4) is exact:
     S_t(lambda) = [(d1 + d2)^(2t) + (d1 - d2)^(2t)] / (2 t!) with
@@ -307,50 +315,14 @@ class PlanarZonalSums:
 
     def logsums(self, spectra: np.ndarray) -> np.ndarray:
         """log S_t for each row of ``spectra``; returns (batch, tmax + 1)."""
-        return self._terms(spectra, partials=False)[0]
-
-    def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(log S_t, log dS_t/dlambda_k), as :func:`shared_sum_table` describes.
-
-        With n = 2t - 1, the larger root d_b has dS_t/dlambda_b =
-        t (s^n + (q s)^n) / (2 d_b t!), and the smaller has
-        t s^(n-1) (1 - q^n) / (1 - q) / t!, a geometric sum in [1, n] taken
-        through expm1 and log1p with 1 - q = 2 d_small / s, so nothing
-        cancels; at a zero root it is the limit n.
-        """
-        return self._terms(spectra, partials=True)
-
-    def _terms(self, spectra, partials: bool):
-        spectra = _check_spectra(spectra, self.K)
+        d = np.sqrt(np.sort(_check_spectra(spectra, self.K), axis=1))
         t = np.arange(self.tmax + 1, dtype=float)
-        log_fact = _log_factorials(self.tmax + 1)
-        big = np.argmax(spectra, axis=1)                # ties: either root
-        rows = np.arange(len(spectra))
-        d_big = np.sqrt(spectra[rows, big])[:, None]
-        d_small = np.sqrt(spectra[rows, 1 - big])[:, None]
-        empty = d_big[:, 0] == 0.0
-        s = d_big + d_small
+        s = d[:, 1:] + d[:, :1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            c = 2.0 * d_small / s                       # 1 - q
-            q = (d_big - d_small) / s
-            log_s = np.log(s)
-            out = 2.0 * t * log_s + np.log1p(q ** (2.0 * t)) - math.log(2.0) - log_fact
-            out[empty] = np.where(t == 0, 0.0, -np.inf)     # S_t(0) = 0, t >= 1
-            if not partials:
-                return out, None
-            n = 2.0 * t - 1.0
-            log_t = np.log(t)
-            ds_big = (log_t + n * log_s + np.log1p(q ** n) - math.log(2.0)
-                      - np.log(d_big) - log_fact)
-            geometric = np.where(
-                c > 0.0, np.log(-np.expm1(n * np.log1p(-c))) - np.log(c), np.log(n))
-            ds_small = log_t + (n - 1.0) * log_s + geometric - log_fact
-        log_ds = np.empty(out.shape + (2,))
-        log_ds[rows, :, big] = ds_big
-        log_ds[rows, :, 1 - big] = ds_small
-        log_ds[:, t == 0] = -np.inf                     # S_0 = 1
-        log_ds[empty] = np.where(t == 1, 0.0, -np.inf)[:, None]   # dS_1(0) = 1
-        return out, log_ds
+            out = (2.0 * t * np.log(s) + np.log1p(((d[:, 1:] - d[:, :1]) / s) ** (2.0 * t))
+                   - math.log(2.0) - _log_factorials(self.tmax + 1))
+        out[s[:, 0] == 0.0] = np.where(t == 0, 0.0, -np.inf)       # S_t(0) = 0, t >= 1
+        return out
 
 
 # above this degree the scaled terms of SpatialZonalSums can leave float64's
@@ -543,26 +515,12 @@ def shared_sum_table(K: int, tmax: int
     """A new table-free kernel for K in {1, 2, 3} (else :class:`DomainError`)
     and a = K/2 through exactly degree ``tmax``. Its ``logsums(spectra)``
     gives log S_t, (batch, tmax + 1), for (batch, K) non-negative spectra,
-    and ``logsums_and_partials`` (K = 2, 3) adds log dS_t/dlambda_k,
+    and ``logsums_and_partials`` (K = 1, 3) adds log dS_t/dlambda_k,
     (batch, tmax + 1, K), exact also at zero eigenvalues.
     """
     if K not in _KERNELS:
         raise DomainError(f"{_SUPPORTED}, got K = {K}")
     return _KERNELS[K](tmax)
-
-
-def signed_logsumexp(logs: np.ndarray, signs: np.ndarray, axis: int = -1):
-    """(log |sum|, sign) of sum_i signs_i exp(logs_i) along ``axis``."""
-    logs = np.asarray(logs, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    peak = logs.max(axis=axis, keepdims=True)
-    safe = np.where(np.isfinite(peak), peak, 0.0)
-    total = (signs * np.exp(logs - safe)).sum(axis=axis)
-    sign = np.sign(total)
-    with np.errstate(divide="ignore"):
-        log = np.squeeze(safe, axis=axis) + np.log(np.abs(np.where(total == 0, 1.0, total)))
-    log = np.where(sign == 0, -np.inf, log)
-    return log, sign
 
 
 # frames drawn per batch by stiefel_mc_integral

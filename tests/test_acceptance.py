@@ -13,17 +13,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from svdshape.densities import (IsotropicKind, central_shape_logdensity,
-                                gaussian_shape_logdensity,
-                                isotropic_shape_logdensity, shape_logdensity)
+from svdshape.densities import (central_shape_logdensity, gaussian_shape_logdensity,
+                                shape_logdensity)
 from svdshape.geometry import Mode, preprocess, svd_shape
 from svdshape.inference import (EvidenceGrade, OptimizerConfig, SampleOfShapes,
                                 bic_star, evidence_grade, fit_location,
                                 lr_test_equal_means)
 from svdshape.io import ingest_landmarks
-from svdshape.models import (GeneratorKind, GeneratorSpec, gaussian_model, h_value,
-                             kotz_model)
-from svdshape.oracle import enumerate_partitions, h_derivative, radial_integral, zonal_poly
+from svdshape.models import (GeneratorKind, GeneratorSpec, IsotropicKind, gaussian_model,
+                             h_value, kotz_model)
+from svdshape.oracle import (enumerate_partitions, h_derivative, isotropic_shape_logdensity,
+                             radial_integral, zonal_poly)
 from svdshape.verify import mc_normalization, simulation_vs_density
 from svdshape.zonal import (SeriesControl, exp_trace_integral_series,
                             power_trace_integral_series, stiefel_mc_integral)

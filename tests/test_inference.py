@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 from svdshape import inference
-from svdshape.densities import (IsotropicKind, _isotropic_bracket,
-                                isotropic_shape_logdensity)
+from svdshape.densities import shape_logdensities
 from svdshape.errors import DomainError, NumericError, SeriesTruncationError
 from svdshape.geometry import LandmarkSet, Mode, preprocess, svd_shape
-from svdshape.inference import (_GTOL, EvidenceGrade, IsotropicLikelihood,
-                                OptimizerConfig, SampleOfShapes, _minimize_bfgs,
-                                bic_star, evidence_grade, fit_location,
-                                log_likelihood, lr_test_equal_means)
+from svdshape.inference import (_GTOL, EvidenceGrade, OptimizerConfig, SampleOfShapes,
+                                ShapeLikelihood, _minimize_bfgs, bic_star,
+                                evidence_grade, fit_location, log_likelihood,
+                                lr_test_equal_means)
+from svdshape.models import IsotropicKind, ModelSpec
+from svdshape.oracle import _isotropic_bracket, isotropic_shape_logdensity
 from svdshape.zonal import SeriesControl
 
 CTRL = SeriesControl(max_degree=60)
 SIGMA2 = 50.0
+
+
+def likelihood(sample, kind, sigma2, ctrl=None):
+    return ShapeLikelihood(sample, kind.generator(sample.Nm1 * sample.K), sigma2, ctrl)
 
 
 def make_sample(gid, mu, sigma2, count, seed):
@@ -85,26 +90,34 @@ class TestLogLikelihood:
 
     def test_fast_kernel_matches_scalar_path(self, sample, mu_star):
         for kind in IsotropicKind:
-            fast = IsotropicLikelihood(sample, kind, SIGMA2, CTRL).loglik(mu_star)
+            fast = likelihood(sample, kind, SIGMA2, CTRL).loglik(mu_star)
             slow = sum(isotropic_shape_logdensity(
                 sc.u, mu_star, SIGMA2, kind, ctrl=CTRL).log_density
                 for _, sc in sample.items)
             assert fast == pytest.approx(slow, abs=1e-9)
 
-    def test_check_converged_reads_the_degree_sum_tail(self, sample, mu_star):
-        # at degree 5 the series has converged near the origin but not at
-        # mu_star; at degree 60 it has at mu_star but not three times further out
-        short = IsotropicLikelihood(sample, IsotropicKind.KOTZ_T3, SIGMA2,
-                                    SeriesControl(max_degree=5))
-        state = dict(vars(short))
-        short.check_converged(0.1 * mu_star)
-        with pytest.raises(SeriesTruncationError):
-            short.check_converged(mu_star)
-        assert vars(short).keys() == state.keys()
-        full = IsotropicLikelihood(sample, IsotropicKind.KOTZ_T3, SIGMA2, CTRL)
-        full.check_converged(mu_star)
-        with pytest.raises(SeriesTruncationError):
-            full.check_converged(3.0 * mu_star)
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(IsotropicKind))
+    def test_equals_the_summed_shape_densities(self, K, kind):
+        mu = np.random.default_rng(30 + K).normal(size=(4, K)) * 1.5
+        sample = make_sample(f"k{K}", mu, 4.0, 8, seed=K)
+        model = ModelSpec(kind.generator(4 * K), 4.0 * np.eye(4), np.eye(K), mu)
+        densities = shape_logdensities(np.array([sc.u for _, sc in sample.items]), model)[0]
+        value = likelihood(sample, kind, 4.0).loglik(mu)
+        assert abs(value - math.fsum(densities)) <= 1e-12 * abs(value)
+
+    def test_raises_past_the_degree_cap_with_the_row(self):
+        # K = 3: each specimen's series stops at its own degree; at degree 5
+        # it has converged near the origin but not at mu, and the error
+        # names a specimen
+        mu = np.random.default_rng(13).normal(size=(4, 3)) * 1.5
+        sample = make_sample("k3", mu, 4.0, 8, seed=3)
+        short = likelihood(sample, IsotropicKind.KOTZ_T3, 4.0, SeriesControl(max_degree=5))
+        assert math.isfinite(short.loglik(0.001 * mu))
+        with pytest.raises(SeriesTruncationError) as err:
+            short.loglik_and_grad(mu)
+        assert 0 <= err.value.row < sample.size
+        assert math.isfinite(likelihood(sample, IsotropicKind.KOTZ_T3, 4.0).loglik(mu))
 
 
 def central_gradient(f, mu, h=1e-5):
@@ -116,16 +129,13 @@ def central_gradient(f, mu, h=1e-5):
     return out
 
 
-@pytest.fixture(scope="module", params=[2, 3], ids=["K2", "K3"])
+@pytest.fixture(scope="module", params=[1, 2, 3], ids=["K1", "K2", "K3"])
 def small(request):
-    """A likelihood per kind and a location, with N-1 = 4 and K = 2 or 3;
-    degree 30 keeps the cold K=3 table cheap."""
+    """A likelihood per kind and a location, with N-1 = 4 and K = 1, 2 or 3."""
     K = request.param
     mu = np.random.default_rng(10 + K).normal(size=(4, K)) * 1.5
     sample = make_sample(f"k{K}", mu, 4.0, 8, seed=K)
-    ctrl = SeriesControl(max_degree=30)
-    return {kind: IsotropicLikelihood(sample, kind, 4.0, ctrl)
-            for kind in IsotropicKind}, mu
+    return {kind: likelihood(sample, kind, 4.0) for kind in IsotropicKind}, mu
 
 
 class TestGradient:
@@ -139,6 +149,7 @@ class TestGradient:
         assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
 
     @pytest.mark.parametrize("kind", list(IsotropicKind))
+    @pytest.mark.parametrize("small", [2, 3], ids=["K2", "K3"], indirect=True)
     def test_rank_one_location_with_a_zero_eigenvalue(self, small, kind):
         liks, mu = small
         lik = liks[kind]
@@ -155,9 +166,9 @@ class TestGradient:
         assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
 
     def test_kotz_t3_bracket_changing_sign(self, sample, mu_star):
-        lik = IsotropicLikelihood(sample, IsotropicKind.KOTZ_T3, SIGMA2, CTRL)
+        lik = likelihood(sample, IsotropicKind.KOTZ_T3, SIGMA2, CTRL)
         x = float(np.sum(mu_star ** 2)) / (2 * SIGMA2)
-        _, _, sign_b = _isotropic_bracket(IsotropicKind.KOTZ_T3, lik.M, x, 60)
+        _, _, sign_b = _isotropic_bracket(IsotropicKind.KOTZ_T3, lik.generator.M, x, 60)
         assert np.any(sign_b < 0) and sign_b[0] > 0
         value, grad = lik.loglik_and_grad(mu_star)
         assert value == lik.loglik(mu_star)
@@ -188,11 +199,11 @@ class TestLogJacobian:
         logj = [sc.log_jacobian for _, sc in sample.items]
         assert all(sc.jacobian == 0.0 for _, sc in sample.items)
         assert all(math.isfinite(lj) and lj < -700 for lj in logj)
-        lik = IsotropicLikelihood(sample, IsotropicKind.GAUSSIAN, 1.0, CTRL)
+        # at mu = 0 each density is J(u) Gamma(M/2) / (2 pi^(M/2)) at sigma2 = 1
         M = 2 * (N - 1)
-        assert lik._const == pytest.approx(
-            sum(logj) - 3 * (math.log(2.0) + M / 2.0 * math.log(math.pi)), rel=1e-12)
-        assert math.isfinite(lik.loglik(np.zeros((N - 1, 2))))
+        value = likelihood(sample, IsotropicKind.GAUSSIAN, 1.0, CTRL).loglik(np.zeros((N - 1, 2)))
+        assert value == pytest.approx(sum(logj) + 3 * (math.lgamma(M / 2.0) - math.log(2.0)
+                                                       - M / 2.0 * math.log(math.pi)), rel=1e-12)
 
 
 class TestBicStar:
@@ -235,8 +246,8 @@ class TestFitLocation:
         big = make_sample("big", mu_star, SIGMA2, 200, seed=3)
         opt = OptimizerConfig(n_starts=2, seed=0)
         fit = fit_location(big, IsotropicKind.GAUSSIAN, SIGMA2, opt, CTRL)
-        like = IsotropicLikelihood(big, IsotropicKind.GAUSSIAN, SIGMA2, CTRL)
-        assert fit.loglik >= like.loglik(mu_star) - 1e-6
+        assert fit.loglik >= log_likelihood(big, mu_star, SIGMA2, IsotropicKind.GAUSSIAN,
+                                            CTRL) - 1e-6
         # mu is identified up to a right O(2) factor, so mu'mu is determined
         # only up to conjugation; its eigenvalues are the invariants
         ev_star = np.linalg.eigvalsh(mu_star.T @ mu_star)
@@ -262,7 +273,7 @@ class TestFitLocation:
     def test_stops_at_a_stationary_point(self, sample):
         opt = OptimizerConfig(n_starts=2, seed=0)
         fit = fit_location(sample, IsotropicKind.KOTZ_T3, SIGMA2, opt, CTRL)
-        like = IsotropicLikelihood(sample, IsotropicKind.KOTZ_T3, SIGMA2, CTRL)
+        like = likelihood(sample, IsotropicKind.KOTZ_T3, SIGMA2, CTRL)
         value, grad = like.loglik_and_grad(fit.mu_hat)
         assert fit.converged and value == fit.loglik
         assert np.max(np.abs(grad)) <= _GTOL
@@ -325,6 +336,21 @@ class TestBfgs:
         with pytest.raises(NumericError):       # not at the start point
             _minimize_bfgs(bounded, np.array([1.0, 0.0]))
 
+    def test_series_truncation_error_at_a_trial_point_shortens_the_step(self):
+        # as above, with a series that does not converge outside radius 0.5
+        c = np.array([0.3, 0.0])
+
+        def bounded(x):
+            if np.linalg.norm(x) > 0.5:
+                raise SeriesTruncationError("zonal series did not converge", row=0)
+            return float((x - c) @ (x - c)), 2.0 * (x - c)
+
+        res = _minimize_bfgs(bounded, np.zeros(2))
+        assert res.converged
+        assert res.x == pytest.approx(c, abs=1e-6)
+        with pytest.raises(SeriesTruncationError):
+            _minimize_bfgs(bounded, np.array([1.0, 0.0]))
+
     def test_fit_reports_the_cap(self, sample, monkeypatch):
         monkeypatch.setattr(inference, "_MAX_EVALUATIONS", 3)
         fit = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2,
@@ -349,6 +375,24 @@ class TestLrTest:
                                   opt, CTRL)
         assert res.statistic >= 0.0
         assert res.p_value < 0.01   # groups differ strongly
+
+    def test_an_error_row_numbers_the_pooled_sample(self, sample, monkeypatch):
+        # the pooled fit runs first, then group 1 and group 2; a row of
+        # group 2 is offset by group 1's size
+        calls = []
+
+        def failing(s, *args):
+            calls.append(s)
+            if len(calls) == 3:
+                raise SeriesTruncationError("zonal series did not converge", row=1)
+            return fit_location(s, *args)
+
+        monkeypatch.setattr(inference, "fit_location", failing)
+        g1 = SampleOfShapes("g1", sample.items[:5])
+        with pytest.raises(SeriesTruncationError) as err:
+            lr_test_equal_means(g1, sample, IsotropicKind.GAUSSIAN, SIGMA2,
+                                OptimizerConfig(n_starts=1), CTRL)
+        assert calls[2] is sample and err.value.row == 6
 
     def test_dimension_mismatch(self, sample):
         rng = np.random.default_rng(5)

@@ -385,7 +385,7 @@ class TestCli:
 
     def test_density_names_the_specimen_that_lost_digits(self, tmp_path):
         # six N = 3 specimens around a location of Frobenius norm 12: the
-        # K = 2 Kotz T = 6 closed form cancels more than 6 digits on every
+        # K = 2 Kotz T = 12 closed form cancels more than 6 digits on every
         # row, and the error names the specimen of the row that lost most
         rng = np.random.default_rng(4)
         mu = rng.normal(size=(2, 2))
@@ -396,11 +396,41 @@ class TestCli:
         mu_path = tmp_path / "mu.txt"
         mu_path.write_text("".join(f"{a:.17g} {b:.17g}\n" for a, b in mu))
         res = run_cli("density", str(path), "--mu", str(mu_path), "--sigma2", "1",
-                      "--model", "kotz", "--kotz-T", "6")
+                      "--model", "kotz", "--kotz-T", "12")
         assert res.exit_code == 3
         row = int(re.search(r"at row (\d+) lost", res.stderr).group(1))
         assert row > 0
         assert f"specimen {specimens[row].id!r}: the sum at row {row} lost" in res.stderr
+
+    @pytest.mark.parametrize("command", ["fit", "compare", "test"])
+    def test_inference_commands_name_the_unconverged_specimen(self, command, specimens_k3,
+                                                              tmp_path):
+        # at K = 3 the likelihood's series stops per specimen and raises past
+        # --max-degree, at the start point here
+        path = tmp_path / "k3.txt"
+        emit_landmarks(specimens_k3[1:], str(path))
+        files = (str(path),) * (2 if command == "test" else 1)
+        res = run_cli(command, *files, "--max-degree", "10")
+        assert res.exit_code == 3
+        named = re.search(r"numeric failure: specimen '([^']+)': zonal series did not "
+                          r"converge within degree 10", res.stderr)
+        assert named and named.group(1) in {sp.id for sp in specimens_k3[1:]}
+
+    @pytest.mark.parametrize("ratio", [6.8, 13.6, 27.0])
+    def test_planar_fits_converge_far_from_the_origin(self, ratio, tmp_path):
+        # N = 6, K = 2, 23 specimens, sigma2 = 50 at |mu| / sigma = ratio: the
+        # K = 2 likelihood is a closed form, with nothing to truncate
+        rng = np.random.default_rng(int(ratio * 10))
+        mu = rng.normal(size=(5, 2))
+        mu *= ratio * math.sqrt(50.0) / np.linalg.norm(mu)
+        path = tmp_path / "far.txt"
+        emit_landmarks(sample_landmarks(gaussian_model(50.0 * np.eye(5), np.eye(2), mu),
+                                        23, seed=5), str(path))
+        for model in (("--model", "gaussian"), ("--model", "kotz", "--kotz-T", "2"),
+                      ("--model", "kotz", "--kotz-T", "3")):
+            res = run_cli("fit", str(path), "--sigma2", "50", *model)
+            assert res.exit_code == 0, res.stderr
+            assert json.loads(res.stdout)["converged"]
 
     def test_verify_central_model(self):
         res = run_cli("verify", "--mc-samples", "4000", "--sim-count", "2000")
@@ -545,19 +575,27 @@ class TestNoScipyAtRunTime:
     @pytest.mark.parametrize("command,unused", [
         ("density-k3", ["svdshape.inference", "svdshape.verify"]),
         ("verify", ["svdshape.inference"]),
+        ("fit", ["svdshape.verify"]),
+        ("compare", ["svdshape.verify"]),
+        ("test", ["svdshape.verify"]),
     ])
     def test_each_command_loads_only_its_modules(self, command, unused, specimens_k3,
-                                                 tmp_path):
+                                                 landmark_file, tmp_path):
+        # no command loads the tests' oracles, the isotropic density included
         k3_path = tmp_path / "k3.txt"
         emit_landmarks(specimens_k3, str(k3_path))
         mu3_path = tmp_path / "mu3.txt"
         mu3_path.write_text("1.2 -0.4 0.5\n0.3 0.9 -0.2\n-0.6 0.1 0.8\n")
+        kotz = ("--model", "kotz", "--kotz-T", "3", "--sigma2", "1")
         args = {"density-k3": ("density", str(k3_path), "--mu", str(mu3_path),
                                "--model", "kotz", "--kotz-T", "2"),
-                "verify": ("verify", "--mc-samples", "2000", "--sim-count", "1000")}
+                "verify": ("verify", "--mc-samples", "2000", "--sim-count", "1000"),
+                "fit": ("fit", str(k3_path)) + kotz,
+                "compare": ("compare", landmark_file, "--sigma2", "1"),
+                "test": ("test", landmark_file, landmark_file) + kotz}
         res = _python(_LOADED_MODULES, json.dumps({command: args[command]}),
                       json.dumps(["svdshape."]))
         assert res.returncode == 0, res.stderr
         code, loaded = json.loads(res.stdout)[command]
         assert code == 0 and "svdshape.densities" in loaded
-        assert not set(unused) & set(loaded)
+        assert not set(unused + ["svdshape.oracle"]) & set(loaded)
