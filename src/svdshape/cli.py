@@ -14,19 +14,22 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from .densities import central_shape_logdensity, shape_logdensities
 from .errors import DomainError, NumericError, ParseError, SeriesTruncationError
-from .geometry import Mode, SampleOfShapes, preprocess, svd_shape
-from .io import ingest_landmarks, read_matrix
-from .models import GeneratorKind, GeneratorSpec, IsotropicKind, ModelSpec
-from .zonal import SeriesControl
 
-# inference (fit, compare, test) and verify (verify) are imported inside the
-# commands that run them, so the other commands do not load them
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .geometry import Mode, SampleOfShapes
+    from .models import IsotropicKind, ModelSpec
+    from .zonal import SeriesControl
+
+# Only click, the stdlib and .errors load with this module, so --help, usage
+# errors and a bare import never load numpy. Each command imports the
+# numerical modules it runs inside its body.
 
 SCHEMA_VERSION = 2
 
@@ -43,18 +46,27 @@ class RunConfig:
     sigma2: float = 1.0
     theta_path: str | None = None
     mu_path: str | None = None
-    mode: Mode = Mode.REFLECTION
+    mode: Mode | str = "reflection"     # a Mode or its value; stored as a Mode
     max_degree: int = 60
     rel_tol: float = 1e-12
     seed: int = 0
     out: str | None = None
 
     def __post_init__(self):
+        from .geometry import Mode
+        try:
+            object.__setattr__(self, "mode", Mode(self.mode))
+        except ValueError:
+            raise ParseError(f"config key 'mode' has a bad value {self.mode!r}") from None
         if self.seed < 0:
             raise ParseError(f"seed must be a non-negative integer, got {self.seed}")
+        for name in ("sigma2", "kotz_R", "rel_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParseError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def ctrl(self) -> SeriesControl:
+        from .zonal import SeriesControl
         return SeriesControl(max_degree=self.max_degree, rel_tol=self.rel_tol)
 
     def check_isotropic(self) -> None:
@@ -65,6 +77,7 @@ class RunConfig:
 
     @property
     def isotropic_kind(self) -> IsotropicKind:
+        from .models import IsotropicKind
         self.check_isotropic()
         if self.model == "gaussian":
             return IsotropicKind.GAUSSIAN
@@ -89,7 +102,7 @@ def _read_config_file(path: str) -> dict:
 
 _CONFIG_CASTS = {
     "model": str, "kotz_T": int, "kotz_R": float, "sigma2": float,
-    "theta": str, "mu": str, "mode": Mode, "max_degree": int,
+    "theta": str, "mu": str, "mode": str, "max_degree": int,
     "tol": float, "seed": int, "out": str,
 }
 
@@ -135,8 +148,6 @@ def _build_config(config_path, **flags) -> RunConfig:
             except ValueError:
                 raise ParseError(f"config key {key!r} has a bad value {text!r}") from None
     values.update((key, val) for key, val in flags.items() if val is not None)
-    if "mode" in values:
-        values["mode"] = Mode(values["mode"])
     return RunConfig(**{_CONFIG_FIELDS.get(k, k): v for k, v in values.items()})
 
 
@@ -151,6 +162,7 @@ def _emit(config: RunConfig, payload: dict) -> None:
 
 
 def _jsonify(obj):
+    import numpy as np          # only numpy values get here, so it is loaded
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
@@ -188,12 +200,17 @@ def _naming_specimen(items, fn):
 
 
 def _read_theta(config: RunConfig) -> np.ndarray | None:
+    from .io import read_matrix
     return read_matrix(config.theta_path) if config.theta_path else None
 
 
 def _load_sample(path: str, config: RunConfig, group_id: str,
                  theta: np.ndarray | None) -> SampleOfShapes:
     """The file's specimens, whitened by ``theta`` in one stacked pass."""
+    import numpy as np
+
+    from .geometry import SampleOfShapes, preprocess, svd_shape
+    from .io import ingest_landmarks
     specimens = ingest_landmarks(path)
     Y = preprocess(np.stack([sp.coords for sp in specimens]), theta)
     items = []
@@ -207,6 +224,10 @@ def _load_sample(path: str, config: RunConfig, group_id: str,
 
 def _build_model(config: RunConfig, Nm1: int, K: int,
                  theta: np.ndarray | None) -> ModelSpec:
+    import numpy as np
+
+    from .io import read_matrix
+    from .models import GeneratorKind, GeneratorSpec, ModelSpec
     kind = (GeneratorKind.GAUSSIAN if config.model == "gaussian"
             else GeneratorKind.KOTZ_TYPE_I)
     gen = GeneratorSpec(kind, M=Nm1 * K, T=config.kotz_T, R=config.kotz_R)
@@ -250,6 +271,9 @@ def cmd_shape(input_file, config_path, **flags):
 def cmd_density(input_file, config_path, **flags):
     """Per-specimen shape log-density under the configured model."""
     def body():
+        import numpy as np
+
+        from .densities import central_shape_logdensity, shape_logdensities
         config = _build_config(config_path, **flags)
         theta = _read_theta(config)
         sample = _load_sample(input_file, config, "input", theta)
@@ -302,6 +326,7 @@ def cmd_compare(input_file, config_path, **flags):
     """Fit Gaussian, Kotz T=2 and Kotz T=3; rank by modified BIC."""
     def body():
         from .inference import OptimizerConfig, evidence_grade, fit_location
+        from .models import IsotropicKind
         config = _build_config(config_path, **flags)
         config.check_isotropic()
         sample = _load_sample(input_file, config, "input", _read_theta(config))
@@ -370,6 +395,7 @@ def cmd_test(group1_file, group2_file, config_path, **flags):
 def cmd_verify(config_path, mc_samples, sim_count, n_landmarks, k_dim, **flags):
     """Run the Monte Carlo oracles (normalization mass, simulation match)."""
     def body():
+        from .geometry import Mode
         from .verify import check_sim_count, mc_normalization, simulation_vs_density
         config = _build_config(config_path, **flags)
         check_sim_count(sim_count)          # before the Monte Carlo mass

@@ -36,6 +36,9 @@ _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
 # trial steps one line search may evaluate before it gives up
 _LINE_SEARCH_TRIALS = 40
+# relative rounding noise of a log-likelihood value: a converged start this
+# close to the lowest value is preferred to an unconverged one below it
+_VALUE_NOISE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,9 @@ class ShapeLikelihood:
 
     def __init__(self, sample: SampleOfShapes, generator: GeneratorSpec,
                  sigma2: float, ctrl: SeriesControl | None = None):
-        if sigma2 <= 0 or generator.M != sample.Nm1 * sample.K:
-            raise DomainError(f"need sigma2 > 0 and M = (N-1)K, got {sigma2} and M={generator.M}")
+        if not 0 < sigma2 < math.inf or generator.M != sample.Nm1 * sample.K:
+            raise DomainError(f"need finite sigma2 > 0 and M = (N-1)K, "
+                              f"got {sigma2} and M={generator.M}")
         for sid, sc in sample.items:
             if not math.isfinite(sc.log_jacobian):
                 raise DomainError(f"specimen {sid!r} sits at a chart pole")
@@ -270,9 +274,11 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
     mean_i(r_i W_i) (an unbiased location estimate up to the rotation orbit),
     the rest are seeded perturbations. ``evaluations`` counts the
     value-and-gradient evaluations over all starts, and ``converged`` is the
-    best start's status. The fit has (N-1)K parameters: the likelihood
-    depends on (mu, sigma^2) only through mu / sigma, so shapes alone do not
-    identify sigma^2.
+    best start's status. The best start is the lowest converged one within
+    rounding noise (``_VALUE_NOISE`` relative) of the lowest value, else the
+    lowest. The fit has (N-1)K parameters: the likelihood depends on
+    (mu, sigma^2) only through mu / sigma, so shapes alone do not identify
+    sigma^2.
     """
     opt = opt or OptimizerConfig()
     Nm1, K = sample.Nm1, sample.K
@@ -291,7 +297,10 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
         return -value, -grad.reshape(-1)
 
     runs = [_minimize_bfgs(objective, x0) for x0 in starts]
-    best = min(runs, key=lambda run: run.value)
+    lowest = min(run.value for run in runs)
+    near = lowest + _VALUE_NOISE * max(1.0, abs(lowest))
+    best = min([run for run in runs if run.converged and run.value <= near] or runs,
+               key=lambda run: run.value)
     loglik = -best.value
     return FitResult(mu_hat=_canonical_sign(best.x.reshape(Nm1, K)), sigma2=sigma2_fixed,
                      loglik=loglik, n_params=n_loc,

@@ -43,8 +43,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.M < 1:
             raise DomainError(f"dimension M must be positive, got {self.M}")
-        if self.R <= 0:
-            raise DomainError(f"rate R must be positive, got {self.R}")
+        if not 0 < self.R < math.inf:
+            raise DomainError(f"rate R must be positive and finite, got {self.R}")
         if self.kind is GeneratorKind.KOTZ_TYPE_I:
             if self.T < 1 or self.T != int(self.T):
                 raise DomainError(f"Kotz shape T must be a positive integer, got {self.T}")

@@ -38,8 +38,8 @@ class SeriesControl:
     def __post_init__(self):
         if self.max_degree < 1:
             raise DomainError("max_degree must be >= 1")
-        if self.rel_tol <= 0:
-            raise DomainError("rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
 
 
 @dataclass

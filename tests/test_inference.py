@@ -106,6 +106,11 @@ class TestLogLikelihood:
         value = likelihood(sample, kind, 4.0).loglik(mu)
         assert abs(value - math.fsum(densities)) <= 1e-12 * abs(value)
 
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma2_must_be_positive_and_finite(self, sample, sigma2):
+        with pytest.raises(DomainError, match="sigma2"):
+            likelihood(sample, IsotropicKind.GAUSSIAN, sigma2)
+
     def test_raises_past_the_degree_cap_with_the_row(self):
         # K = 3: each specimen's series stops at its own degree; at degree 5
         # it has converged near the origin but not at mu, and the error
@@ -356,6 +361,36 @@ class TestBfgs:
         fit = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2,
                            OptimizerConfig(n_starts=2, seed=0), CTRL)
         assert not fit.converged and fit.evaluations <= 6
+
+    def test_a_converged_start_within_noise_beats_a_lower_one(self, mu_star, monkeypatch):
+        # far from the origin (|mu|/sigma = 54) the log-likelihood's rounding
+        # noise let the first start, stopped short of the gradient test, beat
+        # three converged starts by under 1e-12
+        mu = mu_star / np.linalg.norm(mu_star) * 54.0 * math.sqrt(SIGMA2)
+        far = make_sample("far", mu, SIGMA2, 23, seed=7)
+        runs = []
+
+        def recorded(fun, x0):
+            runs.append(minimize(fun, x0))
+            return runs[-1]
+        minimize = inference._minimize_bfgs
+        monkeypatch.setattr(inference, "_minimize_bfgs", recorded)
+        fit = fit_location(far, IsotropicKind.KOTZ_T3, SIGMA2)
+        lowest = min(runs, key=lambda run: run.value)
+        assert not lowest.converged and sum(run.converged for run in runs) == 3
+        assert fit.converged
+        assert -fit.loglik - lowest.value <= 1e-10 * abs(lowest.value)
+
+    def test_an_unconverged_start_far_below_the_converged_ones_is_kept(self, sample,
+                                                                       monkeypatch):
+        values = iter([(-10.0, True), (-11.0, False)])
+
+        def fake(fun, x0):
+            value, converged = next(values)
+            return inference._Minimum(np.asarray(x0), value, converged, 1)
+        monkeypatch.setattr(inference, "_minimize_bfgs", fake)
+        fit = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, OptimizerConfig(n_starts=2))
+        assert fit.loglik == 11.0 and not fit.converged
 
 
 class TestLrTest:

@@ -160,19 +160,22 @@ class TestCli:
 
     def test_sample_is_read_and_whitened_once(self, specimens, landmark_file,
                                               tmp_path, monkeypatch):
-        import svdshape.cli as cli
+        import svdshape.geometry
+        import svdshape.io
         from svdshape.geometry import preprocess, svd_shape
         theta_path = tmp_path / "theta.txt"
         theta_path.write_text("1.0 0.2\n0.2 1.5\n")
-        calls = {"preprocess": 0, "read_matrix": 0}
+        # the commands import these from their modules when they run
+        homes = {"preprocess": svdshape.geometry, "read_matrix": svdshape.io}
+        calls = {name: 0 for name in homes}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
-        for name in calls:
-            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        for name, home in homes.items():
+            monkeypatch.setattr(home, name, counted(name, getattr(home, name)))
         res = run_cli("density", landmark_file, "--theta", str(theta_path))
         assert res.exit_code == 0
         assert calls == {"preprocess": 1, "read_matrix": 1}
@@ -292,13 +295,15 @@ class TestCli:
         res = run_cli("density", landmark_file, "--config", str(cfg))
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("text", ["seed = x\n", "mode = sideways\n"])
+    @pytest.mark.parametrize("text", ["seed = x\n", "mode = sideways\n", "sigma2 = nan\n",
+                                      "kotz_R = inf\n", "tol = nan\n"])
     def test_bad_config_value(self, landmark_file, tmp_path, text):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
-        res = run_cli("density", landmark_file, "--config", str(cfg))
-        assert res.exit_code == 2
-        assert "parse error" in res.stderr
+        for args in (("density", landmark_file), ("fit", landmark_file)):
+            res = run_cli(*args, "--config", str(cfg))
+            assert res.exit_code == 2, args
+            assert "parse error" in res.stderr and res.stdout == ""
 
     def test_negative_seed_flag_is_a_parse_error(self, landmark_file):
         for args in (("fit", landmark_file), ("compare", landmark_file),
@@ -313,6 +318,21 @@ class TestCli:
         res = run_cli("fit", landmark_file, "--config", str(cfg))
         assert res.exit_code == 2
         assert "parse error" in res.stderr and "seed" in res.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", ["--sigma2", "--kotz-R", "--tol"])
+    def test_non_finite_float_flag_is_a_parse_error(self, landmark_file, tmp_path,
+                                                    option, value):
+        mu_path = tmp_path / "mu.txt"
+        mu_path.write_text("0.8 -0.3\n0.4 0.6\n")
+        density = ("density", landmark_file, "--model", "kotz", "--mu", str(mu_path))
+        name = {"--sigma2": "sigma2", "--kotz-R": "kotz_R", "--tol": "rel_tol"}[option]
+        for args in (density, ("fit", landmark_file), ("compare", landmark_file),
+                     ("test", landmark_file, landmark_file), ("verify",)):
+            res = run_cli(*args, f"{option}={value}")
+            assert res.exit_code == 2, args
+            assert res.stdout == ""
+            assert f"parse error: {name} must be finite" in res.stderr
 
     def test_fit_deterministic(self, landmark_file):
         args = ("fit", landmark_file, "--sigma2", "0.5", "--max-degree", "40")
@@ -491,9 +511,7 @@ def _python(code: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
-_WITHOUT_SCIPY = """
-import json, sys
-sys.modules["scipy"] = None          # any scipy import now raises ImportError
+_INVOKE = """
 from click.testing import CliRunner
 from svdshape.cli import main
 out = {}
@@ -502,6 +520,22 @@ for name, args in json.loads(sys.argv[1]).items():
     out[name] = [res.exit_code, repr(res.exception)]
 print(json.dumps(out))
 """
+
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None          # any scipy import now raises ImportError
+""" + _INVOKE
+
+_WITHOUT_NUMPY = """
+import json, sys
+
+class _BlockNumpy:                   # any numpy import now raises ImportError
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, _BlockNumpy())
+""" + _INVOKE
 
 
 _LOADED_MODULES = """
@@ -523,6 +557,22 @@ class TestNoScipyAtRunTime:
                       "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_numpy(self, landmark_file):
+        res = _python("import sys, svdshape.cli\n"
+                      "print(sorted(m for m in sys.modules\n"
+                      "             if m.split('.')[0] in ('numpy', 'svdshape')))")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == str(["svdshape", "svdshape.cli", "svdshape.errors"])
+        # help and usage errors need no numpy; a command that runs does
+        commands = {"help": ["--help"], "fit-help": ["fit", "--help"],
+                    "usage-error": ["fit"], "shape": ["shape", landmark_file]}
+        res = _python(_WITHOUT_NUMPY, json.dumps(commands))
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        assert {name: out[name] for name in ("help", "fit-help", "usage-error")} == {
+            "help": [0, "None"], "fit-help": [0, "None"], "usage-error": [2, "SystemExit(2)"]}
+        assert out["shape"][0] == 1 and "numpy is blocked" in out["shape"][1]
 
     def test_commands_run_without_scipy(self, landmark_file, tmp_path):
         mu_path = tmp_path / "mu.txt"

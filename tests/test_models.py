@@ -26,6 +26,11 @@ class TestGeneratorSpec:
         with pytest.raises(DomainError):
             GeneratorSpec(GeneratorKind.GAUSSIAN, M=4, R=-1.0)
 
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_raises(self, R):
+        with pytest.raises(DomainError, match="rate R"):
+            kotz(4, T=2, R=R)
+
     def test_gaussian_is_kotz_t1(self):
         g, k = gauss(6), kotz(6, T=1)
         for y in (0.0, 0.4, 3.0, 12.0):

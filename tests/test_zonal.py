@@ -133,6 +133,11 @@ class TestZonalSeries:
                          SeriesControl(max_degree=10))
 
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
+        with pytest.raises(DomainError, match="rel_tol"):
+            SeriesControl(rel_tol=rel_tol)
+
     def test_zero_spectrum_sums_to_exactly_zero(self):
         res = zonal_series(lambda t: LogSign.zero() if t == 0 else LogSign.one(),
                            [0.0, 0.0], 1.0)
