@@ -29,13 +29,16 @@ if TYPE_CHECKING:
 
 # Only click, the stdlib and .errors load with this module, so --help, usage
 # errors and a bare import never load numpy. Each command imports the
-# numerical modules it runs inside its body.
+# numerical modules it runs inside its body; a command still loads numpy and
+# the modules it runs, only later.
 
 SCHEMA_VERSION = 2
 
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_NONCONVERGENCE = 4
+
+MODES = ("reflection", "no-reflection")      # the values of geometry.Mode
 
 
 @dataclass(frozen=True)
@@ -46,23 +49,25 @@ class RunConfig:
     sigma2: float = 1.0
     theta_path: str | None = None
     mu_path: str | None = None
-    mode: Mode | str = "reflection"     # a Mode or its value; stored as a Mode
+    mode: str = "reflection"
     max_degree: int = 60
     rel_tol: float = 1e-12
     seed: int = 0
     out: str | None = None
 
     def __post_init__(self):
-        from .geometry import Mode
-        try:
-            object.__setattr__(self, "mode", Mode(self.mode))
-        except ValueError:
-            raise ParseError(f"config key 'mode' has a bad value {self.mode!r}") from None
+        if self.mode not in MODES:
+            raise ParseError(f"config key 'mode' has a bad value {self.mode!r}")
         if self.seed < 0:
             raise ParseError(f"seed must be a non-negative integer, got {self.seed}")
         for name in ("sigma2", "kotz_R", "rel_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ParseError(f"{name} must be finite, got {getattr(self, name)}")
+
+    @property
+    def shape_mode(self) -> Mode:
+        from .geometry import Mode
+        return Mode(self.mode)
 
     @property
     def ctrl(self) -> SeriesControl:
@@ -117,8 +122,7 @@ def common_options(fn):
                      help="K x K column covariance matrix file (default identity)"),
         click.option("--mu", "mu", type=click.Path(exists=True), default=None,
                      help="(N-1) x K location matrix file (default zero)"),
-        click.option("--mode", type=click.Choice(["reflection", "no-reflection"]),
-                     default=None),
+        click.option("--mode", type=click.Choice(MODES), default=None),
         click.option("--max-degree", "max_degree", type=int, default=None),
         click.option("--tol", type=float, default=None),
         click.option("--seed", type=int, default=None),
@@ -162,11 +166,8 @@ def _emit(config: RunConfig, payload: dict) -> None:
 
 
 def _jsonify(obj):
-    import numpy as np          # only numpy values get here, so it is loaded
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):          # numpy arrays and scalars
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
@@ -216,7 +217,7 @@ def _load_sample(path: str, config: RunConfig, group_id: str,
     items = []
     for sp, y in zip(specimens, Y):
         try:
-            items.append((sp.id, svd_shape(y, config.mode)))
+            items.append((sp.id, svd_shape(y, config.shape_mode)))
         except DomainError as exc:
             raise type(exc)(f"specimen {sp.id!r}: {exc}") from None
     return SampleOfShapes(group_id, tuple(items))
@@ -280,10 +281,10 @@ def cmd_density(input_file, config_path, **flags):
         model = _build_model(config, sample.Nm1, sample.K, theta)
         if np.any(model.mu):
             logs, used, tails = _naming_specimen(sample.items, lambda: shape_logdensities(
-                np.array([sc.u for _, sc in sample.items]), model, config.mode, config.ctrl))
+                np.array([sc.u for _, sc in sample.items]), model, config.shape_mode, config.ctrl))
             values = zip(logs.tolist(), used.tolist(), tails.tolist())
         else:                   # central: the closed form, no series, any K
-            values = ((central_shape_logdensity(sc.u, model, config.mode).log_density, 0, 0.0)
+            values = ((central_shape_logdensity(sc.u, model, config.shape_mode).log_density, 0, 0.0)
                       for _, sc in sample.items)
         records = [{"id": sid, "log_density": log, "series_degrees_used": degrees,
                     "tail_bound": tail}
@@ -400,7 +401,7 @@ def cmd_verify(config_path, mc_samples, sim_count, n_landmarks, k_dim, **flags):
         config = _build_config(config_path, **flags)
         check_sim_count(sim_count)          # before the Monte Carlo mass
         model = _build_model(config, n_landmarks - 1, k_dim, _read_theta(config))
-        mass, se = mc_normalization(model, config.mode, config.ctrl,
+        mass, se = mc_normalization(model, config.shape_mode, config.ctrl,
                                     mc_samples, config.seed)
         mass_ok = abs(mass - 1.0) < max(3.0 * se, 0.02)
         rep = simulation_vs_density(model, Mode.REFLECTION, config.ctrl,

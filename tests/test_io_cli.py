@@ -305,6 +305,18 @@ class TestCli:
             assert res.exit_code == 2, args
             assert "parse error" in res.stderr and res.stdout == ""
 
+    def test_mode_flag_and_key_select_the_geometry_mode(self, landmark_file, tmp_path):
+        from svdshape.cli import MODES
+        from svdshape.geometry import Mode
+        assert set(MODES) == {mode.value for mode in Mode}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = no-reflection\n")
+        for args in (("--mode", "no-reflection"), ("--config", str(cfg))):
+            res = run_cli("shape", landmark_file, *args)
+            assert res.exit_code == 0, res.stderr
+            specimens = json.loads(res.stdout)["specimens"]
+            assert {sp["mode"] for sp in specimens} == {"no-reflection"}
+
     def test_negative_seed_flag_is_a_parse_error(self, landmark_file):
         for args in (("fit", landmark_file), ("compare", landmark_file),
                      ("test", landmark_file, landmark_file), ("verify",)):

@@ -132,7 +132,6 @@ class TestZonalSeries:
             zonal_series(lambda t: LogSign.one(), [1.0, 1.0], 0.5,
                          SeriesControl(max_degree=10))
 
-
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-12, math.nan, math.inf])
     def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
         with pytest.raises(DomainError, match="rel_tol"):
