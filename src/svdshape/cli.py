@@ -1,22 +1,20 @@
 """Command-line front end.
 
 JSON results go to stdout (or --out FILE); a short human-readable table goes
-to stderr. Exit codes: 0 success, 1 failed verification, 2 parse error
-(a malformed file, config key or option value), 3 numeric failure or domain
-error (input that parsed but lies outside a model's domain, such as a
-non-positive-definite Theta or a specimen at a chart pole),
-4 non-convergence.
+to stderr. Exit codes: 0 success, 1 failed verification, 2 usage or parse
+error (a bad option, a missing path, a malformed or unreadable file, config
+key or option value), 3 numeric failure or domain error (input that parsed
+but lies outside a model's domain, such as a non-positive-definite Theta or
+a specimen at a chart pole), 4 non-convergence.
 """
 
 from __future__ import annotations
 
-import json
+import argparse
 import math
+import os
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import click
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, NumericError, ParseError, SeriesTruncationError
 
@@ -27,10 +25,10 @@ if TYPE_CHECKING:
     from .models import IsotropicKind, ModelSpec
     from .zonal import SeriesControl
 
-# Only click, the stdlib and .errors load with this module, so --help, usage
-# errors and a bare import never load numpy. Each command imports the
-# numerical modules it runs inside its body; a command still loads numpy and
-# the modules it runs, only later.
+# Only the stdlib and .errors load with this module, so --help, usage errors
+# and a bare import never load numpy or any third-party module. Each command
+# imports the numerical modules it runs inside its body; a command still
+# loads numpy and the modules it runs, only later.
 
 SCHEMA_VERSION = 2
 
@@ -38,11 +36,13 @@ EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_NONCONVERGENCE = 4
 
+MODELS = ("gaussian", "kotz")
 MODES = ("reflection", "no-reflection")      # the values of geometry.Mode
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
+    """The common options of a command; built and checked by _build_config."""
+
     model: str = "gaussian"
     kotz_T: int = 2
     kotz_R: float = 0.5
@@ -54,15 +54,6 @@ class RunConfig:
     rel_tol: float = 1e-12
     seed: int = 0
     out: str | None = None
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ParseError(f"config key 'mode' has a bad value {self.mode!r}")
-        if self.seed < 0:
-            raise ParseError(f"seed must be a non-negative integer, got {self.seed}")
-        for name in ("sigma2", "kotz_R", "rel_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParseError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def shape_mode(self) -> Mode:
@@ -92,16 +83,16 @@ class RunConfig:
 
 
 def _read_config_file(path: str) -> dict:
+    from .io import read_lines
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", line=i)
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for i, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key=value, got {line!r}", line=i)
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -111,36 +102,13 @@ _CONFIG_CASTS = {
     "tol": float, "seed": int, "out": str,
 }
 
-
-def common_options(fn):
-    opts = [
-        click.option("--model", type=click.Choice(["gaussian", "kotz"]), default=None),
-        click.option("--kotz-T", "kotz_T", type=int, default=None),
-        click.option("--kotz-R", "kotz_R", type=float, default=None),
-        click.option("--sigma2", type=float, default=None),
-        click.option("--theta", "theta", type=click.Path(exists=True), default=None,
-                     help="K x K column covariance matrix file (default identity)"),
-        click.option("--mu", "mu", type=click.Path(exists=True), default=None,
-                     help="(N-1) x K location matrix file (default zero)"),
-        click.option("--mode", type=click.Choice(MODES), default=None),
-        click.option("--max-degree", "max_degree", type=int, default=None),
-        click.option("--tol", type=float, default=None),
-        click.option("--seed", type=int, default=None),
-        click.option("--out", type=click.Path(), default=None),
-        click.option("--config", "config_path", type=click.Path(exists=True),
-                     default=None, help="flat key=value config file; flags win"),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
-
-
 _CONFIG_FIELDS = {"theta": "theta_path", "mu": "mu_path", "tol": "rel_tol"}
 
 
 def _build_config(config_path, **flags) -> RunConfig:
     """RunConfig from the config file's keys overridden by the given flags;
-    RunConfig's defaults fill the rest."""
+    RunConfig's defaults fill the rest. The one place a RunConfig is built,
+    so its values are checked here: a bad one is a ParseError."""
     values = {}
     if config_path:
         raw = _read_config_file(config_path)
@@ -152,17 +120,31 @@ def _build_config(config_path, **flags) -> RunConfig:
             except ValueError:
                 raise ParseError(f"config key {key!r} has a bad value {text!r}") from None
     values.update((key, val) for key, val in flags.items() if val is not None)
-    return RunConfig(**{_CONFIG_FIELDS.get(k, k): v for k, v in values.items()})
+    config = RunConfig(**{_CONFIG_FIELDS.get(k, k): v for k, v in values.items()})
+    if config.model not in MODELS:
+        raise ParseError(f"config key 'model' has a bad value {config.model!r}")
+    if config.mode not in MODES:
+        raise ParseError(f"config key 'mode' has a bad value {config.mode!r}")
+    if config.seed < 0:
+        raise ParseError(f"seed must be a non-negative integer, got {config.seed}")
+    for name in ("sigma2", "kotz_R", "rel_tol"):
+        if not math.isfinite(getattr(config, name)):
+            raise ParseError(f"{name} must be finite, got {getattr(config, name)}")
+    return config
 
 
 def _emit(config: RunConfig, payload: dict) -> None:
+    import json
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     text = json.dumps(payload, indent=2, default=_jsonify)
-    if config.out:
+    if not config.out:
+        print(text)
+        return
+    try:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        click.echo(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {config.out!r}: {exc.strerror}") from None
 
 
 def _jsonify(obj):
@@ -173,20 +155,20 @@ def _jsonify(obj):
 
 def _table(lines: list[str]) -> None:
     for line in lines:
-        click.echo(line, err=True)
+        print(line, file=sys.stderr)
 
 
 def _run(fn):
     try:
         return fn()
     except ParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
+        print(f"parse error: {exc}", file=sys.stderr)
         sys.exit(EXIT_PARSE)
     except (SeriesTruncationError, NumericError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
+        print(f"numeric failure: {exc}", file=sys.stderr)
         sys.exit(EXIT_NUMERIC)
     except DomainError as exc:
-        click.echo(f"domain error: {exc}", err=True)
+        print(f"domain error: {exc}", file=sys.stderr)
         sys.exit(EXIT_NUMERIC)
 
 
@@ -238,14 +220,6 @@ def _build_model(config: RunConfig, Nm1: int, K: int,
                      np.eye(K) if theta is None else theta, mu)
 
 
-@click.group()
-def main():
-    """Exact shape densities and likelihood inference for landmark data."""
-
-
-@main.command("shape")
-@common_options
-@click.argument("input_file", type=click.Path(exists=True))
 def cmd_shape(input_file, config_path, **flags):
     """Per-specimen SVD shape coordinates (r, W, u, Jacobian J and log J)."""
     def body():
@@ -266,9 +240,6 @@ def cmd_shape(input_file, config_path, **flags):
     _run(body)
 
 
-@main.command("density")
-@common_options
-@click.argument("input_file", type=click.Path(exists=True))
 def cmd_density(input_file, config_path, **flags):
     """Per-specimen shape log-density under the configured model."""
     def body():
@@ -295,9 +266,6 @@ def cmd_density(input_file, config_path, **flags):
     _run(body)
 
 
-@main.command("fit")
-@common_options
-@click.argument("input_file", type=click.Path(exists=True))
 def cmd_fit(input_file, config_path, **flags):
     """Maximum-likelihood location fit (sigma2 fixed by protocol)."""
     def body():
@@ -320,9 +288,6 @@ def cmd_fit(input_file, config_path, **flags):
     _run(body)
 
 
-@main.command("compare")
-@common_options
-@click.argument("input_file", type=click.Path(exists=True))
 def cmd_compare(input_file, config_path, **flags):
     """Fit Gaussian, Kotz T=2 and Kotz T=3; rank by modified BIC."""
     def body():
@@ -355,10 +320,6 @@ def cmd_compare(input_file, config_path, **flags):
     _run(body)
 
 
-@main.command("test")
-@common_options
-@click.argument("group1_file", type=click.Path(exists=True))
-@click.argument("group2_file", type=click.Path(exists=True))
 def cmd_test(group1_file, group2_file, config_path, **flags):
     """Likelihood-ratio test of equal mean shapes across two groups."""
     def body():
@@ -385,14 +346,6 @@ def cmd_test(group1_file, group2_file, config_path, **flags):
     _run(body)
 
 
-@main.command("verify")
-@common_options
-@click.option("--mc-samples", type=int, default=50000)
-@click.option("--sim-count", type=int, default=20000)
-@click.option("--landmarks", "n_landmarks", type=int, default=3,
-              help="N for the built-in verification model")
-@click.option("--dimension", "k_dim", type=int, default=2,
-              help="K for the built-in verification model")
 def cmd_verify(config_path, mc_samples, sim_count, n_landmarks, k_dim, **flags):
     """Run the Monte Carlo oracles (normalization mass, simulation match)."""
     def body():
@@ -420,6 +373,79 @@ def cmd_verify(config_path, mc_samples, sim_count, n_landmarks, k_dim, **flags):
         if not (mass_ok and rep.passed):
             sys.exit(1)
     _run(body)
+
+
+def _existing_path(path: str) -> str:
+    """A path that exists. One that exists but cannot be read (a directory,
+    a file that is not UTF-8) fails when a command reads it, as a ParseError
+    naming it (exit 2)."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    return path
+
+
+def _parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    common.add_argument("--model", choices=MODELS)
+    common.add_argument("--kotz-T", type=int, metavar="INT")
+    common.add_argument("--kotz-R", type=float, metavar="FLOAT")
+    common.add_argument("--sigma2", type=float, metavar="FLOAT")
+    common.add_argument("--theta", type=_existing_path, metavar="PATH",
+                        help="K x K column covariance matrix file (default identity)")
+    common.add_argument("--mu", type=_existing_path, metavar="PATH",
+                        help="(N-1) x K location matrix file (default zero)")
+    common.add_argument("--mode", choices=MODES)
+    common.add_argument("--max-degree", type=int, metavar="INT")
+    common.add_argument("--tol", type=float, metavar="FLOAT")
+    common.add_argument("--seed", type=int, metavar="INT")
+    common.add_argument("--out", metavar="PATH")
+    common.add_argument("--config", dest="config_path", type=_existing_path, metavar="PATH",
+                        help="flat key=value config file; flags win")
+
+    parser = argparse.ArgumentParser(prog="svdshape", description=main.__doc__,
+                                     allow_abbrev=False)
+    commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND",
+                                     required=True)
+
+    def command(name, run, *files):
+        sub = commands.add_parser(name, parents=[common], allow_abbrev=False,
+                                  help=run.__doc__, description=run.__doc__)
+        for dest in files:
+            sub.add_argument(dest, type=_existing_path, metavar=dest.upper())
+        sub.set_defaults(run=run)
+        return sub
+
+    command("shape", cmd_shape, "input_file")
+    command("density", cmd_density, "input_file")
+    command("fit", cmd_fit, "input_file")
+    command("compare", cmd_compare, "input_file")
+    command("test", cmd_test, "group1_file", "group2_file")
+    verify = command("verify", cmd_verify)
+    verify.add_argument("--mc-samples", type=int, default=50000, metavar="INT")
+    verify.add_argument("--sim-count", type=int, default=20000, metavar="INT")
+    verify.add_argument("--landmarks", dest="n_landmarks", type=int, default=3, metavar="INT",
+                        help="N for the built-in verification model")
+    verify.add_argument("--dimension", dest="k_dim", type=int, default=2, metavar="INT",
+                        help="K for the built-in verification model")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Exact shape densities and likelihood inference for landmark data."""
+    args = vars(_parser().parse_args(argv))
+    del args["command"]
+    args.pop("run")(**args)
+
+
+def _main_with_keywords(args: list[str] | None = None, prog_name: str | None = None,
+                        standalone_mode: bool = True) -> None:
+    """``main(args)`` under the ``main.main(args=..., prog_name=...,
+    standalone_mode=...)`` signature that ``bench/traced_cli.py`` calls;
+    ``prog_name`` and ``standalone_mode`` change nothing."""
+    main(args)
+
+
+main.main = _main_with_keywords
 
 
 if __name__ == "__main__":

@@ -15,9 +15,21 @@ from .errors import ParseError
 from .geometry import LandmarkSet
 
 
+def read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file. A file that cannot be opened or
+    decoded (a directory, a UTF-16 file) is a ParseError that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path!r}: not UTF-8 text "
+                         f"(byte {exc.start}: {exc.reason})") from None
+
+
 def ingest_landmarks(path: str) -> list[LandmarkSet]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     pos = 0
 
     def next_content_line():
@@ -107,18 +119,17 @@ def emit_landmarks(specimens: list[LandmarkSet], path: str) -> None:
 def read_matrix(path: str) -> np.ndarray:
     """A plain whitespace-separated matrix file (used for Theta)."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            try:
-                rows.append([float(t) for t in line.split()])
-            except ValueError:
-                raise ParseError(f"non-numeric token in matrix row {line!r}", line=i)
-            if not np.all(np.isfinite(rows[-1])):
-                raise ParseError(f"non-finite entry in matrix row {line!r}", line=i)
-            if len(rows[-1]) != len(rows[0]):
-                raise ParseError("ragged matrix rows", line=i)
+    for i, line in enumerate(read_lines(path), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            rows.append([float(t) for t in line.split()])
+        except ValueError:
+            raise ParseError(f"non-numeric token in matrix row {line!r}", line=i)
+        if not np.all(np.isfinite(rows[-1])):
+            raise ParseError(f"non-finite entry in matrix row {line!r}", line=i)
+        if len(rows[-1]) != len(rows[0]):
+            raise ParseError("ragged matrix rows", line=i)
     if not rows:
         raise ParseError("empty matrix file", line=1)
     return np.array(rows)

@@ -7,10 +7,9 @@ import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_invoke import invoke
 
 import svdshape
-from svdshape.cli import main
 from svdshape.densities import central_shape_logdensity, shape_logdensity
 from svdshape.errors import ParseError, SeriesTruncationError
 from svdshape.geometry import preprocess, svd_shape
@@ -109,7 +108,7 @@ class TestReadMatrix:
 
 
 def run_cli(*args):
-    return CliRunner().invoke(main, list(args))
+    return invoke(args)
 
 
 class TestCli:
@@ -206,6 +205,26 @@ class TestCli:
         assert res.exit_code == 2
         assert "parse error" in res.stderr
 
+    @pytest.mark.parametrize("case", ["input-dir", "theta-dir", "config-dir",
+                                      "utf16-input", "out-dir-missing"])
+    def test_unreadable_file_is_a_parse_error(self, case, landmark_file, tmp_path):
+        # a path that exists but cannot be read, or an --out that cannot be
+        # written, exits 2 naming the file, not 1 with a traceback
+        utf16 = tmp_path / "utf16.txt"
+        utf16.write_bytes(b"\xff\xfe3 2 1\n0 0\n1 0\n0 1\n")
+        out = tmp_path / "missing" / "o.json"
+        path, args = {
+            "input-dir": (tmp_path, ("shape", str(tmp_path))),
+            "theta-dir": (tmp_path, ("shape", landmark_file, "--theta", str(tmp_path))),
+            "config-dir": (tmp_path, ("shape", landmark_file, "--config", str(tmp_path))),
+            "utf16-input": (utf16, ("shape", str(utf16))),
+            "out-dir-missing": (out, ("shape", landmark_file, "--out", str(out))),
+        }[case]
+        res = run_cli(*args)
+        assert res.exit_code == 2, res.exception
+        assert res.stderr.startswith("parse error:") and repr(str(path)) in res.stderr
+        assert res.stdout == ""
+
     def test_non_finite_coordinate_is_a_parse_error(self, tmp_path):
         bad = tmp_path / "nan.txt"
         bad.write_text("3 2 1\n0 0\n1 nan\n0 1\n")
@@ -295,8 +314,8 @@ class TestCli:
         res = run_cli("density", landmark_file, "--config", str(cfg))
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("text", ["seed = x\n", "mode = sideways\n", "sigma2 = nan\n",
-                                      "kotz_R = inf\n", "tol = nan\n"])
+    @pytest.mark.parametrize("text", ["seed = x\n", "mode = sideways\n", "model = bogus\n",
+                                      "sigma2 = nan\n", "kotz_R = inf\n", "tol = nan\n"])
     def test_bad_config_value(self, landmark_file, tmp_path, text):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
@@ -512,23 +531,73 @@ class TestCli:
                 assert rec["series_degrees_used"] == 0
 
 
+_COMMANDS = ("shape", "density", "fit", "compare", "test", "verify")
+_COMMON_OPTIONS = ("--model", "--kotz-T", "--kotz-R", "--sigma2", "--theta", "--mu",
+                   "--mode", "--max-degree", "--tol", "--seed", "--out", "--config")
+
+
+class TestUsage:
+    def test_help_names_every_command(self):
+        res = run_cli("--help")
+        assert res.exit_code == 0
+        assert all(re.search(rf"^ +{name} ", res.stdout, re.M) for name in _COMMANDS)
+
+    def test_command_help_lists_the_common_options(self):
+        res = run_cli("fit", "--help")
+        assert res.exit_code == 0
+        text = " ".join(res.stdout.split())
+        assert all(option in text for option in _COMMON_OPTIONS)
+        for help_text in ("K x K column covariance matrix file (default identity)",
+                          "(N-1) x K location matrix file (default zero)",
+                          "flat key=value config file; flags win"):
+            assert help_text in text
+
+    @pytest.mark.parametrize("case", [
+        "no-arguments", "unknown-command", "missing-input", "missing-input-path",
+        "missing-theta-path", "missing-mu-path", "missing-config-path", "bad-model",
+        "bad-mode", "bad-kotz-T", "bad-sigma2", "unknown-option", "abbreviated-option"])
+    def test_usage_error_exits_2_before_numpy(self, case, landmark_file, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        args = {
+            "no-arguments": (),
+            "unknown-command": ("frobnicate", landmark_file),
+            "missing-input": ("fit",),
+            "missing-input-path": ("fit", missing),
+            "missing-theta-path": ("fit", landmark_file, "--theta", missing),
+            "missing-mu-path": ("density", landmark_file, "--mu", missing),
+            "missing-config-path": ("density", landmark_file, "--config", missing),
+            "bad-model": ("fit", landmark_file, "--model", "bogus"),
+            "bad-mode": ("shape", landmark_file, "--mode", "bogus"),
+            "bad-kotz-T": ("fit", landmark_file, "--kotz-T", "x"),
+            "bad-sigma2": ("fit", landmark_file, "--sigma2", "x"),
+            "unknown-option": ("shape", landmark_file, "--frobnicate", "1"),
+            "abbreviated-option": ("fit", landmark_file, "--sig", "50"),
+        }[case]
+        res = _python(_USAGE, json.dumps(args))
+        assert res.returncode == 0, res.stderr
+        code, stdout, stderr, numpy_loaded = json.loads(res.stdout)
+        assert code == 2 and stdout == "" and "usage:" in stderr.lower()
+        assert not numpy_loaded
+
+
 _SRC = os.path.dirname(os.path.dirname(svdshape.__file__))
+_TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    """Run ``code`` in a fresh interpreter that imports this checkout and
+    ``cli_invoke``."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, _TESTS, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=300)
 
 
 _INVOKE = """
-from click.testing import CliRunner
-from svdshape.cli import main
+from cli_invoke import invoke
 out = {}
 for name, args in json.loads(sys.argv[1]).items():
-    res = CliRunner().invoke(main, args)
+    res = invoke(args)
     out[name] = [res.exit_code, repr(res.exception)]
 print(json.dumps(out))
 """
@@ -552,14 +621,21 @@ sys.meta_path.insert(0, _BlockNumpy())
 
 _LOADED_MODULES = """
 import json, sys
-from click.testing import CliRunner
-from svdshape.cli import main
+from cli_invoke import invoke
 out = {}
 for name, args in json.loads(sys.argv[1]).items():
-    res = CliRunner().invoke(main, args)
+    res = invoke(args)
     out[name] = [res.exit_code, sorted(m for m in sys.modules
                                        if m.startswith(tuple(json.loads(sys.argv[2]))))]
 print(json.dumps(out))
+"""
+
+_USAGE = """
+import json, sys
+from cli_invoke import invoke
+res = invoke(json.loads(sys.argv[1]))
+print(json.dumps([res.exit_code, res.stdout, res.stderr,
+                  any(m.partition(".")[0] == "numpy" for m in sys.modules)]))
 """
 
 
@@ -576,6 +652,17 @@ class TestNoScipyAtRunTime:
                       "             if m.split('.')[0] in ('numpy', 'svdshape')))")
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == str(["svdshape", "svdshape.cli", "svdshape.errors"])
+        # beyond what the interpreter loaded at start-up (site's own imports
+        # included), the import adds the stdlib and these three modules only
+        res = _python("import sys\n"
+                      "started = set(sys.modules)\n"
+                      "import svdshape.cli\n"
+                      "print(' '.join(sorted(set(sys.modules) - started)))")
+        assert res.returncode == 0, res.stderr
+        added = res.stdout.split()
+        assert "svdshape.cli" in added
+        assert [m for m in added if m.partition(".")[0] not in sys.stdlib_module_names
+                and m not in ("svdshape", "svdshape.cli", "svdshape.errors")] == []
         # help and usage errors need no numpy; a command that runs does
         commands = {"help": ["--help"], "fit-help": ["fit", "--help"],
                     "usage-error": ["fit"], "shape": ["shape", landmark_file]}
