@@ -15,8 +15,7 @@ import importlib
 _EXPORTS = {
     "densities": ("DensityValue", "batch_shape_logdensity",
                   "central_shape_logdensity", "central_size_and_shape_logdensity",
-                  "gaussian_shape_logdensity", "shape_logdensity",
-                  "size_and_shape_logdensity"),
+                  "shape_logdensity", "size_and_shape_logdensity"),
     "errors": ("DegenerateConfigurationError", "DomainError", "NumericError",
                "ParseError", "SeriesTruncationError", "SvdShapeError"),
     "geometry": ("LandmarkSet", "Mode", "SampleOfShapes", "ShapeCoords",
@@ -28,11 +27,11 @@ _EXPORTS = {
     "io": ("emit_landmarks", "ingest_landmarks", "read_matrix"),
     "models": ("GeneratorKind", "GeneratorSpec", "IsotropicKind", "ModelSpec",
                "gaussian_model", "h_value", "kotz_model"),
-    "oracle": ("h_derivative", "isotropic_shape_logdensity", "radial_integral"),
+    "oracle": ("gaussian_shape_logdensity", "h_derivative", "isotropic_shape_logdensity",
+               "radial_integral", "stiefel_mc_integral"),
     "special": ("LogSign", "chi_square_sf"),
     "verify": ("mc_normalization", "sample_landmarks", "simulation_vs_density"),
-    "zonal": ("SeriesControl", "SeriesResult", "hypergeom_0F1", "stiefel_mc_integral",
-              "zonal_series"),
+    "zonal": ("SeriesControl", "hypergeom_0F1"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

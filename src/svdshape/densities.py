@@ -31,9 +31,8 @@ from .errors import DomainError
 from .geometry import Mode, angles_to_frame, log_polar_jacobian
 from .models import (GeneratorSpec, ModelSpec, _centered_table, binomial_basis,
                      coefficient_polynomial, h_log_value)
-from .special import LogSign
 from .zonal import (SeriesControl, _log_factorials, check_cancellation, shared_sum_table,
-                    zonal_series, zonal_series_batch)
+                    zonal_series_batch)
 
 
 @dataclass(frozen=True)
@@ -333,35 +332,6 @@ def central_shape_logdensity(u: np.ndarray, model: ModelSpec,
            - math.log(2.0) - M / 2.0 * math.log(math.pi)
            + _mode_log_factor(mode))
     return DensityValue(log, 0, 0.0, mode)
-
-
-def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
-                              mode: Mode = Mode.REFLECTION,
-                              ctrl: SeriesControl | None = None) -> DensityValue:
-    """Gaussian shape log density with the radial integrals in closed form.
-
-    f(u) = J(u) |Sigma|^{-K/2} (2 pi^{M/2})^{-1} e^{-R tr Omega}
-    sum_t Gamma(M/2 + t) a^{-M/2-t} S_t(R Omega Sigma^{-1} W W') / t!.
-    Requires a Gaussian generator (or Kotz with T = 1).
-    """
-    if model.generator.effective_T != 1:
-        raise DomainError("gaussian_shape_logdensity needs a Gaussian-type generator")
-    W, log_j = _chart(u, model.Nm1, model.K)
-    a = float(np.trace(model.sigma_inv @ W @ W.T))
-    b = model.trace_omega
-    R = model.generator.R
-    eigs = R * _noncentrality_spectra(model, W[None])[0]
-    M = model.M
-    log_a = math.log(a)
-
-    def coeff(t: int) -> LogSign:
-        return LogSign(math.lgamma(M / 2.0 + t) - (M / 2.0 + t) * log_a, 1.0)
-
-    series = zonal_series(coeff, eigs, model.K / 2.0, ctrl)
-    log = (log_j - model.K / 2.0 * model.log_det_sigma
-           - math.log(2.0) - M / 2.0 * math.log(math.pi)
-           - R * b + series.log + _mode_log_factor(mode))
-    return DensityValue(log, series.degrees_used, series.tail_bound, mode)
 
 
 def batch_shape_logdensity(U: np.ndarray, model: ModelSpec,

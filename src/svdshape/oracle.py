@@ -12,7 +12,11 @@
 - The radial integral by adaptive quadrature (:func:`radial_integral_quad`,
   the only user of scipy in the package).
 - The isotropic shape density (:func:`isotropic_shape_logdensity`) from its
-  closed brackets, one degree at a time.
+  closed brackets, and the Gaussian one (:func:`gaussian_shape_logdensity`)
+  with its radial integrals in closed form: references of the K = 2 closed
+  form.
+- Monte Carlo integrals over Haar-uniform frames
+  (:func:`stiefel_mc_integral`), the reference of the frame-integral series.
 """
 
 from __future__ import annotations
@@ -25,11 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DensityValue, Mode, _chart, _mode_log_factor
+from .densities import (DensityValue, Mode, _chart, _mode_log_factor,
+                        _noncentrality_spectra)
 from .errors import DomainError, NumericError
-from .models import GeneratorSpec, IsotropicKind, h_log_value
+from .models import GeneratorSpec, IsotropicKind, ModelSpec, h_log_value
 from .special import LogSign
-from .zonal import _LOGSUMS_CHUNK_BYTES, SeriesControl, _check_spectra, zonal_series
+from .zonal import (_LOGSUMS_CHUNK_BYTES, SeriesControl, _check_spectra, log_stiefel_volume,
+                    zonal_series_batch)
 
 
 @dataclass(frozen=True)
@@ -554,12 +560,13 @@ def isotropic_shape_logdensity(u: np.ndarray, mu: np.ndarray, sigma2: float,
     x = float(np.sum(mu * mu)) / (2.0 * sigma2)
     ctrl = ctrl or SeriesControl()
     log_pref, log_b, sign_b = _isotropic_bracket(kind, M, x, ctrl.max_degree)
-    series = zonal_series(lambda t: LogSign(log_b[t], sign_b[t]), eigs, K / 2.0, ctrl)
-    if series.sign <= 0.0:
+    log_sum, sign, used, tail = zonal_series_batch(
+        lambda lo, hi: (log_b[lo:hi], sign_b[lo:hi]), [eigs], K / 2.0, ctrl)
+    if sign[0] <= 0.0:
         raise DomainError("isotropic shape series summed to a non-positive value")
     log = (log_j - math.log(2.0) - M / 2.0 * math.log(math.pi)
-           + log_pref - x + series.log + _mode_log_factor(mode))
-    return DensityValue(log, series.degrees_used, series.tail_bound, mode)
+           + log_pref - x + float(log_sum[0]) + _mode_log_factor(mode))
+    return DensityValue(log, int(used[0]), float(tail[0]), mode)
 
 
 def _isotropic_bracket(kind: IsotropicKind, M: int, x: float, tmax: int):
@@ -580,3 +587,90 @@ def _isotropic_bracket(kind: IsotropicKind, M: int, x: float, tmax: int):
     else:
         raise DomainError(f"unknown isotropic kind {kind!r}")
     return log_pref, lg + np.log(np.abs(np.where(poly == 0, 1.0, poly))), np.sign(poly)
+
+
+def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
+                              mode: Mode = Mode.REFLECTION,
+                              ctrl: SeriesControl | None = None) -> DensityValue:
+    """Gaussian shape log density with the radial integrals in closed form.
+
+    f(u) = J(u) |Sigma|^{-K/2} (2 pi^{M/2})^{-1} e^{-R tr Omega}
+    sum_t Gamma(M/2 + t) a^{-M/2-t} S_t(R Omega Sigma^{-1} W W') / t!.
+    Requires a Gaussian generator (or Kotz with T = 1).
+    """
+    if model.generator.effective_T != 1:
+        raise DomainError("gaussian_shape_logdensity needs a Gaussian-type generator")
+    W, log_j = _chart(u, model.Nm1, model.K)
+    a = float(np.trace(model.sigma_inv @ W @ W.T))
+    b = model.trace_omega
+    R = model.generator.R
+    M = model.M
+    log_a = math.log(a)
+    log_sum, _, used, tail = zonal_series_batch(
+        lambda lo, hi: (np.array([math.lgamma(M / 2.0 + t) - (M / 2.0 + t) * log_a
+                                  for t in range(lo, hi)]), 1.0),
+        R * _noncentrality_spectra(model, W[None]), model.K / 2.0, ctrl)
+    log = (log_j - model.K / 2.0 * model.log_det_sigma
+           - math.log(2.0) - M / 2.0 * math.log(math.pi)
+           - R * b + float(log_sum[0]) + _mode_log_factor(mode))
+    return DensityValue(log, int(used[0]), float(tail[0]), mode)
+
+
+# frames drawn per batch by stiefel_mc_integral
+_STIEFEL_MC_CHUNK = 65536
+# largest entry of F F' - I that a frame F of stiefel_mc_integral may have
+_FRAME_TOL = 1e-12
+
+
+def stiefel_mc_integral(integrand, n: int, K: int, samples: int,
+                        seed: int) -> tuple[float, float]:
+    """Monte Carlo integral of ``integrand`` over Haar-uniform n x K frames,
+    scaled by the frame-manifold volume.
+
+    ``integrand`` receives a (batch, n, K) array of frames and must return a
+    (batch,) array. Deterministic for a fixed seed (counter-based generator,
+    fixed chunking).
+    """
+    if n > K:
+        raise DomainError(f"frame rows n={n} cannot exceed columns K={K}")
+    if samples < 100:
+        raise DomainError("samples must be >= 100")
+    rng = np.random.Generator(np.random.Philox(seed))
+    vol = math.exp(log_stiefel_volume(n, K))
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < samples:
+        b = min(_STIEFEL_MC_CHUNK, samples - done)
+        frames = _polar_factor(rng.standard_normal((b, n, K)))
+        vals = np.asarray(integrand(frames), dtype=float)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += b
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    se = math.sqrt(var / samples)
+    return vol * mean, vol * se
+
+
+def _polar_factor(g: np.ndarray) -> np.ndarray:
+    """The polar factor (g g')^(-1/2) g of each n x K matrix (n <= K) of a
+    batch, from eigh of the n x n Gram matrix, whose rounding grows with the
+    square of g's condition number, then one Newton-Schulz step
+    F <- (3 F - F F' F) / 2, which squares a small departure from orthonormal
+    rows. A frame still off by more than _FRAME_TOL, or singular, takes the
+    SVD's. Transposes are copied: batched matmul is slower on strided views.
+    """
+    def gram(A):
+        return A @ np.ascontiguousarray(A.transpose(0, 2, 1))
+
+    w, V = np.linalg.eigh(gram(g))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F = ((V / np.sqrt(w)[:, None, :]) @ np.ascontiguousarray(V.transpose(0, 2, 1))) @ g
+        F = 1.5 * F - 0.5 * gram(F) @ F
+        off = np.abs(gram(F) - np.eye(g.shape[1])).max(axis=(1, 2))
+    bad = ~(off <= _FRAME_TOL)                      # NaN: a singular draw
+    if bad.any():
+        u, _, vt = np.linalg.svd(g[bad], full_matrices=False)
+        F[bad] = u @ vt
+    return F

@@ -40,11 +40,6 @@ class LogSign(NamedTuple):
             return LogSign.zero()
         return LogSign(self.log + other.log, s)
 
-    def div(self, other: "LogSign") -> "LogSign":
-        if other.sign == 0.0:
-            raise ZeroDivisionError("division by a zero LogSign")
-        return LogSign(self.log - other.log, self.sign * other.sign)
-
     def scale(self, log_factor: float) -> "LogSign":
         if self.sign == 0.0:
             return self

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, SeriesTruncationError
-from .special import LogSign, multivariate_gamma
+from .special import multivariate_gamma
 
 
 # consecutive terms below the tolerance that end a series
@@ -40,37 +40,6 @@ class SeriesControl:
             raise DomainError("max_degree must be >= 1")
         if not 0 < self.rel_tol < math.inf:
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-
-
-@dataclass
-class SeriesResult:
-    """Converged series value in log-sign form plus convergence diagnostics."""
-
-    log: float
-    sign: float
-    degrees_used: int
-    tail_bound: float
-
-    @property
-    def value(self) -> float:
-        if self.sign == 0.0:
-            return 0.0
-        return self.sign * math.exp(self.log)
-
-
-def zonal_series(coeff, argument_eigenvalues, denominator_a: float,
-                 ctrl: SeriesControl | None = None) -> SeriesResult:
-    """Evaluate sum_t coeff(t) S_t(arg) / t!, S_t = sum_{|kappa|=t} C_kappa(arg) / (a)_kappa,
-    as the batch of one of :func:`zonal_series_batch`, whose stop rule,
-    errors and kernel domain it shares. ``coeff(t)`` returns a
-    :class:`LogSign` and is called once for each degree that a block reaches.
-    """
-    def block(lo: int, hi: int) -> np.ndarray:
-        return np.array([(c.log, c.sign) for c in map(coeff, range(lo, hi))]).T
-
-    eigs = np.asarray(argument_eigenvalues, dtype=float).reshape(1, -1)
-    log, sign, used, tail = zonal_series_batch(block, eigs, denominator_a, ctrl)
-    return SeriesResult(float(log[0]), float(sign[0]), int(used[0]), float(tail[0]))
 
 
 # degrees added per kernel call by zonal_series_batch
@@ -178,29 +147,11 @@ def check_cancellation(log_magnitudes: np.ndarray, log_sums: np.ndarray,
 
 def hypergeom_0F1(b: float, matrix_eigenvalues, ctrl: SeriesControl | None = None) -> float:
     """Hypergeometric 0F1(b; X) of matrix argument, from the spectrum of X,
-    by :func:`zonal_series`, whose kernels and domain it shares: b = K/2 for
-    K in {1, 2, 3}, and X >= 0 with at most 2b eigenvalues."""
-    return zonal_series(lambda t: LogSign.one(), matrix_eigenvalues, b, ctrl).value
-
-
-def _falling_factorial_log(p: float, k: int) -> LogSign:
-    out = LogSign.one()
-    for i in range(k):
-        out = out.mul(LogSign.of(p - i))
-        if out.sign == 0.0:
-            return out
-    return out
-
-
-def _real_power_log(base: float, exponent: float) -> LogSign:
-    if base > 0.0:
-        return LogSign(exponent * math.log(base), 1.0)
-    if base == 0.0:
-        return LogSign.one() if exponent == 0.0 else LogSign.zero()
-    if exponent != round(exponent):
-        raise DomainError(f"negative base {base} with non-integer exponent {exponent}")
-    sign = -1.0 if round(exponent) % 2 else 1.0
-    return LogSign(exponent * math.log(-base), sign)
+    by :func:`zonal_series_batch`, whose kernels and domain it shares: b = K/2
+    for K in {1, 2, 3}, and X >= 0 with at most 2b eigenvalues."""
+    log, sign, _, _ = zonal_series_batch(lambda lo, hi: (0.0, 1.0), [matrix_eigenvalues],
+                                         b, ctrl)
+    return float(sign[0]) * math.exp(log[0])
 
 
 def log_stiefel_volume(n: int, K: int) -> float:
@@ -217,20 +168,25 @@ def power_trace_integral_series(p: float, Y_trace: float, X_gram_eigenvalues,
     Equals Vol * sum_f sum_lam fall(p, 2f) (tr Y)^(p-2f) C_lam(XX'/4)
     / ((K/2)_lam f!), where fall is the falling factorial (the binomial-series
     coefficient; the rising-factorial reading fails the Monte Carlo
-    cross-check). Requires tr Y != 0.
+    cross-check). Requires tr Y != 0, and an integer p if tr Y < 0.
     """
     if Y_trace == 0.0:
         raise DomainError("tr Y must be nonzero for the power-trace series")
-
-    def coeff(f: int) -> LogSign:
-        fall = _falling_factorial_log(p, 2 * f)
-        if fall.sign == 0.0:
-            return fall
-        return fall.mul(_real_power_log(Y_trace, p - 2 * f))
-
+    if Y_trace < 0.0 and p != round(p):
+        raise DomainError(f"negative base {Y_trace} with non-integer exponent {p}")
+    ctrl = ctrl or SeriesControl()
+    # log |p - i| and sign(p - i) for i < 2 max_degree; their running sums and
+    # products at i = 2f give fall(p, 2f), which stays zero past a zero factor
+    factors = [p - i for i in range(2 * ctrl.max_degree)]
+    log_fall = np.cumsum([0.0] + [math.log(abs(x)) if x else -math.inf for x in factors])
+    sign_fall = np.cumprod([1.0] + [math.copysign(1.0, x) if x else 0.0 for x in factors])
+    f = np.arange(ctrl.max_degree + 1)
+    log_c = log_fall[::2] + (p - 2 * f) * math.log(abs(Y_trace))
+    sign_c = sign_fall[::2] * (-1.0 if Y_trace < 0.0 and round(p) % 2 else 1.0)
     quarter = [x / 4.0 for x in X_gram_eigenvalues]
-    series = zonal_series(coeff, quarter, K / 2.0, ctrl)
-    return series.value * math.exp(log_stiefel_volume(n, K))
+    log, sign, _, _ = zonal_series_batch(lambda lo, hi: (log_c[lo:hi], sign_c[lo:hi]),
+                                         [quarter], K / 2.0, ctrl)
+    return float(sign[0]) * math.exp(log[0]) * math.exp(log_stiefel_volume(n, K))
 
 
 def exp_trace_integral_series(Y_trace: float, X_gram_eigenvalues, K: int, n: int,
@@ -245,13 +201,18 @@ def exp_trace_integral_series(Y_trace: float, X_gram_eigenvalues, K: int, n: int
     quarter = [x / 4.0 for x in X_gram_eigenvalues]
     scaled = [r * r * q for q in quarter]
     f01 = hypergeom_0F1(K / 2.0, scaled, ctrl)
+    sign_r = float(np.sign(r))
+    log_r = math.log(abs(r)) if sign_r else 0.0
 
-    def deriv_coeff(f: int) -> LogSign:
-        if f == 0:
-            return LogSign.zero()
-        return _real_power_log(r, 2 * f - 1).mul(LogSign.of(2.0 * f))
+    def deriv_coeff(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        # 2f r^(2f-1), zero at f = 0; r^(2f-1) has the sign of r
+        f = range(lo, hi)
+        return (np.array([(2 * k - 1) * log_r + math.log(2.0 * k) if k else -math.inf
+                          for k in f]),
+                np.array([sign_r if k else 0.0 for k in f]))
 
-    deriv = zonal_series(deriv_coeff, quarter, K / 2.0, ctrl).value
+    log, sign, _, _ = zonal_series_batch(deriv_coeff, [quarter], K / 2.0, ctrl)
+    deriv = float(sign[0]) * math.exp(log[0])
     vol = math.exp(log_stiefel_volume(n, K))
     return vol * math.exp(r * Y_trace) * (Y_trace * f01 + deriv)
 
@@ -497,12 +458,12 @@ def _log_factorials(n: int) -> np.ndarray:
 
 def _check_spectra(spectra, K: int) -> np.ndarray:
     """``spectra`` as a (batch, K) float array; DomainError if it is not one
-    or has a negative entry."""
+    or has a negative or non-finite entry."""
     spectra = np.asarray(spectra, dtype=float)
     if spectra.ndim != 2 or spectra.shape[1] != K:
         raise DomainError(f"spectra must be (batch, {K})")
-    if np.any(spectra < 0):
-        raise DomainError("spectra must be non-negative")
+    if not np.all(np.isfinite(spectra) & (spectra >= 0)):
+        raise DomainError("spectra must be finite and non-negative")
     return spectra
 
 
@@ -521,63 +482,3 @@ def shared_sum_table(K: int, tmax: int
     if K not in _KERNELS:
         raise DomainError(f"{_SUPPORTED}, got K = {K}")
     return _KERNELS[K](tmax)
-
-
-# frames drawn per batch by stiefel_mc_integral
-_STIEFEL_MC_CHUNK = 65536
-# largest entry of F F' - I that a frame F of stiefel_mc_integral may have
-_FRAME_TOL = 1e-12
-
-
-def stiefel_mc_integral(integrand, n: int, K: int, samples: int,
-                        seed: int) -> tuple[float, float]:
-    """Monte Carlo integral of ``integrand`` over Haar-uniform n x K frames,
-    scaled by the frame-manifold volume.
-
-    ``integrand`` receives a (batch, n, K) array of frames and must return a
-    (batch,) array. Deterministic for a fixed seed (counter-based generator,
-    fixed chunking).
-    """
-    if n > K:
-        raise DomainError(f"frame rows n={n} cannot exceed columns K={K}")
-    if samples < 100:
-        raise DomainError("samples must be >= 100")
-    rng = np.random.Generator(np.random.Philox(seed))
-    vol = math.exp(log_stiefel_volume(n, K))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        b = min(_STIEFEL_MC_CHUNK, samples - done)
-        frames = _polar_factor(rng.standard_normal((b, n, K)))
-        vals = np.asarray(integrand(frames), dtype=float)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += b
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    se = math.sqrt(var / samples)
-    return vol * mean, vol * se
-
-
-def _polar_factor(g: np.ndarray) -> np.ndarray:
-    """The polar factor (g g')^(-1/2) g of each n x K matrix (n <= K) of a
-    batch, from eigh of the n x n Gram matrix, whose rounding grows with the
-    square of g's condition number, then one Newton-Schulz step
-    F <- (3 F - F F' F) / 2, which squares a small departure from orthonormal
-    rows. A frame still off by more than _FRAME_TOL, or singular, takes the
-    SVD's. Transposes are copied: batched matmul is slower on strided views.
-    """
-    def gram(A):
-        return A @ np.ascontiguousarray(A.transpose(0, 2, 1))
-
-    w, V = np.linalg.eigh(gram(g))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        F = ((V / np.sqrt(w)[:, None, :]) @ np.ascontiguousarray(V.transpose(0, 2, 1))) @ g
-        F = 1.5 * F - 0.5 * gram(F) @ F
-        off = np.abs(gram(F) - np.eye(g.shape[1])).max(axis=(1, 2))
-    bad = ~(off <= _FRAME_TOL)                      # NaN: a singular draw
-    if bad.any():
-        u, _, vt = np.linalg.svd(g[bad], full_matrices=False)
-        F[bad] = u @ vt
-    return F

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from svdshape.densities import (central_shape_logdensity, gaussian_shape_logdensity,
-                                shape_logdensity)
+from svdshape.densities import central_shape_logdensity, shape_logdensity
 from svdshape.geometry import Mode, preprocess, svd_shape
 from svdshape.inference import (EvidenceGrade, OptimizerConfig, SampleOfShapes,
                                 bic_star, evidence_grade, fit_location,
@@ -22,11 +21,12 @@ from svdshape.inference import (EvidenceGrade, OptimizerConfig, SampleOfShapes,
 from svdshape.io import ingest_landmarks
 from svdshape.models import (GeneratorKind, GeneratorSpec, IsotropicKind, gaussian_model,
                              h_value, kotz_model)
-from svdshape.oracle import (enumerate_partitions, h_derivative, isotropic_shape_logdensity,
-                             radial_integral, zonal_poly)
+from svdshape.oracle import (enumerate_partitions, gaussian_shape_logdensity, h_derivative,
+                             isotropic_shape_logdensity, radial_integral, stiefel_mc_integral,
+                             zonal_poly)
 from svdshape.verify import mc_normalization, simulation_vs_density
 from svdshape.zonal import (SeriesControl, exp_trace_integral_series,
-                            power_trace_integral_series, stiefel_mc_integral)
+                            power_trace_integral_series)
 
 CTRL = SeriesControl(max_degree=60)
 

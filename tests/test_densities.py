@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from svdshape.densities import (batch_shape_logdensity, central_shape_logdensity,
-                                central_size_and_shape_logdensity,
-                                gaussian_shape_logdensity, shape_logdensities,
+                                central_size_and_shape_logdensity, shape_logdensities,
                                 shape_logdensity, size_and_shape_logdensity)
 from svdshape.errors import DomainError, NumericError, SeriesTruncationError
 from svdshape.geometry import (LandmarkSet, Mode, log_polar_jacobian,
                                preprocess, preshape_angles, svd_shape)
 from svdshape.models import IsotropicKind, gaussian_model, kotz_model
-from svdshape.oracle import isotropic_shape_logdensity
+from svdshape.oracle import gaussian_shape_logdensity, isotropic_shape_logdensity
 from svdshape.zonal import SeriesControl
 
 CTRL = SeriesControl(max_degree=80)

@@ -16,15 +16,13 @@ from svdshape.errors import DomainError, NumericError, SeriesTruncationError
 from svdshape.geometry import svd_shape
 from svdshape.inference import OptimizerConfig, SampleOfShapes, fit_location
 from svdshape.models import IsotropicKind, gaussian_model, kotz_model
-from svdshape.oracle import (Partition, ZonalSumTable, _isotropic_bracket,
-                             enumerate_partitions, gen_pochhammer, zonal_poly)
-from svdshape.special import LogSign
+from svdshape.oracle import (Partition, ZonalSumTable, _isotropic_bracket, _polar_factor,
+                             enumerate_partitions, gen_pochhammer, stiefel_mc_integral,
+                             zonal_poly)
 from svdshape.zonal import (LinearZonalSums, PlanarZonalSums, SeriesControl,
-                            SpatialZonalSums, _polar_factor,
-                            exp_trace_integral_series,
+                            SpatialZonalSums, exp_trace_integral_series,
                             hypergeom_0F1, log_stiefel_volume,
                             power_trace_integral_series, shared_sum_table,
-                            stiefel_mc_integral, zonal_series,
                             zonal_series_batch)
 
 
@@ -101,11 +99,16 @@ class TestHypergeom0F1:
             assert hypergeom_0F1(1.0, eigs) == pytest.approx(oracle, rel=1e-9)
 
 
+def ones(lo, hi):
+    """The coefficient block c_t = 1 of a 0F1 series."""
+    return np.zeros(hi - lo), np.ones(hi - lo)
+
+
 class TestZonalSeries:
     def test_truncation_error_carries_partial(self):
         ctrl = SeriesControl(max_degree=3)
         with pytest.raises(SeriesTruncationError) as err:
-            zonal_series(lambda t: LogSign.one(), [50.0, 80.0], 1.0, ctrl)
+            zonal_series_batch(ones, [[50.0, 80.0]], 1.0, ctrl)
         assert err.value.partial_log is not None
         assert err.value.tail_estimate is not None
 
@@ -116,21 +119,20 @@ class TestZonalSeries:
         tails = []
         for deg in (20, 30, 40):
             with pytest.raises(SeriesTruncationError) as err:
-                zonal_series(lambda t: LogSign.one(), eigs, 1.0,
-                             SeriesControl(max_degree=deg, rel_tol=1e-300))
+                zonal_series_batch(ones, [eigs], 1.0,
+                                   SeriesControl(max_degree=deg, rel_tol=1e-300))
             tails.append(err.value.tail_estimate)
         assert tails[0] > tails[1] > tails[2]
 
     def test_tail_bound_reported_on_convergent_instance(self):
-        res = zonal_series(lambda t: LogSign.one(), [2.0, 3.5], 1.0,
-                           SeriesControl(max_degree=60))
-        assert 0 <= res.tail_bound < 1e-11
-        assert res.degrees_used < 60
+        _, _, used, tail = zonal_series_batch(ones, [[2.0, 3.5]], 1.0,
+                                              SeriesControl(max_degree=60))
+        assert 0 <= tail[0] < 1e-11
+        assert used[0] < 60
 
     def test_vanishing_denominator_raises(self):
         with pytest.raises(DomainError):
-            zonal_series(lambda t: LogSign.one(), [1.0, 1.0], 0.5,
-                         SeriesControl(max_degree=10))
+            zonal_series_batch(ones, [[1.0, 1.0]], 0.5, SeriesControl(max_degree=10))
 
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-12, math.nan, math.inf])
     def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
@@ -138,13 +140,21 @@ class TestZonalSeries:
             SeriesControl(rel_tol=rel_tol)
 
     def test_zero_spectrum_sums_to_exactly_zero(self):
-        res = zonal_series(lambda t: LogSign.zero() if t == 0 else LogSign.one(),
-                           [0.0, 0.0], 1.0)
-        assert (res.sign, res.log, res.degrees_used) == (0.0, -math.inf, 3)
+        log, sign, used, _ = zonal_series_batch(
+            lambda lo, hi: (0.0, (np.arange(lo, hi) > 0) * 1.0), [[0.0, 0.0]], 1.0)
+        assert (sign[0], log[0], used[0]) == (0.0, -math.inf, 3)
 
     def test_negative_eigenvalue_raises(self):
         with pytest.raises(DomainError):
-            zonal_series(lambda t: LogSign.one(), [1.0, -0.5], 1.0)
+            zonal_series_batch(ones, [[1.0, -0.5]], 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_non_finite_eigenvalue_is_a_domain_error(self, K, bad):
+        # no degree cap could make such a series converge
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            zonal_series_batch(ones, [[bad] + [1.0] * (K - 1)], K / 2.0)
 
     def test_sign_changing_coefficient_matches_zonal_poly_oracle(self):
         # the Kotz T=3 bracket c_t = Gamma(M/2 + t) [(M/2 + x - t)^2 + M/2 - t]
@@ -155,18 +165,14 @@ class TestZonalSeries:
             M = 3 * K
             _, log_b, sign_b = _isotropic_bracket(IsotropicKind.KOTZ_T3, M, x, 60)
             assert -1.0 in sign_b[:10]
-            res = zonal_series(lambda t: LogSign(log_b[t], sign_b[t]), eigs, K / 2.0)
+            log, sign, used, _ = zonal_series_batch(
+                lambda lo, hi: (log_b[lo:hi], sign_b[lo:hi]), [eigs], K / 2.0)
             oracle = math.fsum(
                 sign_b[t] * math.exp(log_b[t] - math.lgamma(t + 1))
                 * zonal_poly(kappa, eigs) / gen_pochhammer(K / 2.0, kappa)
-                for t in range(res.degrees_used + 1)
+                for t in range(used[0] + 1)
                 for kappa in enumerate_partitions(t, K))
-            assert res.value == pytest.approx(oracle, rel=1e-12)
-
-
-def ones(lo, hi):
-    """The coefficient block c_t = 1 of a 0F1 series."""
-    return np.zeros(hi - lo), np.ones(hi - lo)
+            assert sign[0] * math.exp(log[0]) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestBlockEvaluator:
@@ -178,8 +184,8 @@ class TestBlockEvaluator:
             calls.append(args)
             return kernel(*args)
         monkeypatch.setattr(zonal, "shared_sum_table", counted)
-        res = zonal_series(lambda t: LogSign.one(), [20.0, 10.0, 5.0], 1.5)
-        assert res.degrees_used == 31
+        _, _, used, _ = zonal_series_batch(ones, [[20.0, 10.0, 5.0]], 1.5)
+        assert used[0] == 31
         assert len(calls) <= 4
 
     def test_k3_density_does_not_ask_past_convergence(self):
@@ -199,9 +205,8 @@ class TestBlockEvaluator:
         spectra = np.array([[0.1, 0.05], [20.0, 9.0], [0.0, 0.0], [3.0, 1.0]])
         log, sign, used, tail = zonal_series_batch(ones, spectra, 1.0)
         for i, eigs in enumerate(spectra):
-            one = zonal_series(lambda t: LogSign.one(), eigs, 1.0)
-            assert (log[i], sign[i], used[i], tail[i]) == (
-                one.log, one.sign, one.degrees_used, one.tail_bound)
+            one = zonal_series_batch(ones, eigs[None], 1.0)
+            assert (log[i], sign[i], used[i], tail[i]) == tuple(x[0] for x in one)
         assert len(set(used)) == 4
 
     def test_per_row_coefficients(self):
@@ -545,23 +550,31 @@ class TestKernelDomain:
         spectra = np.concatenate([np.zeros((1, n)), np.abs(rng.normal(size=(6, n))) * 3])
         log_s = table.logsums(spectra)
         for eigs, ref in zip(spectra, log_s):
-            res = zonal_series(lambda t: LogSign.one(), eigs, K / 2.0,
-                               SeriesControl(max_degree=30))
+            log, sign, used, _ = zonal_series_batch(ones, [eigs], K / 2.0,
+                                                    SeriesControl(max_degree=30))
             oracle_sum = math.fsum(math.exp(ref[t] - math.lgamma(t + 1))
-                                   for t in range(res.degrees_used + 1))
-            assert res.value == pytest.approx(oracle_sum, rel=1e-12)
+                                   for t in range(used[0] + 1))
+            assert sign[0] * math.exp(log[0]) == pytest.approx(oracle_sum, rel=1e-12)
 
 
 # every name that left the runtime for svdshape.oracle
 _ORACLE_NAMES = ("ZonalSumTable", "_monomial_block", "_block_logsumexp", "_zonal_table",
                  "_table_lock", "_table_cache", "_dominates", "_rho", "_leading_coefficient",
                  "_monomial", "zonal_poly", "Partition", "enumerate_partitions",
-                 "gen_pochhammer", "gen_pochhammer_log")
+                 "gen_pochhammer", "gen_pochhammer_log", "gaussian_shape_logdensity",
+                 "stiefel_mc_integral", "_polar_factor", "_STIEFEL_MC_CHUNK", "_FRAME_TOL")
+# every module of the runtime
+_RUNTIME_MODULES = ("cli", "densities", "geometry", "inference", "io", "models", "special",
+                    "verify", "zonal")
 
 
 def test_the_runtime_never_imports_the_oracle():
-    code = ("import json, sys, svdshape.cli\n"
-            "mods = {k: m for k, m in sys.modules.items() if k.startswith('svdshape')}\n"
+    # the package itself is left out: its lazy exports resolve the moved names
+    # by importing the oracle
+    code = ("import importlib, json, sys\n"
+            f"for name in {_RUNTIME_MODULES!r}:\n"
+            "    importlib.import_module('svdshape.' + name)\n"
+            "mods = {k: m for k, m in sys.modules.items() if k.startswith('svdshape.')}\n"
             f"print(json.dumps(['svdshape.oracle' in mods, sorted(k + '.' + name "
             f"for k, m in mods.items() for name in {_ORACLE_NAMES!r} if hasattr(m, name))]))")
     src = os.path.dirname(os.path.dirname(svdshape.__file__))
@@ -569,6 +582,12 @@ def test_the_runtime_never_imports_the_oracle():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert json.loads(out.stdout) == [False, []]
+
+
+def test_every_exported_name_resolves():
+    # the lazy exports must follow every name that moves between modules
+    for name in svdshape.__all__:
+        getattr(svdshape, name)
 
 
 class TestFrameIntegrals:
