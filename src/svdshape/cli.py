@@ -448,5 +448,31 @@ def _main_with_keywords(args: list[str] | None = None, prog_name: str | None = N
 main.main = _main_with_keywords
 
 
+def run() -> None:
+    """Process entry of ``python -m svdshape.cli`` and the ``svdshape`` script.
+
+    Runs :func:`main`. When it returns, or exits with an int or ``None``
+    code, stdout and stderr are flushed and the process ends at once with
+    ``os._exit``, skipping interpreter finalization (and so any ``atexit``
+    handler). If a flush fails, the code is not an int, or any other
+    exception escapes, the normal exit path runs: finalization flushes again
+    and reports a failure as it always did. Call ``main(argv)`` to run a
+    command in process.
+    """
+    try:
+        main()
+        code = 0
+    except SystemExit as exc:
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or 0
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:       # a closed or broken stream: finalization reports it
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    run()

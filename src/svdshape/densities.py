@@ -73,6 +73,9 @@ def _chart(u: np.ndarray, Nm1: int, K: int, batch: bool = False):
     ``batch``, after checking that they lie on the chart box."""
     u = np.asarray(u, dtype=float)
     m = Nm1 * K - 1
+    if m < 1:
+        raise DomainError(f"a shape needs (N-1) K >= 2 to have angles, got "
+                          f"N-1 = {Nm1}, K = {K}")
     if u.ndim != 1 + batch or u.shape[-1] != m:
         raise DomainError(f"expected {'(batch, m)' if batch else 'm'} angles with "
                           f"m = {m}, got shape {u.shape}")

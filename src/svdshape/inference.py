@@ -15,6 +15,7 @@ to a right O(K) factor, reported with a fixed sign canonicalization.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -272,31 +273,40 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
     (:meth:`ShapeLikelihood.loglik_and_grad`); each start stops once no
     gradient component exceeds 1e-6. Start 0 is the moment seed
     mean_i(r_i W_i) (an unbiased location estimate up to the rotation orbit),
-    the rest are seeded perturbations. ``evaluations`` counts the
-    value-and-gradient evaluations over all starts, and ``converged`` is the
-    best start's status. The best start is the lowest converged one within
-    rounding noise (``_VALUE_NOISE`` relative) of the lowest value, else the
-    lowest. The fit has (N-1)K parameters: the likelihood depends on
-    (mu, sigma^2) only through mu / sigma, so shapes alone do not identify
-    sigma^2.
+    each other start adds N(0, scale^2) noise from ``random.Random(opt.seed)``.
+    A start whose first evaluation raises :class:`NumericError` or
+    :class:`SeriesTruncationError` fails; the fit raises the first start's
+    error only when every start fails. ``evaluations`` counts the
+    value-and-gradient evaluations over all starts, failed ones included, and
+    ``converged`` is the best start's status. The best start is the lowest
+    converged one within rounding noise (``_VALUE_NOISE`` relative) of the
+    lowest value among the starts that ran, else the lowest. The fit has
+    (N-1)K parameters: the likelihood depends on (mu, sigma^2) only through
+    mu / sigma, so shapes alone do not identify sigma^2.
     """
     opt = opt or OptimizerConfig()
     Nm1, K = sample.Nm1, sample.K
     n_loc = Nm1 * K
     like = ShapeLikelihood(sample, kind.generator(n_loc), sigma2_fixed, ctrl)
-    seed0 = np.mean([sc.r * sc.W for _, sc in sample.items], axis=0)
-    rng = np.random.Generator(np.random.Philox(opt.seed))
+    seed0 = np.mean([sc.r * sc.W for _, sc in sample.items], axis=0).reshape(-1)
+    rng = random.Random(opt.seed)
     scale = 0.25 * float(np.linalg.norm(seed0)) / math.sqrt(n_loc) \
         + math.sqrt(sigma2_fixed / sample.size)
-    starts = [seed0.reshape(-1)]
-    for _ in range(opt.n_starts - 1):
-        starts.append(seed0.reshape(-1) + rng.normal(scale=scale, size=n_loc))
+    starts = [seed0] + [seed0 + np.array([rng.gauss(0.0, scale) for _ in range(n_loc)])
+                        for _ in range(opt.n_starts - 1)]
 
     def objective(theta):
         value, grad = like.loglik_and_grad(theta)
         return -value, -grad.reshape(-1)
 
-    runs = [_minimize_bfgs(objective, x0) for x0 in starts]
+    runs, failures = [], []
+    for x0 in starts:
+        try:
+            runs.append(_minimize_bfgs(objective, x0))
+        except (NumericError, SeriesTruncationError) as exc:
+            failures.append(exc)        # at the start point, its one evaluation
+    if not runs:
+        raise failures[0]
     lowest = min(run.value for run in runs)
     near = lowest + _VALUE_NOISE * max(1.0, abs(lowest))
     best = min([run for run in runs if run.converged and run.value <= near] or runs,
@@ -306,7 +316,7 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
                      loglik=loglik, n_params=n_loc,
                      bic_star=bic_star(loglik, n_loc, sample.size),
                      converged=best.converged,
-                     evaluations=sum(run.evaluations for run in runs))
+                     evaluations=sum(run.evaluations for run in runs) + len(failures))
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,14 @@ class TestDiagnosticsAndErrors:
         with pytest.raises(DomainError):
             shape_logdensity(bad, model)
 
+    @pytest.mark.parametrize("density", [shape_logdensity, gaussian_shape_logdensity])
+    @pytest.mark.parametrize("u", [np.zeros(0), np.zeros(1)])
+    def test_one_coordinate_has_no_angles(self, density, u):
+        # N - 1 = K = 1: M = 1, so there is no shape and no angle box
+        model = gaussian_model(np.eye(1), np.eye(1), np.array([[0.7]]))
+        with pytest.raises(DomainError):
+            density(u, model)
+
     def test_truncation_failure_raises(self, setup_k3):
         Sigma, Theta, _, sc = setup_k3
         model = gaussian_model(Sigma, Theta, np.ones((3, 3)) * 40.0)

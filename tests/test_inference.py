@@ -395,6 +395,58 @@ class TestBfgs:
         fit = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, OptimizerConfig(n_starts=2))
         assert fit.loglik == loglik and fit.converged is converged
 
+    def test_a_start_that_fails_is_skipped(self, sample, monkeypatch):
+        # the second start's first evaluation raises; the others run
+        calls = []
+
+        def fake(fun, x0):
+            calls.append(x0)
+            if len(calls) == 2:
+                raise SeriesTruncationError("zonal series did not converge", row=4)
+            return inference._Minimum(np.asarray(x0), -10.0 - len(calls), True, 5)
+        monkeypatch.setattr(inference, "_minimize_bfgs", fake)
+        fit = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, OptimizerConfig(n_starts=3))
+        assert len(calls) == 3
+        assert fit.loglik == 13.0 and fit.converged
+        assert fit.evaluations == 5 + 1 + 5     # the failed start counts its one
+
+    @pytest.mark.parametrize("error", [NumericError, SeriesTruncationError])
+    def test_the_first_error_when_every_start_fails(self, sample, monkeypatch, error):
+        rows = iter(range(3, 10))
+
+        def fake(fun, x0):
+            raise error("series failed at the start point", row=next(rows))
+        monkeypatch.setattr(inference, "_minimize_bfgs", fake)
+        with pytest.raises(error) as err:
+            fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, OptimizerConfig(n_starts=3))
+        assert err.value.row == 3
+
+    def test_no_seed_aborts_a_k3_fit(self, monkeypatch):
+        # the K = 3 sample of test_zonal's spatial-route test: some start
+        # points lie where a specimen's series does not converge. Each start
+        # evaluates its start point only, where such a failure would abort
+        # the fit (a line search already treats one as too long a step)
+        monkeypatch.setattr(inference, "_MAX_EVALUATIONS", 1)
+        rng = np.random.default_rng(13)
+        mu = rng.normal(size=(3, 3))
+        rng.normal(size=(4, 3, 3))              # that test's four angle vectors
+        k3 = SampleOfShapes("g", tuple(
+            (f"s{i}", svd_shape(mu + rng.normal(size=(3, 3)))) for i in range(6)))
+        failed = []
+        minimize = inference._minimize_bfgs
+
+        def recorded(fun, x0):
+            try:
+                return minimize(fun, x0)
+            except (NumericError, SeriesTruncationError):
+                failed.append(x0)
+                raise
+        monkeypatch.setattr(inference, "_minimize_bfgs", recorded)
+        for seed in range(30):
+            fit = fit_location(k3, IsotropicKind.GAUSSIAN, 1.0, OptimizerConfig(seed=seed))
+            assert math.isfinite(fit.loglik) and fit.evaluations == 4
+        assert failed                           # the sweep meets failing starts
+
 
 class TestLrTest:
     def test_identical_groups(self, sample):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 from cli_invoke import invoke
 
 import svdshape
+import svdshape.cli
 from svdshape.densities import central_shape_logdensity, shape_logdensity
 from svdshape.errors import ParseError, SeriesTruncationError
 from svdshape.geometry import preprocess, svd_shape
@@ -748,3 +750,112 @@ class TestNoScipyAtRunTime:
         code, loaded = json.loads(res.stdout)[command]
         assert code == 0 and "svdshape.densities" in loaded
         assert not set(unused + ["svdshape.oracle"]) & set(loaded)
+
+    def test_only_verify_loads_numpy_random(self, landmark_file):
+        # fit start perturbations come from the stdlib's random module
+        small = ("--sigma2", "1")
+        commands = {"fit": ("fit", landmark_file) + small,
+                    "compare": ("compare", landmark_file) + small,
+                    "test": ("test", landmark_file, landmark_file) + small}
+        res = _python(_LOADED_MODULES, json.dumps(commands), json.dumps(["numpy.random"]))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {name: [0, []] for name in commands}
+        verify = {"verify": ("verify", "--mc-samples", "2000", "--sim-count", "1000")}
+        res = _python(_LOADED_MODULES, json.dumps(verify), json.dumps(["numpy.random"]))
+        assert res.returncode == 0, res.stderr
+        code, loaded = json.loads(res.stdout)["verify"]
+        assert code == 0 and "numpy.random" in loaded
+
+
+def _cli_process(args, **kwargs) -> subprocess.Popen:
+    """``python -m svdshape.cli ARGS`` on this checkout, with stdout block
+    buffered, so an exit that skipped the flush would lose output."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "svdshape.cli", *args], env=env, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def big_landmark_file(tmp_path_factory):
+    """Enough specimens that ``shape`` writes several times the 64 KiB of a
+    pipe's buffer."""
+    mu = np.array([[1.2, -0.4], [0.3, 0.9]])
+    path = tmp_path_factory.mktemp("io") / "big.txt"
+    emit_landmarks(sample_landmarks(gaussian_model(0.5 * np.eye(2), np.eye(2), mu),
+                                    800, seed=3), str(path))
+    return str(path)
+
+
+class TestProcessExit:
+    """``python -m svdshape.cli`` ends through ``cli.run``: ``os._exit`` once
+    stdout and stderr are flushed, the normal exit path where that fails."""
+
+    def test_processes_match_main_in_process(self, landmark_file, big_landmark_file,
+                                             tmp_path):
+        theta = tmp_path / "theta.txt"
+        theta.write_text("1 2\n2 1\n")              # not positive definite
+        calls = {
+            "shape": ("shape", big_landmark_file),
+            "density": ("density", landmark_file),
+            "fit": ("fit", landmark_file, "--sigma2", "1", "--out", "{out}"),
+            "help": ("--help",),
+            "usage": ("fit",),
+            "domain": ("shape", landmark_file, "--theta", str(theta)),
+        }
+        codes = {}
+        for name, args in calls.items():
+            out_proc, out_main = tmp_path / f"{name}-process.json", tmp_path / f"{name}.json"
+            proc = _cli_process([a.format(out=out_proc) for a in args],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            stdout, stderr = proc.communicate(timeout=300)
+            res = invoke([a.format(out=out_main) for a in args])
+            codes[name] = proc.returncode
+            assert proc.returncode == res.exit_code, (name, stderr)
+            assert stdout == res.stdout.encode(), name
+            assert stderr.decode().splitlines() == res.stderr.splitlines(), name
+            assert out_proc.exists() is out_main.exists(), name
+            if out_main.exists():
+                assert out_proc.read_bytes() == out_main.read_bytes(), name
+        assert codes == {"shape": 0, "density": 0, "fit": 0, "help": 0, "usage": 2,
+                         "domain": 3}
+        assert len(invoke(calls["shape"]).stdout) > 4 * 65536
+
+    @pytest.mark.parametrize("size,code", [("small", 0), ("big", 1)])
+    def test_a_reader_that_closes_after_one_byte(self, landmark_file, big_landmark_file,
+                                                 size, code):
+        # the statuses of the normal exit path: a small output is written
+        # whole at the exit flush, before the reader closes; a big one
+        # breaks the pipe inside the command, whose traceback exits 1
+        path = landmark_file if size == "small" else big_landmark_file
+        proc = _cli_process(["shape", path], stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL)
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        assert proc.wait(timeout=300) == code
+
+    @pytest.mark.parametrize("args,code", [
+        (("density", "{small}"), 120),      # the exit flush fails: finalization reports it
+        (("--help",), 120),
+        (("shape", "{big}"), 1),            # the command's own write fails
+    ])
+    def test_stdout_pipe_already_closed(self, landmark_file, big_landmark_file, args, code):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _cli_process([a.format(small=landmark_file, big=big_landmark_file)
+                                 for a in args],
+                                stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        _, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == code
+        assert b"BrokenPipeError" in stderr
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(_SRC, os.pardir, "pyproject.toml"), "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        module, _, attr = scripts["svdshape"].partition(":")
+        assert (module, attr) == ("svdshape.cli", "run")
+        assert getattr(importlib.import_module(module), attr) is svdshape.cli.run
