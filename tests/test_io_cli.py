@@ -811,6 +811,8 @@ class TestProcessExit:
             stdout, stderr = proc.communicate(timeout=300)
             res = invoke([a.format(out=out_main) for a in args])
             codes[name] = proc.returncode
+            if name == "shape":                     # more than a pipe's buffer holds
+                assert len(stdout) > 4 * 65536
             assert proc.returncode == res.exit_code, (name, stderr)
             assert stdout == res.stdout.encode(), name
             assert stderr.decode().splitlines() == res.stderr.splitlines(), name
@@ -819,7 +821,6 @@ class TestProcessExit:
                 assert out_proc.read_bytes() == out_main.read_bytes(), name
         assert codes == {"shape": 0, "density": 0, "fit": 0, "help": 0, "usage": 2,
                          "domain": 3}
-        assert len(invoke(calls["shape"]).stdout) > 4 * 65536
 
     @pytest.mark.parametrize("size,code", [("small", 0), ("big", 1)])
     def test_a_reader_that_closes_after_one_byte(self, landmark_file, big_landmark_file,
@@ -857,5 +858,4 @@ class TestProcessExit:
         with open(os.path.join(_SRC, os.pardir, "pyproject.toml"), "rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
         module, _, attr = scripts["svdshape"].partition(":")
-        assert (module, attr) == ("svdshape.cli", "run")
         assert getattr(importlib.import_module(module), attr) is svdshape.cli.run
