@@ -27,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .geometry import Mode, angles_to_frame, log_polar_jacobian
 from .models import (GeneratorSpec, ModelSpec, _centered_table, binomial_basis,
                      coefficient_polynomial, h_log_value)
-from .zonal import (SeriesControl, _log_factorials, check_cancellation, shared_sum_table,
+from .zonal import (SeriesControl, _log_factorials, check_cancellation, log_partials, logsums,
                     zonal_series_batch)
 
 
@@ -99,34 +99,39 @@ def size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
     if Rmat.shape != (model.Nm1, model.K):
         raise DomainError(f"Rmat must be (N-1) x K = ({model.Nm1}, {model.K})")
     y0 = float(np.trace(model.sigma_inv @ Rmat @ Rmat.T)) + model.trace_omega
-    gen = model.generator
+    gen, ctrl = model.generator, ctrl or SeriesControl()
     delta = coefficient_polynomial(gen, y0, radial=False)[0]
-
-    def coeff_block(lo: int, hi: int) -> tuple[np.ndarray, ...]:
-        # h^(2t)(y0) = e^(log_norm_const - R y0) R^(2t) P(t)
-        return _polynomial_block(delta, lo, hi, gen.log_norm_const - gen.R * y0
-                                 + 2.0 * math.log(gen.R) * np.arange(lo, hi))
-
+    # h^(2t)(y0) = e^(log_norm_const - R y0) R^(2t) P(t)
+    log_factor = (gen.log_norm_const - gen.R * y0
+                  + 2.0 * math.log(gen.R) * np.arange(ctrl.max_degree + 1))
     log, sign, used, tail = zonal_series_batch(
-        coeff_block, _noncentrality_spectra(model, Rmat[None]), model.K / 2.0, ctrl)
-    if sign[0] <= 0.0:
-        raise DomainError("size-and-shape series summed to a non-positive value")
+        _polynomial_coeffs(delta, log_factor), _noncentrality_spectra(model, Rmat[None]),
+        model.K / 2.0, ctrl)
+    _check_positive(sign)
     log = (-model.K / 2.0 * model.log_det_sigma + float(log[0])
            + _mode_log_factor(mode))
     return DensityValue(log, int(used[0]), float(tail[0]), mode)
 
 
-def _polynomial_block(delta: np.ndarray, lo: int, hi: int, log_factor
-                      ) -> tuple[np.ndarray, ...]:
-    """The coefficient block of :func:`zonal_series_batch` for
-    c_t = e^log_factor P(t), t = lo..hi-1, with P(t) = sum_j delta_j binom(t, j)
-    from :func:`coefficient_polynomial`: (log |c_t|, sign c_t, log m_t) with
-    the magnitudes m_t = e^log_factor sum_j |delta_j| binom(t, j)."""
-    basis = binomial_basis(lo, hi, len(delta))
+def _polynomial_coeffs(delta: np.ndarray, log_factor: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The coefficients of :func:`zonal_series_batch` for c_t = e^log_factor
+    P(t) over the degrees t of ``log_factor``, with P(t) = sum_j delta_j
+    binom(t, j) from :func:`coefficient_polynomial`: (log |c_t|, sign c_t,
+    log m_t) with the magnitudes m_t = e^log_factor sum_j |delta_j| binom(t, j)."""
+    basis = binomial_basis(len(log_factor) - 1, len(delta))
     p = basis @ delta
     with np.errstate(divide="ignore"):
         return (log_factor + np.log(np.abs(p)), np.sign(p),
                 log_factor + np.log(basis @ np.abs(delta)))
+
+
+def _check_positive(sums: np.ndarray) -> None:
+    """:class:`NumericError` for the first row whose density sum is not
+    positive: the density is, so cancellation took the sum's digits."""
+    bad = np.flatnonzero(sums <= 0)
+    if len(bad):
+        raise NumericError(f"the sum at row {bad[0]} came out non-positive: cancellation "
+                           "lost its digits", row=int(bad[0]))
 
 
 def central_size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
@@ -182,51 +187,46 @@ def _shape_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: float
     ``partials``, also its derivatives in G and in b.
 
     The scaling int r^{q-1} h^{(2t)}(a r^2 + b) dr = a^{-q/2}
-    int s^{q-1} h^{(2t)}(s^2 + b) ds leaves one polynomial P(t)
-    (:func:`coefficient_polynomial`) for the batch, and one
-    :func:`zonal_series_batch` call on the spectra of G G' sums every row,
-    raising :class:`SeriesTruncationError` or :class:`NumericError` with
-    the ``row``. The partials sum each row to its own degree with one
-    ``logsums_and_partials`` call, mapped to G by V diag(d/dlambda) V'. At
-    K = 2 a closed form (:func:`_planar_log_series`) sums no degree, and
-    every row reports 0 degrees and tail bound 0.
+    int s^{q-1} h^{(2t)}(s^2 + b) ds leaves a_i^{-M/2-t} on row i, and
+    S_t(lambda) a^{-t} = S_t(lambda / a) moves a_i^{-t} into its spectrum,
+    so one polynomial P(t) (:func:`coefficient_polynomial`) and one c_t
+    serve the batch: one :func:`zonal_series_batch` call on the spectra of
+    G G' / a_i sums every row, raising :class:`SeriesTruncationError` or
+    :class:`NumericError` with the ``row``. The partials sum each row to its
+    own degree, with one :func:`log_partials` call whose partials, 1/a_i
+    times those at lambda / a_i, map to G by V diag(d/dlambda) V'. At K = 2
+    a closed form (:func:`_planar_log_series`) sums no degree, and every row
+    reports 0 degrees and tail bound 0.
     """
     K, M = G.shape[1], gen.M
     if K == 2:
         log, *rest = _planar_log_series(gen, G, a, b, partials)
         return (log, np.zeros(len(a), dtype=int), np.zeros(len(a)), *rest)
+    ctrl = ctrl or SeriesControl()
     delta, slope = coefficient_polynomial(gen, b)
-    log_r, log_a = math.log(gen.R), np.log(a)[:, None]
-    base = gen.log_norm_const - gen.R * b - M / 2.0 * log_r - math.log(2.0)
-
-    def log_factor(lo: int, hi: int) -> np.ndarray:
-        # e^(log_norm_const - R b) R^(t - M/2) Gamma(M/2 + t) a^(-M/2 - t) / 2,
-        # the factor of P(t)
-        t = np.arange(lo, hi)
-        log_gamma = np.array([math.lgamma(M / 2.0 + i) for i in range(lo, hi)])
-        return base + t * log_r + log_gamma - (M / 2.0 + t) * log_a
-
+    # e^(log_norm_const - R b) R^(t - M/2) Gamma(M/2 + t) / 2, the factor of P(t)
+    t = np.arange(ctrl.max_degree + 1)
+    log_factor = (gen.log_norm_const - gen.R * b - M / 2.0 * math.log(gen.R) - math.log(2.0)
+                  + t * math.log(gen.R) + np.array([math.lgamma(M / 2.0 + i) for i in t]))
     lam, V = np.linalg.eigh(G @ G.transpose(0, 2, 1))
-    spectra = np.clip(lam, 0.0, None)
-    log, sign, used, tail = zonal_series_batch(
-        lambda lo, hi: _polynomial_block(delta, lo, hi, log_factor(lo, hi)),
-        spectra, K / 2.0, ctrl)
-    if np.any(sign <= 0):
-        raise DomainError("shape series summed to a non-positive value")
+    spectra = np.clip(lam, 0.0, None) / a[:, None]
+    log, sign, used, tail = zonal_series_batch(_polynomial_coeffs(delta, log_factor), spectra,
+                                               K / 2.0, ctrl)
+    _check_positive(sign)
+    out = log - M / 2.0 * np.log(a)
     if not partials:
-        return log, used, tail
+        return out, used, tail
     tmax = int(used.max())
-    log_s, log_ds = shared_sum_table(K, tmax).logsums_and_partials(spectra)
     # each term over the row's sum, zero past the row's own degree
-    scale = np.where(np.arange(tmax + 1) <= used[:, None],
-                     log_factor(0, tmax + 1) - _log_factorials(tmax + 1) - log[:, None],
-                     -np.inf)
-    p = binomial_basis(0, tmax + 1, len(delta))
-    d_lam = np.einsum("t,stk->sk", p @ delta, np.exp(scale[:, :, None] + log_ds))
-    d_b = -gen.R + np.sum((p @ slope) * np.exp(scale + log_s), axis=1)
+    scale = np.where(t[:tmax + 1] <= used[:, None],
+                     log_factor[:tmax + 1] - _log_factorials(tmax + 1) - log[:, None], -np.inf)
+    p = binomial_basis(tmax, len(delta))
+    d_lam = np.einsum("t,stk->sk", p @ delta,
+                      np.exp(scale[:, :, None] + log_partials(K, spectra, tmax))) / a[:, None]
+    d_b = -gen.R + np.sum((p @ slope) * np.exp(scale + logsums(K, spectra, tmax)), axis=1)
     # d tr(D G G') / dG = 2 D G
     d_G = 2.0 * (V * d_lam[:, None, :]) @ V.transpose(0, 2, 1) @ G
-    return log, used, tail, d_G, d_b
+    return out, used, tail, d_G, d_b
 
 
 def _planar_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: float,
@@ -244,8 +244,8 @@ def _planar_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: floa
     g_i = h^(i)(z) / i!, (B g)_i = g_(i-1) + i g_i + z (i + 1) g_(i+1): sums
     of positive terms. Taken in R b - t and t (:func:`_planar_tables`),
     P(z + d) = sum_k pi_k d^k has no large pi_k at any separation.
-    :class:`DomainError` where the sum is not positive, :class:`NumericError`
-    past too many digits lost against sum |pi_k| (B^k g)_0. In z,
+    :class:`NumericError` where the sum is not positive or lost too many
+    digits against sum |pi_k| (B^k g)_0. In z,
     dE[P]/dz = E[t P(t)] / z = E[P] + sum_k pi_k Gamma(n) e^z (B^k g)_1.
     """
     n, R, T = gen.M // 2, gen.R, gen.effective_T
@@ -269,8 +269,7 @@ def _planar_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: floa
     peak = base.max(axis=1, keepdims=True)
     weight = np.exp(base - peak)
     total = np.sum(weight * value, axis=1)
-    if np.any(total <= 0):
-        raise DomainError("shape series summed to a non-positive value")
+    _check_positive(total)
     log = peak[:, 0] + np.log(total)
     check_cancellation(np.log(np.sum(weight * np.sum(np.abs(pi) * moments[0], axis=2), axis=1))
                        + peak[:, 0], log)

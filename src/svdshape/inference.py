@@ -206,13 +206,16 @@ def _minimize_bfgs(fun, x0: np.ndarray) -> _Minimum:
 def _wolfe_search(evaluate, budget, x, f0, p, slope0, alpha):
     """(x + alpha p, value, gradient) at a step alpha meeting the strong
     Wolfe conditions along the descent direction p, or None when none is
-    found within ``_LINE_SEARCH_TRIALS`` trials or ``budget`` evaluations.
+    found within ``_LINE_SEARCH_TRIALS`` trials or ``budget`` evaluations,
+    or once the bracket has collapsed to one step.
     A non-finite value, :class:`NumericError` or :class:`SeriesTruncationError`
     (a likelihood series that fails there) counts as too long a step."""
     lo = (0.0, f0, slope0)          # (step, value, slope) of the best step so far
     hi = None                       # the bracket's other end, once there is one
     for _ in range(min(_LINE_SEARCH_TRIALS, budget)):
         if hi is not None:
+            if hi[0] == lo[0]:
+                return None
             alpha = _cubic_step(lo, hi)
         xa = x + alpha * p
         try:

@@ -170,11 +170,11 @@ def coefficient_polynomial(gen: GeneratorSpec, b: float, radial: bool = True
     return powers @ table, (np.arange(1, len(table)) * powers[:-1]) @ table[1:]
 
 
-def binomial_basis(lo: int, hi: int, T: int) -> np.ndarray:
-    """binom(t, j) for t = lo..hi-1 (rows) and j < T (columns), so that
-    ``binomial_basis(lo, hi, T) @ delta`` evaluates the P(t) of
+def binomial_basis(tmax: int, T: int) -> np.ndarray:
+    """binom(t, j) for t = 0..tmax (rows) and j < T (columns), so that
+    ``binomial_basis(tmax, T) @ delta`` evaluates the P(t) of
     :func:`coefficient_polynomial` on those degrees."""
-    return np.array([[math.comb(t, j) for j in range(T)] for t in range(lo, hi)], dtype=float)
+    return np.array([[math.comb(t, j) for j in range(T)] for t in range(tmax + 1)], dtype=float)
 
 
 @dataclass(frozen=True)

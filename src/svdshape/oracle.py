@@ -239,8 +239,8 @@ def zonal_poly(kappa: Partition, eigenvalues) -> float:
 class ZonalSumTable:
     """The table kernel: log S_t(X) = log sum_{|kappa|=t} C_kappa(X) / (a)_kappa
     for batches of K-point spectra X through degree ``tmax``, for every (K, a):
-    the oracle of the runtime kernels of :mod:`svdshape.zonal`, with their
-    interface.
+    the oracle of :func:`svdshape.zonal.logsums` and
+    :func:`svdshape.zonal.log_partials`.
 
     Holds, for every degree t <= tmax, the monomial expansion of S_t collapsed
     to coefficients d_{t,lam} = sum_kappa c_{kappa,lam} / (a)_kappa > 0: the
@@ -560,8 +560,7 @@ def isotropic_shape_logdensity(u: np.ndarray, mu: np.ndarray, sigma2: float,
     x = float(np.sum(mu * mu)) / (2.0 * sigma2)
     ctrl = ctrl or SeriesControl()
     log_pref, log_b, sign_b = _isotropic_bracket(kind, M, x, ctrl.max_degree)
-    log_sum, sign, used, tail = zonal_series_batch(
-        lambda lo, hi: (log_b[lo:hi], sign_b[lo:hi]), [eigs], K / 2.0, ctrl)
+    log_sum, sign, used, tail = zonal_series_batch((log_b, sign_b), [eigs], K / 2.0, ctrl)
     if sign[0] <= 0.0:
         raise DomainError("isotropic shape series summed to a non-positive value")
     log = (log_j - math.log(2.0) - M / 2.0 * math.log(math.pi)
@@ -606,10 +605,10 @@ def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
     R = model.generator.R
     M = model.M
     log_a = math.log(a)
+    log_c = [math.lgamma(M / 2.0 + t) - (M / 2.0 + t) * log_a
+             for t in range((ctrl or SeriesControl()).max_degree + 1)]
     log_sum, _, used, tail = zonal_series_batch(
-        lambda lo, hi: (np.array([math.lgamma(M / 2.0 + t) - (M / 2.0 + t) * log_a
-                                  for t in range(lo, hi)]), 1.0),
-        R * _noncentrality_spectra(model, W[None]), model.K / 2.0, ctrl)
+        (log_c, 1.0), R * _noncentrality_spectra(model, W[None]), model.K / 2.0, ctrl)
     log = (log_j - model.K / 2.0 * model.log_det_sigma
            - math.log(2.0) - M / 2.0 * math.log(math.pi)
            - R * b + float(log_sum[0]) + _mode_log_factor(mode))

@@ -30,10 +30,6 @@ class LogSign(NamedTuple):
     def zero() -> "LogSign":
         return LogSign(-math.inf, 0.0)
 
-    @staticmethod
-    def one() -> "LogSign":
-        return LogSign(0.0, 1.0)
-
     def mul(self, other: "LogSign") -> "LogSign":
         s = self.sign * other.sign
         if s == 0.0:

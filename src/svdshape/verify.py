@@ -65,6 +65,21 @@ def sample_landmarks(model: ModelSpec, count: int, seed: int) -> list[LandmarkSe
 _MC_CHUNK = 20000
 
 
+def _box_draws(model: ModelSpec, mode: Mode, ctrl: SeriesControl | None, samples: int,
+               seed: int):
+    """Yield (U, density) for chunks of at most _MC_CHUNK of ``samples``
+    angle vectors u drawn uniformly on [0, pi]^(m-1) x [0, 2 pi] from the
+    Philox stream of ``seed``, with the shape density at each."""
+    m = model.M - 1
+    rng = np.random.Generator(np.random.Philox(seed))
+    for done in range(0, samples, _MC_CHUNK):
+        b = min(_MC_CHUNK, samples - done)
+        U = np.empty((b, m))
+        U[:, :-1] = rng.uniform(0.0, math.pi, size=(b, m - 1))
+        U[:, -1] = rng.uniform(0.0, 2.0 * math.pi, size=b)
+        yield U, np.exp(batch_shape_logdensity(U, model, mode, ctrl))
+
+
 def mc_normalization(model: ModelSpec, mode: Mode = Mode.REFLECTION,
                      ctrl: SeriesControl | None = None,
                      mc_samples: int = 50000, seed: int = 0) -> tuple[float, float]:
@@ -76,21 +91,11 @@ def mc_normalization(model: ModelSpec, mode: Mode = Mode.REFLECTION,
     """
     if mc_samples < 100:
         raise DomainError("mc_samples must be >= 100")
-    m = model.M - 1
-    vol = math.pi ** (m - 1) * 2.0 * math.pi
-    rng = np.random.Generator(np.random.Philox(seed))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < mc_samples:
-        b = min(_MC_CHUNK, mc_samples - done)
-        U = np.empty((b, m))
-        U[:, :-1] = rng.uniform(0.0, math.pi, size=(b, m - 1))
-        U[:, -1] = rng.uniform(0.0, 2.0 * math.pi, size=b)
-        vals = np.exp(batch_shape_logdensity(U, model, mode, ctrl))
+    vol = math.pi ** (model.M - 2) * 2.0 * math.pi
+    total = total_sq = 0.0
+    for _, vals in _box_draws(model, mode, ctrl, mc_samples, seed):
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
-        done += b
     mean = total / mc_samples
     var = max(total_sq / mc_samples - mean * mean, 0.0)
     return vol * mean, vol * math.sqrt(var / mc_samples)
@@ -236,23 +241,14 @@ def _mc_bin_masses(model: ModelSpec, mode: Mode, ctrl: SeriesControl | None,
     masses and the variance of each mass estimate (variance of the mean),
     so callers can fold the estimation noise into their test statistics.
     """
-    m = model.M - 1
-    vol = math.pi ** (m - 1) * 2.0 * math.pi
-    rng = np.random.Generator(np.random.Philox(seed))
+    vol = math.pi ** (model.M - 2) * 2.0 * math.pi
     sums = [np.zeros(len(edges) - 1) for edges in edges_list]
     sums_sq = [np.zeros(len(edges) - 1) for edges in edges_list]
-    done = 0
-    while done < samples:
-        b = min(_MC_CHUNK, samples - done)
-        U = np.empty((b, m))
-        U[:, :-1] = rng.uniform(0.0, math.pi, size=(b, m - 1))
-        U[:, -1] = rng.uniform(0.0, 2.0 * math.pi, size=b)
-        w = np.exp(batch_shape_logdensity(U, model, mode, ctrl))
+    for U, w in _box_draws(model, mode, ctrl, samples, seed):
         for j, edges in enumerate(edges_list):
             idx = np.clip(np.digitize(U[:, j], edges) - 1, 0, len(sums[j]) - 1)
             np.add.at(sums[j], idx, w)
             np.add.at(sums_sq[j], idx, w * w)
-        done += b
     masses = [s * vol / samples for s in sums]
     variances = [np.maximum(sq * vol * vol / samples - mass * mass, 0.0) / samples
                  for sq, mass in zip(sums_sq, masses)]

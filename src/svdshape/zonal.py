@@ -3,9 +3,9 @@
 Every series here is sum_t c_t S_t(X) / t! with S_t(X) = sum_{|kappa|=t}
 C_kappa(X) / (a)_kappa, a = K/2, and X entering only through its spectrum.
 One evaluator, :func:`zonal_series_batch`, sums it for a batch of spectra
-in blocks of degrees under one stop rule, with the table-free log S_t
-kernel that :func:`shared_sum_table` gives for K = 1, 2 or 3. Their oracles
-live in :mod:`svdshape.oracle`.
+and one coefficient vector c_t in blocks of degrees under one stop rule,
+with the table-free log S_t kernel of K = 1, 2 or 3 (:func:`logsums`).
+Their oracles live in :mod:`svdshape.oracle`.
 """
 
 from __future__ import annotations
@@ -46,22 +46,23 @@ class SeriesControl:
 _DEGREE_BLOCK = 8
 
 
-def zonal_series_batch(coeff_block, spectra, denominator_a: float,
+def zonal_series_batch(coeffs, spectra, denominator_a: float,
                        ctrl: SeriesControl | None = None) -> tuple[np.ndarray, ...]:
     """Evaluate sum_t c_t S_t(X) / t! for every row X of ``spectra`` (batch, n);
     returns (log |sum|, sign, degrees used, tail bound), each (batch,).
 
     ``denominator_a`` is K/2 for K in {1, 2, 3} and n <= K; rows with n < K
     are padded with zeros, which is exact, as C_kappa vanishes for kappa of
-    more parts than nonzero eigenvalues. ``coeff_block(lo, hi)`` gives
-    (log |c_t|, sign c_t) for t = lo..hi-1, each broadcastable to
-    (batch, hi - lo), and may add log m_t, the sum of the magnitudes that c_t
-    was computed from: then m_t S_t / t! is summed to the same degree, and
-    :func:`check_cancellation` raises :class:`NumericError` for a ``row``
-    that lost too many digits in and across the c_t. The degrees grow in
-    blocks of _DEGREE_BLOCK, capped at ``ctrl.max_degree``, each one kernel
-    call (see :func:`shared_sum_table`) for the rows still unconverged. A row
-    stops at the first degree completing _TAIL_WINDOW consecutive terms below
+    more parts than nonzero eigenvalues. ``coeffs`` is (log |c_t|, sign c_t),
+    each a scalar or an array over t = 0..``ctrl.max_degree``, one c_t for
+    every row: a row's own factor x^t belongs in its spectrum, as
+    S_t(x X) = x^t S_t(X). It may add log m_t, the sum of the magnitudes
+    that c_t was computed from: then m_t S_t / t! is summed to the same
+    degree, and :func:`check_cancellation` raises :class:`NumericError` for
+    a ``row`` that lost too many digits in and across the c_t. The degrees
+    grow in blocks of _DEGREE_BLOCK, capped at ``ctrl.max_degree``, each one
+    :func:`logsums` call for the rows still unconverged. A row stops at the
+    first degree completing _TAIL_WINDOW consecutive terms below
     ``ctrl.rel_tol`` times its running total, and its tail bound is its last
     term relative to the sum; :class:`SeriesTruncationError` for the first
     ``row`` that does not stop within ``ctrl.max_degree``.
@@ -75,6 +76,7 @@ def zonal_series_batch(coeff_block, spectra, denominator_a: float,
     K = int(K)
     spectra = np.pad(spectra, ((0, 0), (0, K - spectra.shape[1])))
     batch = len(spectra)
+    coeffs = [np.broadcast_to(x, ctrl.max_degree + 1) for x in coeffs]
     out = np.empty((4, batch))                      # log, sign, degrees used, tail
     # per unconverged row: its running total acc * exp(peak), peak its largest
     # term, the log of its running sum over magnitudes, and whether its last
@@ -86,9 +88,8 @@ def zonal_series_batch(coeff_block, spectra, denominator_a: float,
     lo = 0
     while len(rows):
         hi = min(lo + _DEGREE_BLOCK, ctrl.max_degree + 1)
-        log_c, sign_c, *log_m = (np.broadcast_to(x, (batch, hi - lo))[rows]
-                                 for x in coeff_block(lo, hi))
-        log_s = shared_sum_table(K, hi - 1).logsums(spectra[rows])
+        log_c, sign_c, *log_m = (x[lo:hi] for x in coeffs)
+        log_s = logsums(K, spectra[rows], hi - 1)
         terms = np.where(sign_c != 0.0, log_c + log_s[:, lo:] - _log_factorials(hi)[lo:], -np.inf)
         top = np.maximum(peak, terms.max(axis=1, keepdims=True))
         safe = np.where(np.isfinite(top), top, 0.0)
@@ -149,8 +150,7 @@ def hypergeom_0F1(b: float, matrix_eigenvalues, ctrl: SeriesControl | None = Non
     """Hypergeometric 0F1(b; X) of matrix argument, from the spectrum of X,
     by :func:`zonal_series_batch`, whose kernels and domain it shares: b = K/2
     for K in {1, 2, 3}, and X >= 0 with at most 2b eigenvalues."""
-    log, sign, _, _ = zonal_series_batch(lambda lo, hi: (0.0, 1.0), [matrix_eigenvalues],
-                                         b, ctrl)
+    log, sign, _, _ = zonal_series_batch((0.0, 1.0), [matrix_eigenvalues], b, ctrl)
     return float(sign[0]) * math.exp(log[0])
 
 
@@ -184,8 +184,7 @@ def power_trace_integral_series(p: float, Y_trace: float, X_gram_eigenvalues,
     log_c = log_fall[::2] + (p - 2 * f) * math.log(abs(Y_trace))
     sign_c = sign_fall[::2] * (-1.0 if Y_trace < 0.0 and round(p) % 2 else 1.0)
     quarter = [x / 4.0 for x in X_gram_eigenvalues]
-    log, sign, _, _ = zonal_series_batch(lambda lo, hi: (log_c[lo:hi], sign_c[lo:hi]),
-                                         [quarter], K / 2.0, ctrl)
+    log, sign, _, _ = zonal_series_batch((log_c, sign_c), [quarter], K / 2.0, ctrl)
     return float(sign[0]) * math.exp(log[0]) * math.exp(log_stiefel_volume(n, K))
 
 
@@ -203,61 +202,62 @@ def exp_trace_integral_series(Y_trace: float, X_gram_eigenvalues, K: int, n: int
     f01 = hypergeom_0F1(K / 2.0, scaled, ctrl)
     sign_r = float(np.sign(r))
     log_r = math.log(abs(r)) if sign_r else 0.0
-
-    def deriv_coeff(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        # 2f r^(2f-1), zero at f = 0; r^(2f-1) has the sign of r
-        f = range(lo, hi)
-        return (np.array([(2 * k - 1) * log_r + math.log(2.0 * k) if k else -math.inf
-                          for k in f]),
-                np.array([sign_r if k else 0.0 for k in f]))
-
-    log, sign, _, _ = zonal_series_batch(deriv_coeff, [quarter], K / 2.0, ctrl)
+    # 2f r^(2f-1), zero at f = 0; r^(2f-1) has the sign of r
+    f = range((ctrl or SeriesControl()).max_degree + 1)
+    log_c = [(2 * k - 1) * log_r + math.log(2.0 * k) if k else -math.inf for k in f]
+    sign_c = [sign_r if k else 0.0 for k in f]
+    log, sign, _, _ = zonal_series_batch((log_c, sign_c), [quarter], K / 2.0, ctrl)
     deriv = float(sign[0]) * math.exp(log[0])
     vol = math.exp(log_stiefel_volume(n, K))
     return vol * math.exp(r * Y_trace) * (Y_trace * f01 + deriv)
 
 
-# bytes of one (spectra, degrees, nodes) float64 temporary of SpatialZonalSums,
-# which holds a few at once, so its memory stays bounded for any batch
+# bytes of one (spectra, degrees, nodes) float64 temporary of the K = 3
+# kernel, which holds a few at once, so its memory stays bounded for any batch
 _LOGSUMS_CHUNK_BYTES = 4 << 20
 
-
-class LinearZonalSums:
-    """The K = 1, a = 1/2 kernel S_t(lambda) = lambda^t / (1/2)_t (the only
-    partition is (t), and C_(t) = lambda^t), with the interface and domain of
-    :func:`shared_sum_table`.
-    """
-
-    K = 1
-    a = 0.5
-
-    def __init__(self, tmax: int):
-        if tmax < 0:
-            raise DomainError("need tmax >= 0")
-        self.tmax = tmax
-
-    def logsums(self, spectra: np.ndarray) -> np.ndarray:
-        """log S_t for each row of ``spectra``; returns (batch, tmax + 1)."""
-        return self.logsums_and_partials(spectra)[0]
-
-    def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(log S_t, log dS_t/dlambda), as :func:`shared_sum_table` describes:
-        dS_t/dlambda = t lambda^(t-1) / (1/2)_t, so dS_1 = 2 also at 0."""
-        spectra = _check_spectra(spectra, self.K)
-        t = np.arange(self.tmax + 1)
-        log_poch = np.concatenate([[0.0], np.cumsum(np.log(self.a + t[:-1]))])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_lam = np.log(spectra)
-            out = t * log_lam - log_poch
-            log_ds = np.log(t) + np.where(t > 1, (t - 1) * log_lam, 0.0) - log_poch
-        out[:, 0] = 0.0                                 # S_0 = 1, also at lambda = 0
-        return out, log_ds[:, :, None]
+# above this degree the scaled terms of the K = 3 kernel can leave float64's
+# normal range (a scan of degrees 100-500 met the first non-finite at 500)
+_SPATIAL_MAX_DEGREE = 300
 
 
-class PlanarZonalSums:
-    """The K = 2, a = 1 kernel in closed form, with the interface and domain
-    of :func:`shared_sum_table`: no table, any degree, and no partials, which
-    the closed-form K = 2 likelihood does not ask for.
+def logsums(K: int, spectra, tmax: int) -> np.ndarray:
+    """log S_t, t = 0..tmax, for each row of (batch, K) non-negative finite
+    ``spectra``: (batch, tmax + 1), by the table-free kernel of K in
+    {1, 2, 3} and a = K/2. S_t is homogeneous of degree t:
+    S_t(c lambda) = c^t S_t(lambda)."""
+    return _kernel(K, tmax, 0)(_check_spectra(spectra, K), tmax)
+
+
+def log_partials(K: int, spectra, tmax: int) -> np.ndarray:
+    """log dS_t/dlambda_k, (batch, tmax + 1, K), for K = 1 or 3 and the
+    spectra of :func:`logsums`, exact also at zero eigenvalues."""
+    return _kernel(K, tmax, 1)(_check_spectra(spectra, K), tmax)
+
+
+def _linear_logsums(spectra: np.ndarray, tmax: int) -> np.ndarray:
+    """The K = 1, a = 1/2 kernel: S_t(lambda) = lambda^t / (1/2)_t (the only
+    partition is (t), and C_(t) = lambda^t)."""
+    t = np.arange(tmax + 1)
+    log_poch = np.concatenate([[0.0], np.cumsum(np.log(0.5 + t[:-1]))])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = t * np.log(spectra) - log_poch
+    out[:, 0] = 0.0                                 # S_0 = 1, also at lambda = 0
+    return out
+
+
+def _linear_log_partials(spectra: np.ndarray, tmax: int) -> np.ndarray:
+    """dS_t/dlambda = t lambda^(t-1) / (1/2)_t, so dS_1 = 2 also at 0."""
+    t = np.arange(tmax + 1)
+    log_poch = np.concatenate([[0.0], np.cumsum(np.log(0.5 + t[:-1]))])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(t) + np.where(t > 1, (t - 1) * np.log(spectra), 0.0) - log_poch
+    return out[:, :, None]
+
+
+def _planar_logsums(spectra: np.ndarray, tmax: int) -> np.ndarray:
+    """The K = 2, a = 1 kernel in closed form, with no partials, which the
+    closed-form K = 2 likelihood does not ask for.
 
     O(2) is two circles, so the degree-t part of 0F1(1; D^2/4) is exact:
     S_t(lambda) = [(d1 + d2)^(2t) + (d1 - d2)^(2t)] / (2 t!) with
@@ -265,36 +265,19 @@ class PlanarZonalSums:
     log S_t = 2t log s + log1p(q^(2t)) - log 2 - log t!, and every term
     is positive.
     """
-
-    K = 2
-    a = 1.0
-
-    def __init__(self, tmax: int):
-        if tmax < 0:
-            raise DomainError("need tmax >= 0")
-        self.tmax = tmax
-
-    def logsums(self, spectra: np.ndarray) -> np.ndarray:
-        """log S_t for each row of ``spectra``; returns (batch, tmax + 1)."""
-        d = np.sqrt(np.sort(_check_spectra(spectra, self.K), axis=1))
-        t = np.arange(self.tmax + 1, dtype=float)
-        s = d[:, 1:] + d[:, :1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (2.0 * t * np.log(s) + np.log1p(((d[:, 1:] - d[:, :1]) / s) ** (2.0 * t))
-                   - math.log(2.0) - _log_factorials(self.tmax + 1))
-        out[s[:, 0] == 0.0] = np.where(t == 0, 0.0, -np.inf)       # S_t(0) = 0, t >= 1
-        return out
+    d = np.sqrt(np.sort(spectra, axis=1))
+    t = np.arange(tmax + 1, dtype=float)
+    s = d[:, 1:] + d[:, :1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (2.0 * t * np.log(s) + np.log1p(((d[:, 1:] - d[:, :1]) / s) ** (2.0 * t))
+               - math.log(2.0) - _log_factorials(tmax + 1))
+    out[s[:, 0] == 0.0] = np.where(t == 0, 0.0, -np.inf)       # S_t(0) = 0, t >= 1
+    return out
 
 
-# above this degree the scaled terms of SpatialZonalSums can leave float64's
-# normal range (a scan of degrees 100-500 met the first non-finite at 500)
-_SPATIAL_MAX_DEGREE = 300
-
-
-class SpatialZonalSums:
-    """The K = 3, a = 3/2 kernel by exact quadrature over O(3), with the
-    interface and domain of :func:`shared_sum_table`: no table, degrees up to
-    _SPATIAL_MAX_DEGREE.
+def _spatial_logsums(spectra: np.ndarray, tmax: int, partial: bool = False) -> np.ndarray:
+    """The K = 3, a = 3/2 kernel by exact quadrature over O(3): log S_t, or
+    log dS_t/dlambda_3 if ``partial``, for t = 0..tmax.
 
     S_t(lambda) = 4^t t! / (2t)! E_H[(tr DH)^(2t)] with D = diag(sqrt(lambda))
     and H Haar on O(3) (James, Ann. Math. Statist. 35, 1964). In ZYZ Euler
@@ -306,87 +289,67 @@ class SpatialZonalSums:
     S_t = 4^t t! (1/2) int_{-1}^{1} sum_{i+j+k=t}
           (A^2/4)^i/i!^2 (B^2/4)^j/j!^2 C^(2k)/(2k)! dc,
     a polynomial of degree 2t in c with no negative term, which the
-    (tmax + 1)-point Gauss-Legendre rule integrates exactly.
+    (tmax + 1)-point Gauss-Legendre rule integrates exactly. dS_t/dlambda_3
+    replaces C^(2k)/(2k)! by k lambda_3^(k-1) c^(2k)/(2k)!, which needs no
+    1/sqrt(lambda) and so stays exact at zero eigenvalues.
+
+    Degree t sums the integrand's terms of sequence degree u = t - partial
+    (the power of lambda). Each row is scaled by the largest of A^2/4,
+    B^2/4 and C^2 over the nodes, and each term of sequence degree u by
+    tilt^u, so that the terms stay in float64's range through
+    _SPATIAL_MAX_DEGREE. Rows go in chunks of _LOGSUMS_CHUNK_BYTES per
+    temporary, which does not change the values.
     """
-
-    K = 3
-    a = 1.5
-
-    def __init__(self, tmax: int):
-        if not 0 <= tmax <= _SPATIAL_MAX_DEGREE:
-            raise DomainError(f"need 0 <= tmax <= {_SPATIAL_MAX_DEGREE} for K = 3")
-        self.tmax = tmax
-
-    def logsums(self, spectra: np.ndarray) -> np.ndarray:
-        """log S_t for each row of ``spectra``; returns (batch, tmax + 1).
-        Rows go in chunks of _LOGSUMS_CHUNK_BYTES per temporary, which does not
-        change the values."""
-        return self._terms(_check_spectra(spectra, self.K), partial=False)
-
-    def logsums_and_partials(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(log S_t, log dS_t/dlambda_k), as :func:`shared_sum_table` describes.
-
-        dS_t/dlambda_3 replaces C^(2k)/(2k)! in the integrand by
-        k lambda_3^(k-1) c^(2k)/(2k)!, which needs no 1/sqrt(lambda) and so
-        stays exact at zero eigenvalues. S_t is symmetric, so dS_t/dlambda_k
-        is dS_t/dlambda_3 at lambda with entries k and 3 swapped.
-        """
-        spectra = _check_spectra(spectra, self.K)
-        swapped = np.concatenate([spectra[:, [2, 1, 0]], spectra[:, [0, 2, 1]], spectra])
-        log_ds = self._terms(swapped, partial=True).reshape(3, len(spectra), -1)
-        return self._terms(spectra, partial=False), np.moveaxis(log_ds, 0, -1)
-
-    def _terms(self, spectra: np.ndarray, partial: bool) -> np.ndarray:
-        """log S_t, or log dS_t/dlambda_3 if ``partial``, for t = 0..tmax.
-
-        Degree t sums the integrand's terms of sequence degree u = t - partial
-        (the power of lambda). Each row is scaled by the largest of A^2/4,
-        B^2/4 and C^2 over the nodes, and each term of sequence degree u by
-        tilt^u, so that the terms stay in float64's range through
-        _SPATIAL_MAX_DEGREE."""
-        tmax = self.tmax
-        out = np.full((len(spectra), tmax + 1), -np.inf)
-        length = tmax + 1 - partial                     # sequence degrees 0..length-1
-        if length == 0:                                 # dS_0 = 0
-            return out
-        c, w = _gauss_legendre(tmax + 1)
-        tilt = max(1.0, tmax * tmax / 9.0)
-        u = np.arange(length)
-        log_fact = _log_factorials(2 * tmax + 1)
-        if partial:                                     # k lambda_3^(k-1) c^(2k)/(2k)!, k = u+1
-            log_coef = np.log(u + 1.0) - log_fact[2 * u + 2]
-            weights = w * c * c
-        else:
-            log_coef = -log_fact[2 * u]
-            weights = w
-        coef = np.exp(log_coef + u * math.log(tilt))[:, None, None] * weights  # (length, 1, nodes)
-        t = u + partial
-        log_const = t * math.log(4.0) + log_fact[t] - math.log(2.0)
-        step = max(1, _LOGSUMS_CHUNK_BYTES // (8 * len(c) * length))
-        for lo in range(0, len(spectra), step):
-            lam = spectra[lo:lo + step]
-            d = np.sqrt(lam)
-            x = ((d[:, :1] + d[:, 1:2]) * (1.0 + c) / 4.0) ** 2     # A^2/4, (chunk, nodes)
-            y = ((d[:, :1] - d[:, 1:2]) * (1.0 - c) / 4.0) ** 2     # B^2/4
-            g = lam[:, 2:] * c * c                                  # C^2
-            scale = np.max(np.maximum(np.maximum(x, y), g), axis=1, keepdims=True)
-            scale[scale == 0.0] = 1.0                               # the zero spectrum
-            pairs = _pair_sums(x / scale, y / scale, length, tilt)  # (length, chunk, nodes)
-            singles = (g / scale) ** u[:, None, None]
-            singles *= coef
-            # cross[k, j] sums singles_k pairs_j over the nodes; sequence
-            # degree u is its antidiagonal k + j = u
-            cross = singles.transpose(1, 0, 2) @ pairs.transpose(1, 2, 0)
-            sums = _antidiagonal_sums(cross)
-            with np.errstate(divide="ignore"):
-                out[lo:lo + step, t] = np.log(sums) + log_const + u * np.log(scale / tilt)
-        # S_0 = 1 and dS_1 = 1/a (S_1 = tr(lambda)/a) exactly, free of the
-        # rounding in the sums of the weights
-        if partial:
-            out[:, 1] = -math.log(self.a)
-        else:
-            out[:, 0] = 0.0
+    out = np.full((len(spectra), tmax + 1), -np.inf)
+    length = tmax + 1 - partial                     # sequence degrees 0..length-1
+    if length == 0:                                 # dS_0 = 0
         return out
+    c, w = _gauss_legendre(tmax + 1)
+    tilt = max(1.0, tmax * tmax / 9.0)
+    u = np.arange(length)
+    log_fact = _log_factorials(2 * tmax + 1)
+    if partial:                                     # k lambda_3^(k-1) c^(2k)/(2k)!, k = u+1
+        log_coef = np.log(u + 1.0) - log_fact[2 * u + 2]
+        weights = w * c * c
+    else:
+        log_coef = -log_fact[2 * u]
+        weights = w
+    coef = np.exp(log_coef + u * math.log(tilt))[:, None, None] * weights  # (length, 1, nodes)
+    t = u + partial
+    log_const = t * math.log(4.0) + log_fact[t] - math.log(2.0)
+    step = max(1, _LOGSUMS_CHUNK_BYTES // (8 * len(c) * length))
+    for lo in range(0, len(spectra), step):
+        lam = spectra[lo:lo + step]
+        d = np.sqrt(lam)
+        x = ((d[:, :1] + d[:, 1:2]) * (1.0 + c) / 4.0) ** 2     # A^2/4, (chunk, nodes)
+        y = ((d[:, :1] - d[:, 1:2]) * (1.0 - c) / 4.0) ** 2     # B^2/4
+        g = lam[:, 2:] * c * c                                  # C^2
+        scale = np.max(np.maximum(np.maximum(x, y), g), axis=1, keepdims=True)
+        scale[scale == 0.0] = 1.0                               # the zero spectrum
+        pairs = _pair_sums(x / scale, y / scale, length, tilt)  # (length, chunk, nodes)
+        singles = (g / scale) ** u[:, None, None]
+        singles *= coef
+        # cross[k, j] sums singles_k pairs_j over the nodes; sequence
+        # degree u is its antidiagonal k + j = u
+        cross = singles.transpose(1, 0, 2) @ pairs.transpose(1, 2, 0)
+        sums = _antidiagonal_sums(cross)
+        with np.errstate(divide="ignore"):
+            out[lo:lo + step, t] = np.log(sums) + log_const + u * np.log(scale / tilt)
+    # S_0 = 1 and dS_1 = 1/a (S_1 = tr(lambda)/a) exactly, free of the
+    # rounding in the sums of the weights
+    if partial:
+        out[:, 1] = -math.log(1.5)
+    else:
+        out[:, 0] = 0.0
+    return out
+
+
+def _spatial_log_partials(spectra: np.ndarray, tmax: int) -> np.ndarray:
+    """S_t is symmetric, so dS_t/dlambda_k is dS_t/dlambda_3 of
+    :func:`_spatial_logsums` at lambda with entries k and 3 swapped."""
+    swapped = np.concatenate([spectra[:, [2, 1, 0]], spectra[:, [0, 2, 1]], spectra])
+    log_ds = _spatial_logsums(swapped, tmax, partial=True).reshape(3, len(spectra), -1)
+    return np.moveaxis(log_ds, 0, -1)
 
 
 def _antidiagonal_sums(cross: np.ndarray) -> np.ndarray:
@@ -467,18 +430,21 @@ def _check_spectra(spectra, K: int) -> np.ndarray:
     return spectra
 
 
-_KERNELS = {1: LinearZonalSums, 2: PlanarZonalSums, 3: SpatialZonalSums}
+# log S_t, log dS_t/dlambda_k (None: not served) and the largest tmax, by K
+_KERNELS = {1: (_linear_logsums, _linear_log_partials, math.inf),
+            2: (_planar_logsums, None, math.inf),
+            3: (_spatial_logsums, _spatial_log_partials, _SPATIAL_MAX_DEGREE)}
 _SUPPORTED = "zonal series support K in {1, 2, 3} with a = K/2"
 
 
-def shared_sum_table(K: int, tmax: int
-                     ) -> LinearZonalSums | PlanarZonalSums | SpatialZonalSums:
-    """A new table-free kernel for K in {1, 2, 3} (else :class:`DomainError`)
-    and a = K/2 through exactly degree ``tmax``. Its ``logsums(spectra)``
-    gives log S_t, (batch, tmax + 1), for (batch, K) non-negative spectra,
-    and ``logsums_and_partials`` (K = 1, 3) adds log dS_t/dlambda_k,
-    (batch, tmax + 1, K), exact also at zero eigenvalues.
-    """
+def _kernel(K: int, tmax: int, which: int):
+    """Kernel ``which`` (0: log S_t, 1: log dS_t/dlambda_k) of K through
+    degree ``tmax``; :class:`DomainError` outside its domain."""
     if K not in _KERNELS:
         raise DomainError(f"{_SUPPORTED}, got K = {K}")
-    return _KERNELS[K](tmax)
+    *kernels, cap = _KERNELS[K]
+    if not 0 <= tmax <= cap:
+        raise DomainError(f"need 0 <= tmax <= {cap} for K = {K}")
+    if kernels[which] is None:
+        raise DomainError(f"no partials of S_t for K = {K}")
+    return kernels[which]

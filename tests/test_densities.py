@@ -261,25 +261,22 @@ def _planar_case(Nm1: int, ratio: float, T: int, isotropic: bool, seed: int = 0)
 
 def _series_logdensities(U, model, mode, ctrl):
     """The degree series of shape_logdensities, summed by zonal_series_batch
-    as at K = 1 and 3, whatever K."""
+    as at K = 1 and 3, whatever K: the radial integrals at a = 1, with each
+    row's a^(-M/2-t) as a^(-M/2) and its spectrum over a."""
     from svdshape.densities import _chart, _noncentrality_spectra
     from svdshape.oracle import radial_integral
-    from svdshape.zonal import zonal_series_batch
+    from svdshape.zonal import SeriesControl, zonal_series_batch
     K, M = model.K, model.M
     W, log_j = _chart(U, model.Nm1, K, batch=True)
-    log_a = np.log(np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W))[:, None]
-
-    def coeff_block(lo, hi):
-        radial = [radial_integral(model.generator, t, 1.0, model.trace_omega, M - 1, 1)
-                  for t in range(lo, hi)]
-        return (np.array([r.log for r in radial]) - (M / 2.0 + np.arange(lo, hi)) * log_a,
-                np.array([r.sign for r in radial]))
-
-    log, sign, _, _ = zonal_series_batch(coeff_block, _noncentrality_spectra(model, W),
-                                         K / 2.0, ctrl)
+    a = np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W)
+    radial = [radial_integral(model.generator, t, 1.0, model.trace_omega, M - 1, 1)
+              for t in range((ctrl or SeriesControl()).max_degree + 1)]
+    log, sign, _, _ = zonal_series_batch(
+        ([r.log for r in radial], [r.sign for r in radial]),
+        _noncentrality_spectra(model, W) / a[:, None], K / 2.0, ctrl)
     assert np.all(sign > 0)
     mode_log = -math.log(2.0) if mode is Mode.NO_REFLECTION else 0.0
-    return log_j - K / 2.0 * model.log_det_sigma + log + mode_log
+    return log_j - K / 2.0 * model.log_det_sigma + log - M / 2.0 * np.log(a) + mode_log
 
 
 def _mpmath_logdensity(u, model):
@@ -420,7 +417,7 @@ class TestPlanarClosedForm:
 
         monkeypatch.setattr(densities, "zonal_series_batch", forbidden)
         monkeypatch.setattr(zonal, "zonal_series_batch", forbidden)
-        monkeypatch.setattr(zonal.PlanarZonalSums, "logsums", forbidden)
+        monkeypatch.setattr(zonal, "logsums", forbidden)
         for T in (1, 2, 3):
             model, U = _planar_case(3, 3.0, T, isotropic=False)
             assert np.all(np.isfinite(batch_shape_logdensity(U, model)))
@@ -428,6 +425,17 @@ class TestPlanarClosedForm:
         mass, _ = mc_normalization(model, mc_samples=2000, seed=1)
         assert math.isfinite(mass)
         assert simulation_vs_density(model, sim_count=1000, seed=2).marginals
+
+    def test_a_non_positive_sum_is_a_numeric_error_with_its_row(self):
+        # at T = 20 and |mu| = 24 the closed form cancels every digit: rows 3
+        # and 4 come out non-positive, though the density is positive
+        rng = np.random.default_rng(0)
+        mu = rng.normal(size=(2, 2))
+        mu *= 24.0 / np.linalg.norm(mu)
+        U = np.array([svd_shape(mu + rng.normal(size=(2, 2))).u for _ in range(6)])
+        with pytest.raises(NumericError, match="non-positive") as err:
+            shape_logdensities(U, kotz_model(np.eye(2), np.eye(2), mu, T=20))
+        assert err.value.row == 3
 
 
 def _spatial_case(ratio: float):
@@ -448,11 +456,11 @@ def _exact_coefficient_logdensities(U, model, tmax):
     only the coefficients differ from :func:`shape_logdensities`."""
     import mpmath as mp
     from svdshape.densities import _chart, _noncentrality_spectra
-    from svdshape.zonal import shared_sum_table
+    from svdshape.zonal import logsums
     gen, K = model.generator, model.K
     W, log_j = _chart(U, model.Nm1, K, batch=True)
     a = np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W)
-    log_s = shared_sum_table(K, tmax).logsums(_noncentrality_spectra(model, W))
+    log_s = logsums(K, _noncentrality_spectra(model, W), tmax)
     T = gen.effective_T
     with mp.workdps(50):
         R, b, n = mp.mpf(gen.R), mp.mpf(model.trace_omega), mp.mpf(model.M) / 2

@@ -11,8 +11,9 @@ from svdshape.inference import (_GTOL, EvidenceGrade, OptimizerConfig, SampleOfS
                                 ShapeLikelihood, _minimize_bfgs, bic_star,
                                 evidence_grade, fit_location, log_likelihood,
                                 lr_test_equal_means)
-from svdshape.models import IsotropicKind, ModelSpec
+from svdshape.models import IsotropicKind, ModelSpec, kotz_model
 from svdshape.oracle import _isotropic_bracket, isotropic_shape_logdensity
+from svdshape.verify import _sample_centred
 from svdshape.zonal import SeriesControl
 
 CTRL = SeriesControl(max_degree=60)
@@ -355,6 +356,17 @@ class TestBfgs:
         assert res.x == pytest.approx(c, abs=1e-6)
         with pytest.raises(SeriesTruncationError):
             _minimize_bfgs(bounded, np.array([1.0, 0.0]))
+
+    def test_a_collapsed_bracket_ends_the_line_search(self, mu_star):
+        # 400 Kotz T=2 shapes fitted as Kotz T=3: a line search whose Wolfe
+        # bracket collapses to one step ends there, instead of dividing by
+        # the bracket's zero width
+        model = kotz_model(SIGMA2 * np.eye(5), np.eye(2), mu_star, T=2)
+        sample = SampleOfShapes("g", tuple(
+            (f"s{i}", svd_shape(y)) for i, y in enumerate(_sample_centred(model, 400, 103))))
+        fit = fit_location(sample, IsotropicKind.KOTZ_T3, SIGMA2, OptimizerConfig(seed=3))
+        assert fit.converged
+        assert fit.loglik == pytest.approx(-3029.849, abs=1e-3)
 
     def test_fit_reports_the_cap(self, sample, monkeypatch):
         monkeypatch.setattr(inference, "_MAX_EVALUATIONS", 3)

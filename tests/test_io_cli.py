@@ -455,6 +455,37 @@ class TestCli:
         assert row > 0
         assert f"specimen {specimens[row].id!r}: the sum at row {row} lost" in res.stderr
 
+    def test_density_names_the_specimen_whose_sum_came_out_non_positive(self, tmp_path):
+        # six N = 3 specimens around a location of Frobenius norm 24: the
+        # K = 2 Kotz T = 20 closed form cancels every digit, and some sums
+        # come out non-positive
+        from svdshape.cli import _build_config, _build_model, _load_sample
+        from svdshape.densities import shape_logdensities
+        from svdshape.errors import NumericError
+        from svdshape.geometry import LandmarkSet, helmert_submatrix
+        rng = np.random.default_rng(0)
+        mu = rng.normal(size=(2, 2))
+        mu *= 24.0 / np.linalg.norm(mu)
+        lift = helmert_submatrix(3).T
+        specimens = [LandmarkSet(f"far{i}", lift @ (mu + rng.normal(size=(2, 2))))
+                     for i in range(6)]
+        path = tmp_path / "far.txt"
+        emit_landmarks(specimens, str(path))
+        mu_path = tmp_path / "mu.txt"
+        mu_path.write_text("".join(f"{a:.17g} {b:.17g}\n" for a, b in mu))
+        flags = {"mu_path": str(mu_path), "sigma2": 1.0, "model": "kotz", "kotz_T": 20}
+        config = _build_config(None, **flags)
+        sample = _load_sample(str(path), config, "input", None)
+        with pytest.raises(NumericError, match="non-positive") as err:
+            shape_logdensities(np.stack([sc.u for _, sc in sample.items]),
+                               _build_model(config, 2, 2, None))
+        res = run_cli("density", str(path), "--mu", str(mu_path), "--sigma2", "1",
+                      "--model", "kotz", "--kotz-T", "20")
+        assert res.exit_code == 3
+        row = err.value.row
+        assert (f"numeric failure: specimen {specimens[row].id!r}: the sum at row {row} came "
+                "out non-positive") in res.stderr
+
     @pytest.mark.parametrize("command", ["fit", "compare", "test"])
     def test_inference_commands_name_the_unconverged_specimen(self, command, specimens_k3,
                                                               tmp_path):

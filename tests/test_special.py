@@ -18,7 +18,6 @@ class TestLogSign:
             assert ls.value == pytest.approx(x, rel=1e-13)
         assert LogSign.of(0.0).sign == 0.0
         assert LogSign.zero().value == 0.0
-        assert LogSign.one().value == 1.0
 
     def test_mul_and_scale(self):
         a, b = LogSign.of(-3.0), LogSign.of(2.0)

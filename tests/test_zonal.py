@@ -19,11 +19,9 @@ from svdshape.models import IsotropicKind, gaussian_model, kotz_model
 from svdshape.oracle import (Partition, ZonalSumTable, _isotropic_bracket, _polar_factor,
                              enumerate_partitions, gen_pochhammer, stiefel_mc_integral,
                              zonal_poly)
-from svdshape.zonal import (LinearZonalSums, PlanarZonalSums, SeriesControl,
-                            SpatialZonalSums, exp_trace_integral_series,
-                            hypergeom_0F1, log_stiefel_volume,
-                            power_trace_integral_series, shared_sum_table,
-                            zonal_series_batch)
+from svdshape.zonal import (SeriesControl, exp_trace_integral_series, hypergeom_0F1,
+                            log_partials, log_stiefel_volume, logsums,
+                            power_trace_integral_series, zonal_series_batch)
 
 
 def sum_identity_error(eigs, f):
@@ -99,16 +97,15 @@ class TestHypergeom0F1:
             assert hypergeom_0F1(1.0, eigs) == pytest.approx(oracle, rel=1e-9)
 
 
-def ones(lo, hi):
-    """The coefficient block c_t = 1 of a 0F1 series."""
-    return np.zeros(hi - lo), np.ones(hi - lo)
+# the coefficients c_t = 1 of a 0F1 series
+ONES = (0.0, 1.0)
 
 
 class TestZonalSeries:
     def test_truncation_error_carries_partial(self):
         ctrl = SeriesControl(max_degree=3)
         with pytest.raises(SeriesTruncationError) as err:
-            zonal_series_batch(ones, [[50.0, 80.0]], 1.0, ctrl)
+            zonal_series_batch(ONES, [[50.0, 80.0]], 1.0, ctrl)
         assert err.value.partial_log is not None
         assert err.value.tail_estimate is not None
 
@@ -119,20 +116,20 @@ class TestZonalSeries:
         tails = []
         for deg in (20, 30, 40):
             with pytest.raises(SeriesTruncationError) as err:
-                zonal_series_batch(ones, [eigs], 1.0,
+                zonal_series_batch(ONES, [eigs], 1.0,
                                    SeriesControl(max_degree=deg, rel_tol=1e-300))
             tails.append(err.value.tail_estimate)
         assert tails[0] > tails[1] > tails[2]
 
     def test_tail_bound_reported_on_convergent_instance(self):
-        _, _, used, tail = zonal_series_batch(ones, [[2.0, 3.5]], 1.0,
+        _, _, used, tail = zonal_series_batch(ONES, [[2.0, 3.5]], 1.0,
                                               SeriesControl(max_degree=60))
         assert 0 <= tail[0] < 1e-11
         assert used[0] < 60
 
     def test_vanishing_denominator_raises(self):
         with pytest.raises(DomainError):
-            zonal_series_batch(ones, [[1.0, 1.0]], 0.5, SeriesControl(max_degree=10))
+            zonal_series_batch(ONES, [[1.0, 1.0]], 0.5, SeriesControl(max_degree=10))
 
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-12, math.nan, math.inf])
     def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
@@ -141,12 +138,12 @@ class TestZonalSeries:
 
     def test_zero_spectrum_sums_to_exactly_zero(self):
         log, sign, used, _ = zonal_series_batch(
-            lambda lo, hi: (0.0, (np.arange(lo, hi) > 0) * 1.0), [[0.0, 0.0]], 1.0)
+            (0.0, (np.arange(61) > 0) * 1.0), [[0.0, 0.0]], 1.0)
         assert (sign[0], log[0], used[0]) == (0.0, -math.inf, 3)
 
     def test_negative_eigenvalue_raises(self):
         with pytest.raises(DomainError):
-            zonal_series_batch(ones, [[1.0, -0.5]], 1.0)
+            zonal_series_batch(ONES, [[1.0, -0.5]], 1.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -154,7 +151,7 @@ class TestZonalSeries:
     def test_non_finite_eigenvalue_is_a_domain_error(self, K, bad):
         # no degree cap could make such a series converge
         with pytest.raises(DomainError, match="finite and non-negative"):
-            zonal_series_batch(ones, [[bad] + [1.0] * (K - 1)], K / 2.0)
+            zonal_series_batch(ONES, [[bad] + [1.0] * (K - 1)], K / 2.0)
 
     def test_sign_changing_coefficient_matches_zonal_poly_oracle(self):
         # the Kotz T=3 bracket c_t = Gamma(M/2 + t) [(M/2 + x - t)^2 + M/2 - t]
@@ -165,8 +162,7 @@ class TestZonalSeries:
             M = 3 * K
             _, log_b, sign_b = _isotropic_bracket(IsotropicKind.KOTZ_T3, M, x, 60)
             assert -1.0 in sign_b[:10]
-            log, sign, used, _ = zonal_series_batch(
-                lambda lo, hi: (log_b[lo:hi], sign_b[lo:hi]), [eigs], K / 2.0)
+            log, sign, used, _ = zonal_series_batch((log_b, sign_b), [eigs], K / 2.0)
             oracle = math.fsum(
                 sign_b[t] * math.exp(log_b[t] - math.lgamma(t + 1))
                 * zonal_poly(kappa, eigs) / gen_pochhammer(K / 2.0, kappa)
@@ -178,18 +174,18 @@ class TestZonalSeries:
 class TestBlockEvaluator:
     def test_k3_series_makes_one_kernel_call_per_block(self, monkeypatch):
         calls = []
-        kernel = zonal.shared_sum_table
+        kernel = zonal.logsums
 
         def counted(*args):
             calls.append(args)
             return kernel(*args)
-        monkeypatch.setattr(zonal, "shared_sum_table", counted)
-        _, _, used, _ = zonal_series_batch(ones, [[20.0, 10.0, 5.0]], 1.5)
+        monkeypatch.setattr(zonal, "logsums", counted)
+        _, _, used, _ = zonal_series_batch(ONES, [[20.0, 10.0, 5.0]], 1.5)
         assert used[0] == 31
         assert len(calls) <= 4
 
     def test_k3_density_does_not_ask_past_convergence(self):
-        # SpatialZonalSums serves 300 degrees; a block must not ask for more
+        # the K = 3 kernel serves 300 degrees; a block must not ask for more
         # before the series has converged
         rng = np.random.default_rng(14)
         mu = rng.normal(size=(3, 3))
@@ -203,26 +199,32 @@ class TestBlockEvaluator:
 
     def test_rows_stop_as_batches_of_one(self):
         spectra = np.array([[0.1, 0.05], [20.0, 9.0], [0.0, 0.0], [3.0, 1.0]])
-        log, sign, used, tail = zonal_series_batch(ones, spectra, 1.0)
+        log, sign, used, tail = zonal_series_batch(ONES, spectra, 1.0)
         for i, eigs in enumerate(spectra):
-            one = zonal_series_batch(ones, eigs[None], 1.0)
+            one = zonal_series_batch(ONES, eigs[None], 1.0)
             assert (log[i], sign[i], used[i], tail[i]) == tuple(x[0] for x in one)
         assert len(set(used)) == 4
 
-    def test_per_row_coefficients(self):
-        # c_t = x^t per row sums 0F1(a; x lambda), as S_t has degree t
-        spectra = np.array([[0.4, 1.1, 0.2], [2.0, 0.5, 1.5]])
-        x = np.array([[0.5], [3.0]])
-        log, sign, _, _ = zonal_series_batch(
-            lambda lo, hi: (np.arange(lo, hi) * np.log(x), 1.0), spectra, 1.5)
-        for i in range(2):
-            assert sign[i] * math.exp(log[i]) == pytest.approx(
-                hypergeom_0F1(1.5, x[i] * spectra[i]), rel=1e-12)
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_kernels_are_homogeneous(self, K):
+        # log S_t(c lambda) = t log c + log S_t(lambda): a row's factor c^t
+        # can ride in its spectrum instead of its coefficients
+        rng = np.random.default_rng(20 + K)
+        spectra = np.abs(rng.normal(size=(6, K))) * 2
+        spectra[1, 0] = 0.0
+        t = np.arange(31)
+        ref = ZonalSumTable(K, 30).logsums(spectra)
+        finite = np.isfinite(ref)
+        for c in (0.05, 0.7, 3.0, 40.0):
+            got = logsums(K, c * spectra, 30)
+            assert np.array_equal(np.isneginf(got), ~finite)
+            err = np.abs(got[finite] - (t * math.log(c) + ref)[finite])
+            assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(ref[finite])))
 
     def test_truncation_error_names_the_first_unconverged_row(self):
         spectra = np.array([[0.01, 0.02], [50.0, 80.0], [60.0, 90.0]])
         with pytest.raises(SeriesTruncationError) as err:
-            zonal_series_batch(ones, spectra, 1.0, SeriesControl(max_degree=10))
+            zonal_series_batch(ONES, spectra, 1.0, SeriesControl(max_degree=10))
         assert err.value.row == 1
         assert err.value.partial_log is not None and err.value.partial_sign == 1.0
 
@@ -230,22 +232,22 @@ class TestBlockEvaluator:
         # c_t = (-1)^t at K = 1 sums 0F1(1/2; -lambda) = cos(2 sqrt(lambda)),
         # and the same series over |c_t| is cosh(2 sqrt(lambda)): at
         # lambda = 100 that loses 8.8 digits
-        def alternating(lo, hi):
-            return np.zeros(hi - lo), (-1.0) ** np.arange(lo, hi), np.zeros(hi - lo)
+        def alternating(tmax):
+            return 0.0, (-1.0) ** np.arange(tmax + 1), 0.0
 
         spectra = np.array([[0.5], [2.0], [1.0]])
-        log, sign, used, tail = zonal_series_batch(alternating, spectra, 0.5)
+        log, sign, used, tail = zonal_series_batch(alternating(60), spectra, 0.5)
         assert np.allclose(sign * np.exp(log), np.cos(2.0 * np.sqrt(spectra[:, 0])),
                            rtol=1e-12, atol=0.0)
-        plain = zonal_series_batch(lambda lo, hi: alternating(lo, hi)[:2], spectra, 0.5)
+        plain = zonal_series_batch(alternating(60)[:2], spectra, 0.5)
         assert all(np.array_equal(x, y) for x, y in zip((log, sign, used, tail), plain))
         spectra[1] = 100.0
         with pytest.raises(NumericError) as err:
-            zonal_series_batch(alternating, spectra, 0.5, SeriesControl(max_degree=200))
+            zonal_series_batch(alternating(200), spectra, 0.5, SeriesControl(max_degree=200))
         assert err.value.row == 1 and "lost 8.8 digits" in str(err.value)
 
     def test_empty_batch(self):
-        log, _, used, _ = zonal_series_batch(ones, np.empty((0, 2)), 1.0)
+        log, _, used, _ = zonal_series_batch(ONES, np.empty((0, 2)), 1.0)
         assert log.shape == used.shape == (0,)
 
 
@@ -279,32 +281,28 @@ class TestZonalSumTable:
 
     @pytest.mark.parametrize("K", [1, 3])
     def test_partials_match_differences(self, K):
-        tab = shared_sum_table(K, 20)
         spectra = np.abs(np.random.default_rng(K).normal(size=(4, K))) * 2 + 0.1
-        log_s, log_ds = tab.logsums_and_partials(spectra)
-        assert np.array_equal(log_s, tab.logsums(spectra))
-        assert log_ds.shape == log_s.shape + (K,)
+        log_ds = log_partials(K, spectra, 20)
+        assert log_ds.shape == (4, 21, K)
         h = 1e-6
         for k in range(K):
             step = np.zeros(K)
             step[k] = h
-            central = (np.exp(tab.logsums(spectra + step))
-                       - np.exp(tab.logsums(spectra - step))) / (2 * h)
+            central = (np.exp(logsums(K, spectra + step, 20))
+                       - np.exp(logsums(K, spectra - step, 20))) / (2 * h)
             assert np.exp(log_ds[:, 1:, k]) == pytest.approx(central[:, 1:], rel=1e-7)
         assert np.all(log_ds[:, 0] == -np.inf)          # S_0 = 1
 
     @pytest.mark.parametrize("K", [3])
     def test_partials_at_zero_eigenvalues(self, K):
-        tab = shared_sum_table(K, 20)
         spectra = np.array([[0.0] + [1.3, 0.7][:K - 1], [0.0] * K])
-        log_s, log_ds = tab.logsums_and_partials(spectra)
-        assert np.array_equal(log_s, tab.logsums(spectra))
+        log_ds = log_partials(K, spectra, 20)
         assert np.all(np.isfinite(log_ds[0, 1:]))
         # one-sided second-order difference in the zero eigenvalue
         h = 1e-5
         step = np.zeros(K)
         step[0] = h
-        S = lambda s: np.exp(tab.logsums(s[None, :]))[0]
+        S = lambda s: np.exp(logsums(K, s[None, :], 20))[0]
         onesided = (-3 * S(spectra[0]) + 4 * S(spectra[0] + step)
                     - S(spectra[0] + 2 * step)) / (2 * h)
         assert np.exp(log_ds[0, 1:, 0]) == pytest.approx(onesided[1:], rel=1e-5)
@@ -335,15 +333,15 @@ def planar_spectra() -> np.ndarray:
     return spectra
 
 
-class TestPlanarZonalSums:
-    def test_is_the_kernel_for_K2_and_a1_only(self):
-        assert isinstance(shared_sum_table(2, 10), PlanarZonalSums)
-        kernel = shared_sum_table(2, 10)
-        assert (kernel.K, kernel.a, kernel.tmax) == (2, 1.0, 10)
+class TestPlanarKernel:
+    def test_serves_sums_through_tmax_and_no_partials(self):
+        assert logsums(2, planar_spectra()[:5], 10).shape == (5, 11)
+        with pytest.raises(DomainError, match="no partials"):
+            log_partials(2, planar_spectra()[:5], 10)
 
     def test_matches_the_table_to_degree_60(self):
         spectra = planar_spectra()
-        got = PlanarZonalSums(60).logsums(spectra)
+        got = logsums(2, spectra, 60)
         ref = ZonalSumTable(2, 60).logsums(spectra)
         assert np.array_equal(np.isneginf(got), np.isneginf(ref))
         assert np.all(np.isfinite(got[~np.isneginf(got)]))
@@ -353,7 +351,7 @@ class TestPlanarZonalSums:
 
     def test_matches_zonal_poly_sums(self):
         spectra = planar_spectra()[::6]
-        log_s = PlanarZonalSums(8).logsums(spectra)
+        log_s = logsums(2, spectra, 8)
         for i, s in enumerate(spectra):
             for t in range(9):
                 direct = sum(zonal_poly(k, s) / gen_pochhammer(1.0, k)
@@ -362,12 +360,11 @@ class TestPlanarZonalSums:
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            PlanarZonalSums(-1)
-        kernel = PlanarZonalSums(3)
+            logsums(2, np.ones((3, 2)), -1)
         with pytest.raises(DomainError):
-            kernel.logsums(np.array([[1.0, -0.5]]))
+            logsums(2, np.array([[1.0, -0.5]]), 3)
         with pytest.raises(DomainError):
-            kernel.logsums(np.ones((3, 3)))
+            logsums(2, np.ones((3, 3)), 3)
 
     def test_planar_routes_build_no_table(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -406,18 +403,16 @@ def spatial_spectra() -> np.ndarray:
     return spectra
 
 
-class TestSpatialZonalSums:
-    def test_is_the_kernel_for_K3_and_a_three_halves_only(self):
-        assert isinstance(shared_sum_table(3, 10), SpatialZonalSums)
-        kernel = shared_sum_table(3, 10)
-        assert (kernel.K, kernel.a, kernel.tmax) == (3, 1.5, 10)
+class TestSpatialKernel:
+    def test_serves_sums_and_partials_through_tmax(self):
+        spectra = spatial_spectra()[:5]
+        assert logsums(3, spectra, 10).shape == (5, 11)
+        assert log_partials(3, spectra, 10).shape == (5, 11, 3)
 
     def test_matches_the_table_to_degree_40(self):
         spectra = spatial_spectra()
-        kernel = SpatialZonalSums(40)
-        log_s, log_ds = kernel.logsums_and_partials(spectra)
+        log_s, log_ds = logsums(3, spectra, 40), log_partials(3, spectra, 40)
         ref_s, ref_ds = ZonalSumTable(3, 40).logsums_and_partials(spectra)
-        assert np.array_equal(log_s, kernel.logsums(spectra))
         for got, ref in ((log_s, ref_s), (log_ds, ref_ds)):
             assert np.array_equal(np.isneginf(got), np.isneginf(ref))
             assert np.all(np.isfinite(got[~np.isneginf(got)]))
@@ -428,11 +423,11 @@ class TestSpatialZonalSums:
     def test_finite_and_consistent_to_the_maximum_degree(self):
         spectra = spatial_spectra()[::10]
         top = zonal._SPATIAL_MAX_DEGREE
-        log_s, log_ds = SpatialZonalSums(top).logsums_and_partials(spectra)
+        log_s, log_ds = logsums(3, spectra, top), log_partials(3, spectra, top)
         empty = ~np.any(spectra > 0, axis=1)
         assert np.all(np.isfinite(log_s[~empty])) and np.all(np.isfinite(log_ds[~empty, 1:]))
         # more nodes and another tilt leave the low degrees unchanged
-        low_s, low_ds = SpatialZonalSums(40).logsums_and_partials(spectra)
+        low_s, low_ds = logsums(3, spectra, 40), log_partials(3, spectra, 40)
         for got, ref in ((log_s[:, :41], low_s), (log_ds[:, :41], low_ds)):
             assert np.array_equal(np.isneginf(got), np.isneginf(ref))
             finite = np.isfinite(ref)
@@ -441,7 +436,7 @@ class TestSpatialZonalSums:
 
     def test_matches_zonal_poly_sums(self):
         spectra = spatial_spectra()[::8]
-        log_s = SpatialZonalSums(8).logsums(spectra)
+        log_s = logsums(3, spectra, 8)
         for i, s in enumerate(spectra):
             for t in range(9):
                 direct = sum(zonal_poly(k, s) / gen_pochhammer(1.5, k)
@@ -449,32 +444,31 @@ class TestSpatialZonalSums:
                 assert math.exp(log_s[i, t]) == pytest.approx(direct, rel=1e-10, abs=0.0)
 
     def test_memory_is_bounded_and_chunking_is_exact(self, monkeypatch):
-        kernel = SpatialZonalSums(60)
         spectra = np.abs(np.random.default_rng(5).normal(size=(5000, 3))) * 3
         spectra[:50, 2] = 0.0
         tracemalloc.start()
         try:
-            chunked = kernel.logsums(spectra)
-            chunked_ds = kernel.logsums_and_partials(spectra)[1]
+            chunked = logsums(3, spectra, 60)
+            chunked_ds = log_partials(3, spectra, 60)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
         # one chunk of the first 300 rows, where the default takes three
         monkeypatch.setattr(zonal, "_LOGSUMS_CHUNK_BYTES", 2 ** 40)
-        assert np.array_equal(chunked[:300], kernel.logsums(spectra[:300]))
-        assert np.array_equal(chunked_ds[:300], kernel.logsums_and_partials(spectra[:300])[1])
+        assert np.array_equal(chunked[:300], logsums(3, spectra[:300], 60))
+        assert np.array_equal(chunked_ds[:300], log_partials(3, spectra[:300], 60))
 
     def test_input_validation(self):
+        spectra = np.ones((3, 3))
         with pytest.raises(DomainError):
-            SpatialZonalSums(-1)
+            logsums(3, spectra, -1)
         with pytest.raises(DomainError):
-            SpatialZonalSums(zonal._SPATIAL_MAX_DEGREE + 1)
-        kernel = SpatialZonalSums(3)
+            log_partials(3, spectra, zonal._SPATIAL_MAX_DEGREE + 1)
         with pytest.raises(DomainError):
-            kernel.logsums(np.array([[1.0, -0.5, 2.0]]))
+            logsums(3, np.array([[1.0, -0.5, 2.0]]), 3)
         with pytest.raises(DomainError):
-            kernel.logsums_and_partials(np.ones((3, 2)))
+            log_partials(3, np.ones((3, 2)), 3)
 
     def test_spatial_routes_build_no_table(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -493,12 +487,12 @@ class TestSpatialZonalSums:
         assert math.isfinite(fit.loglik)
 
 
-class TestLinearZonalSums:
+class TestLinearKernel:
     def test_matches_the_table_to_degree_30(self):
         rng = np.random.default_rng(9)
         spectra = np.concatenate([[[0.0], [1e-12], [1e3]],
                                   10.0 ** rng.uniform(-3, 3, size=(47, 1))])
-        log_s = shared_sum_table(1, 30).logsums(spectra)
+        log_s = logsums(1, spectra, 30)
         ref = ZonalSumTable(1, 30).logsums(spectra)
         assert np.array_equal(np.isneginf(log_s), np.isneginf(ref))
         finite = np.isfinite(ref)
@@ -507,17 +501,16 @@ class TestLinearZonalSums:
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            LinearZonalSums(-1)
+            logsums(1, np.ones((3, 1)), -1)
         with pytest.raises(DomainError):
-            LinearZonalSums(3).logsums(np.array([[-0.5]]))
+            logsums(1, np.array([[-0.5]]), 3)
         with pytest.raises(DomainError):
-            LinearZonalSums(3).logsums(np.ones((3, 2)))
+            log_partials(1, np.ones((3, 2)), 3)
 
     def test_partials_are_exact_also_at_zero(self):
         # dS_t/dlambda = t lambda^(t-1) / (1/2)_t, so dS_1 = 2 and the rest
         # vanish at lambda = 0
-        log_s, log_ds = LinearZonalSums(6).logsums_and_partials(np.array([[0.0], [0.3]]))
-        assert np.array_equal(log_s, LinearZonalSums(6).logsums(np.array([[0.0], [0.3]])))
+        log_ds = log_partials(1, np.array([[0.0], [0.3]]), 6)
         assert np.exp(log_ds[0, :, 0]).tolist() == [0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         poch = [math.prod(0.5 + i for i in range(t)) for t in range(7)]
         expect = [t * 0.3 ** (t - 1) / poch[t] for t in range(1, 7)]
@@ -526,12 +519,11 @@ class TestLinearZonalSums:
 
 class TestKernelDomain:
     def test_K1_is_served_and_K_outside_1_to_3_raises(self):
-        kernel = shared_sum_table(1, 7)
-        assert isinstance(kernel, LinearZonalSums)
-        assert (kernel.K, kernel.a, kernel.tmax) == (1, 0.5, 7)
+        assert logsums(1, np.ones((2, 1)), 7).shape == (2, 8)
         for K in (0, 4, 5):
-            with pytest.raises(DomainError, match=r"K in \{1, 2, 3\}"):
-                shared_sum_table(K, 7)
+            for kernel in (logsums, log_partials):
+                with pytest.raises(DomainError, match=r"K in \{1, 2, 3\}"):
+                    kernel(K, np.ones((2, max(K, 1))), 7)
 
     def test_other_a_or_a_wider_spectrum_raises(self):
         for b, eigs in ((2.0, [0.1, 0.2, 0.3, 0.4]), (2.0, [0.1]), (1.25, [0.1, 0.2])):
@@ -550,7 +542,7 @@ class TestKernelDomain:
         spectra = np.concatenate([np.zeros((1, n)), np.abs(rng.normal(size=(6, n))) * 3])
         log_s = table.logsums(spectra)
         for eigs, ref in zip(spectra, log_s):
-            log, sign, used, _ = zonal_series_batch(ones, [eigs], K / 2.0,
+            log, sign, used, _ = zonal_series_batch(ONES, [eigs], K / 2.0,
                                                     SeriesControl(max_degree=30))
             oracle_sum = math.fsum(math.exp(ref[t] - math.lgamma(t + 1))
                                    for t in range(used[0] + 1))
