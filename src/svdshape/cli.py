@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .geometry import Mode, SampleOfShapes
-    from .models import IsotropicKind, ModelSpec
+    from .models import GeneratorSpec, ModelSpec
     from .zonal import SeriesControl
 
 # Only the stdlib and .errors load with this module, so --help, usage errors
@@ -45,7 +45,6 @@ class RunConfig(NamedTuple):
 
     model: str = "gaussian"
     kotz_T: int = 2
-    kotz_R: float = 0.5
     sigma2: float = 1.0
     theta_path: str | None = None
     mu_path: str | None = None
@@ -65,21 +64,17 @@ class RunConfig(NamedTuple):
         from .zonal import SeriesControl
         return SeriesControl(max_degree=self.max_degree, rel_tol=self.rel_tol)
 
-    def check_isotropic(self) -> None:
-        """The generators of fit, compare and test fix R = 1/2."""
-        if self.kotz_R != 0.5:
-            raise ParseError(
-                f"inference commands fix kotz R = 0.5, got {self.kotz_R}")
-
     @property
-    def isotropic_kind(self) -> IsotropicKind:
-        from .models import IsotropicKind
-        self.check_isotropic()
-        if self.model == "gaussian":
-            return IsotropicKind.GAUSSIAN
-        if self.kotz_T not in (2, 3):
-            raise ParseError(f"inference commands support kotz T in {{2, 3}}, got {self.kotz_T}")
-        return IsotropicKind(f"kotz-t{self.kotz_T}")
+    def kind(self) -> str:
+        """The generator's name in the JSON of fit and test."""
+        return self.model if self.model == "gaussian" else f"kotz-t{self.kotz_T}"
+
+    def generator(self, M: int) -> GeneratorSpec:
+        """The generator of --model and --kotz-T, at rate R = 1/2: a Kotz rate
+        R with Sigma is the law of rate 1/2 with Sigma / (2R)."""
+        from .models import GeneratorKind, GeneratorSpec
+        kind = GeneratorKind.GAUSSIAN if self.model == "gaussian" else GeneratorKind.KOTZ_TYPE_I
+        return GeneratorSpec(kind, M=M, T=self.kotz_T)
 
 
 def _read_config_file(path: str) -> dict:
@@ -97,7 +92,7 @@ def _read_config_file(path: str) -> dict:
 
 
 _CONFIG_CASTS = {
-    "model": str, "kotz_T": int, "kotz_R": float, "sigma2": float,
+    "model": str, "kotz_T": int, "sigma2": float,
     "theta": str, "mu": str, "mode": str, "max_degree": int,
     "tol": float, "seed": int, "out": str,
 }
@@ -127,7 +122,7 @@ def _build_config(config_path, **flags) -> RunConfig:
         raise ParseError(f"config key 'mode' has a bad value {config.mode!r}")
     if config.seed < 0:
         raise ParseError(f"seed must be a non-negative integer, got {config.seed}")
-    for name in ("sigma2", "kotz_R", "rel_tol"):
+    for name in ("sigma2", "rel_tol"):
         if not math.isfinite(getattr(config, name)):
             raise ParseError(f"{name} must be finite, got {getattr(config, name)}")
     return config
@@ -156,20 +151,6 @@ def _jsonify(obj):
 def _table(lines: list[str]) -> None:
     for line in lines:
         print(line, file=sys.stderr)
-
-
-def _run(fn):
-    try:
-        return fn()
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_PARSE)
-    except (SeriesTruncationError, NumericError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        sys.exit(EXIT_NUMERIC)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_NUMERIC)
 
 
 def _naming_specimen(items, fn):
@@ -210,169 +191,152 @@ def _build_model(config: RunConfig, Nm1: int, K: int,
     import numpy as np
 
     from .io import read_matrix
-    from .models import GeneratorKind, GeneratorSpec, ModelSpec
-    kind = (GeneratorKind.GAUSSIAN if config.model == "gaussian"
-            else GeneratorKind.KOTZ_TYPE_I)
-    gen = GeneratorSpec(kind, M=Nm1 * K, T=config.kotz_T, R=config.kotz_R)
+    from .models import ModelSpec
     mu = (read_matrix(config.mu_path) if config.mu_path
           else np.zeros((Nm1, K)))
-    return ModelSpec(gen, config.sigma2 * np.eye(Nm1),
+    return ModelSpec(config.generator(Nm1 * K), config.sigma2 * np.eye(Nm1),
                      np.eye(K) if theta is None else theta, mu)
 
 
 def cmd_shape(input_file, config_path, **flags):
     """Per-specimen SVD shape coordinates (r, W, u, Jacobian J and log J)."""
-    def body():
-        config = _build_config(config_path, **flags)
-        sample = _load_sample(input_file, config, "input", _read_theta(config))
-        records = []
-        for sid, sc in sample.items:
-            # log J is -inf at a chart pole, which JSON cannot carry: null
-            log_j = sc.log_jacobian if math.isfinite(sc.log_jacobian) else None
-            records.append({
-                "id": sid, "r": sc.r, "W": sc.W, "u": sc.u,
-                "jacobian": sc.jacobian, "log_jacobian": log_j,
-                "mode": sc.mode.value,
-            })
-        _emit(config, {"command": "shape", "specimens": records})
-        _table([f"{sid:>16}  r={sc.r:.6g}  log J={sc.log_jacobian:.6g}"
-                for sid, sc in sample.items])
-    _run(body)
+    config = _build_config(config_path, **flags)
+    sample = _load_sample(input_file, config, "input", _read_theta(config))
+    records = []
+    for sid, sc in sample.items:
+        # log J is -inf at a chart pole, which JSON cannot carry: null
+        log_j = sc.log_jacobian if math.isfinite(sc.log_jacobian) else None
+        records.append({
+            "id": sid, "r": sc.r, "W": sc.W, "u": sc.u,
+            "jacobian": sc.jacobian, "log_jacobian": log_j,
+            "mode": sc.mode.value,
+        })
+    _emit(config, {"command": "shape", "specimens": records})
+    _table([f"{sid:>16}  r={sc.r:.6g}  log J={sc.log_jacobian:.6g}"
+            for sid, sc in sample.items])
 
 
 def cmd_density(input_file, config_path, **flags):
     """Per-specimen shape log-density under the configured model."""
-    def body():
-        import numpy as np
+    import numpy as np
 
-        from .densities import central_shape_logdensity, shape_logdensities
-        config = _build_config(config_path, **flags)
-        theta = _read_theta(config)
-        sample = _load_sample(input_file, config, "input", theta)
-        model = _build_model(config, sample.Nm1, sample.K, theta)
-        if np.any(model.mu):
-            logs, used, tails = _naming_specimen(sample.items, lambda: shape_logdensities(
-                np.array([sc.u for _, sc in sample.items]), model, config.shape_mode, config.ctrl))
-            values = zip(logs.tolist(), used.tolist(), tails.tolist())
-        else:                   # central: the closed form, no series, any K
-            values = ((central_shape_logdensity(sc.u, model, config.shape_mode).log_density, 0, 0.0)
-                      for _, sc in sample.items)
-        records = [{"id": sid, "log_density": log, "series_degrees_used": degrees,
-                    "tail_bound": tail}
-                   for (sid, _), (log, degrees, tail) in zip(sample.items, values)]
-        _emit(config, {"command": "density", "model": config.model,
-                       "specimens": records})
-        _table([f"{r['id']:>16}  log f = {r['log_density']:.10g}" for r in records])
-    _run(body)
+    from .densities import central_shape_logdensity, shape_logdensities
+    config = _build_config(config_path, **flags)
+    theta = _read_theta(config)
+    sample = _load_sample(input_file, config, "input", theta)
+    model = _build_model(config, sample.Nm1, sample.K, theta)
+    if np.any(model.mu):
+        logs, used, tails = _naming_specimen(sample.items, lambda: shape_logdensities(
+            np.array([sc.u for _, sc in sample.items]), model, config.shape_mode, config.ctrl))
+        values = zip(logs.tolist(), used.tolist(), tails.tolist())
+    else:                   # central: the closed form, no series, any K
+        values = ((central_shape_logdensity(sc.u, model, config.shape_mode).log_density, 0, 0.0)
+                  for _, sc in sample.items)
+    records = [{"id": sid, "log_density": log, "series_degrees_used": degrees,
+                "tail_bound": tail}
+               for (sid, _), (log, degrees, tail) in zip(sample.items, values)]
+    _emit(config, {"command": "density", "model": config.model,
+                   "specimens": records})
+    _table([f"{r['id']:>16}  log f = {r['log_density']:.10g}" for r in records])
 
 
 def cmd_fit(input_file, config_path, **flags):
     """Maximum-likelihood location fit (sigma2 fixed by protocol)."""
-    def body():
-        from .inference import OptimizerConfig, fit_location
-        config = _build_config(config_path, **flags)
-        sample = _load_sample(input_file, config, "input", _read_theta(config))
-        fit = _naming_specimen(sample.items, lambda: fit_location(
-            sample, config.isotropic_kind, config.sigma2,
-            OptimizerConfig(seed=config.seed), config.ctrl))
-        _emit(config, {"command": "fit", "model": config.model,
-                       "kind": config.isotropic_kind.value,
-                       "mu_hat": fit.mu_hat, "sigma2": fit.sigma2,
-                       "loglik": fit.loglik, "n_params": fit.n_params,
-                       "bic_star": fit.bic_star, "converged": fit.converged,
-                       "evaluations": fit.evaluations})
-        _table([f"loglik = {fit.loglik:.6f}   BIC* = {fit.bic_star:.6f}   "
-                f"converged = {fit.converged}"])
-        if not fit.converged:
-            sys.exit(EXIT_NONCONVERGENCE)
-    _run(body)
+    from .inference import OptimizerConfig, fit_location
+    config = _build_config(config_path, **flags)
+    sample = _load_sample(input_file, config, "input", _read_theta(config))
+    fit = _naming_specimen(sample.items, lambda: fit_location(
+        sample, config.generator(sample.Nm1 * sample.K), config.sigma2,
+        OptimizerConfig(seed=config.seed), config.ctrl))
+    _emit(config, {"command": "fit", "model": config.model, "kind": config.kind,
+                   "mu_hat": fit.mu_hat, "sigma2": fit.sigma2,
+                   "loglik": fit.loglik, "n_params": fit.n_params,
+                   "bic_star": fit.bic_star, "converged": fit.converged,
+                   "evaluations": fit.evaluations})
+    _table([f"loglik = {fit.loglik:.6f}   BIC* = {fit.bic_star:.6f}   "
+            f"converged = {fit.converged}"])
+    if not fit.converged:
+        sys.exit(EXIT_NONCONVERGENCE)
 
 
 def cmd_compare(input_file, config_path, **flags):
     """Fit Gaussian, Kotz T=2 and Kotz T=3; rank by modified BIC."""
-    def body():
-        from .inference import OptimizerConfig, evidence_grade, fit_location
-        from .models import IsotropicKind
-        config = _build_config(config_path, **flags)
-        config.check_isotropic()
-        sample = _load_sample(input_file, config, "input", _read_theta(config))
-        fits = {kind.value: _naming_specimen(sample.items, lambda: fit_location(
-                    sample, kind, config.sigma2, OptimizerConfig(seed=config.seed),
-                    config.ctrl))
-                for kind in IsotropicKind}
-        ranked = sorted(fits, key=lambda k: fits[k].bic_star)
-        pairwise = []
-        for i, a in enumerate(ranked):
-            for b in ranked[i + 1:]:
-                delta = fits[b].bic_star - fits[a].bic_star
-                pairwise.append({"preferred": a, "against": b,
-                                 "delta_bic_star": delta,
-                                 "grade": evidence_grade(delta).value})
-        _emit(config, {
-            "command": "compare",
-            "models": {name: {"loglik": f.loglik, "bic_star": f.bic_star,
-                              "mu_hat": f.mu_hat, "converged": f.converged}
-                       for name, f in fits.items()},
-            "ranking": ranked, "pairwise": pairwise})
-        _table([f"{name:>10}  BIC* = {fits[name].bic_star:12.4f}" for name in ranked])
-        if not all(f.converged for f in fits.values()):
-            sys.exit(EXIT_NONCONVERGENCE)
-    _run(body)
+    from .inference import OptimizerConfig, evidence_grade, fit_location
+    from .models import IsotropicKind
+    config = _build_config(config_path, **flags)
+    sample = _load_sample(input_file, config, "input", _read_theta(config))
+    fits = {kind.value: _naming_specimen(sample.items, lambda: fit_location(
+                sample, kind.generator(sample.Nm1 * sample.K), config.sigma2,
+                OptimizerConfig(seed=config.seed), config.ctrl))
+            for kind in IsotropicKind}
+    ranked = sorted(fits, key=lambda k: fits[k].bic_star)
+    pairwise = []
+    for i, a in enumerate(ranked):
+        for b in ranked[i + 1:]:
+            delta = fits[b].bic_star - fits[a].bic_star
+            pairwise.append({"preferred": a, "against": b,
+                             "delta_bic_star": delta,
+                             "grade": evidence_grade(delta).value})
+    _emit(config, {
+        "command": "compare",
+        "models": {name: {"loglik": f.loglik, "bic_star": f.bic_star,
+                          "mu_hat": f.mu_hat, "converged": f.converged}
+                   for name, f in fits.items()},
+        "ranking": ranked, "pairwise": pairwise})
+    _table([f"{name:>10}  BIC* = {fits[name].bic_star:12.4f}" for name in ranked])
+    if not all(f.converged for f in fits.values()):
+        sys.exit(EXIT_NONCONVERGENCE)
 
 
 def cmd_test(group1_file, group2_file, config_path, **flags):
     """Likelihood-ratio test of equal mean shapes across two groups."""
-    def body():
-        from .inference import OptimizerConfig, lr_test_equal_means
-        config = _build_config(config_path, **flags)
-        theta = _read_theta(config)
-        s1 = _load_sample(group1_file, config, "group1", theta)
-        s2 = _load_sample(group2_file, config, "group2", theta)
-        # an error's row numbers the pooled specimens
-        res = _naming_specimen(s1.items + s2.items, lambda: lr_test_equal_means(
-            s1, s2, config.isotropic_kind, config.sigma2,
-            OptimizerConfig(seed=config.seed), config.ctrl))
-        _emit(config, {"command": "test", "kind": config.isotropic_kind.value,
-                       "statistic": res.statistic, "df": res.df,
-                       "p_value": res.p_value,
-                       "loglik_pooled": res.fit_pooled.loglik,
-                       "loglik_group1": res.fit_group1.loglik,
-                       "loglik_group2": res.fit_group2.loglik})
-        _table([f"-2 log Lambda = {res.statistic:.4f}  df = {res.df}  "
-                f"p = {res.p_value:.4f}"])
-        if not (res.fit_pooled.converged and res.fit_group1.converged
-                and res.fit_group2.converged):
-            sys.exit(EXIT_NONCONVERGENCE)
-    _run(body)
+    from .inference import OptimizerConfig, lr_test_equal_means
+    config = _build_config(config_path, **flags)
+    theta = _read_theta(config)
+    s1 = _load_sample(group1_file, config, "group1", theta)
+    s2 = _load_sample(group2_file, config, "group2", theta)
+    # an error's row numbers the pooled specimens
+    res = _naming_specimen(s1.items + s2.items, lambda: lr_test_equal_means(
+        s1, s2, config.generator(s1.Nm1 * s1.K), config.sigma2,
+        OptimizerConfig(seed=config.seed), config.ctrl))
+    _emit(config, {"command": "test", "kind": config.kind,
+                   "statistic": res.statistic, "df": res.df,
+                   "p_value": res.p_value,
+                   "loglik_pooled": res.fit_pooled.loglik,
+                   "loglik_group1": res.fit_group1.loglik,
+                   "loglik_group2": res.fit_group2.loglik})
+    _table([f"-2 log Lambda = {res.statistic:.4f}  df = {res.df}  "
+            f"p = {res.p_value:.4f}"])
+    if not (res.fit_pooled.converged and res.fit_group1.converged
+            and res.fit_group2.converged):
+        sys.exit(EXIT_NONCONVERGENCE)
 
 
 def cmd_verify(config_path, mc_samples, sim_count, n_landmarks, k_dim, **flags):
     """Run the Monte Carlo oracles (normalization mass, simulation match)."""
-    def body():
-        from .geometry import Mode
-        from .verify import check_sim_count, mc_normalization, simulation_vs_density
-        config = _build_config(config_path, **flags)
-        check_sim_count(sim_count)          # before the Monte Carlo mass
-        model = _build_model(config, n_landmarks - 1, k_dim, _read_theta(config))
-        mass, se = mc_normalization(model, config.shape_mode, config.ctrl,
-                                    mc_samples, config.seed)
-        mass_ok = abs(mass - 1.0) < max(3.0 * se, 0.02)
-        rep = simulation_vs_density(model, Mode.REFLECTION, config.ctrl,
-                                    sim_count, config.seed)
-        _emit(config, {
-            "command": "verify",
-            "normalization": {"mass": mass, "standard_error": se, "passed": mass_ok},
-            "simulation": {
-                "passed": rep.passed, "bins": rep.bins,
-                "marginals": [{"angle_index": mr.angle_index, "chi2": mr.chi2,
-                               "dof": mr.dof, "critical_99": mr.critical_99,
-                               "passed": mr.passed} for mr in rep.marginals]}})
-        _table([f"mass = {mass:.4f} +- {se:.4f}  ->  "
-                f"{'pass' if mass_ok else 'FAIL'}",
-                f"simulation match: {'pass' if rep.passed else 'FAIL'}"])
-        if not (mass_ok and rep.passed):
-            sys.exit(1)
-    _run(body)
+    from .geometry import Mode
+    from .verify import check_sim_count, mc_normalization, simulation_vs_density
+    config = _build_config(config_path, **flags)
+    check_sim_count(sim_count)          # before the Monte Carlo mass
+    model = _build_model(config, n_landmarks - 1, k_dim, _read_theta(config))
+    mass, se = mc_normalization(model, config.shape_mode, config.ctrl,
+                                mc_samples, config.seed)
+    mass_ok = abs(mass - 1.0) < max(3.0 * se, 0.02)
+    rep = simulation_vs_density(model, Mode.REFLECTION, config.ctrl,
+                                sim_count, config.seed)
+    _emit(config, {
+        "command": "verify",
+        "normalization": {"mass": mass, "standard_error": se, "passed": mass_ok},
+        "simulation": {
+            "passed": rep.passed, "bins": rep.bins,
+            "marginals": [{"angle_index": mr.angle_index, "chi2": mr.chi2,
+                           "dof": mr.dof, "critical_99": mr.critical_99,
+                           "passed": mr.passed} for mr in rep.marginals]}})
+    _table([f"mass = {mass:.4f} +- {se:.4f}  ->  "
+            f"{'pass' if mass_ok else 'FAIL'}",
+            f"simulation match: {'pass' if rep.passed else 'FAIL'}"])
+    if not (mass_ok and rep.passed):
+        sys.exit(1)
 
 
 def _existing_path(path: str) -> str:
@@ -388,7 +352,6 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--model", choices=MODELS)
     common.add_argument("--kotz-T", type=int, metavar="INT")
-    common.add_argument("--kotz-R", type=float, metavar="FLOAT")
     common.add_argument("--sigma2", type=float, metavar="FLOAT")
     common.add_argument("--theta", type=_existing_path, metavar="PATH",
                         help="K x K column covariance matrix file (default identity)")
@@ -434,7 +397,17 @@ def main(argv: list[str] | None = None) -> None:
     """Exact shape densities and likelihood inference for landmark data."""
     args = vars(_parser().parse_args(argv))
     del args["command"]
-    args.pop("run")(**args)
+    try:
+        args.pop("run")(**args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_PARSE)
+    except (SeriesTruncationError, NumericError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        sys.exit(EXIT_NUMERIC)
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_NUMERIC)
 
 
 def _main_with_keywords(args: list[str] | None = None, prog_name: str | None = None,

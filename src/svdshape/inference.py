@@ -1,11 +1,12 @@
 """Likelihood inference on samples of shapes: location MLE, modified BIC
 model selection, evidence grading, and the two-group likelihood-ratio test.
 
-The worked inference protocol is isotropic: Sigma = sigma^2 I, Theta = I,
-sigma^2 fixed in advance, a Kotz generator at R = 1/2 (:class:`IsotropicKind`).
-Its likelihood (:class:`ShapeLikelihood`) sums the exact shape densities:
-closed form at K = 2, series that raise where they do not converge at K = 1
-or 3, so no fit is truncated silently. It depends on (mu, sigma^2) only
+Fits are isotropic: Sigma = sigma^2 I, Theta = I and sigma^2 fixed in
+advance, under any :class:`GeneratorSpec`; the paper's protocol ranks three
+Kotz generators at R = 1/2 (:class:`IsotropicKind`). The likelihood
+(:class:`ShapeLikelihood`) sums the exact shape densities: closed form at
+K = 2, series that raise where they do not converge at K = 1 or 3, so no fit
+is truncated silently. It depends on (mu, sigma^2) only
 through mu / sigma, loglik(c mu, c^2 sigma^2) = loglik(mu, sigma^2) for
 c > 0, so shapes alone do not identify sigma^2 and the protocol fixes it;
 and on mu only through mu' W_i W_i' mu and tr mu' mu, so mu is identified up
@@ -113,7 +114,8 @@ class ShapeLikelihood:
 
 def log_likelihood(sample: SampleOfShapes, mu: np.ndarray, sigma2: float,
                    kind: IsotropicKind, ctrl: SeriesControl | None = None) -> float:
-    """Sum of the sample's shape log densities: :class:`ShapeLikelihood` of the kind."""
+    """Sum of the sample's shape log densities under one of the paper's three
+    generators: a shorthand for :class:`ShapeLikelihood` of ``kind.generator(M)``."""
     return ShapeLikelihood(sample, kind.generator(sample.Nm1 * sample.K),
                            sigma2, ctrl).loglik(mu)
 
@@ -267,10 +269,11 @@ def _canonical_sign(mu: np.ndarray) -> np.ndarray:
     return mu
 
 
-def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
+def fit_location(sample: SampleOfShapes, generator: GeneratorSpec,
                  sigma2_fixed: float, opt: OptimizerConfig | None = None,
                  ctrl: SeriesControl | None = None) -> FitResult:
-    """Maximum-likelihood location fit with sigma^2 fixed by protocol.
+    """Maximum-likelihood location fit under ``generator`` (of dimension
+    M = (N-1)K) with sigma^2 fixed by protocol.
 
     Multi-start BFGS on the exact log-likelihood gradient
     (:meth:`ShapeLikelihood.loglik_and_grad`); each start stops once no
@@ -290,7 +293,7 @@ def fit_location(sample: SampleOfShapes, kind: IsotropicKind,
     opt = opt or OptimizerConfig()
     Nm1, K = sample.Nm1, sample.K
     n_loc = Nm1 * K
-    like = ShapeLikelihood(sample, kind.generator(n_loc), sigma2_fixed, ctrl)
+    like = ShapeLikelihood(sample, generator, sigma2_fixed, ctrl)
     seed0 = np.mean([sc.r * sc.W for _, sc in sample.items], axis=0).reshape(-1)
     rng = random.Random(opt.seed)
     scale = 0.25 * float(np.linalg.norm(seed0)) / math.sqrt(n_loc) \
@@ -333,10 +336,11 @@ class LrTestResult:
 
 
 def lr_test_equal_means(sample1: SampleOfShapes, sample2: SampleOfShapes,
-                        kind: IsotropicKind, sigma2_fixed: float,
+                        generator: GeneratorSpec, sigma2_fixed: float,
                         opt: OptimizerConfig | None = None,
                         ctrl: SeriesControl | None = None) -> LrTestResult:
-    """Likelihood-ratio test of equal locations across two groups.
+    """Likelihood-ratio test of equal locations across two groups, under
+    one ``generator``.
 
     H0 fits one pooled mu, H1 fits each group separately; the statistic
     2 (loglik_H1 - loglik_H0) is referred to chi-square with (N-1)K degrees
@@ -348,10 +352,10 @@ def lr_test_equal_means(sample1: SampleOfShapes, sample2: SampleOfShapes,
     if (sample1.Nm1, sample1.K, sample1.mode) != (sample2.Nm1, sample2.K, sample2.mode):
         raise DomainError("groups must share N, K and mode")
     pooled = sample1.merged(sample2, f"{sample1.group_id}+{sample2.group_id}")
-    fit0 = fit_location(pooled, kind, sigma2_fixed, opt, ctrl)
-    fit1 = fit_location(sample1, kind, sigma2_fixed, opt, ctrl)
+    fit0 = fit_location(pooled, generator, sigma2_fixed, opt, ctrl)
+    fit1 = fit_location(sample1, generator, sigma2_fixed, opt, ctrl)
     try:
-        fit2 = fit_location(sample2, kind, sigma2_fixed, opt, ctrl)
+        fit2 = fit_location(sample2, generator, sigma2_fixed, opt, ctrl)
     except (SeriesTruncationError, NumericError) as exc:
         if exc.row is not None:
             exc.row += sample1.size

@@ -41,6 +41,8 @@ class GeneratorSpec:
     R: float = 0.5          # rate
 
     def __post_init__(self):
+        if not isinstance(self.kind, GeneratorKind):
+            raise DomainError(f"generator kind must be a GeneratorKind, got {self.kind!r}")
         if self.M < 1:
             raise DomainError(f"dimension M must be positive, got {self.M}")
         if not 0 < self.R < math.inf:
@@ -62,8 +64,9 @@ class GeneratorSpec:
 
 
 class IsotropicKind(Enum):
-    """The generators of the inference protocol: Kotz type I at rate R = 1/2
-    with shape T = 1 (the Gaussian), 2 or 3."""
+    """The names of the paper's three generators, which ``svdshape compare``
+    ranks: Kotz type I at rate R = 1/2 with shape T = 1 (the Gaussian), 2 or
+    3. Fits take any :class:`GeneratorSpec`; :meth:`generator` builds one."""
 
     GAUSSIAN = "gaussian"
     KOTZ_T2 = "kotz-t2"

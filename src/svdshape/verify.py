@@ -16,7 +16,7 @@ import numpy as np
 from .densities import batch_shape_logdensity
 from .errors import DomainError
 from .geometry import LandmarkSet, Mode, frame_to_angles, helmert_submatrix, theta_inv_sqrt
-from .models import GeneratorKind, ModelSpec
+from .models import ModelSpec
 from .special import chi_square_sf
 from .zonal import SeriesControl
 
@@ -34,8 +34,6 @@ def _sample_centred(model: ModelSpec, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     gen = model.generator
-    if gen.kind not in (GeneratorKind.GAUSSIAN, GeneratorKind.KOTZ_TYPE_I):
-        raise DomainError(f"unsupported generator kind {gen.kind!r}")
     Nm1, K, M = model.Nm1, model.K, model.M
     rng = np.random.Generator(np.random.Philox(seed))
     Z = rng.standard_normal((count, Nm1, K))

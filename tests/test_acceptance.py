@@ -270,7 +270,7 @@ def test_inference_protocol(report):
     for s in range(20):
         g1 = _synthetic_sample("g1", mu_star, sigma2, 23, seed=1000 + s)
         g2 = _synthetic_sample("g2", mu_star, sigma2, 23, seed=2000 + s)
-        res = lr_test_equal_means(g1, g2, IsotropicKind.GAUSSIAN, sigma2,
+        res = lr_test_equal_means(g1, g2, IsotropicKind.GAUSSIAN.generator(10), sigma2,
                                   opt, CTRL)
         pvals.append(res.p_value)
         min_stat = min(min_stat, res.statistic)
@@ -318,11 +318,12 @@ def test_reference_dataset_reproduction(report, capsys):
             gid, tuple((sp.id, svd_shape(preprocess(sp)))
                        for sp in specimens)))
     small = min(samples, key=lambda s: s.size)
-    fits = {kind: fit_location(small, kind, sigma2, opt, CTRL)
+    M = small.Nm1 * small.K
+    fits = {kind: fit_location(small, kind.generator(M), sigma2, opt, CTRL)
             for kind in (IsotropicKind.GAUSSIAN, IsotropicKind.KOTZ_T3)}
     delta = (fits[IsotropicKind.GAUSSIAN].bic_star
              - fits[IsotropicKind.KOTZ_T3].bic_star)
-    res = lr_test_equal_means(samples[0], samples[1], IsotropicKind.KOTZ_T3,
+    res = lr_test_equal_means(samples[0], samples[1], IsotropicKind.KOTZ_T3.generator(M),
                               sigma2, opt, CTRL)
     ok = delta > 0 and evidence_grade(delta) is EvidenceGrade.VERY_STRONG \
         and res.p_value > 0.05

@@ -231,6 +231,28 @@ class TestSizeAndShape:
         assert a == pytest.approx(b, abs=1e-10)
 
 
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("T", [1, 2, 3, 5])
+def test_kotz_rate_is_a_rescaled_sigma(K, T):
+    # elliptical laws form a scale family (Fang & Zhang, 1990): the Kotz law
+    # at rate R with row covariance Sigma is the law at rate 1/2 with
+    # Sigma / (2R), so a rate option would only rescale --sigma2
+    Sigma = np.array([[1.0, 0.3, 0.0], [0.3, 0.7, 0.1], [0.0, 0.1, 1.2]])
+    Theta = np.eye(K) + 0.15 * (np.ones((K, K)) - np.eye(K))
+    for R in (0.25, 1.0, 2.0):
+        rng = np.random.default_rng([K, T, int(4 * R)])
+        mu = rng.normal(size=(3, K)) * 0.7
+        at_rate = kotz_model(Sigma, Theta, mu, T, R)
+        rescaled = kotz_model(Sigma / (2.0 * R), Theta, mu, T, 0.5)
+        for _ in range(3):
+            sc = svd_shape(mu + rng.normal(size=(3, K)))
+            for density, x in ((shape_logdensity, sc.u),
+                               (size_and_shape_logdensity, sc.V.T @ np.diag(sc.D))):
+                want = density(x, rescaled, ctrl=CTRL).log_density
+                got = density(x, at_rate, ctrl=CTRL).log_density
+                assert abs(got - want) <= 1e-13 * abs(want), (density.__name__, R)
+
+
 # --- K = 2 closed form ------------------------------------------------------
 
 SERIES_CTRL = SeriesControl(max_degree=300)

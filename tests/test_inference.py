@@ -251,7 +251,7 @@ class TestFitLocation:
     def test_recovers_synthetic_location(self, mu_star):
         big = make_sample("big", mu_star, SIGMA2, 200, seed=3)
         opt = OptimizerConfig(n_starts=2, seed=0)
-        fit = fit_location(big, IsotropicKind.GAUSSIAN, SIGMA2, opt, CTRL)
+        fit = fit_location(big, IsotropicKind.GAUSSIAN.generator(10), SIGMA2, opt, CTRL)
         assert fit.loglik >= log_likelihood(big, mu_star, SIGMA2, IsotropicKind.GAUSSIAN,
                                             CTRL) - 1e-6
         # mu is identified up to a right O(2) factor, so mu'mu is determined
@@ -265,20 +265,20 @@ class TestFitLocation:
 
     def test_deterministic(self, sample):
         opt = OptimizerConfig(n_starts=2, seed=7)
-        a = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, opt, CTRL)
-        b = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, opt, CTRL)
+        a = fit_location(sample, IsotropicKind.GAUSSIAN.generator(10), SIGMA2, opt, CTRL)
+        b = fit_location(sample, IsotropicKind.GAUSSIAN.generator(10), SIGMA2, opt, CTRL)
         assert np.array_equal(a.mu_hat, b.mu_hat)
         assert a.loglik == b.loglik and a.evaluations == b.evaluations
 
     def test_canonical_sign(self, sample):
         opt = OptimizerConfig(n_starts=1, seed=0)
-        fit = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, opt, CTRL)
+        fit = fit_location(sample, IsotropicKind.GAUSSIAN.generator(10), SIGMA2, opt, CTRL)
         flat = fit.mu_hat.reshape(-1)
         assert flat[np.nonzero(flat)[0][0]] > 0
 
     def test_stops_at_a_stationary_point(self, sample):
         opt = OptimizerConfig(n_starts=2, seed=0)
-        fit = fit_location(sample, IsotropicKind.KOTZ_T3, SIGMA2, opt, CTRL)
+        fit = fit_location(sample, IsotropicKind.KOTZ_T3.generator(10), SIGMA2, opt, CTRL)
         like = likelihood(sample, IsotropicKind.KOTZ_T3, SIGMA2, CTRL)
         value, grad = like.loglik_and_grad(fit.mu_hat)
         assert fit.converged and value == fit.loglik
@@ -364,13 +364,14 @@ class TestBfgs:
         model = kotz_model(SIGMA2 * np.eye(5), np.eye(2), mu_star, T=2)
         sample = SampleOfShapes("g", tuple(
             (f"s{i}", svd_shape(y)) for i, y in enumerate(_sample_centred(model, 400, 103))))
-        fit = fit_location(sample, IsotropicKind.KOTZ_T3, SIGMA2, OptimizerConfig(seed=3))
+        fit = fit_location(sample, IsotropicKind.KOTZ_T3.generator(10), SIGMA2,
+                           OptimizerConfig(seed=3))
         assert fit.converged
         assert fit.loglik == pytest.approx(-3029.849, abs=1e-3)
 
     def test_fit_reports_the_cap(self, sample, monkeypatch):
         monkeypatch.setattr(inference, "_MAX_EVALUATIONS", 3)
-        fit = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2,
+        fit = fit_location(sample, IsotropicKind.GAUSSIAN.generator(10), SIGMA2,
                            OptimizerConfig(n_starts=2, seed=0), CTRL)
         assert not fit.converged and fit.evaluations <= 6
 
@@ -387,7 +388,7 @@ class TestBfgs:
             return runs[-1]
         minimize = inference._minimize_bfgs
         monkeypatch.setattr(inference, "_minimize_bfgs", recorded)
-        fit = fit_location(far, IsotropicKind.KOTZ_T3, SIGMA2)
+        fit = fit_location(far, IsotropicKind.KOTZ_T3.generator(10), SIGMA2)
         lowest = min(run.value for run in runs)
         assert fit.converged
         assert -fit.loglik - lowest <= 1e-10 * abs(lowest)
@@ -404,7 +405,8 @@ class TestBfgs:
             value, ok = next(values)
             return inference._Minimum(np.asarray(x0), value, ok, 1)
         monkeypatch.setattr(inference, "_minimize_bfgs", fake)
-        fit = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, OptimizerConfig(n_starts=2))
+        fit = fit_location(sample, IsotropicKind.GAUSSIAN.generator(10), SIGMA2,
+                           OptimizerConfig(n_starts=2))
         assert fit.loglik == loglik and fit.converged is converged
 
     def test_a_start_that_fails_is_skipped(self, sample, monkeypatch):
@@ -417,7 +419,8 @@ class TestBfgs:
                 raise SeriesTruncationError("zonal series did not converge", row=4)
             return inference._Minimum(np.asarray(x0), -10.0 - len(calls), True, 5)
         monkeypatch.setattr(inference, "_minimize_bfgs", fake)
-        fit = fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, OptimizerConfig(n_starts=3))
+        fit = fit_location(sample, IsotropicKind.GAUSSIAN.generator(10), SIGMA2,
+                           OptimizerConfig(n_starts=3))
         assert len(calls) == 3
         assert fit.loglik == 13.0 and fit.converged
         assert fit.evaluations == 5 + 1 + 5     # the failed start counts its one
@@ -430,7 +433,8 @@ class TestBfgs:
             raise error("series failed at the start point", row=next(rows))
         monkeypatch.setattr(inference, "_minimize_bfgs", fake)
         with pytest.raises(error) as err:
-            fit_location(sample, IsotropicKind.GAUSSIAN, SIGMA2, OptimizerConfig(n_starts=3))
+            fit_location(sample, IsotropicKind.GAUSSIAN.generator(10), SIGMA2,
+                         OptimizerConfig(n_starts=3))
         assert err.value.row == 3
 
     def test_no_seed_aborts_a_k3_fit(self, monkeypatch):
@@ -455,7 +459,8 @@ class TestBfgs:
                 raise
         monkeypatch.setattr(inference, "_minimize_bfgs", recorded)
         for seed in range(30):
-            fit = fit_location(k3, IsotropicKind.GAUSSIAN, 1.0, OptimizerConfig(seed=seed))
+            fit = fit_location(k3, IsotropicKind.GAUSSIAN.generator(9), 1.0,
+                               OptimizerConfig(seed=seed))
             assert math.isfinite(fit.loglik) and fit.evaluations == 4
         assert failed                           # the sweep meets failing starts
 
@@ -463,7 +468,7 @@ class TestBfgs:
 class TestLrTest:
     def test_identical_groups(self, sample):
         opt = OptimizerConfig(n_starts=2, seed=0)
-        res = lr_test_equal_means(sample, sample, IsotropicKind.GAUSSIAN,
+        res = lr_test_equal_means(sample, sample, IsotropicKind.GAUSSIAN.generator(10),
                                   SIGMA2, opt, CTRL)
         assert res.statistic == pytest.approx(0.0, abs=1e-4)
         assert res.p_value == pytest.approx(1.0, abs=1e-4)
@@ -473,7 +478,7 @@ class TestLrTest:
         g1 = make_sample("g1", mu_star, SIGMA2, 23, seed=21)
         g2 = make_sample("g2", mu_star + 12.0, SIGMA2, 23, seed=22)
         opt = OptimizerConfig(n_starts=2, seed=0)
-        res = lr_test_equal_means(g1, g2, IsotropicKind.GAUSSIAN, SIGMA2,
+        res = lr_test_equal_means(g1, g2, IsotropicKind.GAUSSIAN.generator(10), SIGMA2,
                                   opt, CTRL)
         assert res.statistic >= 0.0
         assert res.p_value < 0.01   # groups differ strongly
@@ -492,7 +497,7 @@ class TestLrTest:
         monkeypatch.setattr(inference, "fit_location", failing)
         g1 = SampleOfShapes("g1", sample.items[:5])
         with pytest.raises(SeriesTruncationError) as err:
-            lr_test_equal_means(g1, sample, IsotropicKind.GAUSSIAN, SIGMA2,
+            lr_test_equal_means(g1, sample, IsotropicKind.GAUSSIAN.generator(10), SIGMA2,
                                 OptimizerConfig(n_starts=1), CTRL)
         assert calls[2] is sample and err.value.row == 6
 
@@ -502,5 +507,5 @@ class TestLrTest:
             "o", tuple((f"o-{i}", svd_shape(rng.normal(size=(3, 2))))
                        for i in range(4)))
         with pytest.raises(DomainError):
-            lr_test_equal_means(sample, other, IsotropicKind.GAUSSIAN,
+            lr_test_equal_means(sample, other, IsotropicKind.GAUSSIAN.generator(10),
                                 SIGMA2, None, CTRL)

@@ -260,16 +260,6 @@ class TestCli:
         assert "domain error:" in res.stderr
         assert "3x3" in res.stderr and "K=2" in res.stderr
 
-    def test_kotz_R_rejected_by_inference_commands(self, landmark_file):
-        for command in ("fit", "compare"):
-            res = run_cli(command, landmark_file, "--sigma2", "0.5",
-                          "--kotz-R", "1.0")
-            assert res.exit_code == 2
-            assert "parse error" in res.stderr
-        res = run_cli("test", landmark_file, landmark_file, "--sigma2", "0.5",
-                      "--kotz-R", "1.0")
-        assert res.exit_code == 2
-
     def test_numeric_failure_exit_code(self, specimens_k3, tmp_path):
         # a tiny degree budget cannot sum the K = 3 series for a huge location
         path = tmp_path / "k3.txt"
@@ -311,10 +301,13 @@ class TestCli:
                 != from_cfg["specimens"][0]["log_density"])
 
     def test_bad_config_key(self, landmark_file, tmp_path):
+        # no kotz_R key: a Kotz rate R is the rate 1/2 at sigma2 / (2R)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("frobnicate = 3\n")
-        res = run_cli("density", landmark_file, "--config", str(cfg))
-        assert res.exit_code == 2
+        for key in ("frobnicate", "kotz_R"):
+            cfg.write_text(f"{key} = 3\n")
+            res = run_cli("density", landmark_file, "--config", str(cfg))
+            assert res.exit_code == 2
+            assert f"parse error: unknown config key {key!r}" in res.stderr
 
     @pytest.mark.parametrize("text", ["seed = x\n", "mode = sideways\n", "model = bogus\n",
                                       "sigma2 = nan\n", "kotz_R = inf\n", "tol = nan\n"])
@@ -353,13 +346,13 @@ class TestCli:
         assert "parse error" in res.stderr and "seed" in res.stderr
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("option", ["--sigma2", "--kotz-R", "--tol"])
+    @pytest.mark.parametrize("option", ["--sigma2", "--tol"])
     def test_non_finite_float_flag_is_a_parse_error(self, landmark_file, tmp_path,
                                                     option, value):
         mu_path = tmp_path / "mu.txt"
         mu_path.write_text("0.8 -0.3\n0.4 0.6\n")
         density = ("density", landmark_file, "--model", "kotz", "--mu", str(mu_path))
-        name = {"--sigma2": "sigma2", "--kotz-R": "kotz_R", "--tol": "rel_tol"}[option]
+        name = {"--sigma2": "sigma2", "--tol": "rel_tol"}[option]
         for args in (density, ("fit", landmark_file), ("compare", landmark_file),
                      ("test", landmark_file, landmark_file), ("verify",)):
             res = run_cli(*args, f"{option}={value}")
@@ -374,6 +367,35 @@ class TestCli:
         assert a["loglik"] == b["loglik"]
         assert a["mu_hat"] == b["mu_hat"]
         assert a["n_params"] == 4 and a["converged"]
+
+    def test_fit_at_kotz_T_1_is_the_gaussian_fit(self, landmark_file):
+        # Kotz T = 1 at rate 1/2 is the Gaussian generator, bit for bit
+        gaussian, kotz = (json.loads(run_cli("fit", landmark_file, "--sigma2", "0.5",
+                                             *model).stdout)
+                          for model in (("--model", "gaussian"),
+                                        ("--model", "kotz", "--kotz-T", "1")))
+        for key in ("loglik", "mu_hat", "evaluations"):
+            assert kotz[key] == gaussian[key], key
+        assert (gaussian["kind"], kotz["kind"]) == ("gaussian", "kotz-t1")
+
+    def test_fit_and_test_take_any_kotz_T(self, landmark_file):
+        # T = 4 is none of compare's three generators; the loglik that fit
+        # reports re-evaluates through the library's likelihood
+        from svdshape.cli import _build_config, _load_sample
+        from svdshape.inference import ShapeLikelihood
+        from svdshape.models import GeneratorKind, GeneratorSpec
+        model = ("--model", "kotz", "--kotz-T", "4", "--sigma2", "0.5")
+        res = run_cli("fit", landmark_file, *model)
+        assert res.exit_code == 0, res.stderr
+        fit = json.loads(res.stdout)
+        assert fit["kind"] == "kotz-t4"
+        sample = _load_sample(landmark_file, _build_config(None), "input", None)
+        like = ShapeLikelihood(sample, GeneratorSpec(GeneratorKind.KOTZ_TYPE_I, M=4, T=4), 0.5)
+        again = like.loglik(np.array(fit["mu_hat"]))
+        assert abs(again - fit["loglik"]) <= 1e-12 * abs(fit["loglik"])
+        res = run_cli("test", landmark_file, landmark_file, *model)
+        assert res.exit_code == 0, res.stderr
+        assert json.loads(res.stdout)["kind"] == "kotz-t4"
 
     def test_test_identical_groups(self, landmark_file):
         res = run_cli("test", landmark_file, landmark_file,
@@ -565,7 +587,7 @@ class TestCli:
 
 
 _COMMANDS = ("shape", "density", "fit", "compare", "test", "verify")
-_COMMON_OPTIONS = ("--model", "--kotz-T", "--kotz-R", "--sigma2", "--theta", "--mu",
+_COMMON_OPTIONS = ("--model", "--kotz-T", "--sigma2", "--theta", "--mu",
                    "--mode", "--max-degree", "--tol", "--seed", "--out", "--config")
 
 
@@ -585,10 +607,25 @@ class TestUsage:
                           "flat key=value config file; flags win"):
             assert help_text in text
 
+    def test_config_keys_are_the_common_flags(self):
+        # a common flag added or removed without its config key, or a key
+        # without its flag, fails here; --config names the file itself
+        import argparse
+
+        from svdshape.cli import _CONFIG_CASTS, _parser
+        commands = next(action for action in _parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        flags = {option[2:].replace("-", "_")
+                 for action in commands.choices["shape"]._actions
+                 for option in action.option_strings if option.startswith("--")}
+        assert flags - {"help", "config"} == set(_CONFIG_CASTS)
+        assert len(_CONFIG_CASTS) == len(_COMMON_OPTIONS) - 1
+
     @pytest.mark.parametrize("case", [
         "no-arguments", "unknown-command", "missing-input", "missing-input-path",
         "missing-theta-path", "missing-mu-path", "missing-config-path", "bad-model",
-        "bad-mode", "bad-kotz-T", "bad-sigma2", "unknown-option", "abbreviated-option"])
+        "bad-mode", "bad-kotz-T", "bad-sigma2", "unknown-option", "abbreviated-option",
+        "removed-kotz-R"])
     def test_usage_error_exits_2_before_numpy(self, case, landmark_file, tmp_path):
         missing = str(tmp_path / "missing.txt")
         args = {
@@ -605,6 +642,7 @@ class TestUsage:
             "bad-sigma2": ("fit", landmark_file, "--sigma2", "x"),
             "unknown-option": ("shape", landmark_file, "--frobnicate", "1"),
             "abbreviated-option": ("fit", landmark_file, "--sig", "50"),
+            "removed-kotz-R": ("fit", landmark_file, "--kotz-R", "1"),
         }[case]
         res = _python(_USAGE, json.dumps(args))
         assert res.returncode == 0, res.stderr

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from svdshape.errors import DomainError
-from svdshape.models import (GeneratorKind, GeneratorSpec, ModelSpec, binomial_basis,
-                             coefficient_polynomial, gaussian_model, h_value, kotz_model)
+from svdshape.models import (GeneratorKind, GeneratorSpec, IsotropicKind, ModelSpec,
+                             binomial_basis, coefficient_polynomial, gaussian_model, h_value,
+                             kotz_model)
 from svdshape.oracle import h_derivative, radial_integral, radial_integral_quad
 
 
@@ -30,6 +31,12 @@ class TestGeneratorSpec:
     def test_non_finite_rate_raises(self, R):
         with pytest.raises(DomainError, match="rate R"):
             kotz(4, T=2, R=R)
+
+    @pytest.mark.parametrize("kind", ["kotz", "gaussian", IsotropicKind.KOTZ_T2, None])
+    def test_kind_must_be_a_generator_kind(self, kind):
+        # a string kind used to skip the Kotz T check and run T = 2.5 as 2
+        with pytest.raises(DomainError, match="GeneratorKind"):
+            GeneratorSpec(kind, M=4, T=2.5)
 
     def test_gaussian_is_kotz_t1(self):
         g, k = gauss(6), kotz(6, T=1)

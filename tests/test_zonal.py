@@ -379,7 +379,8 @@ class TestPlanarKernel:
         assert math.isfinite(shape_logdensity(U[0], model).log_density)
         sample = SampleOfShapes("g", tuple(
             (f"s{i}", svd_shape(mu + rng.normal(size=(3, 2)))) for i in range(6)))
-        fit = fit_location(sample, IsotropicKind.GAUSSIAN, 1.0, OptimizerConfig(seed=0))
+        fit = fit_location(sample, IsotropicKind.GAUSSIAN.generator(sample.Nm1 * sample.K),
+                           1.0, OptimizerConfig(seed=0))
         assert math.isfinite(fit.loglik)
 
 
@@ -483,7 +484,8 @@ class TestSpatialKernel:
         assert math.isfinite(shape_logdensity(U[0], model).log_density)
         sample = SampleOfShapes("g", tuple(
             (f"s{i}", svd_shape(mu + rng.normal(size=(3, 3)))) for i in range(6)))
-        fit = fit_location(sample, IsotropicKind.GAUSSIAN, 1.0, OptimizerConfig(seed=0))
+        fit = fit_location(sample, IsotropicKind.GAUSSIAN.generator(sample.Nm1 * sample.K),
+                           1.0, OptimizerConfig(seed=0))
         assert math.isfinite(fit.loglik)
 
 
