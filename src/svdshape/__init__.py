@@ -13,9 +13,8 @@ imports only the modules it runs.
 import importlib
 
 _EXPORTS = {
-    "densities": ("DensityValue", "batch_shape_logdensity",
-                  "central_shape_logdensity", "central_size_and_shape_logdensity",
-                  "shape_logdensity", "size_and_shape_logdensity"),
+    "densities": ("DensityValue", "batch_shape_logdensity", "shape_logdensity",
+                  "size_and_shape_logdensity"),
     "errors": ("DegenerateConfigurationError", "DomainError", "NumericError",
                "ParseError", "SeriesTruncationError", "SvdShapeError"),
     "geometry": ("LandmarkSet", "Mode", "SampleOfShapes", "ShapeCoords",

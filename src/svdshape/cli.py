@@ -70,11 +70,13 @@ class RunConfig(NamedTuple):
         return self.model if self.model == "gaussian" else f"kotz-t{self.kotz_T}"
 
     def generator(self, M: int) -> GeneratorSpec:
-        """The generator of --model and --kotz-T, at rate R = 1/2: a Kotz rate
-        R with Sigma is the law of rate 1/2 with Sigma / (2R)."""
+        """The generator of --model and --kotz-T (read for Kotz only), at rate
+        R = 1/2: a Kotz rate R with Sigma is the law of rate 1/2 with
+        Sigma / (2R)."""
         from .models import GeneratorKind, GeneratorSpec
-        kind = GeneratorKind.GAUSSIAN if self.model == "gaussian" else GeneratorKind.KOTZ_TYPE_I
-        return GeneratorSpec(kind, M=M, T=self.kotz_T)
+        if self.model == "gaussian":
+            return GeneratorSpec(GeneratorKind.GAUSSIAN, M=M)
+        return GeneratorSpec(GeneratorKind.KOTZ_TYPE_I, M=M, T=self.kotz_T)
 
 
 def _read_config_file(path: str) -> dict:
@@ -122,9 +124,13 @@ def _build_config(config_path, **flags) -> RunConfig:
         raise ParseError(f"config key 'mode' has a bad value {config.mode!r}")
     if config.seed < 0:
         raise ParseError(f"seed must be a non-negative integer, got {config.seed}")
+    if config.max_degree < 1:
+        raise ParseError(f"max_degree must be a positive integer, got {config.max_degree}")
     for name in ("sigma2", "rel_tol"):
         if not math.isfinite(getattr(config, name)):
             raise ParseError(f"{name} must be finite, got {getattr(config, name)}")
+    if config.rel_tol <= 0:
+        raise ParseError(f"rel_tol must be positive, got {config.rel_tol}")
     return config
 
 
@@ -220,21 +226,17 @@ def cmd_density(input_file, config_path, **flags):
     """Per-specimen shape log-density under the configured model."""
     import numpy as np
 
-    from .densities import central_shape_logdensity, shape_logdensities
+    from .densities import shape_logdensities
     config = _build_config(config_path, **flags)
     theta = _read_theta(config)
     sample = _load_sample(input_file, config, "input", theta)
     model = _build_model(config, sample.Nm1, sample.K, theta)
-    if np.any(model.mu):
-        logs, used, tails = _naming_specimen(sample.items, lambda: shape_logdensities(
-            np.array([sc.u for _, sc in sample.items]), model, config.shape_mode, config.ctrl))
-        values = zip(logs.tolist(), used.tolist(), tails.tolist())
-    else:                   # central: the closed form, no series, any K
-        values = ((central_shape_logdensity(sc.u, model, config.shape_mode).log_density, 0, 0.0)
-                  for _, sc in sample.items)
+    logs, used, tails = _naming_specimen(sample.items, lambda: shape_logdensities(
+        np.array([sc.u for _, sc in sample.items]), model, config.shape_mode, config.ctrl))
     records = [{"id": sid, "log_density": log, "series_degrees_used": degrees,
                 "tail_bound": tail}
-               for (sid, _), (log, degrees, tail) in zip(sample.items, values)]
+               for (sid, _), log, degrees, tail
+               in zip(sample.items, logs.tolist(), used.tolist(), tails.tolist())]
     _emit(config, {"command": "density", "model": config.model,
                    "specimens": records})
     _table([f"{r['id']:>16}  log f = {r['log_density']:.10g}" for r in records])

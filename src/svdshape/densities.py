@@ -10,7 +10,8 @@ The size-and-shape density is the O(K) average of the configuration density
 and lives on rotation-quotient representatives Rmat = V' D.
 
 At K = 2 the shape density sums no series: it is e^z times a polynomial
-in z, summed over two values of z (:func:`_planar_log_series`).
+in z, summed over two values of z (:func:`_planar_log_series`). At a zero
+mu no density sums one, at any K: the central law is its t = 0 term.
 
 All series coefficients, gamma factors and prefactors are handled in log
 space with sign tracking. No-reflection mode divides every density by 2 (the
@@ -94,23 +95,31 @@ def size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
     g(Rmat) = |Sigma|^{-K/2} sum_t h^{(2t)}(tr Sigma^{-1} Rmat Rmat'
     + tr Omega) S_t(Omega Sigma^{-1} Rmat Rmat') / t!, with
     S_t = sum_{|kappa|=t} C_kappa / (K/2)_kappa; doubled in no-reflection mode.
+    At a zero mu only S_0 = 1 is left: |Sigma|^{-K/2} h(y0) with 0 degrees,
+    for any K, and :class:`DomainError` where h(y0) = 0.
     """
     Rmat = np.asarray(Rmat, dtype=float)
     if Rmat.shape != (model.Nm1, model.K):
         raise DomainError(f"Rmat must be (N-1) x K = ({model.Nm1}, {model.K})")
     y0 = float(np.trace(model.sigma_inv @ Rmat @ Rmat.T)) + model.trace_omega
     gen, ctrl = model.generator, ctrl or SeriesControl()
-    delta = coefficient_polynomial(gen, y0, radial=False)[0]
-    # h^(2t)(y0) = e^(log_norm_const - R y0) R^(2t) P(t)
-    log_factor = (gen.log_norm_const - gen.R * y0
-                  + 2.0 * math.log(gen.R) * np.arange(ctrl.max_degree + 1))
-    log, sign, used, tail = zonal_series_batch(
-        _polynomial_coeffs(delta, log_factor), _noncentrality_spectra(model, Rmat[None]),
-        model.K / 2.0, ctrl)
-    _check_positive(sign)
-    log = (-model.K / 2.0 * model.log_det_sigma + float(log[0])
-           + _mode_log_factor(mode))
-    return DensityValue(log, int(used[0]), float(tail[0]), mode)
+    if not np.any(model.mu):
+        h = h_log_value(gen, y0)
+        if h.sign <= 0.0:
+            raise DomainError("generator vanished at the evaluation point")
+        log, used, tail = h.log, 0, 0.0
+    else:
+        delta = coefficient_polynomial(gen, y0, radial=False)[0]
+        # h^(2t)(y0) = e^(log_norm_const - R y0) R^(2t) P(t)
+        log_factor = (gen.log_norm_const - gen.R * y0
+                      + 2.0 * math.log(gen.R) * np.arange(ctrl.max_degree + 1))
+        log, sign, used, tail = zonal_series_batch(
+            _polynomial_coeffs(delta, log_factor), _noncentrality_spectra(model, Rmat[None]),
+            model.K / 2.0, ctrl)
+        _check_positive(sign)
+        log, used, tail = float(log[0]), int(used[0]), float(tail[0])
+    log = -model.K / 2.0 * model.log_det_sigma + log + _mode_log_factor(mode)
+    return DensityValue(log, used, tail, mode)
 
 
 def _polynomial_coeffs(delta: np.ndarray, log_factor: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -134,20 +143,6 @@ def _check_positive(sums: np.ndarray) -> None:
                            "lost its digits", row=int(bad[0]))
 
 
-def central_size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
-                                      mode: Mode = Mode.REFLECTION) -> DensityValue:
-    """Central (mu = 0) size-and-shape log density: |Sigma|^{-K/2} h(tr Sigma^{-1} R R')."""
-    Rmat = np.asarray(Rmat, dtype=float)
-    if Rmat.shape != (model.Nm1, model.K):
-        raise DomainError(f"Rmat must be (N-1) x K = ({model.Nm1}, {model.K})")
-    y0 = float(np.trace(model.sigma_inv @ (Rmat @ Rmat.T)))
-    h = h_log_value(model.generator, y0)
-    if h.sign <= 0.0:
-        raise DomainError("generator vanished at the evaluation point")
-    log = -model.K / 2.0 * model.log_det_sigma + h.log + _mode_log_factor(mode)
-    return DensityValue(log, 0, 0.0, mode)
-
-
 def shape_logdensity(u: np.ndarray, model: ModelSpec,
                      mode: Mode = Mode.REFLECTION,
                      ctrl: SeriesControl | None = None) -> DensityValue:
@@ -169,14 +164,32 @@ def shape_logdensities(U: np.ndarray, model: ModelSpec,
     f(u) = J(u) |Sigma|^{-K/2} sum_t [S_t(Omega Sigma^{-1} W W') / t!]
     int_0^inf r^{M+2t-1} h^{(2t)}(r^2 a + b) dr with
     S_t = sum_{|kappa|=t} C_kappa / (K/2)_kappa, a = tr Sigma^{-1} W W' and
-    b = tr Omega; the sum is :func:`_shape_log_series` of the frames W.
+    b = tr Omega; the sum is :func:`_shape_log_series` of the frames W. At a
+    zero mu only t = 0 is left, and for any K and generator
+    f(u) = J(u) |Sigma|^{-K/2} a^{-M/2} Gamma(M/2) / (2 pi^{M/2}), with 0
+    degrees and tail bound 0; for Sigma = sigma^2 I this is the uniform law
+    on the sphere in the angle chart.
     """
     W, log_j = _chart(U, model.Nm1, model.K, batch=True)
-    a = np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W)
+    a, const = _frame_terms(W, log_j, model.sigma_inv, model.log_det_sigma, mode)
+    if not np.any(model.mu):
+        M = model.M
+        return (const - M / 2.0 * np.log(a) + (math.lgamma(M / 2.0) - math.log(2.0)
+                                                - M / 2.0 * math.log(math.pi)),
+                np.zeros(len(a), dtype=int), np.zeros(len(a)))
     log, used, tail = _shape_log_series(model.generator, _noncentrality_factor(model, W),
                                         a, model.trace_omega, ctrl)
-    return (log_j - model.K / 2.0 * model.log_det_sigma + log + _mode_log_factor(mode),
-            used, tail)
+    return const + log, used, tail
+
+
+def _frame_terms(W: np.ndarray, log_j: np.ndarray, sigma_inv: np.ndarray,
+                 log_det_sigma: float, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
+    """(a, const), each (batch,), of the frames W (batch, N-1, K) with chart
+    log Jacobians ``log_j``: a_i = tr Sigma^{-1} W_i W_i' and the part of
+    every shape log density outside its series, log J(u_i) - (K/2)
+    log |Sigma| plus the mode factor."""
+    a = np.einsum("ab,sak,sbk->s", sigma_inv, W, W)
+    return a, log_j - W.shape[2] / 2.0 * log_det_sigma + _mode_log_factor(mode)
 
 
 def _shape_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: float,
@@ -248,7 +261,7 @@ def _planar_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: floa
     digits against sum |pi_k| (B^k g)_0. In z,
     dE[P]/dz = E[t P(t)] / z = E[P] + sum_k pi_k Gamma(n) e^z (B^k g)_1.
     """
-    n, R, T = gen.M // 2, gen.R, gen.effective_T
+    n, R, T = gen.M // 2, gen.R, gen.T
     adjugate = G[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])     # adj(G)'
     A = np.stack([G + adjugate, G - adjugate], axis=1)      # |G +- adj(G)'|^2 = 2 s+-^2
     z = (R / (2.0 * a))[:, None] * np.sum(A * A, axis=(2, 3))
@@ -317,23 +330,6 @@ def _planar_tables(T: int, M: int, R: float) -> tuple[np.ndarray, ...]:
     for array in out:
         array.flags.writeable = False
     return out
-
-
-def central_shape_logdensity(u: np.ndarray, model: ModelSpec,
-                             mode: Mode = Mode.REFLECTION) -> DensityValue:
-    """Central shape log density; generator-free.
-
-    f(u) = J(u) |Sigma|^{-K/2} a^{-M/2} Gamma(M/2) / (2 pi^{M/2}); for
-    Sigma = sigma^2 I this is the uniform law on the angle box.
-    """
-    W, log_j = _chart(u, model.Nm1, model.K)
-    a = float(np.trace(model.sigma_inv @ (W @ W.T)))
-    M = model.M
-    log = (log_j - model.K / 2.0 * model.log_det_sigma
-           - M / 2.0 * math.log(a) + math.lgamma(M / 2.0)
-           - math.log(2.0) - M / 2.0 * math.log(math.pi)
-           + _mode_log_factor(mode))
-    return DensityValue(log, 0, 0.0, mode)
 
 
 def batch_shape_logdensity(U: np.ndarray, model: ModelSpec,

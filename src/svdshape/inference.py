@@ -22,9 +22,9 @@ from enum import Enum
 
 import numpy as np
 
-from .densities import _shape_log_series
+from .densities import _frame_terms, _shape_log_series
 from .errors import DomainError, NumericError, SeriesTruncationError
-from .geometry import Mode, SampleOfShapes
+from .geometry import SampleOfShapes
 from .models import GeneratorSpec, IsotropicKind
 from .special import chi_square_sf
 from .zonal import SeriesControl
@@ -70,10 +70,10 @@ class ShapeLikelihood:
     """Log-likelihood of a sample of shapes in the location mu, under a
     generator with Sigma = sigma^2 I and Theta = I: the sum of the shape log
     densities of :func:`svdshape.densities.shape_logdensities`, from the
-    same series on W_i, log J(u_i) and a_i = tr W_i W_i' / sigma^2, fixed per
-    sample. At K = 1 or 3 each specimen's series stops at its own degree,
-    and :class:`SeriesTruncationError` names its ``row`` past
-    ``ctrl.max_degree``.
+    same series on W_i and the same assembly of a_i = tr W_i W_i' / sigma^2
+    and the constant terms, fixed per sample. At K = 1 or 3 each specimen's
+    series stops at its own degree, and :class:`SeriesTruncationError` names
+    its ``row`` past ``ctrl.max_degree``.
     """
 
     def __init__(self, sample: SampleOfShapes, generator: GeneratorSpec,
@@ -87,12 +87,10 @@ class ShapeLikelihood:
         self.sample, self.generator = sample, generator
         self.sigma2, self.ctrl = float(sigma2), ctrl
         self._W = np.stack([sc.W for _, sc in sample.items])     # (S, N-1, K)
-        self._a = np.sum(self._W * self._W, axis=(1, 2)) / self.sigma2
-        # log J(u_i), |Sigma|^(-K/2) and the mode factor of every density
-        mode_log = -math.log(2.0) if sample.mode is Mode.NO_REFLECTION else 0.0
-        self._const = (math.fsum(sc.log_jacobian for _, sc in sample.items)
-                       + sample.size * (mode_log - sample.K * sample.Nm1 / 2.0
-                                        * math.log(self.sigma2)))
+        self._a, const = _frame_terms(
+            self._W, np.array([sc.log_jacobian for _, sc in sample.items]),
+            np.eye(sample.Nm1) / self.sigma2, sample.Nm1 * math.log(self.sigma2), sample.mode)
+        self._const = math.fsum(const)
 
     def _series(self, mu: np.ndarray, partials: bool):
         mu = np.asarray(mu, dtype=float).reshape(self.sample.Nm1, self.sample.K)

@@ -37,7 +37,7 @@ class GeneratorSpec:
 
     kind: GeneratorKind
     M: int                  # total dimension (N-1) * K
-    T: int = 1              # Kotz shape; Gaussian behaves as T = 1
+    T: int = 1              # Kotz shape; the Gaussian is T = 1
     R: float = 0.5          # rate
 
     def __post_init__(self):
@@ -47,18 +47,16 @@ class GeneratorSpec:
             raise DomainError(f"dimension M must be positive, got {self.M}")
         if not 0 < self.R < math.inf:
             raise DomainError(f"rate R must be positive and finite, got {self.R}")
-        if self.kind is GeneratorKind.KOTZ_TYPE_I:
-            if self.T < 1 or self.T != int(self.T):
-                raise DomainError(f"Kotz shape T must be a positive integer, got {self.T}")
-
-    @property
-    def effective_T(self) -> int:
-        return 1 if self.kind is GeneratorKind.GAUSSIAN else int(self.T)
+        if self.kind is GeneratorKind.GAUSSIAN and self.T != 1:
+            raise DomainError(f"a Gaussian generator has shape T = 1, got {self.T}")
+        if self.T < 1 or self.T != int(self.T):
+            raise DomainError(f"Kotz shape T must be a positive integer, got {self.T}")
+        object.__setattr__(self, "T", int(self.T))
 
     @property
     def log_norm_const(self) -> float:
         """Log of the normalizing constant of h."""
-        T, R, M = self.effective_T, self.R, self.M
+        T, R, M = self.T, self.R, self.M
         return ((T - 1 + M / 2.0) * math.log(R) + math.lgamma(M / 2.0)
                 - M / 2.0 * math.log(math.pi) - math.lgamma(T - 1 + M / 2.0))
 
@@ -81,7 +79,7 @@ def h_log_value(gen: GeneratorSpec, y: float) -> LogSign:
     """Log-sign form of the generator value h(y)."""
     if y < 0:
         raise DomainError(f"generator argument must be non-negative, got {y}")
-    T, R = gen.effective_T, gen.R
+    T, R = gen.T, gen.R
     if y == 0.0:
         if T > 1:
             return LogSign.zero()
@@ -168,7 +166,7 @@ def coefficient_polynomial(gen: GeneratorSpec, b: float, radial: bool = True
     """
     if b < 0:
         raise DomainError(f"noncentrality b must be non-negative, got {b}")
-    table = _newton_table(gen.effective_T, gen.R, gen.M if radial else None)
+    table = _newton_table(gen.T, gen.R, gen.M if radial else None)
     powers = b ** np.arange(len(table))
     return powers @ table, (np.arange(1, len(table)) * powers[:-1]) @ table[1:]
 

@@ -14,7 +14,9 @@
 - The isotropic shape density (:func:`isotropic_shape_logdensity`) from its
   closed brackets, and the Gaussian one (:func:`gaussian_shape_logdensity`)
   with its radial integrals in closed form: references of the K = 2 closed
-  form.
+  form. The shape density summed through its series at any mu, a zero one
+  included (:func:`series_shape_logdensities`): the reference of the
+  closed central density.
 - Monte Carlo integrals over Haar-uniform frames
   (:func:`stiefel_mc_integral`), the reference of the frame-integral series.
 """
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import (DensityValue, Mode, _chart, _mode_log_factor,
-                        _noncentrality_spectra)
+from .densities import (DensityValue, Mode, _chart, _frame_terms, _mode_log_factor,
+                        _noncentrality_factor, _noncentrality_spectra, _shape_log_series)
 from .errors import DomainError, NumericError
 from .models import GeneratorSpec, IsotropicKind, ModelSpec, h_log_value
 from .special import LogSign
@@ -395,7 +397,7 @@ def h_derivative_log(gen: GeneratorSpec, k: int, y: float) -> LogSign:
         raise DomainError(f"derivative order must be non-negative, got {k}")
     if y < 0:
         raise DomainError(f"generator argument must be non-negative, got {y}")
-    T, R = gen.effective_T, gen.R
+    T, R = gen.T, gen.R
     if T == 1:
         base = h_log_value(gen, y)
         sign = -1.0 if k % 2 else 1.0
@@ -439,7 +441,7 @@ def radial_integral(gen: GeneratorSpec, t: int, a: float, b: float,
         raise DomainError(f"noncentrality b must be non-negative, got {b}")
     if m + n < 1:
         raise DomainError(f"need m + n >= 1, got m={m}, n={n}")
-    T, R, M = gen.effective_T, gen.R, gen.M
+    T, R, M = gen.T, gen.R, gen.M
     q = m + n + 2 * t
     if T == 1:
         log = ((M / 2.0 - (m + n) / 2.0 + t) * math.log(R) - math.log(2.0)
@@ -597,7 +599,7 @@ def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
     sum_t Gamma(M/2 + t) a^{-M/2-t} S_t(R Omega Sigma^{-1} W W') / t!.
     Requires a Gaussian generator (or Kotz with T = 1).
     """
-    if model.generator.effective_T != 1:
+    if model.generator.T != 1:
         raise DomainError("gaussian_shape_logdensity needs a Gaussian-type generator")
     W, log_j = _chart(u, model.Nm1, model.K)
     a = float(np.trace(model.sigma_inv @ W @ W.T))
@@ -613,6 +615,18 @@ def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
            - math.log(2.0) - M / 2.0 * math.log(math.pi)
            - R * b + float(log_sum[0]) + _mode_log_factor(mode))
     return DensityValue(log, int(used[0]), float(tail[0]), mode)
+
+
+def series_shape_logdensities(U: np.ndarray, model: ModelSpec, mode: Mode = Mode.REFLECTION,
+                              ctrl: SeriesControl | None = None) -> np.ndarray:
+    """The log densities of :func:`svdshape.densities.shape_logdensities`
+    from :func:`svdshape.densities._shape_log_series` at every mu: at a zero
+    mu, where the runtime takes the closed central form, the series at
+    G = 0 and b = 0 (K = 1, 2 or 3)."""
+    W, log_j = _chart(U, model.Nm1, model.K, batch=True)
+    a, const = _frame_terms(W, log_j, model.sigma_inv, model.log_det_sigma, mode)
+    return const + _shape_log_series(model.generator, _noncentrality_factor(model, W), a,
+                                     model.trace_omega, ctrl)[0]
 
 
 # frames drawn per batch by stiefel_mc_integral

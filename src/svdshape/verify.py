@@ -39,7 +39,7 @@ def _sample_centred(model: ModelSpec, count: int, seed: int) -> np.ndarray:
     Z = rng.standard_normal((count, Nm1, K))
     norms = np.linalg.norm(Z.reshape(count, -1), axis=1)
     U = Z / norms[:, None, None]
-    r2 = rng.gamma(shape=M / 2.0 + gen.effective_T - 1, scale=1.0 / gen.R, size=count)
+    r2 = rng.gamma(shape=M / 2.0 + gen.T - 1, scale=1.0 / gen.R, size=count)
     sig_half = _matrix_sqrt(model.Sigma)
     th_half = _matrix_sqrt(model.Theta)
     return model.mu[None] + np.sqrt(r2)[:, None, None] * (sig_half @ U @ th_half)

@@ -65,7 +65,8 @@ def zonal_series_batch(coeffs, spectra, denominator_a: float,
     first degree completing _TAIL_WINDOW consecutive terms below
     ``ctrl.rel_tol`` times its running total, and its tail bound is its last
     term relative to the sum; :class:`SeriesTruncationError` for the first
-    ``row`` that does not stop within ``ctrl.max_degree``.
+    ``row`` that does not stop within ``ctrl.max_degree`` or the kernel's
+    own degree cap, whichever is lower.
     """
     ctrl = ctrl or SeriesControl()
     K = 2 * denominator_a
@@ -74,6 +75,7 @@ def zonal_series_batch(coeffs, spectra, denominator_a: float,
         raise DomainError(f"{_SUPPORTED} and spectra (batch, n <= K), got a = "
                           f"{denominator_a:g} and spectra of shape {spectra.shape}")
     K = int(K)
+    tmax = min(ctrl.max_degree, _KERNELS[K][-1])
     spectra = np.pad(spectra, ((0, 0), (0, K - spectra.shape[1])))
     batch = len(spectra)
     coeffs = [np.broadcast_to(x, ctrl.max_degree + 1) for x in coeffs]
@@ -87,7 +89,7 @@ def zonal_series_batch(coeffs, spectra, denominator_a: float,
     quiet = np.zeros((batch, _TAIL_WINDOW - 1), dtype=bool)
     lo = 0
     while len(rows):
-        hi = min(lo + _DEGREE_BLOCK, ctrl.max_degree + 1)
+        hi = min(lo + _DEGREE_BLOCK, tmax + 1)
         log_c, sign_c, *log_m = (x[lo:hi] for x in coeffs)
         log_s = logsums(K, spectra[rows], hi - 1)
         terms = np.where(sign_c != 0.0, log_c + log_s[:, lo:] - _log_factorials(hi)[lo:], -np.inf)
@@ -112,10 +114,10 @@ def zonal_series_batch(coeffs, spectra, denominator_a: float,
                 axis=1)[:, 1:]
             check_cancellation(log_m_run[pick], total, rows[done])
             log_m_acc = log_m_run[~done, -1:]
-        if hi > ctrl.max_degree and not done.all():
+        if hi > tmax and not done.all():
             i = int(np.argmin(done))                    # the first unconverged row
             raise SeriesTruncationError(
-                f"zonal series did not converge within degree {ctrl.max_degree} "
+                f"zonal series did not converge within degree {tmax} "
                 f"(last term log-magnitude {terms[i, -1]:.3g})", row=int(rows[i]),
                 partial_log=float(running[i, -1]), partial_sign=float(np.sign(sums[i, -1])),
                 tail_estimate=float(terms[i, -1]))

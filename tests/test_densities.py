@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from svdshape.densities import (batch_shape_logdensity, central_shape_logdensity,
-                                central_size_and_shape_logdensity, shape_logdensities,
-                                shape_logdensity, size_and_shape_logdensity)
+from svdshape.densities import (batch_shape_logdensity, shape_logdensities, shape_logdensity,
+                                size_and_shape_logdensity)
 from svdshape.errors import DomainError, NumericError, SeriesTruncationError
 from svdshape.geometry import (LandmarkSet, Mode, log_polar_jacobian,
                                preprocess, preshape_angles, svd_shape)
 from svdshape.models import IsotropicKind, gaussian_model, kotz_model
-from svdshape.oracle import gaussian_shape_logdensity, isotropic_shape_logdensity
+from svdshape.oracle import (gaussian_shape_logdensity, isotropic_shape_logdensity,
+                             series_shape_logdensities)
 from svdshape.zonal import SeriesControl
 
 CTRL = SeriesControl(max_degree=80)
@@ -56,11 +56,13 @@ class TestCrossRouteIdentities:
         assert a == pytest.approx(b, abs=1e-8)
 
     def test_central_collapse(self, setup):
+        # a zero mu takes the closed form; the series at G = 0, b = 0 agrees
         Sigma, Theta, _, Y, sc = setup
         model = gaussian_model(Sigma, Theta, np.zeros((3, 2)))
-        a = central_shape_logdensity(sc.u, model).log_density
-        b = shape_logdensity(sc.u, model, ctrl=CTRL).log_density
-        assert a == pytest.approx(b, abs=1e-12)
+        a = shape_logdensity(sc.u, model, ctrl=CTRL)
+        b = series_shape_logdensities(sc.u[None], model, ctrl=CTRL)[0]
+        assert a.log_density == pytest.approx(b, abs=1e-12)
+        assert a.degrees_used == 0 and a.tail_bound == 0.0
 
     def test_central_invariant_across_generators(self, setup):
         Sigma, Theta, _, Y, sc = setup
@@ -74,19 +76,21 @@ class TestCrossRouteIdentities:
     def test_noncentrality_continuity_at_zero(self, setup):
         Sigma, Theta, _, Y, sc = setup
         tiny = 1e-6 * np.ones((3, 2))
-        central = central_shape_logdensity(
+        central = shape_logdensity(
             sc.u, gaussian_model(Sigma, Theta, np.zeros((3, 2)))).log_density
         near = shape_logdensity(
             sc.u, gaussian_model(Sigma, Theta, tiny), ctrl=CTRL).log_density
         assert near == pytest.approx(central, abs=1e-6)
 
     def test_central_size_and_shape_collapse(self, setup):
+        # a zero mu takes h(y0); a tiny one sums the series, off by |mu|^2
         Sigma, Theta, _, Y, sc = setup
-        model = gaussian_model(Sigma, Theta, np.zeros((3, 2)))
         Rmat = sc.V.T @ np.diag(sc.D)
-        a = central_size_and_shape_logdensity(Rmat, model).log_density
-        b = size_and_shape_logdensity(Rmat, model, ctrl=CTRL).log_density
-        assert a == pytest.approx(b, abs=1e-12)
+        a = size_and_shape_logdensity(Rmat, gaussian_model(Sigma, Theta, np.zeros((3, 2))))
+        b = size_and_shape_logdensity(Rmat, gaussian_model(Sigma, Theta, 1e-8 * np.ones((3, 2))),
+                                      ctrl=CTRL)
+        assert a.log_density == pytest.approx(b.log_density, abs=1e-12)
+        assert a.degrees_used == 0 and b.degrees_used > 0
 
 
 class TestModeFactor:
@@ -99,15 +103,15 @@ class TestModeFactor:
              shape_logdensity(sc.u, model, Mode.NO_REFLECTION, CTRL)),
             (size_and_shape_logdensity(Rmat, model, Mode.REFLECTION, CTRL),
              size_and_shape_logdensity(Rmat, model, Mode.NO_REFLECTION, CTRL)),
-            (central_shape_logdensity(
-                sc.u, gaussian_model(Sigma, Theta, np.zeros((3, 2))), Mode.REFLECTION),
-             central_shape_logdensity(
-                sc.u, gaussian_model(Sigma, Theta, np.zeros((3, 2))),
-                Mode.NO_REFLECTION)),
         ]
+        pairs = [(refl.log_density, norefl.log_density) for refl, norefl in pairs]
+        # the closed central form in one mode against the series in the other
+        central = gaussian_model(Sigma, Theta, np.zeros((3, 2)))
+        closed = [shape_logdensity(sc.u, central, mode).log_density for mode in Mode]
+        series = [series_shape_logdensities(sc.u[None], central, mode, CTRL)[0] for mode in Mode]
+        pairs += [(closed[0], series[1]), (series[0], closed[1])]
         for refl, norefl in pairs:
-            assert refl.log_density - norefl.log_density == pytest.approx(
-                math.log(2.0), abs=1e-12)
+            assert refl - norefl == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 class TestOrbitInvariance:
@@ -198,6 +202,16 @@ class TestDiagnosticsAndErrors:
         with pytest.raises(SeriesTruncationError):
             shape_logdensity(sc.u, model, ctrl=SeriesControl(max_degree=5))
 
+    def test_k3_series_stops_at_the_kernel_cap(self):
+        # the K = 3 kernel serves degrees up to 300: a series that has not
+        # stopped there is truncated with its row at any larger max_degree
+        rng = np.random.default_rng(0)
+        model = kotz_model(0.2 * np.eye(4), np.eye(3), 8.0 * rng.normal(size=(4, 3)), T=2)
+        U = np.array([svd_shape(model.mu + rng.normal(size=(4, 3))).u for _ in range(2)])
+        with pytest.raises(SeriesTruncationError, match="within degree 300") as err:
+            shape_logdensities(U, model, ctrl=SeriesControl(max_degree=400))
+        assert err.value.row == 0
+
     def test_isotropic_validation(self):
         with pytest.raises(DomainError):
             isotropic_shape_logdensity(np.zeros(5), np.zeros((3, 2)), -1.0,
@@ -229,6 +243,56 @@ class TestSizeAndShape:
         a = size_and_shape_logdensity(Rmat, model, ctrl=CTRL).log_density
         b = size_and_shape_logdensity(Rmat @ Q, model, ctrl=CTRL).log_density
         assert a == pytest.approx(b, abs=1e-10)
+
+
+class TestCentralClosedForm:
+    """A zero mu leaves only the t = 0 term, a closed form for any K."""
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_shape_density_sums_no_series(self, K):
+        rng = np.random.default_rng(30 + K)
+        A = rng.normal(size=(K + 1, K + 1))
+        Sigma = A @ A.T / (K + 1) + np.eye(K + 1)
+        U = np.array([svd_shape(rng.normal(size=(K + 1, K))).u for _ in range(3)])
+        logs = []
+        for model in (gaussian_model(Sigma, np.eye(K), np.zeros((K + 1, K))),
+                      kotz_model(Sigma, np.eye(K), np.zeros((K + 1, K)), T=3, R=0.8)):
+            dvs = [shape_logdensity(u, model, Mode.NO_REFLECTION) for u in U]
+            assert [(dv.degrees_used, dv.tail_bound) for dv in dvs] == [(0, 0.0)] * 3
+            logs.append([dv.log_density for dv in dvs])
+            if K < 4:
+                series = series_shape_logdensities(U, model, Mode.NO_REFLECTION, CTRL)
+                assert np.allclose(logs[-1], series, rtol=0.0, atol=1e-12)
+        assert logs[0] == logs[1]
+
+    def test_isotropic_shape_density_at_K_4_is_the_uniform_law(self):
+        # Sigma = sigma^2 I: the uniform law on the sphere, J(u) Gamma(M/2) /
+        # (2 pi^(M/2)), whatever sigma^2
+        M = 20
+        model = kotz_model(2.5 * np.eye(5), np.eye(4), np.zeros((5, 4)), T=2)
+        u = svd_shape(np.random.default_rng(4).normal(size=(5, 4))).u
+        want = (log_polar_jacobian(u) + math.lgamma(M / 2.0) - math.log(2.0)
+                - M / 2.0 * math.log(math.pi))
+        assert shape_logdensity(u, model).log_density == pytest.approx(want, abs=1e-12)
+
+    def test_size_and_shape_at_K_4(self):
+        # the Gaussian h(y) = (2 pi)^(-M/2) e^(-y/2), so |Sigma|^(-K/2) h(y0)
+        # is the matrix normal density at Rmat
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(5, 5))
+        Sigma = A @ A.T / 5.0 + np.eye(5)
+        Rmat = rng.normal(size=(5, 4))
+        dv = size_and_shape_logdensity(Rmat, gaussian_model(Sigma, np.eye(4), np.zeros((5, 4))))
+        y0 = float(np.trace(np.linalg.solve(Sigma, Rmat @ Rmat.T)))
+        want = -10.0 * math.log(2.0 * math.pi) - y0 / 2.0 - 2.0 * np.linalg.slogdet(Sigma)[1]
+        assert dv.log_density == pytest.approx(want, abs=1e-12)
+        assert (dv.degrees_used, dv.tail_bound) == (0, 0.0)
+
+    def test_size_and_shape_where_h_vanishes(self):
+        # Kotz T >= 2 has h(0) = 0
+        with pytest.raises(DomainError, match="vanished"):
+            size_and_shape_logdensity(np.zeros((3, 2)),
+                                      kotz_model(np.eye(3), np.eye(2), np.zeros((3, 2)), T=2))
 
 
 @pytest.mark.parametrize("K", [2, 3])
@@ -317,7 +381,7 @@ def _mpmath_logdensity(u, model):
         tr, det = GG[0, 0] + GG[1, 1], GG[0, 0] * GG[1, 1] - GG[0, 1] * GG[1, 0]
         root = mp.sqrt(max(tr * tr - 4 * det, 0))
         d1, d2 = mp.sqrt((tr + root) / 2), mp.sqrt(max((tr - root) / 2, 0))
-        T, R, b, am = gen.effective_T, mp.mpf(gen.R), mp.mpf(model.trace_omega), mp.mpf(a)
+        T, R, b, am = gen.T, mp.mpf(gen.R), mp.mpf(model.trace_omega), mp.mpf(a)
         n = mp.mpf(model.M) / 2
         total, t, quiet = mp.mpf(0), 0, 0
         while quiet < 4:
@@ -483,7 +547,7 @@ def _exact_coefficient_logdensities(U, model, tmax):
     W, log_j = _chart(U, model.Nm1, K, batch=True)
     a = np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W)
     log_s = logsums(K, _noncentrality_spectra(model, W), tmax)
-    T = gen.effective_T
+    T = gen.T
     with mp.workdps(50):
         R, b, n = mp.mpf(gen.R), mp.mpf(model.trace_omega), mp.mpf(model.M) / 2
         values = [sum((-1) ** j * mp.binomial(2 * t, j) * mp.ff(T - 1, j) * R ** -j

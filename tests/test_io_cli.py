@@ -12,11 +12,12 @@ from cli_invoke import invoke
 
 import svdshape
 import svdshape.cli
-from svdshape.densities import central_shape_logdensity, shape_logdensity
+from svdshape.densities import shape_logdensities
 from svdshape.errors import ParseError, SeriesTruncationError
 from svdshape.geometry import preprocess, svd_shape
 from svdshape.io import emit_landmarks, ingest_landmarks, read_matrix
 from svdshape.models import gaussian_model, kotz_model
+from svdshape.oracle import series_shape_logdensities
 from svdshape.verify import sample_landmarks
 
 
@@ -310,7 +311,8 @@ class TestCli:
             assert f"parse error: unknown config key {key!r}" in res.stderr
 
     @pytest.mark.parametrize("text", ["seed = x\n", "mode = sideways\n", "model = bogus\n",
-                                      "sigma2 = nan\n", "kotz_R = inf\n", "tol = nan\n"])
+                                      "sigma2 = nan\n", "kotz_R = inf\n", "tol = nan\n",
+                                      "max_degree = 0\n", "tol = -1\n", "tol = 0\n"])
     def test_bad_config_value(self, landmark_file, tmp_path, text):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
@@ -332,11 +334,17 @@ class TestCli:
             assert {sp["mode"] for sp in specimens} == {"no-reflection"}
 
     def test_negative_seed_flag_is_a_parse_error(self, landmark_file):
-        for args in (("fit", landmark_file), ("compare", landmark_file),
-                     ("test", landmark_file, landmark_file), ("verify",)):
-            res = run_cli(*args, "--seed", "-1")
-            assert res.exit_code == 2, args
-            assert "parse error" in res.stderr and "seed" in res.stderr
+        # and a --max-degree below 1 or a --tol that is not positive, which
+        # a central density, summing no series, would never reach
+        for option, value, name in (("--seed", "-1", "seed"), ("--max-degree", "0", "max_degree"),
+                                    ("--max-degree", "-5", "max_degree"),
+                                    ("--tol", "-1", "rel_tol"), ("--tol", "0", "rel_tol")):
+            for args in (("density", landmark_file), ("fit", landmark_file),
+                         ("compare", landmark_file), ("test", landmark_file, landmark_file),
+                         ("verify",)):
+                res = run_cli(*args, option, value)
+                assert res.exit_code == 2, (args, option, value)
+                assert "parse error" in res.stderr and name in res.stderr
 
     def test_negative_seed_config_key_is_a_parse_error(self, landmark_file, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -418,7 +426,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["density", "fit", "verify"])
     def test_series_commands_reject_K_4_at_once(self, command, tmp_path):
-        # the zonal kernels serve K = 1, 2 and 3; shape still accepts K = 4
+        # the zonal kernels serve K = 1, 2 and 3; shape, and a zero mu, which
+        # sums no series, still accept K = 4
         rng = np.random.default_rng(21)
         mu = 0.3 * rng.normal(size=(5, 4))
         path = tmp_path / "k4.txt"
@@ -428,8 +437,8 @@ class TestCli:
         np.savetxt(mu_path, mu)
         args = {"density": ("density", str(path), "--mu", str(mu_path)),
                 "fit": ("fit", str(path), "--sigma2", "50"),
-                "verify": ("verify", "--landmarks", "6", "--dimension", "4",
-                           "--mc-samples", "200", "--sim-count", "1000")}[command]
+                "verify": ("verify", "--landmarks", "6", "--dimension", "4", "--mu",
+                           str(mu_path), "--mc-samples", "200", "--sim-count", "1000")}[command]
         res = run_cli(*args)
         assert res.exit_code == 3
         assert "domain error: zonal series support K in {1, 2, 3}" in res.stderr
@@ -482,7 +491,6 @@ class TestCli:
         # K = 2 Kotz T = 20 closed form cancels every digit, and some sums
         # come out non-positive
         from svdshape.cli import _build_config, _build_model, _load_sample
-        from svdshape.densities import shape_logdensities
         from svdshape.errors import NumericError
         from svdshape.geometry import LandmarkSet, helmert_submatrix
         rng = np.random.default_rng(0)
@@ -507,6 +515,22 @@ class TestCli:
         row = err.value.row
         assert (f"numeric failure: specimen {specimens[row].id!r}: the sum at row {row} came "
                 "out non-positive") in res.stderr
+
+    def test_density_names_the_specimen_past_the_k3_kernel_cap(self, tmp_path):
+        # --max-degree 400 is above the K = 3 kernel's cap of 300: a series
+        # that has not stopped there is a truncation of its specimen
+        rng = np.random.default_rng(0)
+        model = kotz_model(0.2 * np.eye(4), np.eye(3), 8.0 * rng.normal(size=(4, 3)), T=2)
+        path, mu_path = tmp_path / "far.txt", tmp_path / "mu.txt"
+        specimens = sample_landmarks(model, 2, seed=1)
+        emit_landmarks(specimens, str(path))
+        np.savetxt(mu_path, model.mu, fmt="%.17g")
+        res = run_cli("density", str(path), "--mu", str(mu_path), "--sigma2", "0.2",
+                      "--model", "kotz", "--kotz-T", "2", "--max-degree", "400")
+        assert res.exit_code == 3
+        named = re.search(r"numeric failure: specimen '([^']+)': zonal series did not "
+                          r"converge within degree 300", res.stderr)
+        assert named and named.group(1) in {sp.id for sp in specimens}
 
     @pytest.mark.parametrize("command", ["fit", "compare", "test"])
     def test_inference_commands_name_the_unconverged_specimen(self, command, specimens_k3,
@@ -557,10 +581,22 @@ class TestCli:
         assert res.exit_code == 0
         records = json.loads(res.stdout)["specimens"]
         model = gaussian_model(0.5 * np.eye(5), np.eye(4), np.zeros((5, 4)))
-        for lm, rec in zip(specimens, records):
-            want = central_shape_logdensity(svd_shape(preprocess(lm)).u, model)
-            assert rec["log_density"] == want.log_density
-            assert rec["series_degrees_used"] == 0 and rec["tail_bound"] == 0.0
+        want, _, _ = shape_logdensities(
+            np.array([svd_shape(preprocess(lm)).u for lm in specimens]), model)
+        assert [rec["log_density"] for rec in records] == want.tolist()
+        assert all(rec["series_degrees_used"] == 0 and rec["tail_bound"] == 0.0
+                   for rec in records)
+
+    def test_verify_central_model_at_K_4(self):
+        # the closed central density serves verify at K = 4; its box Monte
+        # Carlo mass is unreliable at 19 angles, so only the exit code and the
+        # simulation check, which has exact expected counts here, are tested
+        res = run_cli("verify", "--dimension", "4", "--landmarks", "6",
+                      "--mc-samples", "2000", "--sim-count", "1000")
+        assert res.exit_code in (0, 1), res.stderr
+        payload = json.loads(res.stdout)
+        assert len(payload["simulation"]["marginals"]) == 5 * 4 - 1
+        assert payload["simulation"]["passed"]
 
     @pytest.mark.parametrize("K", [2, 3])
     @pytest.mark.parametrize("model_args", [("--model", "gaussian"),
@@ -576,13 +612,13 @@ class TestCli:
         model = (gaussian_model(0.7 * np.eye(3), np.eye(K), np.zeros((3, K)))
                  if model_args[1] == "gaussian"
                  else kotz_model(0.7 * np.eye(3), np.eye(K), np.zeros((3, K)), T=3))
+        series = series_shape_logdensities(
+            np.array([svd_shape(preprocess(lm)).u for lm in specimens]), model)
         for extra in ((), ("--mu", str(mu_path))):
             res = run_cli("density", str(path), "--sigma2", "0.7", *model_args, *extra)
             assert res.exit_code == 0
-            for lm, rec in zip(specimens, json.loads(res.stdout)["specimens"]):
-                series = shape_logdensity(svd_shape(preprocess(lm)).u, model)
-                assert rec["log_density"] == pytest.approx(series.log_density,
-                                                           rel=1e-12, abs=0.0)
+            for rec, want in zip(json.loads(res.stdout)["specimens"], series):
+                assert rec["log_density"] == pytest.approx(want, rel=1e-12, abs=0.0)
                 assert rec["series_degrees_used"] == 0
 
 

@@ -38,6 +38,16 @@ class TestGeneratorSpec:
         with pytest.raises(DomainError, match="GeneratorKind"):
             GeneratorSpec(kind, M=4, T=2.5)
 
+    @pytest.mark.parametrize("T", [2, 5, 0, 1.5])
+    def test_gaussian_shape_is_one(self, T):
+        # a Gaussian at any other T used to build and run as T = 1
+        with pytest.raises(DomainError, match="Gaussian"):
+            GeneratorSpec(GeneratorKind.GAUSSIAN, M=4, T=T)
+
+    def test_shape_is_stored_as_an_int(self):
+        for gen in (kotz(4, T=3.0), GeneratorSpec(GeneratorKind.GAUSSIAN, M=4, T=1.0)):
+            assert type(gen.T) is int
+
     def test_gaussian_is_kotz_t1(self):
         g, k = gauss(6), kotz(6, T=1)
         for y in (0.0, 0.4, 3.0, 12.0):

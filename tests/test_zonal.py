@@ -579,9 +579,14 @@ def test_the_runtime_never_imports_the_oracle():
 
 
 def test_every_exported_name_resolves():
-    # the lazy exports must follow every name that moves between modules
+    # the lazy exports must follow every name that moves between modules,
+    # and drop every name that is removed
     for name in svdshape.__all__:
         getattr(svdshape, name)
+    for name in ("central_shape_logdensity", "central_size_and_shape_logdensity"):
+        assert name not in svdshape.__all__
+        with pytest.raises(AttributeError):
+            getattr(svdshape, name)
 
 
 class TestFrameIntegrals:
