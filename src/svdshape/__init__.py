@@ -26,11 +26,11 @@ _EXPORTS = {
     "io": ("emit_landmarks", "ingest_landmarks", "read_matrix"),
     "models": ("GeneratorKind", "GeneratorSpec", "IsotropicKind", "ModelSpec",
                "gaussian_model", "h_value", "kotz_model"),
-    "oracle": ("gaussian_shape_logdensity", "h_derivative", "isotropic_shape_logdensity",
-               "radial_integral", "stiefel_mc_integral"),
+    "oracle": ("gaussian_shape_logdensity", "h_derivative", "hypergeom_0F1",
+               "isotropic_shape_logdensity", "radial_integral", "stiefel_mc_integral"),
     "special": ("LogSign", "chi_square_sf"),
     "verify": ("mc_normalization", "sample_landmarks", "simulation_vs_density"),
-    "zonal": ("SeriesControl", "hypergeom_0F1"),
+    "zonal": ("SeriesControl",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

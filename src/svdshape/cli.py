@@ -233,13 +233,14 @@ def cmd_density(input_file, config_path, **flags):
     model = _build_model(config, sample.Nm1, sample.K, theta)
     logs, used, tails = _naming_specimen(sample.items, lambda: shape_logdensities(
         np.array([sc.u for _, sc in sample.items]), model, config.shape_mode, config.ctrl))
-    records = [{"id": sid, "log_density": log, "series_degrees_used": degrees,
-                "tail_bound": tail}
+    # log f is -inf at a chart pole, where log J is, which JSON cannot carry: null
+    records = [{"id": sid, "log_density": log if math.isfinite(log) else None,
+                "series_degrees_used": degrees, "tail_bound": tail}
                for (sid, _), log, degrees, tail
                in zip(sample.items, logs.tolist(), used.tolist(), tails.tolist())]
     _emit(config, {"command": "density", "model": config.model,
                    "specimens": records})
-    _table([f"{r['id']:>16}  log f = {r['log_density']:.10g}" for r in records])
+    _table([f"{sid:>16}  log f = {log:.10g}" for (sid, _), log in zip(sample.items, logs)])
 
 
 def cmd_fit(input_file, config_path, **flags):

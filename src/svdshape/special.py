@@ -1,9 +1,6 @@
-"""The scalar special functions used by every series term.
-
-All gamma-bearing quantities are computed in log space with explicit sign
-tracking (:class:`LogSign`), because the density prefactors combine ratios of
-multivariate gamma functions and powers of pi that overflow in linear space
-for moderate dimensions and series degrees.
+"""Log-sign numbers (:class:`LogSign`), which carry gamma-bearing values
+that overflow in linear space, and the chi-square survival function of the
+likelihood-ratio test and the simulation check.
 """
 
 from __future__ import annotations
@@ -46,29 +43,6 @@ class LogSign(NamedTuple):
         if self.sign == 0.0:
             return 0.0
         return self.sign * math.exp(self.log)
-
-
-def multivariate_gamma(n: int, a: float) -> LogSign:
-    """Log of the multivariate gamma Gamma_n[a] = pi^{n(n-1)/4} prod Gamma(a-(i-1)/2).
-
-    Negative non-integer arguments are allowed (finite gamma values, sign
-    tracked); a pole of any factor raises :class:`DomainError` naming it.
-    """
-    if n < 1:
-        raise DomainError(f"dimension n must be positive, got {n}")
-    log = n * (n - 1) / 4.0 * math.log(math.pi)
-    sign = 1.0
-    for i in range(1, n + 1):
-        x = a - (i - 1) / 2.0
-        if x <= 0.0 and x == math.floor(x):
-            raise DomainError(
-                f"multivariate_gamma({n}, {a}): factor Gamma({x}) (i={i}) is a pole"
-            )
-        log += math.lgamma(x)
-        # lgamma gives log|Gamma|; Gamma(x) < 0 exactly on (-2k-1, -2k), k >= 0.
-        if x < 0.0 and math.floor(x) % 2 == 1:
-            sign = -sign
-    return LogSign(log, sign)
 
 
 def chi_square_sf(x: float, df: int) -> float:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, SeriesTruncationError
-from .special import multivariate_gamma
 
 
 # consecutive terms below the tolerance that end a series
@@ -48,12 +47,12 @@ _DEGREE_BLOCK = 8
 
 def zonal_series_batch(coeffs, spectra, denominator_a: float,
                        ctrl: SeriesControl | None = None) -> tuple[np.ndarray, ...]:
-    """Evaluate sum_t c_t S_t(X) / t! for every row X of ``spectra`` (batch, n);
+    """Evaluate sum_t c_t S_t(X) / t! for every row X of ``spectra`` (batch, K);
     returns (log |sum|, sign, degrees used, tail bound), each (batch,).
 
-    ``denominator_a`` is K/2 for K in {1, 2, 3} and n <= K; rows with n < K
-    are padded with zeros, which is exact, as C_kappa vanishes for kappa of
-    more parts than nonzero eigenvalues. ``coeffs`` is (log |c_t|, sign c_t),
+    ``denominator_a`` is K/2 for K in {1, 2, 3}, and ``spectra`` are those of
+    :func:`logsums` (else :class:`DomainError`): a caller with fewer than K
+    eigenvalues pads them with zeros. ``coeffs`` is (log |c_t|, sign c_t),
     each a scalar or an array over t = 0..``ctrl.max_degree``, one c_t for
     every row: a row's own factor x^t belongs in its spectrum, as
     S_t(x X) = x^t S_t(X). It may add log m_t, the sum of the magnitudes
@@ -70,13 +69,11 @@ def zonal_series_batch(coeffs, spectra, denominator_a: float,
     """
     ctrl = ctrl or SeriesControl()
     K = 2 * denominator_a
-    spectra = np.asarray(spectra, dtype=float)
-    if K not in _KERNELS or spectra.ndim != 2 or spectra.shape[1] > K:
-        raise DomainError(f"{_SUPPORTED} and spectra (batch, n <= K), got a = "
-                          f"{denominator_a:g} and spectra of shape {spectra.shape}")
+    if K not in _KERNELS:
+        raise DomainError(f"{_SUPPORTED}, got a = {denominator_a:g}")
     K = int(K)
+    spectra = _check_spectra(spectra, K)
     tmax = min(ctrl.max_degree, _KERNELS[K][-1])
-    spectra = np.pad(spectra, ((0, 0), (0, K - spectra.shape[1])))
     batch = len(spectra)
     coeffs = [np.broadcast_to(x, ctrl.max_degree + 1) for x in coeffs]
     out = np.empty((4, batch))                      # log, sign, degrees used, tail
@@ -146,72 +143,6 @@ def check_cancellation(log_magnitudes: np.ndarray, log_sums: np.ndarray,
         row = i if rows is None else int(rows[i])
         raise NumericError(f"the sum at row {row} lost {lost[i]:.1f} digits to "
                            f"cancellation (limit {_MAX_DIGITS_LOST:g})", row=row)
-
-
-def hypergeom_0F1(b: float, matrix_eigenvalues, ctrl: SeriesControl | None = None) -> float:
-    """Hypergeometric 0F1(b; X) of matrix argument, from the spectrum of X,
-    by :func:`zonal_series_batch`, whose kernels and domain it shares: b = K/2
-    for K in {1, 2, 3}, and X >= 0 with at most 2b eigenvalues."""
-    log, sign, _, _ = zonal_series_batch((0.0, 1.0), [matrix_eigenvalues], b, ctrl)
-    return float(sign[0]) * math.exp(log[0])
-
-
-def log_stiefel_volume(n: int, K: int) -> float:
-    """Log volume of the manifold of n x K frames with orthonormal rows."""
-    if n > K:
-        raise DomainError(f"frame rows n={n} cannot exceed columns K={K}")
-    return n * math.log(2.0) + K * n / 2.0 * math.log(math.pi) - multivariate_gamma(n, K / 2.0).log
-
-
-def power_trace_integral_series(p: float, Y_trace: float, X_gram_eigenvalues,
-                                K: int, n: int, ctrl: SeriesControl | None = None) -> float:
-    """Frame integral of [tr(Y + XH)]^p over n x K frames, as a zonal series.
-
-    Equals Vol * sum_f sum_lam fall(p, 2f) (tr Y)^(p-2f) C_lam(XX'/4)
-    / ((K/2)_lam f!), where fall is the falling factorial (the binomial-series
-    coefficient; the rising-factorial reading fails the Monte Carlo
-    cross-check). Requires tr Y != 0, and an integer p if tr Y < 0.
-    """
-    if Y_trace == 0.0:
-        raise DomainError("tr Y must be nonzero for the power-trace series")
-    if Y_trace < 0.0 and p != round(p):
-        raise DomainError(f"negative base {Y_trace} with non-integer exponent {p}")
-    ctrl = ctrl or SeriesControl()
-    # log |p - i| and sign(p - i) for i < 2 max_degree; their running sums and
-    # products at i = 2f give fall(p, 2f), which stays zero past a zero factor
-    factors = [p - i for i in range(2 * ctrl.max_degree)]
-    log_fall = np.cumsum([0.0] + [math.log(abs(x)) if x else -math.inf for x in factors])
-    sign_fall = np.cumprod([1.0] + [math.copysign(1.0, x) if x else 0.0 for x in factors])
-    f = np.arange(ctrl.max_degree + 1)
-    log_c = log_fall[::2] + (p - 2 * f) * math.log(abs(Y_trace))
-    sign_c = sign_fall[::2] * (-1.0 if Y_trace < 0.0 and round(p) % 2 else 1.0)
-    quarter = [x / 4.0 for x in X_gram_eigenvalues]
-    log, sign, _, _ = zonal_series_batch((log_c, sign_c), [quarter], K / 2.0, ctrl)
-    return float(sign[0]) * math.exp(log[0]) * math.exp(log_stiefel_volume(n, K))
-
-
-def exp_trace_integral_series(Y_trace: float, X_gram_eigenvalues, K: int, n: int,
-                              r: float, ctrl: SeriesControl | None = None) -> float:
-    """Frame integral of tr(Y+XH) etr{r(Y+XH)} over n x K frames.
-
-    Evaluates Vol * etr(rY) * [tr Y 0F1(K/2; r^2/4 XX')
-    + sum_f 2f r^(2f-1) C_lam(XX'/4) / ((K/2)_lam f!)]; the second summand is
-    d/dr of the 0F1 series, which is the reading consistent with the Monte
-    Carlo oracle.
-    """
-    quarter = [x / 4.0 for x in X_gram_eigenvalues]
-    scaled = [r * r * q for q in quarter]
-    f01 = hypergeom_0F1(K / 2.0, scaled, ctrl)
-    sign_r = float(np.sign(r))
-    log_r = math.log(abs(r)) if sign_r else 0.0
-    # 2f r^(2f-1), zero at f = 0; r^(2f-1) has the sign of r
-    f = range((ctrl or SeriesControl()).max_degree + 1)
-    log_c = [(2 * k - 1) * log_r + math.log(2.0 * k) if k else -math.inf for k in f]
-    sign_c = [sign_r if k else 0.0 for k in f]
-    log, sign, _, _ = zonal_series_batch((log_c, sign_c), [quarter], K / 2.0, ctrl)
-    deriv = float(sign[0]) * math.exp(log[0])
-    vol = math.exp(log_stiefel_volume(n, K))
-    return vol * math.exp(r * Y_trace) * (Y_trace * f01 + deriv)
 
 
 # bytes of one (spectra, degrees, nodes) float64 temporary of the K = 3

@@ -21,12 +21,13 @@ from svdshape.inference import (EvidenceGrade, OptimizerConfig, SampleOfShapes,
 from svdshape.io import ingest_landmarks
 from svdshape.models import (GeneratorKind, GeneratorSpec, IsotropicKind, gaussian_model,
                              h_value, kotz_model)
-from svdshape.oracle import (enumerate_partitions, gaussian_shape_logdensity, h_derivative,
-                             isotropic_shape_logdensity, radial_integral,
-                             series_shape_logdensities, stiefel_mc_integral, zonal_poly)
+from svdshape.oracle import (enumerate_partitions, exp_trace_integral_series,
+                             gaussian_shape_logdensity, h_derivative,
+                             isotropic_shape_logdensity, power_trace_integral_series,
+                             radial_integral, series_shape_logdensities, stiefel_mc_integral,
+                             zonal_poly)
 from svdshape.verify import mc_normalization, simulation_vs_density
-from svdshape.zonal import (SeriesControl, exp_trace_integral_series,
-                            power_trace_integral_series)
+from svdshape.zonal import SeriesControl
 
 CTRL = SeriesControl(max_degree=60)
 

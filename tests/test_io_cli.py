@@ -160,6 +160,25 @@ class TestCli:
         assert math.isfinite(fine["log_jacobian"])
         assert "log J=-inf" in res.stderr
 
+    @pytest.mark.parametrize("mu", [None, "1 0.5\n0.2 0.3\n"], ids=["central", "noncentral"])
+    def test_density_json_is_strict_at_a_chart_pole(self, tmp_path, mu):
+        # collinear landmarks at N=3, K=2: log J, and so log f, is -inf
+        path = tmp_path / "line.txt"
+        path.write_text("3 2 2\n# line\n0 0\n1 0\n3 0\n# fine\n0 0\n1 0.3\n0 1\n")
+        args = ["density", str(path)]
+        if mu:
+            (tmp_path / "mu.txt").write_text(mu)
+            args += ["--mu", str(tmp_path / "mu.txt")]
+        res = run_cli(*args)
+        assert res.exit_code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        line, fine = json.loads(res.stdout, parse_constant=reject)["specimens"]
+        assert line["log_density"] is None
+        assert math.isfinite(fine["log_density"])
+        assert "log f = -inf" in res.stderr
+
     def test_sample_is_read_and_whitened_once(self, specimens, landmark_file,
                                               tmp_path, monkeypatch):
         import svdshape.geometry

@@ -6,8 +6,8 @@ from scipy.stats import chi2
 
 from svdshape.errors import DomainError
 from svdshape.oracle import (Partition, enumerate_partitions, gen_pochhammer,
-                             gen_pochhammer_log)
-from svdshape.special import LogSign, chi_square_sf, multivariate_gamma
+                             gen_pochhammer_log, multivariate_gamma)
+from svdshape.special import LogSign, chi_square_sf
 
 
 class TestLogSign:

@@ -17,11 +17,10 @@ from svdshape.geometry import svd_shape
 from svdshape.inference import OptimizerConfig, SampleOfShapes, fit_location
 from svdshape.models import IsotropicKind, gaussian_model, kotz_model
 from svdshape.oracle import (Partition, ZonalSumTable, _isotropic_bracket, _polar_factor,
-                             enumerate_partitions, gen_pochhammer, stiefel_mc_integral,
-                             zonal_poly)
-from svdshape.zonal import (SeriesControl, exp_trace_integral_series, hypergeom_0F1,
-                            log_partials, log_stiefel_volume, logsums,
-                            power_trace_integral_series, zonal_series_batch)
+                             enumerate_partitions, exp_trace_integral_series,
+                             gen_pochhammer, hypergeom_0F1, log_stiefel_volume,
+                             power_trace_integral_series, stiefel_mc_integral, zonal_poly)
+from svdshape.zonal import SeriesControl, log_partials, logsums, zonal_series_batch
 
 
 def sum_identity_error(eigs, f):
@@ -531,20 +530,26 @@ class TestKernelDomain:
         for b, eigs in ((2.0, [0.1, 0.2, 0.3, 0.4]), (2.0, [0.1]), (1.25, [0.1, 0.2])):
             with pytest.raises(DomainError, match=r"K in \{1, 2, 3\}"):
                 hypergeom_0F1(b, eigs)
-        with pytest.raises(DomainError, match="n <= K"):
+        with pytest.raises(DomainError, match=r"must be \(batch, 2\)"):
             hypergeom_0F1(1.0, [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("n,K", [(1, 2), (1, 3), (2, 3)])
+    def test_the_evaluator_refuses_a_spectrum_narrower_than_K(self, n, K):
+        # padding is the caller's: the evaluator takes (batch, K) spectra only
+        with pytest.raises(DomainError, match=rf"must be \(batch, {K}\)"):
+            zonal_series_batch(ONES, np.ones((2, n)), K / 2.0)
 
     @pytest.mark.parametrize("n,K", [(1, 2), (1, 3), (2, 3)])
     def test_short_spectra_are_zero_padded_exactly(self, n, K):
         # C_kappa vanishes for kappa of more parts than nonzero eigenvalues,
-        # so the K-column kernel on padded spectra sums what the n-column
+        # so the K-column kernel on zero-padded spectra sums what the n-column
         # table sums at a = K/2
         table = ZonalSumTable(n, 30, K / 2.0)
         rng = np.random.default_rng(10 * n + K)
         spectra = np.concatenate([np.zeros((1, n)), np.abs(rng.normal(size=(6, n))) * 3])
         log_s = table.logsums(spectra)
         for eigs, ref in zip(spectra, log_s):
-            log, sign, used, _ = zonal_series_batch(ONES, [eigs], K / 2.0,
+            log, sign, used, _ = zonal_series_batch(ONES, [np.pad(eigs, (0, K - n))], K / 2.0,
                                                     SeriesControl(max_degree=30))
             oracle_sum = math.fsum(math.exp(ref[t] - math.lgamma(t + 1))
                                    for t in range(used[0] + 1))
@@ -556,7 +561,9 @@ _ORACLE_NAMES = ("ZonalSumTable", "_monomial_block", "_block_logsumexp", "_zonal
                  "_table_lock", "_table_cache", "_dominates", "_rho", "_leading_coefficient",
                  "_monomial", "zonal_poly", "Partition", "enumerate_partitions",
                  "gen_pochhammer", "gen_pochhammer_log", "gaussian_shape_logdensity",
-                 "stiefel_mc_integral", "_polar_factor", "_STIEFEL_MC_CHUNK", "_FRAME_TOL")
+                 "stiefel_mc_integral", "_polar_factor", "_STIEFEL_MC_CHUNK", "_FRAME_TOL",
+                 "hypergeom_0F1", "log_stiefel_volume", "power_trace_integral_series",
+                 "exp_trace_integral_series", "multivariate_gamma")
 # every module of the runtime
 _RUNTIME_MODULES = ("cli", "densities", "geometry", "inference", "io", "models", "special",
                     "verify", "zonal")
@@ -576,6 +583,11 @@ def test_the_runtime_never_imports_the_oracle():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert json.loads(out.stdout) == [False, []]
+
+
+def test_hypergeom_0F1_still_exports_from_the_oracle():
+    # the guard above finds it, like every moved name, in no runtime module
+    assert svdshape.hypergeom_0F1 is oracle.hypergeom_0F1
 
 
 def test_every_exported_name_resolves():
