@@ -24,11 +24,11 @@ _EXPORTS = {
                   "ShapeLikelihood", "bic_star", "evidence_grade", "fit_location",
                   "log_likelihood", "lr_test_equal_means"),
     "io": ("emit_landmarks", "ingest_landmarks", "read_matrix"),
-    "models": ("GeneratorKind", "GeneratorSpec", "IsotropicKind", "ModelSpec",
-               "gaussian_model", "h_value", "kotz_model"),
-    "oracle": ("gaussian_shape_logdensity", "h_derivative", "hypergeom_0F1",
+    "models": ("GeneratorSpec", "IsotropicKind", "ModelSpec", "gaussian_model", "h_value",
+               "kotz_model"),
+    "oracle": ("LogSign", "gaussian_shape_logdensity", "h_derivative", "hypergeom_0F1",
                "isotropic_shape_logdensity", "radial_integral", "stiefel_mc_integral"),
-    "special": ("LogSign", "chi_square_sf"),
+    "special": ("chi_square_sf",),
     "verify": ("mc_normalization", "sample_landmarks", "simulation_vs_density"),
     "zonal": ("SeriesControl",),
 }

@@ -73,10 +73,8 @@ class RunConfig(NamedTuple):
         """The generator of --model and --kotz-T (read for Kotz only), at rate
         R = 1/2: a Kotz rate R with Sigma is the law of rate 1/2 with
         Sigma / (2R)."""
-        from .models import GeneratorKind, GeneratorSpec
-        if self.model == "gaussian":
-            return GeneratorSpec(GeneratorKind.GAUSSIAN, M=M)
-        return GeneratorSpec(GeneratorKind.KOTZ_TYPE_I, M=M, T=self.kotz_T)
+        from .models import GeneratorSpec
+        return GeneratorSpec(M=M, T=1 if self.model == "gaussian" else self.kotz_T)
 
 
 def _read_config_file(path: str) -> dict:
@@ -198,6 +196,9 @@ def _build_model(config: RunConfig, Nm1: int, K: int,
 
     from .io import read_matrix
     from .models import ModelSpec
+    if min(Nm1, K) < 1 or Nm1 * K < 2:
+        raise DomainError(f"a shape needs N-1 >= 1, K >= 1 and (N-1) K >= 2, "
+                          f"got N-1 = {Nm1}, K = {K}")
     mu = (read_matrix(config.mu_path) if config.mu_path
           else np.zeros((Nm1, K)))
     return ModelSpec(config.generator(Nm1 * K), config.sigma2 * np.eye(Nm1),
@@ -317,16 +318,17 @@ def cmd_test(group1_file, group2_file, config_path, **flags):
 
 def cmd_verify(config_path, mc_samples, sim_count, n_landmarks, k_dim, **flags):
     """Run the Monte Carlo oracles (normalization mass, simulation match)."""
-    from .geometry import Mode
     from .verify import check_sim_count, mc_normalization, simulation_vs_density
     config = _build_config(config_path, **flags)
+    if config.mode != "reflection":
+        raise ParseError("verify checks the reflection law; the no-reflection density is "
+                         "exactly half of the reflection density, so mode must be "
+                         "'reflection'")
     check_sim_count(sim_count)          # before the Monte Carlo mass
     model = _build_model(config, n_landmarks - 1, k_dim, _read_theta(config))
-    mass, se = mc_normalization(model, config.shape_mode, config.ctrl,
-                                mc_samples, config.seed)
+    mass, se = mc_normalization(model, config.ctrl, mc_samples, config.seed)
     mass_ok = abs(mass - 1.0) < max(3.0 * se, 0.02)
-    rep = simulation_vs_density(model, Mode.REFLECTION, config.ctrl,
-                                sim_count, config.seed)
+    rep = simulation_vs_density(model, config.ctrl, sim_count, config.seed)
     _emit(config, {
         "command": "verify",
         "normalization": {"mass": mass, "standard_error": se, "passed": mass_ok},

@@ -104,10 +104,9 @@ def size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
     y0 = float(np.trace(model.sigma_inv @ Rmat @ Rmat.T)) + model.trace_omega
     gen, ctrl = model.generator, ctrl or SeriesControl()
     if not np.any(model.mu):
-        h = h_log_value(gen, y0)
-        if h.sign <= 0.0:
+        log, used, tail = h_log_value(gen, y0), 0, 0.0
+        if log == -math.inf:
             raise DomainError("generator vanished at the evaluation point")
-        log, used, tail = h.log, 0, 0.0
     else:
         delta = coefficient_polynomial(gen, y0, radial=False)[0]
         # h^(2t)(y0) = e^(log_norm_const - R y0) R^(2t) P(t)

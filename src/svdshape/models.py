@@ -23,32 +23,22 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import theta_inv_sqrt
-from .special import LogSign
-
-
-class GeneratorKind(Enum):
-    GAUSSIAN = "gaussian"
-    KOTZ_TYPE_I = "kotz"
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Scalar density generator h for an M-dimensional elliptical law."""
+    """Kotz type I density generator h(y) proportional to y^(T-1) e^(-R y)
+    for an M-dimensional elliptical law."""
 
-    kind: GeneratorKind
     M: int                  # total dimension (N-1) * K
     T: int = 1              # Kotz shape; the Gaussian is T = 1
     R: float = 0.5          # rate
 
     def __post_init__(self):
-        if not isinstance(self.kind, GeneratorKind):
-            raise DomainError(f"generator kind must be a GeneratorKind, got {self.kind!r}")
         if self.M < 1:
             raise DomainError(f"dimension M must be positive, got {self.M}")
         if not 0 < self.R < math.inf:
             raise DomainError(f"rate R must be positive and finite, got {self.R}")
-        if self.kind is GeneratorKind.GAUSSIAN and self.T != 1:
-            raise DomainError(f"a Gaussian generator has shape T = 1, got {self.T}")
         if self.T < 1 or self.T != int(self.T):
             raise DomainError(f"Kotz shape T must be a positive integer, got {self.T}")
         object.__setattr__(self, "T", int(self.T))
@@ -72,23 +62,21 @@ class IsotropicKind(Enum):
 
     def generator(self, M: int) -> GeneratorSpec:
         T = {"gaussian": 1, "kotz-t2": 2, "kotz-t3": 3}[self.value]
-        return GeneratorSpec(GeneratorKind.KOTZ_TYPE_I, M=M, T=T)
+        return GeneratorSpec(M=M, T=T)
 
 
-def h_log_value(gen: GeneratorSpec, y: float) -> LogSign:
-    """Log-sign form of the generator value h(y)."""
+def h_log_value(gen: GeneratorSpec, y: float) -> float:
+    """log h(y), and -inf where h(y) = 0 (at y = 0 when T > 1)."""
     if y < 0:
         raise DomainError(f"generator argument must be non-negative, got {y}")
     T, R = gen.T, gen.R
     if y == 0.0:
-        if T > 1:
-            return LogSign.zero()
-        return LogSign(gen.log_norm_const, 1.0)
-    return LogSign(gen.log_norm_const + (T - 1) * math.log(y) - R * y, 1.0)
+        return -math.inf if T > 1 else gen.log_norm_const
+    return gen.log_norm_const + (T - 1) * math.log(y) - R * y
 
 
 def h_value(gen: GeneratorSpec, y: float) -> float:
-    return h_log_value(gen, y).value
+    return math.exp(h_log_value(gen, y))
 
 
 @lru_cache(maxsize=64)
@@ -261,12 +249,10 @@ class ModelSpec:
 
 
 def gaussian_model(Sigma, Theta, mu, R: float = 0.5) -> ModelSpec:
-    mu = np.asarray(mu, dtype=float)
-    gen = GeneratorSpec(GeneratorKind.GAUSSIAN, M=mu.shape[0] * mu.shape[1], R=R)
-    return ModelSpec(gen, Sigma, Theta, mu)
+    return kotz_model(Sigma, Theta, mu, 1, R)
 
 
 def kotz_model(Sigma, Theta, mu, T: int, R: float = 0.5) -> ModelSpec:
     mu = np.asarray(mu, dtype=float)
-    gen = GeneratorSpec(GeneratorKind.KOTZ_TYPE_I, M=mu.shape[0] * mu.shape[1], T=T, R=R)
+    gen = GeneratorSpec(M=mu.shape[0] * mu.shape[1], T=T, R=R)
     return ModelSpec(gen, Sigma, Theta, mu)

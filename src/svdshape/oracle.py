@@ -1,5 +1,7 @@
 """The tests' oracles; no runtime module imports this.
 
+- Log-sign numbers (:class:`LogSign`), which carry the gamma-bearing
+  per-degree terms below that overflow in linear space.
 - Zonal polynomial coefficients in the monomial basis by the classical
   recursion (the alpha = 2 Jack family), summed by :func:`zonal_poly` and,
   collapsed over kappa for any K and a, by :class:`ZonalSumTable`.
@@ -33,6 +35,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +43,42 @@ from .densities import (DensityValue, Mode, _chart, _frame_terms, _mode_log_fact
                         _noncentrality_factor, _noncentrality_spectra, _shape_log_series)
 from .errors import DomainError, NumericError
 from .models import GeneratorSpec, IsotropicKind, ModelSpec, h_log_value
-from .special import LogSign
 from .zonal import (_KERNELS, _LOGSUMS_CHUNK_BYTES, SeriesControl, _check_spectra,
                     zonal_series_batch)
+
+
+class LogSign(NamedTuple):
+    """A real number stored as (log magnitude, sign in {-1, 0, +1})."""
+
+    log: float
+    sign: float
+
+    @staticmethod
+    def of(x: float) -> "LogSign":
+        if x == 0.0:
+            return LogSign(-math.inf, 0.0)
+        return LogSign(math.log(abs(x)), math.copysign(1.0, x))
+
+    @staticmethod
+    def zero() -> "LogSign":
+        return LogSign(-math.inf, 0.0)
+
+    def mul(self, other: "LogSign") -> "LogSign":
+        s = self.sign * other.sign
+        if s == 0.0:
+            return LogSign.zero()
+        return LogSign(self.log + other.log, s)
+
+    def scale(self, log_factor: float) -> "LogSign":
+        if self.sign == 0.0:
+            return self
+        return LogSign(self.log + log_factor, self.sign)
+
+    @property
+    def value(self) -> float:
+        if self.sign == 0.0:
+            return 0.0
+        return self.sign * math.exp(self.log)
 
 
 @dataclass(frozen=True)
@@ -404,9 +440,7 @@ def h_derivative_log(gen: GeneratorSpec, k: int, y: float) -> LogSign:
         raise DomainError(f"generator argument must be non-negative, got {y}")
     T, R = gen.T, gen.R
     if T == 1:
-        base = h_log_value(gen, y)
-        sign = -1.0 if k % 2 else 1.0
-        return base.mul(LogSign(k * math.log(R), sign))
+        return LogSign(h_log_value(gen, y) + k * math.log(R), -1.0 if k % 2 else 1.0)
     terms = []
     for j in range(min(k, T - 1) + 1):
         p = _poly_fall(T, j)

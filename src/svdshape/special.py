@@ -1,48 +1,11 @@
-"""Log-sign numbers (:class:`LogSign`), which carry gamma-bearing values
-that overflow in linear space, and the chi-square survival function of the
-likelihood-ratio test and the simulation check.
-"""
+"""The chi-square survival function of the likelihood-ratio test and the
+simulation check."""
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import DomainError
-
-
-class LogSign(NamedTuple):
-    """A real number stored as (log magnitude, sign in {-1, 0, +1})."""
-
-    log: float
-    sign: float
-
-    @staticmethod
-    def of(x: float) -> "LogSign":
-        if x == 0.0:
-            return LogSign(-math.inf, 0.0)
-        return LogSign(math.log(abs(x)), math.copysign(1.0, x))
-
-    @staticmethod
-    def zero() -> "LogSign":
-        return LogSign(-math.inf, 0.0)
-
-    def mul(self, other: "LogSign") -> "LogSign":
-        s = self.sign * other.sign
-        if s == 0.0:
-            return LogSign.zero()
-        return LogSign(self.log + other.log, s)
-
-    def scale(self, log_factor: float) -> "LogSign":
-        if self.sign == 0.0:
-            return self
-        return LogSign(self.log + log_factor, self.sign)
-
-    @property
-    def value(self) -> float:
-        if self.sign == 0.0:
-            return 0.0
-        return self.sign * math.exp(self.log)
 
 
 def chi_square_sf(x: float, df: int) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .densities import batch_shape_logdensity
 from .errors import DomainError
-from .geometry import LandmarkSet, Mode, frame_to_angles, helmert_submatrix, theta_inv_sqrt
+from .geometry import LandmarkSet, frame_to_angles, helmert_submatrix, theta_inv_sqrt
 from .models import ModelSpec
 from .special import chi_square_sf
 from .zonal import SeriesControl
@@ -63,8 +63,7 @@ def sample_landmarks(model: ModelSpec, count: int, seed: int) -> list[LandmarkSe
 _MC_CHUNK = 20000
 
 
-def _box_draws(model: ModelSpec, mode: Mode, ctrl: SeriesControl | None, samples: int,
-               seed: int):
+def _box_draws(model: ModelSpec, ctrl: SeriesControl | None, samples: int, seed: int):
     """Yield (U, density) for chunks of at most _MC_CHUNK of ``samples``
     angle vectors u drawn uniformly on [0, pi]^(m-1) x [0, 2 pi] from the
     Philox stream of ``seed``, with the shape density at each."""
@@ -75,28 +74,26 @@ def _box_draws(model: ModelSpec, mode: Mode, ctrl: SeriesControl | None, samples
         U = np.empty((b, m))
         U[:, :-1] = rng.uniform(0.0, math.pi, size=(b, m - 1))
         U[:, -1] = rng.uniform(0.0, 2.0 * math.pi, size=b)
-        yield U, np.exp(batch_shape_logdensity(U, model, mode, ctrl))
+        yield U, np.exp(batch_shape_logdensity(U, model, ctrl=ctrl))
 
 
-def mc_normalization(model: ModelSpec, mode: Mode = Mode.REFLECTION,
-                     ctrl: SeriesControl | None = None,
+def mc_normalization(model: ModelSpec, ctrl: SeriesControl | None = None,
                      mc_samples: int = 50000, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo mass of the shape density over the angle box.
+    """Monte Carlo mass of the reflection shape density over the angle box,
+    and its standard error.
 
     Draws u uniformly on [0, pi]^(m-1) x [0, 2 pi] and averages
     exp(shape_logdensity) times the box volume; a correctly normalized
-    density returns (1, small SE).
+    density returns (1, small SE). This is the one-bin case of the marginal
+    bin masses of :func:`simulation_vs_density`. The no-reflection density
+    is exactly half of the reflection one.
     """
     if mc_samples < 100:
         raise DomainError("mc_samples must be >= 100")
-    vol = math.pi ** (model.M - 2) * 2.0 * math.pi
-    total = total_sq = 0.0
-    for _, vals in _box_draws(model, mode, ctrl, mc_samples, seed):
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-    mean = total / mc_samples
-    var = max(total_sq / mc_samples - mean * mean, 0.0)
-    return vol * mean, vol * math.sqrt(var / mc_samples)
+    # [0, 2 pi] holds angle 0 whether it ranges over [0, pi] or, at M = 2, [0, 2 pi]
+    masses, variances = _mc_bin_masses(model, ctrl, [np.array([0.0, 2.0 * math.pi])],
+                                       mc_samples, seed)
+    return float(masses[0][0]), math.sqrt(variances[0][0])
 
 
 @dataclass(frozen=True)
@@ -163,12 +160,11 @@ def check_sim_count(sim_count: int) -> None:
         raise DomainError("sim_count must be >= 1000")
 
 
-def simulation_vs_density(model: ModelSpec, mode: Mode = Mode.REFLECTION,
-                          ctrl: SeriesControl | None = None,
+def simulation_vs_density(model: ModelSpec, ctrl: SeriesControl | None = None,
                           sim_count: int = 100000, seed: int = 0,
                           density_samples: int | None = None) -> SimulationReport:
-    """Compare simulated shape angles against the analytic density, 1-D
-    marginal by marginal.
+    """Compare simulated shape angles against the analytic reflection
+    density, 1-D marginal by marginal.
 
     The analytic angle density is the law of the polar angles of
     vec(Y H)/||Y|| with H Haar-uniform on O(K) (the density depends on u only
@@ -186,8 +182,6 @@ def simulation_vs_density(model: ModelSpec, mode: Mode = Mode.REFLECTION,
     check_sim_count(sim_count)
     Nm1, K, M = model.Nm1, model.K, model.M
     m = M - 1
-    if mode is Mode.NO_REFLECTION:
-        raise DomainError("simulation comparison is defined for reflection mode")
     Y = _sample_centred(model, sim_count, seed) @ theta_inv_sqrt(model.Theta)
     rng = np.random.Generator(np.random.Philox(seed + 1))
     q, r = np.linalg.qr(rng.standard_normal((sim_count, K, K)))
@@ -199,7 +193,7 @@ def simulation_vs_density(model: ModelSpec, mode: Mode = Mode.REFLECTION,
     edges_list = [np.linspace(0.0, math.pi if j < m - 1 else 2.0 * math.pi, bins + 1)
                   for j in range(m)]
     if not central_iso:
-        mc_expected = _mc_bin_masses(model, mode, ctrl, edges_list,
+        mc_expected = _mc_bin_masses(model, ctrl, edges_list,
                                      density_samples or 10 * sim_count, seed + 2)
     reports = []
     for j in range(m):
@@ -230,19 +224,20 @@ def simulation_vs_density(model: ModelSpec, mode: Mode = Mode.REFLECTION,
                             marginals=tuple(reports))
 
 
-def _mc_bin_masses(model: ModelSpec, mode: Mode, ctrl: SeriesControl | None,
+def _mc_bin_masses(model: ModelSpec, ctrl: SeriesControl | None,
                    edges_list: list[np.ndarray], samples: int,
                    seed: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Expected marginal bin masses of the analytic density, by box MC.
 
-    One shared importance sample serves every marginal. Returns the bin
+    ``edges_list[j]`` bins angle j, and one shared importance sample serves
+    every marginal. Returns the bin
     masses and the variance of each mass estimate (variance of the mean),
     so callers can fold the estimation noise into their test statistics.
     """
     vol = math.pi ** (model.M - 2) * 2.0 * math.pi
     sums = [np.zeros(len(edges) - 1) for edges in edges_list]
     sums_sq = [np.zeros(len(edges) - 1) for edges in edges_list]
-    for U, w in _box_draws(model, mode, ctrl, samples, seed):
+    for U, w in _box_draws(model, ctrl, samples, seed):
         for j, edges in enumerate(edges_list):
             idx = np.clip(np.digitize(U[:, j], edges) - 1, 0, len(sums[j]) - 1)
             np.add.at(sums[j], idx, w)

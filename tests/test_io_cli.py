@@ -410,14 +410,14 @@ class TestCli:
         # reports re-evaluates through the library's likelihood
         from svdshape.cli import _build_config, _load_sample
         from svdshape.inference import ShapeLikelihood
-        from svdshape.models import GeneratorKind, GeneratorSpec
+        from svdshape.models import GeneratorSpec
         model = ("--model", "kotz", "--kotz-T", "4", "--sigma2", "0.5")
         res = run_cli("fit", landmark_file, *model)
         assert res.exit_code == 0, res.stderr
         fit = json.loads(res.stdout)
         assert fit["kind"] == "kotz-t4"
         sample = _load_sample(landmark_file, _build_config(None), "input", None)
-        like = ShapeLikelihood(sample, GeneratorSpec(GeneratorKind.KOTZ_TYPE_I, M=4, T=4), 0.5)
+        like = ShapeLikelihood(sample, GeneratorSpec(M=4, T=4), 0.5)
         again = like.loglik(np.array(fit["mu_hat"]))
         assert abs(again - fit["loglik"]) <= 1e-12 * abs(fit["loglik"])
         res = run_cli("test", landmark_file, landmark_file, *model)
@@ -442,6 +442,38 @@ class TestCli:
         res = run_cli("verify", "--mc-samples", "200", "--sim-count", count)
         assert res.exit_code == 3
         assert "sim_count must be >= 1000" in res.stderr
+
+    def test_verify_refuses_no_reflection(self, tmp_path, monkeypatch):
+        # the no-reflection density is half the reflection one, so its mass
+        # is 1/2 and verify used to report FAIL on a correct density
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Monte Carlo mass ran before the mode check")
+        monkeypatch.setattr("svdshape.verify.mc_normalization", refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = no-reflection\n")
+        for args in (("--mode", "no-reflection"), ("--config", str(cfg))):
+            res = run_cli("verify", "--landmarks", "4", *args)
+            assert res.exit_code == 2, res.stderr
+            assert "parse error" in res.stderr and "exactly half" in res.stderr
+            assert res.stdout == ""
+
+    @pytest.mark.parametrize("size", [("--landmarks", "0"), ("--landmarks", "-3"),
+                                      ("--dimension", "-1"), ("--landmarks", "1"),
+                                      ("--dimension", "0"),
+                                      ("--landmarks", "2", "--dimension", "1")])
+    def test_verify_size_without_a_shape_is_a_domain_error(self, size):
+        res = run_cli("verify", *size, "--mc-samples", "200", "--sim-count", "1000")
+        assert res.exit_code == 3, res.exception
+        assert "domain error" in res.stderr and "Traceback" not in res.stderr
+
+    def test_verify_runs_K_1(self, tmp_path):
+        # the only command that reaches the K = 1 kernels
+        mu_path = tmp_path / "mu.txt"
+        mu_path.write_text("0.5\n0.2\n-0.3\n")
+        res = run_cli("verify", "--dimension", "1", "--landmarks", "4", "--mu", str(mu_path),
+                      "--mc-samples", "2000", "--sim-count", "1000", "--seed", "0")
+        assert res.exit_code == 0, res.stderr
+        assert len(json.loads(res.stdout)["simulation"]["marginals"]) == 2
 
     @pytest.mark.parametrize("command", ["density", "fit", "verify"])
     def test_series_commands_reject_K_4_at_once(self, command, tmp_path):

@@ -4,54 +4,45 @@ import numpy as np
 import pytest
 
 from svdshape.errors import DomainError
-from svdshape.models import (GeneratorKind, GeneratorSpec, IsotropicKind, ModelSpec,
-                             binomial_basis, coefficient_polynomial, gaussian_model, h_value,
+from svdshape.models import (GeneratorSpec, IsotropicKind, ModelSpec, binomial_basis,
+                             coefficient_polynomial, gaussian_model, h_log_value, h_value,
                              kotz_model)
 from svdshape.oracle import h_derivative, radial_integral, radial_integral_quad
 
 
 def kotz(M, T, R=0.5):
-    return GeneratorSpec(GeneratorKind.KOTZ_TYPE_I, M=M, T=T, R=R)
+    return GeneratorSpec(M=M, T=T, R=R)
 
 
 def gauss(M, R=0.5):
-    return GeneratorSpec(GeneratorKind.GAUSSIAN, M=M, R=R)
+    return GeneratorSpec(M=M, R=R)
 
 
 class TestGeneratorSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
-            GeneratorSpec(GeneratorKind.GAUSSIAN, M=0)
+            gauss(0)
         with pytest.raises(DomainError):
             kotz(4, T=0)
         with pytest.raises(DomainError):
-            GeneratorSpec(GeneratorKind.GAUSSIAN, M=4, R=-1.0)
+            gauss(4, R=-1.0)
 
     @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
     def test_non_finite_rate_raises(self, R):
         with pytest.raises(DomainError, match="rate R"):
             kotz(4, T=2, R=R)
 
-    @pytest.mark.parametrize("kind", ["kotz", "gaussian", IsotropicKind.KOTZ_T2, None])
-    def test_kind_must_be_a_generator_kind(self, kind):
-        # a string kind used to skip the Kotz T check and run T = 2.5 as 2
-        with pytest.raises(DomainError, match="GeneratorKind"):
-            GeneratorSpec(kind, M=4, T=2.5)
-
-    @pytest.mark.parametrize("T", [2, 5, 0, 1.5])
-    def test_gaussian_shape_is_one(self, T):
-        # a Gaussian at any other T used to build and run as T = 1
-        with pytest.raises(DomainError, match="Gaussian"):
-            GeneratorSpec(GeneratorKind.GAUSSIAN, M=4, T=T)
-
     def test_shape_is_stored_as_an_int(self):
-        for gen in (kotz(4, T=3.0), GeneratorSpec(GeneratorKind.GAUSSIAN, M=4, T=1.0)):
+        for gen in (kotz(4, T=3.0), kotz(4, T=1.0)):
             assert type(gen.T) is int
 
     def test_gaussian_is_kotz_t1(self):
-        g, k = gauss(6), kotz(6, T=1)
-        for y in (0.0, 0.4, 3.0, 12.0):
-            assert h_value(g, y) == pytest.approx(h_value(k, y), rel=1e-14)
+        assert gauss(6) == kotz(6, T=1) == IsotropicKind.GAUSSIAN.generator(6)
+
+    def test_log_value_at_zero(self):
+        # h(0) vanishes for T > 1 and is the normalizing constant for T = 1
+        assert h_log_value(kotz(6, T=2), 0.0) == -math.inf
+        assert h_log_value(gauss(6), 0.0) == gauss(6).log_norm_const
 
 
 class TestHValue:
@@ -248,8 +239,7 @@ class TestModelSpec:
 
     def test_kotz_model_generator(self):
         model = kotz_model(self.Sigma, self.Theta, self.mu, T=3, R=0.4)
-        assert model.generator.kind is GeneratorKind.KOTZ_TYPE_I
-        assert model.generator.M == 6
+        assert model.generator == kotz(6, T=3, R=0.4)
         assert model.M == 6 and model.n == 2
 
 

@@ -5,9 +5,9 @@ import pytest
 from scipy.stats import chi2
 
 from svdshape.errors import DomainError
-from svdshape.oracle import (Partition, enumerate_partitions, gen_pochhammer,
+from svdshape.oracle import (LogSign, Partition, enumerate_partitions, gen_pochhammer,
                              gen_pochhammer_log, multivariate_gamma)
-from svdshape.special import LogSign, chi_square_sf
+from svdshape.special import chi_square_sf
 
 
 class TestLogSign:

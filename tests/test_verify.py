@@ -5,10 +5,10 @@ import pytest
 from scipy import integrate, stats
 
 from svdshape.errors import DomainError
-from svdshape.geometry import Mode, preprocess, preshape_angles
+from svdshape.geometry import preprocess, preshape_angles
 from svdshape.models import gaussian_model, kotz_model
-from svdshape.verify import (mc_normalization, sample_landmarks, simulation_vs_density,
-                             sine_power_integrals)
+from svdshape.verify import (_box_draws, mc_normalization, sample_landmarks,
+                             simulation_vs_density, sine_power_integrals)
 from svdshape.zonal import SeriesControl
 
 
@@ -84,12 +84,17 @@ class TestMcNormalization:
         mass, se = mc_normalization(model, mc_samples=40000, seed=6)
         assert abs(mass - 1.0) < 3 * se
 
-    def test_mode_ratio_exact(self, anis):
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_plain_box_average(self, anis, K):
+        # the one-bin mass is the box volume times the mean over every draw,
+        # at M = 2 (K = 1) too, where angle 0 ranges over [0, 2 pi]
         Sigma, Theta, mu = anis
-        model = gaussian_model(Sigma, Theta, mu)
-        ref, _ = mc_normalization(model, Mode.REFLECTION, mc_samples=5000, seed=7)
-        nor, _ = mc_normalization(model, Mode.NO_REFLECTION, mc_samples=5000, seed=7)
-        assert nor / ref == pytest.approx(0.5, rel=1e-14)
+        model = gaussian_model(Sigma, Theta[:K, :K], mu[:, :K])
+        vals = np.concatenate([w for _, w in _box_draws(model, None, 30000, 9)])
+        vol = math.pi ** (model.M - 2) * 2.0 * math.pi
+        mass, se = mc_normalization(model, mc_samples=30000, seed=9)
+        assert mass == pytest.approx(vol * vals.mean(), rel=1e-13)
+        assert se == pytest.approx(vol * vals.std() / math.sqrt(vals.size), rel=1e-10)
 
     def test_deterministic(self, anis):
         Sigma, Theta, mu = anis
@@ -152,9 +157,6 @@ class TestSimulationVsDensity:
         model = gaussian_model(np.eye(2), np.eye(2), np.zeros((2, 2)))
         with pytest.raises(DomainError):
             simulation_vs_density(model, sim_count=10, seed=0)
-        with pytest.raises(DomainError):
-            simulation_vs_density(model, mode=Mode.NO_REFLECTION,
-                                  sim_count=2000, seed=0)
 
     def test_observed_counts_match_per_specimen_angles(self, anis):
         # whitening, Haar rotation and chart rebuilt one specimen at a time
