@@ -41,7 +41,7 @@ MODES = ("reflection", "no-reflection")      # the values of geometry.Mode
 
 
 class RunConfig(NamedTuple):
-    """The common options of a command; built and checked by _build_config."""
+    """A command's options and config keys; built and checked by _build_config."""
 
     model: str = "gaussian"
     kotz_T: int = 2
@@ -103,7 +103,8 @@ _CONFIG_FIELDS = {"theta": "theta_path", "mu": "mu_path", "tol": "rel_tol"}
 def _build_config(config_path, **flags) -> RunConfig:
     """RunConfig from the config file's keys overridden by the given flags;
     RunConfig's defaults fill the rest. The one place a RunConfig is built,
-    so its values are checked here: a bad one is a ParseError."""
+    so its values are checked here: a bad one is a ParseError, as is a mode
+    other than reflection for a command without --mode."""
     values = {}
     if config_path:
         raw = _read_config_file(config_path)
@@ -120,6 +121,9 @@ def _build_config(config_path, **flags) -> RunConfig:
         raise ParseError(f"config key 'model' has a bad value {config.model!r}")
     if config.mode not in MODES:
         raise ParseError(f"config key 'mode' has a bad value {config.mode!r}")
+    if "mode" not in flags and config.mode != "reflection":
+        raise ParseError("only shape reads the config key 'mode': every density is the "
+                         "reflection shape's, and a no-reflection one is half of it")
     if config.seed < 0:
         raise ParseError(f"seed must be a non-negative integer, got {config.seed}")
     if config.max_degree < 1:
@@ -233,7 +237,7 @@ def cmd_density(input_file, config_path, **flags):
     sample = _load_sample(input_file, config, "input", theta)
     model = _build_model(config, sample.Nm1, sample.K, theta)
     logs, used, tails = _naming_specimen(sample.items, lambda: shape_logdensities(
-        np.array([sc.u for _, sc in sample.items]), model, config.shape_mode, config.ctrl))
+        np.array([sc.u for _, sc in sample.items]), model, config.ctrl))
     # log f is -inf at a chart pole, where log J is, which JSON cannot carry: null
     records = [{"id": sid, "log_density": log if math.isfinite(log) else None,
                 "series_degrees_used": degrees, "tail_bound": tail}
@@ -320,10 +324,6 @@ def cmd_verify(config_path, mc_samples, sim_count, n_landmarks, k_dim, **flags):
     """Run the Monte Carlo oracles (normalization mass, simulation match)."""
     from .verify import check_sim_count, mc_normalization, simulation_vs_density
     config = _build_config(config_path, **flags)
-    if config.mode != "reflection":
-        raise ParseError("verify checks the reflection law; the no-reflection density is "
-                         "exactly half of the reflection density, so mode must be "
-                         "'reflection'")
     check_sim_count(sim_count)          # before the Monte Carlo mass
     model = _build_model(config, n_landmarks - 1, k_dim, _read_theta(config))
     mass, se = mc_normalization(model, config.ctrl, mc_samples, config.seed)
@@ -353,42 +353,49 @@ def _existing_path(path: str) -> str:
     return path
 
 
-def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--model", choices=MODELS)
-    common.add_argument("--kotz-T", type=int, metavar="INT")
-    common.add_argument("--sigma2", type=float, metavar="FLOAT")
-    common.add_argument("--theta", type=_existing_path, metavar="PATH",
-                        help="K x K column covariance matrix file (default identity)")
-    common.add_argument("--mu", type=_existing_path, metavar="PATH",
-                        help="(N-1) x K location matrix file (default zero)")
-    common.add_argument("--mode", choices=MODES)
-    common.add_argument("--max-degree", type=int, metavar="INT")
-    common.add_argument("--tol", type=float, metavar="FLOAT")
-    common.add_argument("--seed", type=int, metavar="INT")
-    common.add_argument("--out", metavar="PATH")
-    common.add_argument("--config", dest="config_path", type=_existing_path, metavar="PATH",
-                        help="flat key=value config file; flags win")
+# every option flag with its argparse keywords; a command adds only the flags
+# it reads, so any other flag is a usage error
+_FLAGS = {
+    "--model": {"choices": MODELS},
+    "--kotz-T": {"type": int, "metavar": "INT"},
+    "--sigma2": {"type": float, "metavar": "FLOAT"},
+    "--theta": {"type": _existing_path, "metavar": "PATH",
+                "help": "K x K column covariance matrix file (default identity)"},
+    "--mu": {"type": _existing_path, "metavar": "PATH",
+             "help": "(N-1) x K location matrix file (default zero)"},
+    "--mode": {"choices": MODES},
+    "--max-degree": {"type": int, "metavar": "INT"},
+    "--tol": {"type": float, "metavar": "FLOAT"},
+    "--seed": {"type": int, "metavar": "INT"},
+    "--out": {"metavar": "PATH"},
+    "--config": {"dest": "config_path", "type": _existing_path, "metavar": "PATH",
+                 "help": "flat key=value config file; flags win"},
+}
 
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="svdshape", description=main.__doc__,
                                      allow_abbrev=False)
     commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND",
                                      required=True)
 
-    def command(name, run, *files):
-        sub = commands.add_parser(name, parents=[common], allow_abbrev=False,
+    def command(name, run, flags, *files):
+        sub = commands.add_parser(name, allow_abbrev=False,
                                   help=run.__doc__, description=run.__doc__)
+        for flag in flags.split() + ["--out", "--config"]:
+            sub.add_argument(flag, **_FLAGS[flag])
         for dest in files:
             sub.add_argument(dest, type=_existing_path, metavar=dest.upper())
         sub.set_defaults(run=run)
         return sub
 
-    command("shape", cmd_shape, "input_file")
-    command("density", cmd_density, "input_file")
-    command("fit", cmd_fit, "input_file")
-    command("compare", cmd_compare, "input_file")
-    command("test", cmd_test, "group1_file", "group2_file")
-    verify = command("verify", cmd_verify)
+    model, series = "--model --kotz-T --sigma2 --theta", "--max-degree --tol"
+    command("shape", cmd_shape, "--theta --mode", "input_file")
+    command("density", cmd_density, f"{model} --mu {series}", "input_file")
+    command("fit", cmd_fit, f"{model} {series} --seed", "input_file")
+    command("compare", cmd_compare, f"--sigma2 --theta {series} --seed", "input_file")
+    command("test", cmd_test, f"{model} {series} --seed", "group1_file", "group2_file")
+    verify = command("verify", cmd_verify, f"{model} --mu {series} --seed")
     verify.add_argument("--mc-samples", type=int, default=50000, metavar="INT")
     verify.add_argument("--sim-count", type=int, default=20000, metavar="INT")
     verify.add_argument("--landmarks", dest="n_landmarks", type=int, default=3, metavar="INT",

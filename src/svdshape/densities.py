@@ -1,7 +1,7 @@
 """Exact size-and-shape and shape densities as truncated zonal series.
 
 Conventions. A centered, column-whitened configuration Y is (N-1) x K with
-n = min(N-1, K) = K and total dimension M = (N-1)K. The shape density lives
+N-1 >= K and total dimension M = (N-1)K. The shape density lives
 on the box of m = M - 1 generalized polar angles (first m-1 in [0, pi], last
 in [0, 2 pi)) and is the exact law of the angles of vec(Y')/||Y|| for a
 configuration whose rotation H has been uniformized over O(K); it depends on
@@ -14,9 +14,9 @@ in z, summed over two values of z (:func:`_planar_log_series`). At a zero
 mu no density sums one, at any K: the central law is its t = 0 term.
 
 All series coefficients, gamma factors and prefactors are handled in log
-space with sign tracking. No-reflection mode divides every density by 2 (the
-excluding-reflection law keeps the same representative chart, each reflection
-orbit carrying half the mass).
+space with sign tracking. Every density is that of the reflection shape: the
+no-reflection law gives each reflection orbit half the mass, so its log
+density is the reflection one minus log 2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .geometry import Mode, angles_to_frame, log_polar_jacobian
+from .geometry import angles_to_frame, log_polar_jacobian
 from .models import (GeneratorSpec, ModelSpec, _centered_table, binomial_basis,
                      coefficient_polynomial, h_log_value)
 from .zonal import (SeriesControl, _log_factorials, check_cancellation, log_partials, logsums,
@@ -43,15 +43,10 @@ class DensityValue:
     log_density: float
     degrees_used: int
     tail_bound: float
-    mode: Mode
 
     @property
     def density(self) -> float:
         return math.exp(self.log_density)
-
-
-def _mode_log_factor(mode: Mode) -> float:
-    return -math.log(2.0) if mode is Mode.NO_REFLECTION else 0.0
 
 
 def _noncentrality_factor(model: ModelSpec, F: np.ndarray) -> np.ndarray:
@@ -69,14 +64,20 @@ def _noncentrality_spectra(model: ModelSpec, F: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(G @ G.transpose(0, 2, 1)), 0.0, None)
 
 
+def _angle_count(Nm1: int, K: int) -> int:
+    """m = (N-1) K - 1, the number of shape angles; :class:`DomainError`
+    where there is none."""
+    if Nm1 * K < 2:
+        raise DomainError(f"a shape needs (N-1) K >= 2 to have angles, got "
+                          f"N-1 = {Nm1}, K = {K}")
+    return Nm1 * K - 1
+
+
 def _chart(u: np.ndarray, Nm1: int, K: int, batch: bool = False):
     """(W, log J(u)) of m = (N-1) K - 1 angles, or of a (batch, m) array with
     ``batch``, after checking that they lie on the chart box."""
     u = np.asarray(u, dtype=float)
-    m = Nm1 * K - 1
-    if m < 1:
-        raise DomainError(f"a shape needs (N-1) K >= 2 to have angles, got "
-                          f"N-1 = {Nm1}, K = {K}")
+    m = _angle_count(Nm1, K)
     if u.ndim != 1 + batch or u.shape[-1] != m:
         raise DomainError(f"expected {'(batch, m)' if batch else 'm'} angles with "
                           f"m = {m}, got shape {u.shape}")
@@ -88,13 +89,12 @@ def _chart(u: np.ndarray, Nm1: int, K: int, batch: bool = False):
 
 
 def size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
-                              mode: Mode = Mode.REFLECTION,
                               ctrl: SeriesControl | None = None) -> DensityValue:
     """Log density of the size-and-shape representative Rmat = V' D ((N-1) x K).
 
     g(Rmat) = |Sigma|^{-K/2} sum_t h^{(2t)}(tr Sigma^{-1} Rmat Rmat'
     + tr Omega) S_t(Omega Sigma^{-1} Rmat Rmat') / t!, with
-    S_t = sum_{|kappa|=t} C_kappa / (K/2)_kappa; doubled in no-reflection mode.
+    S_t = sum_{|kappa|=t} C_kappa / (K/2)_kappa.
     At a zero mu only S_0 = 1 is left: |Sigma|^{-K/2} h(y0) with 0 degrees,
     for any K, and :class:`DomainError` where h(y0) = 0.
     """
@@ -117,8 +117,7 @@ def size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
             model.K / 2.0, ctrl)
         _check_positive(sign)
         log, used, tail = float(log[0]), int(used[0]), float(tail[0])
-    log = -model.K / 2.0 * model.log_det_sigma + log + _mode_log_factor(mode)
-    return DensityValue(log, used, tail, mode)
+    return DensityValue(-model.K / 2.0 * model.log_det_sigma + log, used, tail)
 
 
 def _polynomial_coeffs(delta: np.ndarray, log_factor: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -143,18 +142,16 @@ def _check_positive(sums: np.ndarray) -> None:
 
 
 def shape_logdensity(u: np.ndarray, model: ModelSpec,
-                     mode: Mode = Mode.REFLECTION,
                      ctrl: SeriesControl | None = None) -> DensityValue:
     """Log shape density at the angle vector u (length M - 1): the batch of
     one of :func:`shape_logdensities`, whose formula and errors it shares."""
     if np.ndim(u) != 1:
         raise DomainError(f"expected one vector of m = M - 1 angles, got shape {np.shape(u)}")
-    log, used, tail = shape_logdensities(np.reshape(u, (1, -1)), model, mode, ctrl)
-    return DensityValue(float(log[0]), int(used[0]), float(tail[0]), mode)
+    log, used, tail = shape_logdensities(np.reshape(u, (1, -1)), model, ctrl)
+    return DensityValue(float(log[0]), int(used[0]), float(tail[0]))
 
 
-def shape_logdensities(U: np.ndarray, model: ModelSpec,
-                       mode: Mode = Mode.REFLECTION, ctrl: SeriesControl | None = None
+def shape_logdensities(U: np.ndarray, model: ModelSpec, ctrl: SeriesControl | None = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log shape density at each row of a (batch, M - 1) angle array, with the
     truncation diagnostics of its series: (log density, degrees used, tail
@@ -170,7 +167,7 @@ def shape_logdensities(U: np.ndarray, model: ModelSpec,
     on the sphere in the angle chart.
     """
     W, log_j = _chart(U, model.Nm1, model.K, batch=True)
-    a, const = _frame_terms(W, log_j, model.sigma_inv, model.log_det_sigma, mode)
+    a, const = _frame_terms(W, log_j, model.sigma_inv, model.log_det_sigma)
     if not np.any(model.mu):
         M = model.M
         return (const - M / 2.0 * np.log(a) + (math.lgamma(M / 2.0) - math.log(2.0)
@@ -182,13 +179,13 @@ def shape_logdensities(U: np.ndarray, model: ModelSpec,
 
 
 def _frame_terms(W: np.ndarray, log_j: np.ndarray, sigma_inv: np.ndarray,
-                 log_det_sigma: float, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
+                 log_det_sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """(a, const), each (batch,), of the frames W (batch, N-1, K) with chart
     log Jacobians ``log_j``: a_i = tr Sigma^{-1} W_i W_i' and the part of
     every shape log density outside its series, log J(u_i) - (K/2)
-    log |Sigma| plus the mode factor."""
+    log |Sigma|."""
     a = np.einsum("ab,sak,sbk->s", sigma_inv, W, W)
-    return a, log_j - W.shape[2] / 2.0 * log_det_sigma + _mode_log_factor(mode)
+    return a, log_j - W.shape[2] / 2.0 * log_det_sigma
 
 
 def _shape_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: float,
@@ -332,9 +329,8 @@ def _planar_tables(T: int, M: int, R: float) -> tuple[np.ndarray, ...]:
 
 
 def batch_shape_logdensity(U: np.ndarray, model: ModelSpec,
-                           mode: Mode = Mode.REFLECTION,
                            ctrl: SeriesControl | None = None) -> np.ndarray:
     """Shape log density at many angle vectors at once; returns (batch,).
     The log densities of :func:`shape_logdensities`, the same values as
     :func:`shape_logdensity` row by row."""
-    return shape_logdensities(U, model, mode, ctrl)[0]
+    return shape_logdensities(U, model, ctrl)[0]

@@ -61,26 +61,23 @@ class ShapeCoords:
     """Full SVD shape decomposition of a centered configuration Y.
 
     V' D H reconstructs Y; W = V'D / r has unit Frobenius norm; u holds the
-    m = (N-1)n - 1 generalized polar angles of vec W (column-major), with the
-    first m-1 angles in [0, pi] and the last in [0, 2 pi).
+    m = (N-1)K - 1 generalized polar angles of vec W (column-major), with the
+    first m-1 angles in [0, pi] and the last in [0, 2 pi). ``mode`` picks the
+    chart representative: no-reflection has det H = +1 and a signed D.
     """
 
     mode: Mode
-    V: np.ndarray        # n x (N-1), orthonormal rows
-    D: np.ndarray        # n singular values, |D| non-increasing
-    H: np.ndarray        # n x K, orthonormal rows
+    V: np.ndarray        # K x (N-1), orthonormal rows
+    D: np.ndarray        # K singular values, |D| non-increasing
+    H: np.ndarray        # K x K, orthogonal
     r: float
-    W: np.ndarray        # (N-1) x n
+    W: np.ndarray        # (N-1) x K
     u: np.ndarray        # m angles
     log_jacobian: float  # log J(u); -inf at a chart pole
 
     @property
     def jacobian(self) -> float:
         return math.exp(self.log_jacobian)
-
-    @property
-    def n(self) -> int:
-        return self.D.shape[0]
 
     @property
     def m(self) -> int:
@@ -136,21 +133,22 @@ def preprocess(X: LandmarkSet | np.ndarray,
 def svd_shape(Y: np.ndarray, mode: Mode = Mode.REFLECTION) -> ShapeCoords:
     """SVD shape coordinates of a centered configuration Y ((N-1) x K).
 
-    Reflection mode keeps all singular values non-negative; no-reflection
-    mode flips the last singular pair so the rotation factor H has
-    determinant +1 (requires N-1 >= K). Signs of the V columns are fixed
+    Requires N-1 >= K. Reflection mode keeps all singular values
+    non-negative; no-reflection mode flips the last singular pair so the
+    rotation factor H has determinant +1. Signs of the V columns are fixed
     deterministically (largest-magnitude entry positive, first index wins
     ties) so repeated singular values still give reproducible output.
     """
     Y = np.asarray(Y, dtype=float)
     Nm1, K = Y.shape
-    n = min(Nm1, K)
+    if Nm1 < K:
+        raise DomainError(f"a shape needs N-1 >= K, got N-1 = {Nm1}, K = {K}")
     r = float(np.linalg.norm(Y))
     if r == 0.0:
         raise DegenerateConfigurationError("all landmarks coincide; shape is undefined")
     U, S, Vt = np.linalg.svd(Y, full_matrices=False)  # Y = U diag(S) Vt
     # deterministic sign convention per singular pair
-    for j in range(n):
+    for j in range(K):
         col = U[:, j]
         lead = col[np.argmax(np.abs(col))]
         if lead < 0:
@@ -158,15 +156,12 @@ def svd_shape(Y: np.ndarray, mode: Mode = Mode.REFLECTION) -> ShapeCoords:
             Vt[j, :] = -Vt[j, :]
     D = S.copy()
     H = Vt
-    if mode is Mode.NO_REFLECTION:
-        if Nm1 < K:
-            raise DomainError("no-reflection mode needs N-1 >= K")
-        if n == K and np.linalg.det(H) < 0:
-            H = H.copy()
-            H[-1, :] = -H[-1, :]
-            D = D.copy()
-            D[-1] = -D[-1]
-    V = U.T  # n x (N-1)
+    if mode is Mode.NO_REFLECTION and np.linalg.det(H) < 0:
+        H = H.copy()
+        H[-1, :] = -H[-1, :]
+        D = D.copy()
+        D[-1] = -D[-1]
+    V = U.T  # K x (N-1)
     W = (U * D) / r
     u = frame_to_angles(W)
     return ShapeCoords(mode=mode, V=V, D=D, H=H, r=r, W=W, u=u,
@@ -260,7 +255,7 @@ def preshape_angles(Y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampleOfShapes:
-    """A homogeneous group of shape coordinates."""
+    """A group of shape coordinates of one size (N-1) x K, of either mode."""
 
     group_id: str
     items: tuple[tuple[str, ShapeCoords], ...]
@@ -269,12 +264,9 @@ class SampleOfShapes:
         object.__setattr__(self, "items", tuple(self.items))
         if not self.items:
             raise DomainError(f"sample {self.group_id!r} is empty")
-        shapes = [sc for _, sc in self.items]
-        first = shapes[0]
-        for _, sc in self.items:
-            if sc.W.shape != first.W.shape or sc.mode is not first.mode:
-                raise DomainError(
-                    f"sample {self.group_id!r} mixes dimensions or modes")
+        shape = self.items[0][1].W.shape
+        if any(sc.W.shape != shape for _, sc in self.items):
+            raise DomainError(f"sample {self.group_id!r} mixes dimensions")
 
     @property
     def size(self) -> int:
@@ -288,11 +280,7 @@ class SampleOfShapes:
     def K(self) -> int:
         return self.items[0][1].W.shape[1]
 
-    @property
-    def mode(self) -> Mode:
-        return self.items[0][1].mode
-
     def merged(self, other: "SampleOfShapes", group_id: str) -> "SampleOfShapes":
-        if (self.Nm1, self.K, self.mode) != (other.Nm1, other.K, other.mode):
-            raise DomainError("cannot pool samples with different dimensions or modes")
+        if (self.Nm1, self.K) != (other.Nm1, other.K):
+            raise DomainError("cannot pool samples with different dimensions")
         return SampleOfShapes(group_id, self.items + other.items)

@@ -89,7 +89,7 @@ class ShapeLikelihood:
         self._W = np.stack([sc.W for _, sc in sample.items])     # (S, N-1, K)
         self._a, const = _frame_terms(
             self._W, np.array([sc.log_jacobian for _, sc in sample.items]),
-            np.eye(sample.Nm1) / self.sigma2, sample.Nm1 * math.log(self.sigma2), sample.mode)
+            np.eye(sample.Nm1) / self.sigma2, sample.Nm1 * math.log(self.sigma2))
         self._const = math.fsum(const)
 
     def _series(self, mu: np.ndarray, partials: bool):
@@ -347,8 +347,8 @@ def lr_test_equal_means(sample1: SampleOfShapes, sample2: SampleOfShapes,
     ``row`` of a likelihood error numbers the specimens of the pooled sample,
     group 1's first.
     """
-    if (sample1.Nm1, sample1.K, sample1.mode) != (sample2.Nm1, sample2.K, sample2.mode):
-        raise DomainError("groups must share N, K and mode")
+    if (sample1.Nm1, sample1.K) != (sample2.Nm1, sample2.K):
+        raise DomainError("groups must share N and K")
     pooled = sample1.merged(sample2, f"{sample1.group_id}+{sample2.group_id}")
     fit0 = fit_location(pooled, generator, sigma2_fixed, opt, ctrl)
     fit1 = fit_location(sample1, generator, sigma2_fixed, opt, ctrl)

@@ -216,10 +216,6 @@ class ModelSpec:
         return self.Theta.shape[0]
 
     @property
-    def n(self) -> int:
-        return min(self.Nm1, self.K)
-
-    @property
     def M(self) -> int:
         return self.Nm1 * self.K
 

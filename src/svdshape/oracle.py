@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densities import (DensityValue, Mode, _chart, _frame_terms, _mode_log_factor,
-                        _noncentrality_factor, _noncentrality_spectra, _shape_log_series)
+from .densities import (DensityValue, _chart, _frame_terms, _noncentrality_factor,
+                        _noncentrality_spectra, _shape_log_series)
 from .errors import DomainError, NumericError
 from .models import GeneratorSpec, IsotropicKind, ModelSpec, h_log_value
 from .zonal import (_KERNELS, _LOGSUMS_CHUNK_BYTES, SeriesControl, _check_spectra,
@@ -584,7 +584,6 @@ def radial_integral_quad(gen: GeneratorSpec, t: int, a: float, b: float,
 
 def isotropic_shape_logdensity(u: np.ndarray, mu: np.ndarray, sigma2: float,
                                kind: IsotropicKind,
-                               mode: Mode = Mode.REFLECTION,
                                ctrl: SeriesControl | None = None) -> DensityValue:
     """Shape log density under Sigma = sigma^2 I, Theta = I, R = 1/2.
 
@@ -612,8 +611,8 @@ def isotropic_shape_logdensity(u: np.ndarray, mu: np.ndarray, sigma2: float,
     if sign[0] <= 0.0:
         raise DomainError("isotropic shape series summed to a non-positive value")
     log = (log_j - math.log(2.0) - M / 2.0 * math.log(math.pi)
-           + log_pref - x + float(log_sum[0]) + _mode_log_factor(mode))
-    return DensityValue(log, int(used[0]), float(tail[0]), mode)
+           + log_pref - x + float(log_sum[0]))
+    return DensityValue(log, int(used[0]), float(tail[0]))
 
 
 def _isotropic_bracket(kind: IsotropicKind, M: int, x: float, tmax: int):
@@ -637,7 +636,6 @@ def _isotropic_bracket(kind: IsotropicKind, M: int, x: float, tmax: int):
 
 
 def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
-                              mode: Mode = Mode.REFLECTION,
                               ctrl: SeriesControl | None = None) -> DensityValue:
     """Gaussian shape log density with the radial integrals in closed form.
 
@@ -659,18 +657,18 @@ def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
         (log_c, 1.0), R * _noncentrality_spectra(model, W[None]), model.K / 2.0, ctrl)
     log = (log_j - model.K / 2.0 * model.log_det_sigma
            - math.log(2.0) - M / 2.0 * math.log(math.pi)
-           - R * b + float(log_sum[0]) + _mode_log_factor(mode))
-    return DensityValue(log, int(used[0]), float(tail[0]), mode)
+           - R * b + float(log_sum[0]))
+    return DensityValue(log, int(used[0]), float(tail[0]))
 
 
-def series_shape_logdensities(U: np.ndarray, model: ModelSpec, mode: Mode = Mode.REFLECTION,
+def series_shape_logdensities(U: np.ndarray, model: ModelSpec,
                               ctrl: SeriesControl | None = None) -> np.ndarray:
     """The log densities of :func:`svdshape.densities.shape_logdensities`
     from :func:`svdshape.densities._shape_log_series` at every mu: at a zero
     mu, where the runtime takes the closed central form, the series at
     G = 0 and b = 0 (K = 1, 2 or 3)."""
     W, log_j = _chart(U, model.Nm1, model.K, batch=True)
-    a, const = _frame_terms(W, log_j, model.sigma_inv, model.log_det_sigma, mode)
+    a, const = _frame_terms(W, log_j, model.sigma_inv, model.log_det_sigma)
     return const + _shape_log_series(model.generator, _noncentrality_factor(model, W), a,
                                      model.trace_omega, ctrl)[0]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import batch_shape_logdensity
+from .densities import _angle_count, batch_shape_logdensity
 from .errors import DomainError
 from .geometry import LandmarkSet, frame_to_angles, helmert_submatrix, theta_inv_sqrt
 from .models import ModelSpec
@@ -88,6 +88,7 @@ def mc_normalization(model: ModelSpec, ctrl: SeriesControl | None = None,
     bin masses of :func:`simulation_vs_density`. The no-reflection density
     is exactly half of the reflection one.
     """
+    _angle_count(model.Nm1, model.K)
     if mc_samples < 100:
         raise DomainError("mc_samples must be >= 100")
     # [0, 2 pi] holds angle 0 whether it ranges over [0, pi] or, at M = 2, [0, 2 pi]
@@ -179,9 +180,9 @@ def simulation_vs_density(model: ModelSpec, ctrl: SeriesControl | None = None,
     Each marginal is scored by Pearson chi-square against its 99% critical
     value.
     """
+    Nm1, K = model.Nm1, model.K
+    m = _angle_count(Nm1, K)
     check_sim_count(sim_count)
-    Nm1, K, M = model.Nm1, model.K, model.M
-    m = M - 1
     Y = _sample_centred(model, sim_count, seed) @ theta_inv_sqrt(model.Theta)
     rng = np.random.Generator(np.random.Philox(seed + 1))
     q, r = np.linalg.qr(rng.standard_normal((sim_count, K, K)))

@@ -6,7 +6,7 @@ import pytest
 from svdshape.densities import (batch_shape_logdensity, shape_logdensities, shape_logdensity,
                                 size_and_shape_logdensity)
 from svdshape.errors import DomainError, NumericError, SeriesTruncationError
-from svdshape.geometry import (LandmarkSet, Mode, log_polar_jacobian,
+from svdshape.geometry import (LandmarkSet, Mode, angles_to_frame, log_polar_jacobian,
                                preprocess, preshape_angles, svd_shape)
 from svdshape.models import IsotropicKind, gaussian_model, kotz_model
 from svdshape.oracle import (gaussian_shape_logdensity, isotropic_shape_logdensity,
@@ -93,27 +93,6 @@ class TestCrossRouteIdentities:
         assert a.degrees_used == 0 and b.degrees_used > 0
 
 
-class TestModeFactor:
-    def test_all_densities_halve(self, setup):
-        Sigma, Theta, mu, Y, sc = setup
-        model = gaussian_model(Sigma, Theta, mu)
-        Rmat = sc.V.T @ np.diag(sc.D)
-        pairs = [
-            (shape_logdensity(sc.u, model, Mode.REFLECTION, CTRL),
-             shape_logdensity(sc.u, model, Mode.NO_REFLECTION, CTRL)),
-            (size_and_shape_logdensity(Rmat, model, Mode.REFLECTION, CTRL),
-             size_and_shape_logdensity(Rmat, model, Mode.NO_REFLECTION, CTRL)),
-        ]
-        pairs = [(refl.log_density, norefl.log_density) for refl, norefl in pairs]
-        # the closed central form in one mode against the series in the other
-        central = gaussian_model(Sigma, Theta, np.zeros((3, 2)))
-        closed = [shape_logdensity(sc.u, central, mode).log_density for mode in Mode]
-        series = [series_shape_logdensities(sc.u[None], central, mode, CTRL)[0] for mode in Mode]
-        pairs += [(closed[0], series[1]), (series[0], closed[1])]
-        for refl, norefl in pairs:
-            assert refl - norefl == pytest.approx(math.log(2.0), abs=1e-12)
-
-
 class TestOrbitInvariance:
     def test_density_constant_on_rotation_orbits(self, setup):
         # modulo the Jacobian, the density depends on u only through W W'
@@ -177,7 +156,6 @@ class TestDiagnosticsAndErrors:
         assert dv.density == pytest.approx(math.exp(dv.log_density))
         assert dv.degrees_used > 0
         assert dv.tail_bound < 1e-11
-        assert dv.mode is Mode.REFLECTION
 
     def test_angle_validation(self, setup):
         Sigma, Theta, mu, _, _ = setup
@@ -253,15 +231,16 @@ class TestCentralClosedForm:
         rng = np.random.default_rng(30 + K)
         A = rng.normal(size=(K + 1, K + 1))
         Sigma = A @ A.T / (K + 1) + np.eye(K + 1)
-        U = np.array([svd_shape(rng.normal(size=(K + 1, K))).u for _ in range(3)])
+        U = np.array([svd_shape(rng.normal(size=(K + 1, K)), Mode.NO_REFLECTION).u
+                      for _ in range(3)])
         logs = []
         for model in (gaussian_model(Sigma, np.eye(K), np.zeros((K + 1, K))),
                       kotz_model(Sigma, np.eye(K), np.zeros((K + 1, K)), T=3, R=0.8)):
-            dvs = [shape_logdensity(u, model, Mode.NO_REFLECTION) for u in U]
+            dvs = [shape_logdensity(u, model) for u in U]
             assert [(dv.degrees_used, dv.tail_bound) for dv in dvs] == [(0, 0.0)] * 3
             logs.append([dv.log_density for dv in dvs])
             if K < 4:
-                series = series_shape_logdensities(U, model, Mode.NO_REFLECTION, CTRL)
+                series = series_shape_logdensities(U, model, CTRL)
                 assert np.allclose(logs[-1], series, rtol=0.0, atol=1e-12)
         assert logs[0] == logs[1]
 
@@ -345,7 +324,7 @@ def _planar_case(Nm1: int, ratio: float, T: int, isotropic: bool, seed: int = 0)
     return model, U
 
 
-def _series_logdensities(U, model, mode, ctrl):
+def _series_logdensities(U, model, ctrl):
     """The degree series of shape_logdensities, summed by zonal_series_batch
     as at K = 1 and 3, whatever K: the radial integrals at a = 1, with each
     row's a^(-M/2-t) as a^(-M/2) and its spectrum over a."""
@@ -361,17 +340,15 @@ def _series_logdensities(U, model, mode, ctrl):
         ([r.log for r in radial], [r.sign for r in radial]),
         _noncentrality_spectra(model, W) / a[:, None], K / 2.0, ctrl)
     assert np.all(sign > 0)
-    mode_log = -math.log(2.0) if mode is Mode.NO_REFLECTION else 0.0
-    return log_j - K / 2.0 * model.log_det_sigma + log - M / 2.0 * np.log(a) + mode_log
+    return log_j - K / 2.0 * model.log_det_sigma + log - M / 2.0 * np.log(a)
 
 
 def _mpmath_logdensity(u, model):
-    """The K = 2 shape log density (reflection mode) as the degree series
+    """The K = 2 shape log density as the degree series
     summed at 50 digits: S_t = [(d1 + d2)^(2t) + (d1 - d2)^(2t)] / (2 t!)
     from the eigenvalues of G G', and the Kotz radial integrals as their
     Leibniz-binomial double sum, until a term falls below 1e-45 of the sum."""
     import mpmath as mp
-    from svdshape.geometry import angles_to_frame
     gen = model.generator
     W = angles_to_frame(np.asarray(u), model.Nm1, 2)
     a = float(np.trace(model.sigma_inv @ W @ W.T))
@@ -406,20 +383,27 @@ def _assert_close(values, oracle):
     assert np.all(np.abs(values - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
 
 
+def _charted(U, Nm1, mode):
+    """The rows of U moved to the ``mode`` SVD chart of their frames."""
+    return np.array([svd_shape(W, mode).u for W in angles_to_frame(U, Nm1, 2)])
+
+
 class TestPlanarClosedForm:
+    # ``mode`` picks the SVD chart of the five frames the routes are compared at
     @pytest.mark.parametrize("mode", [Mode.REFLECTION, Mode.NO_REFLECTION])
     @pytest.mark.parametrize("ratio", RATIOS)
     @pytest.mark.parametrize("Nm1", [2, 3, 5])
     def test_gaussian_matches_the_series(self, Nm1, ratio, mode):
         for isotropic in (True, False):
             model, U = _planar_case(Nm1, ratio, 1, isotropic)
-            log, used, tail = shape_logdensities(U, model, mode)
+            U = _charted(U, Nm1, mode)
+            log, used, tail = shape_logdensities(U, model)
             assert used.tolist() == [0] * len(U) and tail.tolist() == [0.0] * len(U)
-            _assert_close(log, [gaussian_shape_logdensity(u, model, mode, SERIES_CTRL).log_density
+            _assert_close(log, [gaussian_shape_logdensity(u, model, SERIES_CTRL).log_density
                                 for u in U])
             if isotropic:
                 _assert_close(log, [isotropic_shape_logdensity(
-                    u, model.mu, 0.8, IsotropicKind.GAUSSIAN, mode, SERIES_CTRL).log_density
+                    u, model.mu, 0.8, IsotropicKind.GAUSSIAN, SERIES_CTRL).log_density
                     for u in U])
 
     @pytest.mark.parametrize("mode", [Mode.REFLECTION, Mode.NO_REFLECTION])
@@ -428,12 +412,14 @@ class TestPlanarClosedForm:
     @pytest.mark.parametrize("T,kind", [(2, IsotropicKind.KOTZ_T2), (3, IsotropicKind.KOTZ_T3)])
     def test_kotz_matches_the_series(self, T, kind, Nm1, ratio, mode):
         model, U = _planar_case(Nm1, ratio, T, isotropic=True)
-        log = shape_logdensities(U, model, mode)[0]
-        _assert_close(log, [isotropic_shape_logdensity(u, model.mu, 0.8, kind, mode,
+        U = _charted(U, Nm1, mode)
+        log = shape_logdensities(U, model)[0]
+        _assert_close(log, [isotropic_shape_logdensity(u, model.mu, 0.8, kind,
                                                        SERIES_CTRL).log_density for u in U])
         model, U = _planar_case(Nm1, ratio, T, isotropic=False)
-        _assert_close(shape_logdensities(U, model, mode)[0],
-                      _series_logdensities(U, model, mode, SERIES_CTRL))
+        U = _charted(U, Nm1, mode)
+        _assert_close(shape_logdensities(U, model)[0],
+                      _series_logdensities(U, model, SERIES_CTRL))
 
     @pytest.mark.parametrize("ratio", RATIOS)
     @pytest.mark.parametrize("Nm1", [2, 3, 5])
@@ -457,7 +443,7 @@ class TestPlanarClosedForm:
     def test_finite_where_the_series_does_not_converge(self, T):
         model, U = _planar_case(2, 12.0, T, isotropic=False)
         with pytest.raises(SeriesTruncationError):
-            _series_logdensities(U, model, Mode.REFLECTION, SeriesControl())
+            _series_logdensities(U, model, SeriesControl())
         log, used, tail = shape_logdensities(U, model)
         assert np.all(np.isfinite(log))
         assert used.tolist() == [0] * len(U) and tail.tolist() == [0.0] * len(U)
@@ -470,7 +456,7 @@ class TestPlanarClosedForm:
         # from n = 171. Oracle: the Gaussian form Gamma(n) e^z L_{n-1}(-z)
         # (Laguerre) at 50 digits, with s+- from the singular values of G
         import mpmath as mp
-        from svdshape.geometry import angles_to_frame, frame_to_angles
+        from svdshape.geometry import frame_to_angles
         model, _ = _planar_case(n, float(n), 1, isotropic=False)
         rng = np.random.default_rng(3)
         Y = model.mu_whitened + 5.0 * rng.normal(size=(2, n, 2))
@@ -507,7 +493,7 @@ class TestPlanarClosedForm:
         for T in (1, 2, 3):
             model, U = _planar_case(3, 3.0, T, isotropic=False)
             assert np.all(np.isfinite(batch_shape_logdensity(U, model)))
-            assert shape_logdensity(U[0], model, Mode.NO_REFLECTION).degrees_used == 0
+            assert shape_logdensity(U[0], model).degrees_used == 0
         mass, _ = mc_normalization(model, mc_samples=2000, seed=1)
         assert math.isfinite(mass)
         assert simulation_vs_density(model, sim_count=1000, seed=2).marginals

@@ -104,10 +104,12 @@ class TestSvdShape:
             assert np.allclose(sc.V.T @ np.diag(sc.D) @ sc.H, Y, atol=1e-10)
 
     def test_no_reflection_needs_enough_landmarks(self):
-        # N-1 < K has no determinant convention
+        # N-1 < K has no determinant convention, and no model or landmark
+        # set takes it, in either mode
         Y = np.random.default_rng(2).normal(size=(2, 3))
-        with pytest.raises(DomainError):
-            svd_shape(Y, Mode.NO_REFLECTION)
+        for mode in Mode:
+            with pytest.raises(DomainError, match="N-1 >= K"):
+                svd_shape(Y, mode)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateConfigurationError):

@@ -58,7 +58,33 @@ class TestSampleOfShapes:
     def test_properties(self, sample):
         assert sample.size == 23
         assert (sample.Nm1, sample.K) == (5, 2)
-        assert sample.mode is Mode.REFLECTION
+
+
+class TestNoReflectionChart:
+    """The densities and the likelihood are the reflection shape's and depend
+    on a frame only through W W', so the coordinates of svd_shape(Y,
+    Mode.NO_REFLECTION), whose last singular value may be negative, give the
+    reflection values."""
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_same_values_as_the_reflection_chart(self, K):
+        mu = np.random.default_rng(60 + K).normal(size=(4, K)) * 1.5
+        rng = np.random.default_rng(70 + K)
+        Ys = [mu + 2.0 * rng.normal(size=mu.shape) for _ in range(8)]
+        refl, norefl = (SampleOfShapes(mode.value, tuple((f"s{i}", svd_shape(Y, mode))
+                                                         for i, Y in enumerate(Ys)))
+                        for mode in Mode)
+        flipped = [sc.D[-1] < 0 for _, sc in norefl.items]
+        assert any(flipped) and not all(flipped)
+        model = kotz_model(4.0 * np.eye(4), np.eye(K), mu, T=2)
+        want, got = (shape_logdensities(np.array([sc.u for _, sc in s.items]), model)[0]
+                     for s in (refl, norefl))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        want, got = (likelihood(s, IsotropicKind.KOTZ_T2, 4.0).loglik(mu)
+                     for s in (refl, norefl))
+        assert abs(got - want) <= 1e-12 * abs(want)
+        # a sample may hold coordinates of either chart
+        assert SampleOfShapes("mixed", refl.items[:4] + norefl.items[4:]).size == 8
 
 
 class TestLogLikelihood:

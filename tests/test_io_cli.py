@@ -361,6 +361,8 @@ class TestCli:
             for args in (("density", landmark_file), ("fit", landmark_file),
                          ("compare", landmark_file), ("test", landmark_file, landmark_file),
                          ("verify",)):
+                if option not in _READS[args[0]]:
+                    continue
                 res = run_cli(*args, option, value)
                 assert res.exit_code == 2, (args, option, value)
                 assert "parse error" in res.stderr and name in res.stderr
@@ -443,19 +445,21 @@ class TestCli:
         assert res.exit_code == 3
         assert "sim_count must be >= 1000" in res.stderr
 
-    def test_verify_refuses_no_reflection(self, tmp_path, monkeypatch):
-        # the no-reflection density is half the reflection one, so its mass
-        # is 1/2 and verify used to report FAIL on a correct density
-        def refuse(*args, **kwargs):
-            raise AssertionError("the Monte Carlo mass ran before the mode check")
-        monkeypatch.setattr("svdshape.verify.mc_normalization", refuse)
+    @pytest.mark.parametrize("command", ["density", "fit", "compare", "test", "verify"])
+    def test_config_mode_is_read_by_shape_only(self, command, landmark_file, tmp_path):
+        # the densities are the reflection shape's; a no-reflection config
+        # would shift every log density by log 2, and verify's mass to 1/2
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mode = no-reflection\n")
-        for args in (("--mode", "no-reflection"), ("--config", str(cfg))):
-            res = run_cli("verify", "--landmarks", "4", *args)
-            assert res.exit_code == 2, res.stderr
-            assert "parse error" in res.stderr and "exactly half" in res.stderr
-            assert res.stdout == ""
+        files = {"test": (landmark_file, landmark_file), "verify": ()}.get(command,
+                                                                          (landmark_file,))
+        res = run_cli(command, *files, "--config", str(cfg))
+        assert res.exit_code == 2, res.stderr
+        assert "parse error: only shape reads the config key 'mode'" in res.stderr
+        assert res.stdout == ""
+        if command == "density":
+            cfg.write_text("mode = reflection\n")
+            assert run_cli(command, *files, "--config", str(cfg)).exit_code == 0
 
     @pytest.mark.parametrize("size", [("--landmarks", "0"), ("--landmarks", "-3"),
                                       ("--dimension", "-1"), ("--landmarks", "1"),
@@ -674,8 +678,21 @@ class TestCli:
 
 
 _COMMANDS = ("shape", "density", "fit", "compare", "test", "verify")
-_COMMON_OPTIONS = ("--model", "--kotz-T", "--sigma2", "--theta", "--mu",
-                   "--mode", "--max-degree", "--tol", "--seed", "--out", "--config")
+_OPTIONS = ("--model", "--kotz-T", "--sigma2", "--theta", "--mu",
+            "--mode", "--max-degree", "--tol", "--seed", "--out", "--config")
+# the options each command reads, besides --out and --config; any other
+# option is a usage error
+_READS = {
+    "shape": ("--theta", "--mode"),
+    "density": ("--model", "--kotz-T", "--sigma2", "--theta", "--mu", "--max-degree", "--tol"),
+    "fit": ("--model", "--kotz-T", "--sigma2", "--theta", "--max-degree", "--tol", "--seed"),
+    "compare": ("--sigma2", "--theta", "--max-degree", "--tol", "--seed"),
+    "test": ("--model", "--kotz-T", "--sigma2", "--theta", "--max-degree", "--tol", "--seed"),
+    "verify": ("--model", "--kotz-T", "--sigma2", "--theta", "--mu", "--max-degree", "--tol",
+               "--seed", "--mc-samples", "--sim-count", "--landmarks", "--dimension"),
+}
+_UNREAD = [(command, option) for command in _COMMANDS for option in _OPTIONS
+           if option not in _READS[command] + ("--out", "--config")]
 
 
 class TestUsage:
@@ -684,29 +701,48 @@ class TestUsage:
         assert res.exit_code == 0
         assert all(re.search(rf"^ +{name} ", res.stdout, re.M) for name in _COMMANDS)
 
-    def test_command_help_lists_the_common_options(self):
-        res = run_cli("fit", "--help")
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_command_help_lists_its_options(self, command):
+        res = run_cli(command, "--help")
         assert res.exit_code == 0
+        options = set(re.findall(r"--[\w-]+", res.stdout)) - {"--help"}
+        assert options == set(_READS[command]) | {"--out", "--config"}
         text = " ".join(res.stdout.split())
-        assert all(option in text for option in _COMMON_OPTIONS)
-        for help_text in ("K x K column covariance matrix file (default identity)",
-                          "(N-1) x K location matrix file (default zero)",
-                          "flat key=value config file; flags win"):
-            assert help_text in text
+        for option, help_text in (
+                ("--theta", "K x K column covariance matrix file (default identity)"),
+                ("--mu", "(N-1) x K location matrix file (default zero)"),
+                ("--config", "flat key=value config file; flags win")):
+            assert (help_text in text) == (option in options)
 
     def test_config_keys_are_the_common_flags(self):
-        # a common flag added or removed without its config key, or a key
-        # without its flag, fails here; --config names the file itself
+        # a flag added or removed without its config key, or a key without
+        # its flag, fails here; --config names the file itself
         import argparse
 
         from svdshape.cli import _CONFIG_CASTS, _parser
         commands = next(action for action in _parser()._actions
                         if isinstance(action, argparse._SubParsersAction))
         flags = {option[2:].replace("-", "_")
-                 for action in commands.choices["shape"]._actions
+                 for sub in commands.choices.values() for action in sub._actions
                  for option in action.option_strings if option.startswith("--")}
-        assert flags - {"help", "config"} == set(_CONFIG_CASTS)
-        assert len(_CONFIG_CASTS) == len(_COMMON_OPTIONS) - 1
+        verify_own = {"mc_samples", "sim_count", "landmarks", "dimension"}
+        assert flags - {"help", "config"} - verify_own == set(_CONFIG_CASTS)
+        assert len(_CONFIG_CASTS) == len(_OPTIONS) - 1
+
+    @pytest.mark.parametrize("command,option", _UNREAD)
+    def test_an_unread_option_is_a_usage_error(self, command, option, landmark_file):
+        # an option that could not change the result is refused, not ignored
+        value = {"--model": "kotz", "--kotz-T": "5", "--sigma2": "5", "--mu": landmark_file,
+                 "--mode": "no-reflection", "--max-degree": "9", "--tol": "1e-9",
+                 "--seed": "7"}[option]
+        files = {"test": (landmark_file, landmark_file), "verify": ()}.get(command,
+                                                                          (landmark_file,))
+        res = _python(_USAGE, json.dumps([command, *files, option, value]))
+        assert res.returncode == 0, res.stderr
+        code, stdout, stderr, numpy_loaded = json.loads(res.stdout)
+        assert code == 2 and stdout == "" and "usage:" in stderr
+        assert f"unrecognized arguments: {option}" in stderr
+        assert not numpy_loaded
 
     @pytest.mark.parametrize("case", [
         "no-arguments", "unknown-command", "missing-input", "missing-input-path",

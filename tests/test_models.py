@@ -240,7 +240,7 @@ class TestModelSpec:
     def test_kotz_model_generator(self):
         model = kotz_model(self.Sigma, self.Theta, self.mu, T=3, R=0.4)
         assert model.generator == kotz(6, T=3, R=0.4)
-        assert model.M == 6 and model.n == 2
+        assert model.M == 6
 
 
 def _sqrtm(A):

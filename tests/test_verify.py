@@ -7,8 +7,8 @@ from scipy import integrate, stats
 from svdshape.errors import DomainError
 from svdshape.geometry import preprocess, preshape_angles
 from svdshape.models import gaussian_model, kotz_model
-from svdshape.verify import (_box_draws, mc_normalization, sample_landmarks,
-                             simulation_vs_density, sine_power_integrals)
+from svdshape.verify import (_box_draws, _chi2_critical_99, mc_normalization,
+                             sample_landmarks, simulation_vs_density, sine_power_integrals)
 from svdshape.zonal import SeriesControl
 
 
@@ -176,3 +176,20 @@ class TestSimulationVsDensity:
             expected, _ = np.histogram(angles[:, mr.angle_index],
                                        bins=np.linspace(0.0, hi, rep.bins + 1))
             assert np.array_equal(mr.observed, expected)
+
+    def test_critical_values_match_scipy(self):
+        dof = np.arange(1, 201)
+        want = stats.chi2.ppf(0.99, dof)
+        got = np.array([_chi2_critical_99(int(d)) for d in dof])
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("check,mu", [("mass", 0.0), ("simulation", 0.0), ("simulation", 1.0)])
+def test_a_model_without_angles_is_a_domain_error(check, mu):
+    # N - 1 = K = 1: M = 1 leaves no shape angle, as the densities say
+    model = gaussian_model(np.eye(1), np.eye(1), np.array([[mu]]))
+    with pytest.raises(DomainError, match=r"a shape needs \(N-1\) K >= 2"):
+        if check == "mass":
+            mc_normalization(model, mc_samples=200)
+        else:
+            simulation_vs_density(model, sim_count=1000)
