@@ -100,11 +100,11 @@ _CONFIG_CASTS = {
 _CONFIG_FIELDS = {"theta": "theta_path", "mu": "mu_path", "tol": "rel_tol"}
 
 
-def _build_config(config_path, **flags) -> RunConfig:
+def _build_config(config_path, *, reads_mode=False, **flags) -> RunConfig:
     """RunConfig from the config file's keys overridden by the given flags;
     RunConfig's defaults fill the rest. The one place a RunConfig is built,
     so its values are checked here: a bad one is a ParseError, as is a mode
-    other than reflection for a command without --mode."""
+    other than reflection unless ``reads_mode`` (shape alone)."""
     values = {}
     if config_path:
         raw = _read_config_file(config_path)
@@ -121,7 +121,7 @@ def _build_config(config_path, **flags) -> RunConfig:
         raise ParseError(f"config key 'model' has a bad value {config.model!r}")
     if config.mode not in MODES:
         raise ParseError(f"config key 'mode' has a bad value {config.mode!r}")
-    if "mode" not in flags and config.mode != "reflection":
+    if not reads_mode and config.mode != "reflection":
         raise ParseError("only shape reads the config key 'mode': every density is the "
                          "reflection shape's, and a no-reflection one is half of it")
     if config.seed < 0:
@@ -198,11 +198,10 @@ def _build_model(config: RunConfig, Nm1: int, K: int,
                  theta: np.ndarray | None) -> ModelSpec:
     import numpy as np
 
+    from .densities import _angle_count
     from .io import read_matrix
     from .models import ModelSpec
-    if min(Nm1, K) < 1 or Nm1 * K < 2:
-        raise DomainError(f"a shape needs N-1 >= 1, K >= 1 and (N-1) K >= 2, "
-                          f"got N-1 = {Nm1}, K = {K}")
+    _angle_count(Nm1, K)
     mu = (read_matrix(config.mu_path) if config.mu_path
           else np.zeros((Nm1, K)))
     return ModelSpec(config.generator(Nm1 * K), config.sigma2 * np.eye(Nm1),
@@ -211,7 +210,7 @@ def _build_model(config: RunConfig, Nm1: int, K: int,
 
 def cmd_shape(input_file, config_path, **flags):
     """Per-specimen SVD shape coordinates (r, W, u, Jacobian J and log J)."""
-    config = _build_config(config_path, **flags)
+    config = _build_config(config_path, reads_mode=True, **flags)
     sample = _load_sample(input_file, config, "input", _read_theta(config))
     records = []
     for sid, sc in sample.items:

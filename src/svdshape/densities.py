@@ -67,9 +67,9 @@ def _noncentrality_spectra(model: ModelSpec, F: np.ndarray) -> np.ndarray:
 def _angle_count(Nm1: int, K: int) -> int:
     """m = (N-1) K - 1, the number of shape angles; :class:`DomainError`
     where there is none."""
-    if Nm1 * K < 2:
-        raise DomainError(f"a shape needs (N-1) K >= 2 to have angles, got "
-                          f"N-1 = {Nm1}, K = {K}")
+    if min(Nm1, K) < 1 or Nm1 * K < 2:
+        raise DomainError(f"a shape needs (N-1) K >= 2 with N-1, K >= 1 to have "
+                          f"angles, got N-1 = {Nm1}, K = {K}")
     return Nm1 * K - 1
 
 

@@ -446,9 +446,14 @@ class TestCli:
         assert "sim_count must be >= 1000" in res.stderr
 
     @pytest.mark.parametrize("command", ["density", "fit", "compare", "test", "verify"])
-    def test_config_mode_is_read_by_shape_only(self, command, landmark_file, tmp_path):
+    def test_config_mode_is_read_by_shape_only(self, command, landmark_file, tmp_path,
+                                               monkeypatch):
         # the densities are the reflection shape's; a no-reflection config
-        # would shift every log density by log 2, and verify's mass to 1/2
+        # would shift every log density by log 2, and verify's mass to 1/2.
+        # The mode is refused before verify's Monte Carlo mass is computed
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Monte Carlo mass ran before the mode check")
+        monkeypatch.setattr("svdshape.verify.mc_normalization", refuse)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mode = no-reflection\n")
         files = {"test": (landmark_file, landmark_file), "verify": ()}.get(command,
@@ -461,10 +466,21 @@ class TestCli:
             cfg.write_text("mode = reflection\n")
             assert run_cli(command, *files, "--config", str(cfg)).exit_code == 0
 
+    def test_only_a_mode_reading_command_takes_a_config_mode(self, tmp_path):
+        # a mode=None flag, as shape's parser passes, does not lift the check
+        from svdshape.cli import _build_config
+        from svdshape.errors import ParseError
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = no-reflection\n")
+        with pytest.raises(ParseError, match="only shape reads the config key 'mode'"):
+            _build_config(str(cfg), mode=None)
+        assert _build_config(str(cfg), reads_mode=True, mode=None).mode == "no-reflection"
+
     @pytest.mark.parametrize("size", [("--landmarks", "0"), ("--landmarks", "-3"),
                                       ("--dimension", "-1"), ("--landmarks", "1"),
                                       ("--dimension", "0"),
-                                      ("--landmarks", "2", "--dimension", "1")])
+                                      ("--landmarks", "2", "--dimension", "1"),
+                                      ("--landmarks", "-3", "--dimension", "-3")])
     def test_verify_size_without_a_shape_is_a_domain_error(self, size):
         res = run_cli("verify", *size, "--mc-samples", "200", "--sim-count", "1000")
         assert res.exit_code == 3, res.exception
