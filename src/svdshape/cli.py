@@ -198,14 +198,13 @@ def _build_model(config: RunConfig, Nm1: int, K: int,
                  theta: np.ndarray | None) -> ModelSpec:
     import numpy as np
 
-    from .densities import _angle_count
+    from .geometry import check_shape_size, check_theta_shape
     from .io import read_matrix
     from .models import ModelSpec
-    _angle_count(Nm1, K)
-    mu = (read_matrix(config.mu_path) if config.mu_path
-          else np.zeros((Nm1, K)))
-    return ModelSpec(config.generator(Nm1 * K), config.sigma2 * np.eye(Nm1),
-                     np.eye(K) if theta is None else theta, mu)
+    check_shape_size(Nm1, K)
+    theta = np.eye(K) if theta is None else check_theta_shape(theta, K)
+    mu = read_matrix(config.mu_path) if config.mu_path else np.zeros((Nm1, K))
+    return ModelSpec(config.generator(Nm1 * K), config.sigma2 * np.eye(Nm1), theta, mu)
 
 
 def cmd_shape(input_file, config_path, **flags):

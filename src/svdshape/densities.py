@@ -1,7 +1,7 @@
 """Exact size-and-shape and shape densities as truncated zonal series.
 
 Conventions. A centered, column-whitened configuration Y is (N-1) x K with
-N-1 >= K and total dimension M = (N-1)K. The shape density lives
+K >= 2, N-1 >= K and total dimension M = (N-1)K. The shape density lives
 on the box of m = M - 1 generalized polar angles (first m-1 in [0, pi], last
 in [0, 2 pi)) and is the exact law of the angles of vec(Y')/||Y|| for a
 configuration whose rotation H has been uniformized over O(K); it depends on
@@ -29,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .geometry import angles_to_frame, log_polar_jacobian
+from .geometry import angles_to_frame, check_shape_size, log_polar_jacobian
 from .models import (GeneratorSpec, ModelSpec, _centered_table, binomial_basis,
                      coefficient_polynomial, h_log_value)
-from .zonal import (SeriesControl, _log_factorials, check_cancellation, log_partials, logsums,
-                    zonal_series_batch)
+from .zonal import (SeriesControl, _log_factorials, check_cancellation, degree_cap,
+                    log_partials, logsums, zonal_series_batch)
 
 
 @dataclass(frozen=True)
@@ -64,20 +64,12 @@ def _noncentrality_spectra(model: ModelSpec, F: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(G @ G.transpose(0, 2, 1)), 0.0, None)
 
 
-def _angle_count(Nm1: int, K: int) -> int:
-    """m = (N-1) K - 1, the number of shape angles; :class:`DomainError`
-    where there is none."""
-    if min(Nm1, K) < 1 or Nm1 * K < 2:
-        raise DomainError(f"a shape needs (N-1) K >= 2 with N-1, K >= 1 to have "
-                          f"angles, got N-1 = {Nm1}, K = {K}")
-    return Nm1 * K - 1
-
-
 def _chart(u: np.ndarray, Nm1: int, K: int, batch: bool = False):
     """(W, log J(u)) of m = (N-1) K - 1 angles, or of a (batch, m) array with
-    ``batch``, after checking that they lie on the chart box."""
+    ``batch``, after checking the size and that they lie on the chart box."""
     u = np.asarray(u, dtype=float)
-    m = _angle_count(Nm1, K)
+    check_shape_size(Nm1, K)
+    m = Nm1 * K - 1
     if u.ndim != 1 + batch or u.shape[-1] != m:
         raise DomainError(f"expected {'(batch, m)' if batch else 'm'} angles with "
                           f"m = {m}, got shape {u.shape}")
@@ -102,7 +94,7 @@ def size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
     if Rmat.shape != (model.Nm1, model.K):
         raise DomainError(f"Rmat must be (N-1) x K = ({model.Nm1}, {model.K})")
     y0 = float(np.trace(model.sigma_inv @ Rmat @ Rmat.T)) + model.trace_omega
-    gen, ctrl = model.generator, ctrl or SeriesControl()
+    gen = model.generator
     if not np.any(model.mu):
         log, used, tail = h_log_value(gen, y0), 0, 0.0
         if log == -math.inf:
@@ -111,10 +103,9 @@ def size_and_shape_logdensity(Rmat: np.ndarray, model: ModelSpec,
         delta = coefficient_polynomial(gen, y0, radial=False)[0]
         # h^(2t)(y0) = e^(log_norm_const - R y0) R^(2t) P(t)
         log_factor = (gen.log_norm_const - gen.R * y0
-                      + 2.0 * math.log(gen.R) * np.arange(ctrl.max_degree + 1))
+                      + 2.0 * math.log(gen.R) * np.arange(degree_cap(model.K, ctrl) + 1))
         log, sign, used, tail = zonal_series_batch(
-            _polynomial_coeffs(delta, log_factor), _noncentrality_spectra(model, Rmat[None]),
-            model.K / 2.0, ctrl)
+            _polynomial_coeffs(delta, log_factor), _noncentrality_spectra(model, Rmat[None]), ctrl)
         _check_positive(sign)
         log, used, tail = float(log[0]), int(used[0]), float(tail[0])
     return DensityValue(-model.K / 2.0 * model.log_det_sigma + log, used, tail)
@@ -211,16 +202,15 @@ def _shape_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: float
     if K == 2:
         log, *rest = _planar_log_series(gen, G, a, b, partials)
         return (log, np.zeros(len(a), dtype=int), np.zeros(len(a)), *rest)
-    ctrl = ctrl or SeriesControl()
     delta, slope = coefficient_polynomial(gen, b)
     # e^(log_norm_const - R b) R^(t - M/2) Gamma(M/2 + t) / 2, the factor of P(t)
-    t = np.arange(ctrl.max_degree + 1)
+    t = np.arange(degree_cap(K, ctrl) + 1)
     log_factor = (gen.log_norm_const - gen.R * b - M / 2.0 * math.log(gen.R) - math.log(2.0)
                   + t * math.log(gen.R) + np.array([math.lgamma(M / 2.0 + i) for i in t]))
     lam, V = np.linalg.eigh(G @ G.transpose(0, 2, 1))
     spectra = np.clip(lam, 0.0, None) / a[:, None]
-    log, sign, used, tail = zonal_series_batch(_polynomial_coeffs(delta, log_factor), spectra,
-                                               K / 2.0, ctrl)
+    log, sign, used, tail = zonal_series_batch(
+        _polynomial_coeffs(delta, log_factor), spectra, ctrl)
     _check_positive(sign)
     out = log - M / 2.0 * np.log(a)
     if not partials:
@@ -231,8 +221,8 @@ def _shape_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: float
                      log_factor[:tmax + 1] - _log_factorials(tmax + 1) - log[:, None], -np.inf)
     p = binomial_basis(tmax, len(delta))
     d_lam = np.einsum("t,stk->sk", p @ delta,
-                      np.exp(scale[:, :, None] + log_partials(K, spectra, tmax))) / a[:, None]
-    d_b = -gen.R + np.sum((p @ slope) * np.exp(scale + logsums(K, spectra, tmax)), axis=1)
+                      np.exp(scale[:, :, None] + log_partials(spectra, tmax))) / a[:, None]
+    d_b = -gen.R + np.sum((p @ slope) * np.exp(scale + logsums(spectra, tmax)), axis=1)
     # d tr(D G G') / dG = 2 D G
     d_G = 2.0 * (V * d_lam[:, None, :]) @ V.transpose(0, 2, 1) @ G
     return out, used, tail, d_G, d_b

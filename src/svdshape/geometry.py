@@ -29,6 +29,22 @@ class Mode(Enum):
     NO_REFLECTION = "no-reflection"
 
 
+def check_shape_size(Nm1: int, K: int) -> None:
+    """:class:`DomainError` unless K >= 2 and N-1 >= K: the sizes of every
+    landmark set, shape and model here."""
+    if K < 2 or Nm1 < K:
+        raise DomainError(f"a shape needs K >= 2 and N-1 >= K, got N-1 = {Nm1}, K = {K}")
+
+
+def check_theta_shape(Theta: np.ndarray, K: int) -> np.ndarray:
+    """``Theta`` as a float array; :class:`DomainError` unless it is K x K."""
+    Theta = np.asarray(Theta, dtype=float)
+    if Theta.shape != (K, K):
+        raise DomainError(f"Theta is {'x'.join(map(str, Theta.shape))} but the "
+                          f"landmarks have K={K} coordinates; it must be {K}x{K}")
+    return Theta
+
+
 @dataclass(frozen=True)
 class LandmarkSet:
     """One specimen: N landmarks in K dimensions."""
@@ -41,9 +57,7 @@ class LandmarkSet:
         object.__setattr__(self, "coords", coords)
         if coords.ndim != 2:
             raise DomainError(f"landmark matrix must be 2-D, got shape {coords.shape}")
-        N, K = coords.shape
-        if N < 3 or K < 2 or N <= K:
-            raise DomainError(f"need N >= 3, K >= 2 and N > K; got N={N}, K={K}")
+        check_shape_size(coords.shape[0] - 1, coords.shape[1])
         if not np.all(np.isfinite(coords)):
             raise DomainError(f"specimen {self.id!r} has non-finite coordinates")
 
@@ -121,19 +135,14 @@ def preprocess(X: LandmarkSet | np.ndarray,
     coords = X.coords if isinstance(X, LandmarkSet) else np.asarray(X, dtype=float)
     Y = helmert_submatrix(coords.shape[-2]) @ coords
     if Theta is not None:
-        Theta = np.asarray(Theta, dtype=float)
-        K = coords.shape[-1]
-        if Theta.shape != (K, K):
-            raise DomainError(f"Theta is {'x'.join(map(str, Theta.shape))} but the "
-                              f"landmarks have K={K} coordinates; it must be {K}x{K}")
-        Y = Y @ theta_inv_sqrt(Theta)
+        Y = Y @ theta_inv_sqrt(check_theta_shape(Theta, coords.shape[-1]))
     return Y
 
 
 def svd_shape(Y: np.ndarray, mode: Mode = Mode.REFLECTION) -> ShapeCoords:
     """SVD shape coordinates of a centered configuration Y ((N-1) x K).
 
-    Requires N-1 >= K. Reflection mode keeps all singular values
+    Requires K >= 2 and N-1 >= K. Reflection mode keeps all singular values
     non-negative; no-reflection mode flips the last singular pair so the
     rotation factor H has determinant +1. Signs of the V columns are fixed
     deterministically (largest-magnitude entry positive, first index wins
@@ -141,8 +150,7 @@ def svd_shape(Y: np.ndarray, mode: Mode = Mode.REFLECTION) -> ShapeCoords:
     """
     Y = np.asarray(Y, dtype=float)
     Nm1, K = Y.shape
-    if Nm1 < K:
-        raise DomainError(f"a shape needs N-1 >= K, got N-1 = {Nm1}, K = {K}")
+    check_shape_size(Nm1, K)
     r = float(np.linalg.norm(Y))
     if r == 0.0:
         raise DegenerateConfigurationError("all landmarks coincide; shape is undefined")

@@ -5,7 +5,7 @@ Fits are isotropic: Sigma = sigma^2 I, Theta = I and sigma^2 fixed in
 advance, under any :class:`GeneratorSpec`; the paper's protocol ranks three
 Kotz generators at R = 1/2 (:class:`IsotropicKind`). The likelihood
 (:class:`ShapeLikelihood`) sums the exact shape densities: closed form at
-K = 2, series that raise where they do not converge at K = 1 or 3, so no fit
+K = 2, a series that raises where it does not converge at K = 3, so no fit
 is truncated silently. It depends on (mu, sigma^2) only
 through mu / sigma, loglik(c mu, c^2 sigma^2) = loglik(mu, sigma^2) for
 c > 0, so shapes alone do not identify sigma^2 and the protocol fixes it;
@@ -71,9 +71,9 @@ class ShapeLikelihood:
     generator with Sigma = sigma^2 I and Theta = I: the sum of the shape log
     densities of :func:`svdshape.densities.shape_logdensities`, from the
     same series on W_i and the same assembly of a_i = tr W_i W_i' / sigma^2
-    and the constant terms, fixed per sample. At K = 1 or 3 each specimen's
+    and the constant terms, fixed per sample. At K = 3 each specimen's
     series stops at its own degree, and :class:`SeriesTruncationError` names
-    its ``row`` past ``ctrl.max_degree``.
+    its ``row`` past ``ctrl.max_degree`` or the kernel's degree cap.
     """
 
     def __init__(self, sample: SampleOfShapes, generator: GeneratorSpec,

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .geometry import theta_inv_sqrt
+from .geometry import check_shape_size, theta_inv_sqrt
 
 
 @dataclass(frozen=True)
@@ -196,8 +196,7 @@ class ModelSpec:
             raise DomainError("Sigma and Theta must be square")
         if mu.shape != (Nm1, K):
             raise DomainError(f"mu must be (N-1) x K = ({Nm1}, {K}), got {mu.shape}")
-        if Nm1 < K:
-            raise DomainError(f"need N-1 >= K, got N-1={Nm1}, K={K}")
+        check_shape_size(Nm1, K)
         if self.generator.M != Nm1 * K:
             raise DomainError(
                 f"generator dimension M={self.generator.M} != (N-1)K={Nm1 * K}")

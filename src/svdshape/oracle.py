@@ -43,7 +43,7 @@ from .densities import (DensityValue, _chart, _frame_terms, _noncentrality_facto
                         _noncentrality_spectra, _shape_log_series)
 from .errors import DomainError, NumericError
 from .models import GeneratorSpec, IsotropicKind, ModelSpec, h_log_value
-from .zonal import (_KERNELS, _LOGSUMS_CHUNK_BYTES, SeriesControl, _check_spectra,
+from .zonal import (_KERNELS, _LOGSUMS_CHUNK_BYTES, _SUPPORTED, SeriesControl,
                     zonal_series_batch)
 
 
@@ -341,7 +341,11 @@ class ZonalSumTable:
 
     def _log_spectra(self, spectra) -> tuple[np.ndarray, np.ndarray]:
         """(log spectra with a stand-in for log 0, mask of all-zero rows)."""
-        spectra = _check_spectra(spectra, self.K)
+        spectra = np.asarray(spectra, dtype=float)
+        if spectra.ndim != 2 or spectra.shape[1] != self.K:
+            raise DomainError(f"spectra must be (batch, {self.K})")
+        if not np.all(np.isfinite(spectra) & (spectra >= 0)):
+            raise DomainError("spectra must be finite and non-negative")
         # zero eigenvalues: a large negative stand-in for log 0 keeps the
         # segment reductions finite (exp underflows to 0 exactly)
         loge = np.where(spectra > 0.0, np.log(np.where(spectra > 0, spectra, 1.0)), -1e12)
@@ -607,7 +611,7 @@ def isotropic_shape_logdensity(u: np.ndarray, mu: np.ndarray, sigma2: float,
     x = float(np.sum(mu * mu)) / (2.0 * sigma2)
     ctrl = ctrl or SeriesControl()
     log_pref, log_b, sign_b = _isotropic_bracket(kind, M, x, ctrl.max_degree)
-    log_sum, sign, used, tail = zonal_series_batch((log_b, sign_b), [eigs], K / 2.0, ctrl)
+    log_sum, sign, used, tail = zonal_series_batch((log_b, sign_b), [eigs], ctrl)
     if sign[0] <= 0.0:
         raise DomainError("isotropic shape series summed to a non-positive value")
     log = (log_j - math.log(2.0) - M / 2.0 * math.log(math.pi)
@@ -654,7 +658,7 @@ def gaussian_shape_logdensity(u: np.ndarray, model: ModelSpec,
     log_c = [math.lgamma(M / 2.0 + t) - (M / 2.0 + t) * log_a
              for t in range((ctrl or SeriesControl()).max_degree + 1)]
     log_sum, _, used, tail = zonal_series_batch(
-        (log_c, 1.0), R * _noncentrality_spectra(model, W[None]), model.K / 2.0, ctrl)
+        (log_c, 1.0), R * _noncentrality_spectra(model, W[None]), ctrl)
     log = (log_j - model.K / 2.0 * model.log_det_sigma
            - math.log(2.0) - M / 2.0 * math.log(math.pi)
            - R * b + float(log_sum[0]))
@@ -666,7 +670,7 @@ def series_shape_logdensities(U: np.ndarray, model: ModelSpec,
     """The log densities of :func:`svdshape.densities.shape_logdensities`
     from :func:`svdshape.densities._shape_log_series` at every mu: at a zero
     mu, where the runtime takes the closed central form, the series at
-    G = 0 and b = 0 (K = 1, 2 or 3)."""
+    G = 0 and b = 0 (K = 2 or 3)."""
     W, log_j = _chart(U, model.Nm1, model.K, batch=True)
     a, const = _frame_terms(W, log_j, model.sigma_inv, model.log_det_sigma)
     return const + _shape_log_series(model.generator, _noncentrality_factor(model, W), a,
@@ -699,9 +703,9 @@ def multivariate_gamma(n: int, a: float) -> LogSign:
 def hypergeom_0F1(b: float, matrix_eigenvalues, ctrl: SeriesControl | None = None) -> float:
     """Hypergeometric 0F1(b; X) of matrix argument, from the spectrum of X,
     by :func:`zonal_series_batch`, whose kernels and domain it shares: b = K/2
-    for K in {1, 2, 3}, and X >= 0 with at most 2b eigenvalues."""
+    for K in {2, 3}, and X >= 0 with at most 2b eigenvalues."""
     log, sign, _, _ = zonal_series_batch((0.0, 1.0), _padded_row(matrix_eigenvalues, 2 * b),
-                                         b, ctrl)
+                                         ctrl)
     return float(sign[0]) * math.exp(log[0])
 
 
@@ -735,7 +739,7 @@ def power_trace_integral_series(p: float, Y_trace: float, X_gram_eigenvalues,
     log_c = log_fall[::2] + (p - 2 * f) * math.log(abs(Y_trace))
     sign_c = sign_fall[::2] * (-1.0 if Y_trace < 0.0 and round(p) % 2 else 1.0)
     quarter = [x / 4.0 for x in X_gram_eigenvalues]
-    log, sign, _, _ = zonal_series_batch((log_c, sign_c), _padded_row(quarter, K), K / 2.0, ctrl)
+    log, sign, _, _ = zonal_series_batch((log_c, sign_c), _padded_row(quarter, K), ctrl)
     return float(sign[0]) * math.exp(log[0]) * math.exp(log_stiefel_volume(n, K))
 
 
@@ -757,7 +761,7 @@ def exp_trace_integral_series(Y_trace: float, X_gram_eigenvalues, K: int, n: int
     f = range((ctrl or SeriesControl()).max_degree + 1)
     log_c = [(2 * k - 1) * log_r + math.log(2.0 * k) if k else -math.inf for k in f]
     sign_c = [sign_r if k else 0.0 for k in f]
-    log, sign, _, _ = zonal_series_batch((log_c, sign_c), _padded_row(quarter, K), K / 2.0, ctrl)
+    log, sign, _, _ = zonal_series_batch((log_c, sign_c), _padded_row(quarter, K), ctrl)
     deriv = float(sign[0]) * math.exp(log[0])
     vol = math.exp(log_stiefel_volume(n, K))
     return vol * math.exp(r * Y_trace) * (Y_trace * f01 + deriv)
@@ -767,11 +771,14 @@ def _padded_row(eigenvalues, K: float) -> np.ndarray:
     """A spectrum of n <= K entries as one (1, K) row of
     :func:`svdshape.zonal.zonal_series_batch`, padded with zeros, which is
     exact, as C_kappa vanishes for kappa of more parts than nonzero
-    eigenvalues. A wider spectrum, or a K that no kernel serves, is left
-    unpadded for the evaluator to refuse."""
+    eigenvalues; :class:`DomainError` for a K that no kernel serves or a
+    wider spectrum."""
     row = np.asarray(eigenvalues, dtype=float)
-    width = int(K) - len(row) if K in _KERNELS else 0
-    return np.pad(row, (0, max(width, 0)))[None]
+    if K not in _KERNELS:
+        raise DomainError(f"{_SUPPORTED}, got K = {K:g}")
+    if len(row) > K:
+        raise DomainError(f"a spectrum of {len(row)} eigenvalues is wider than K = {K:g}")
+    return np.pad(row, (0, int(K) - len(row)))[None]
 
 
 # frames drawn per batch by stiefel_mc_integral

@@ -3,7 +3,9 @@ simulated-versus-analytic density agreement.
 
 These are test infrastructure with a hard contract: disagreement beyond the
 stated tolerances is a build failure, not advice. All sampling uses a
-counter-based generator so results are reproducible regardless of chunking.
+counter-based generator, so results repeat for a fixed seed. The box draws
+also depend on _MC_CHUNK: each chunk draws its rows' first m - 1 angles,
+then their last ones, so the chunk size changes which uniforms a row gets.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import _angle_count, batch_shape_logdensity
+from .densities import batch_shape_logdensity
 from .errors import DomainError
 from .geometry import LandmarkSet, frame_to_angles, helmert_submatrix, theta_inv_sqrt
 from .models import ModelSpec
@@ -88,10 +90,9 @@ def mc_normalization(model: ModelSpec, ctrl: SeriesControl | None = None,
     bin masses of :func:`simulation_vs_density`. The no-reflection density
     is exactly half of the reflection one.
     """
-    _angle_count(model.Nm1, model.K)
     if mc_samples < 100:
         raise DomainError("mc_samples must be >= 100")
-    # [0, 2 pi] holds angle 0 whether it ranges over [0, pi] or, at M = 2, [0, 2 pi]
+    # one bin that holds every draw of angle 0
     masses, variances = _mc_bin_masses(model, ctrl, [np.array([0.0, 2.0 * math.pi])],
                                        mc_samples, seed)
     return float(masses[0][0]), math.sqrt(variances[0][0])
@@ -180,8 +181,7 @@ def simulation_vs_density(model: ModelSpec, ctrl: SeriesControl | None = None,
     Each marginal is scored by Pearson chi-square against its 99% critical
     value.
     """
-    Nm1, K = model.Nm1, model.K
-    m = _angle_count(Nm1, K)
+    Nm1, K, m = model.Nm1, model.K, model.M - 1
     check_sim_count(sim_count)
     Y = _sample_centred(model, sim_count, seed) @ theta_inv_sqrt(model.Theta)
     rng = np.random.Generator(np.random.Philox(seed + 1))

@@ -1,11 +1,11 @@
 """Zonal series on symmetric-matrix spectra.
 
 Every series here is sum_t c_t S_t(X) / t! with S_t(X) = sum_{|kappa|=t}
-C_kappa(X) / (a)_kappa, a = K/2, and X entering only through its spectrum.
-One evaluator, :func:`zonal_series_batch`, sums it for a batch of spectra
-and one coefficient vector c_t in blocks of degrees under one stop rule,
-with the table-free log S_t kernel of K = 1, 2 or 3 (:func:`logsums`).
-Their oracles live in :mod:`svdshape.oracle`.
+C_kappa(X) / (a)_kappa, a = K/2, and X entering only through its spectrum,
+whose width is K. One evaluator, :func:`zonal_series_batch`, sums it for a
+batch of spectra and one coefficient vector c_t in blocks of degrees under
+one stop rule, with the table-free log S_t kernel of K = 2 or 3
+(:func:`logsums`). Their oracles live in :mod:`svdshape.oracle`.
 """
 
 from __future__ import annotations
@@ -45,37 +45,33 @@ class SeriesControl:
 _DEGREE_BLOCK = 8
 
 
-def zonal_series_batch(coeffs, spectra, denominator_a: float,
+def zonal_series_batch(coeffs, spectra,
                        ctrl: SeriesControl | None = None) -> tuple[np.ndarray, ...]:
     """Evaluate sum_t c_t S_t(X) / t! for every row X of ``spectra`` (batch, K);
     returns (log |sum|, sign, degrees used, tail bound), each (batch,).
 
-    ``denominator_a`` is K/2 for K in {1, 2, 3}, and ``spectra`` are those of
-    :func:`logsums` (else :class:`DomainError`): a caller with fewer than K
-    eigenvalues pads them with zeros. ``coeffs`` is (log |c_t|, sign c_t),
-    each a scalar or an array over t = 0..``ctrl.max_degree``, one c_t for
-    every row: a row's own factor x^t belongs in its spectrum, as
-    S_t(x X) = x^t S_t(X). It may add log m_t, the sum of the magnitudes
-    that c_t was computed from: then m_t S_t / t! is summed to the same
-    degree, and :func:`check_cancellation` raises :class:`NumericError` for
-    a ``row`` that lost too many digits in and across the c_t. The degrees
-    grow in blocks of _DEGREE_BLOCK, capped at ``ctrl.max_degree``, each one
-    :func:`logsums` call for the rows still unconverged. A row stops at the
-    first degree completing _TAIL_WINDOW consecutive terms below
-    ``ctrl.rel_tol`` times its running total, and its tail bound is its last
-    term relative to the sum; :class:`SeriesTruncationError` for the first
-    ``row`` that does not stop within ``ctrl.max_degree`` or the kernel's
-    own degree cap, whichever is lower.
+    ``spectra`` are those of :func:`logsums` (else :class:`DomainError`), and
+    their width K sets a = K/2: a caller with fewer than K eigenvalues pads
+    them with zeros. ``coeffs`` is (log |c_t|, sign c_t), each a scalar or an
+    array over at least t = 0..:func:`degree_cap`, of which no later degree
+    is read, one c_t for every row: a row's own factor x^t belongs in its
+    spectrum, as S_t(x X) = x^t S_t(X). It may add log m_t, the sum of the
+    magnitudes that c_t was computed from: then m_t S_t / t! is summed to
+    the same degree, and :func:`check_cancellation` raises
+    :class:`NumericError` for a ``row`` that lost too many digits in and
+    across the c_t. The degrees grow in blocks of _DEGREE_BLOCK up to
+    :func:`degree_cap`, each one :func:`logsums` call for the rows still
+    unconverged. A row stops at the first degree completing _TAIL_WINDOW
+    consecutive terms below ``ctrl.rel_tol`` times its running total, and
+    its tail bound is its last term relative to the sum;
+    :class:`SeriesTruncationError` for the first ``row`` that does not stop
+    within :func:`degree_cap`.
     """
     ctrl = ctrl or SeriesControl()
-    K = 2 * denominator_a
-    if K not in _KERNELS:
-        raise DomainError(f"{_SUPPORTED}, got a = {denominator_a:g}")
-    K = int(K)
-    spectra = _check_spectra(spectra, K)
-    tmax = min(ctrl.max_degree, _KERNELS[K][-1])
+    spectra = _check_spectra(spectra)
+    tmax = degree_cap(spectra.shape[1], ctrl)
     batch = len(spectra)
-    coeffs = [np.broadcast_to(x, ctrl.max_degree + 1) for x in coeffs]
+    coeffs = [np.broadcast_to(x, max(np.size(x), tmax + 1))[:tmax + 1] for x in coeffs]
     out = np.empty((4, batch))                      # log, sign, degrees used, tail
     # per unconverged row: its running total acc * exp(peak), peak its largest
     # term, the log of its running sum over magnitudes, and whether its last
@@ -88,7 +84,7 @@ def zonal_series_batch(coeffs, spectra, denominator_a: float,
     while len(rows):
         hi = min(lo + _DEGREE_BLOCK, tmax + 1)
         log_c, sign_c, *log_m = (x[lo:hi] for x in coeffs)
-        log_s = logsums(K, spectra[rows], hi - 1)
+        log_s = logsums(spectra[rows], hi - 1)
         terms = np.where(sign_c != 0.0, log_c + log_s[:, lo:] - _log_factorials(hi)[lo:], -np.inf)
         top = np.maximum(peak, terms.max(axis=1, keepdims=True))
         safe = np.where(np.isfinite(top), top, 0.0)
@@ -154,38 +150,31 @@ _LOGSUMS_CHUNK_BYTES = 4 << 20
 _SPATIAL_MAX_DEGREE = 300
 
 
-def logsums(K: int, spectra, tmax: int) -> np.ndarray:
+def logsums(spectra, tmax: int) -> np.ndarray:
     """log S_t, t = 0..tmax, for each row of (batch, K) non-negative finite
-    ``spectra``: (batch, tmax + 1), by the table-free kernel of K in
-    {1, 2, 3} and a = K/2. S_t is homogeneous of degree t:
+    ``spectra``: (batch, tmax + 1), by the table-free kernel of K in {2, 3}
+    and a = K/2. S_t is homogeneous of degree t:
     S_t(c lambda) = c^t S_t(lambda)."""
-    return _kernel(K, tmax, 0)(_check_spectra(spectra, K), tmax)
+    spectra = _check_spectra(spectra, tmax)
+    return _KERNELS[spectra.shape[1]][0](spectra, tmax)
 
 
-def log_partials(K: int, spectra, tmax: int) -> np.ndarray:
-    """log dS_t/dlambda_k, (batch, tmax + 1, K), for K = 1 or 3 and the
-    spectra of :func:`logsums`, exact also at zero eigenvalues."""
-    return _kernel(K, tmax, 1)(_check_spectra(spectra, K), tmax)
+def log_partials(spectra, tmax: int) -> np.ndarray:
+    """log dS_t/dlambda_k, (batch, tmax + 1, 3), for the K = 3 spectra of
+    :func:`logsums`, exact also at zero eigenvalues."""
+    spectra = _check_spectra(spectra, tmax)
+    if spectra.shape[1] != 3:
+        raise DomainError(f"no partials of S_t for K = {spectra.shape[1]}")
+    return _spatial_log_partials(spectra, tmax)
 
 
-def _linear_logsums(spectra: np.ndarray, tmax: int) -> np.ndarray:
-    """The K = 1, a = 1/2 kernel: S_t(lambda) = lambda^t / (1/2)_t (the only
-    partition is (t), and C_(t) = lambda^t)."""
-    t = np.arange(tmax + 1)
-    log_poch = np.concatenate([[0.0], np.cumsum(np.log(0.5 + t[:-1]))])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = t * np.log(spectra) - log_poch
-    out[:, 0] = 0.0                                 # S_0 = 1, also at lambda = 0
-    return out
-
-
-def _linear_log_partials(spectra: np.ndarray, tmax: int) -> np.ndarray:
-    """dS_t/dlambda = t lambda^(t-1) / (1/2)_t, so dS_1 = 2 also at 0."""
-    t = np.arange(tmax + 1)
-    log_poch = np.concatenate([[0.0], np.cumsum(np.log(0.5 + t[:-1]))])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(t) + np.where(t > 1, (t - 1) * np.log(spectra), 0.0) - log_poch
-    return out[:, :, None]
+def degree_cap(K: int, ctrl: SeriesControl | None = None) -> int:
+    """The last degree that :func:`zonal_series_batch` sums for spectra of
+    width K: ``ctrl.max_degree`` or the kernel's own cap, whichever is
+    lower."""
+    if K not in _KERNELS:
+        raise DomainError(f"{_SUPPORTED}, got K = {K}")
+    return min((ctrl or SeriesControl()).max_degree, _KERNELS[K][1])
 
 
 def _planar_logsums(spectra: np.ndarray, tmax: int) -> np.ndarray:
@@ -352,32 +341,21 @@ def _log_factorials(n: int) -> np.ndarray:
     return out
 
 
-def _check_spectra(spectra, K: int) -> np.ndarray:
-    """``spectra`` as a (batch, K) float array; DomainError if it is not one
-    or has a negative or non-finite entry."""
+def _check_spectra(spectra, tmax: int = 0) -> np.ndarray:
+    """``spectra`` as a (batch, K) float array with K in {2, 3}; DomainError
+    if it is not one, has a negative or non-finite entry, or ``tmax`` is
+    outside 0 to the K kernel's cap."""
     spectra = np.asarray(spectra, dtype=float)
-    if spectra.ndim != 2 or spectra.shape[1] != K:
-        raise DomainError(f"spectra must be (batch, {K})")
+    if spectra.ndim != 2 or spectra.shape[1] not in _KERNELS:
+        raise DomainError(f"{_SUPPORTED}: spectra must be (batch, K), got shape {spectra.shape}")
     if not np.all(np.isfinite(spectra) & (spectra >= 0)):
         raise DomainError("spectra must be finite and non-negative")
+    K = spectra.shape[1]
+    if not 0 <= tmax <= _KERNELS[K][1]:
+        raise DomainError(f"need 0 <= tmax <= {_KERNELS[K][1]} for K = {K}")
     return spectra
 
 
-# log S_t, log dS_t/dlambda_k (None: not served) and the largest tmax, by K
-_KERNELS = {1: (_linear_logsums, _linear_log_partials, math.inf),
-            2: (_planar_logsums, None, math.inf),
-            3: (_spatial_logsums, _spatial_log_partials, _SPATIAL_MAX_DEGREE)}
-_SUPPORTED = "zonal series support K in {1, 2, 3} with a = K/2"
-
-
-def _kernel(K: int, tmax: int, which: int):
-    """Kernel ``which`` (0: log S_t, 1: log dS_t/dlambda_k) of K through
-    degree ``tmax``; :class:`DomainError` outside its domain."""
-    if K not in _KERNELS:
-        raise DomainError(f"{_SUPPORTED}, got K = {K}")
-    *kernels, cap = _KERNELS[K]
-    if not 0 <= tmax <= cap:
-        raise DomainError(f"need 0 <= tmax <= {cap} for K = {K}")
-    if kernels[which] is None:
-        raise DomainError(f"no partials of S_t for K = {K}")
-    return kernels[which]
+# log S_t and the largest tmax, by K
+_KERNELS = {2: (_planar_logsums, math.inf), 3: (_spatial_logsums, _SPATIAL_MAX_DEGREE)}
+_SUPPORTED = "zonal series support K in {2, 3}"

@@ -166,14 +166,6 @@ class TestDiagnosticsAndErrors:
         with pytest.raises(DomainError):
             shape_logdensity(bad, model)
 
-    @pytest.mark.parametrize("density", [shape_logdensity, gaussian_shape_logdensity])
-    @pytest.mark.parametrize("u", [np.zeros(0), np.zeros(1)])
-    def test_one_coordinate_has_no_angles(self, density, u):
-        # N - 1 = K = 1: M = 1, so there is no shape and no angle box
-        model = gaussian_model(np.eye(1), np.eye(1), np.array([[0.7]]))
-        with pytest.raises(DomainError):
-            density(u, model)
-
     def test_truncation_failure_raises(self, setup_k3):
         Sigma, Theta, _, sc = setup_k3
         model = gaussian_model(Sigma, Theta, np.ones((3, 3)) * 40.0)
@@ -189,6 +181,28 @@ class TestDiagnosticsAndErrors:
         with pytest.raises(SeriesTruncationError, match="within degree 300") as err:
             shape_logdensities(U, model, ctrl=SeriesControl(max_degree=400))
         assert err.value.row == 0
+
+    def test_k3_coefficients_stop_at_the_kernel_cap(self, monkeypatch):
+        # max_degree is outside input: past the K = 3 kernel's cap of 300 it
+        # must not size the coefficient vectors, or their memory and time
+        from svdshape import densities
+        basis = densities.binomial_basis
+        built = []
+
+        def spy(tmax, T):
+            built.append(tmax)
+            assert tmax <= 300, f"coefficients built through degree {tmax}"
+            return basis(tmax, T)
+        monkeypatch.setattr(densities, "binomial_basis", spy)
+        model = kotz_model(np.eye(3), np.eye(3), np.random.default_rng(0).normal(size=(3, 3)),
+                           T=2)
+        huge = SeriesControl(max_degree=10 ** 6)
+        u = np.full(8, 1.0)
+        assert shape_logdensity(u, model, ctrl=huge) == shape_logdensity(u, model)
+        Rmat = model.mu + 0.1
+        assert (size_and_shape_logdensity(Rmat, model, ctrl=huge)
+                == size_and_shape_logdensity(Rmat, model, ctrl=SeriesControl(max_degree=300)))
+        assert max(built) == 300
 
     def test_isotropic_validation(self):
         with pytest.raises(DomainError):
@@ -326,7 +340,7 @@ def _planar_case(Nm1: int, ratio: float, T: int, isotropic: bool, seed: int = 0)
 
 def _series_logdensities(U, model, ctrl):
     """The degree series of shape_logdensities, summed by zonal_series_batch
-    as at K = 1 and 3, whatever K: the radial integrals at a = 1, with each
+    as at K = 3, whatever K: the radial integrals at a = 1, with each
     row's a^(-M/2-t) as a^(-M/2) and its spectrum over a."""
     from svdshape.densities import _chart, _noncentrality_spectra
     from svdshape.oracle import radial_integral
@@ -338,7 +352,7 @@ def _series_logdensities(U, model, ctrl):
               for t in range((ctrl or SeriesControl()).max_degree + 1)]
     log, sign, _, _ = zonal_series_batch(
         ([r.log for r in radial], [r.sign for r in radial]),
-        _noncentrality_spectra(model, W) / a[:, None], K / 2.0, ctrl)
+        _noncentrality_spectra(model, W) / a[:, None], ctrl)
     assert np.all(sign > 0)
     return log_j - K / 2.0 * model.log_det_sigma + log - M / 2.0 * np.log(a)
 
@@ -532,7 +546,7 @@ def _exact_coefficient_logdensities(U, model, tmax):
     gen, K = model.generator, model.K
     W, log_j = _chart(U, model.Nm1, K, batch=True)
     a = np.einsum("ab,sak,sbk->s", model.sigma_inv, W, W)
-    log_s = logsums(K, _noncentrality_spectra(model, W), tmax)
+    log_s = logsums(_noncentrality_spectra(model, W), tmax)
     T = gen.T
     with mp.workdps(50):
         R, b, n = mp.mpf(gen.R), mp.mpf(model.trace_omega), mp.mpf(model.M) / 2

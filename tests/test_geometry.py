@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from cli_invoke import invoke
 
 from svdshape.errors import DegenerateConfigurationError, DomainError
 from svdshape.geometry import (LandmarkSet, Mode, angles_to_frame,
@@ -9,6 +10,8 @@ from svdshape.geometry import (LandmarkSet, Mode, angles_to_frame,
                                helmert_submatrix, log_polar_jacobian,
                                polar_jacobian, preprocess, preshape_angles,
                                svd_shape, theta_inv_sqrt, unitvec_to_angles)
+from svdshape.models import GeneratorSpec, IsotropicKind, ModelSpec
+from svdshape.oracle import isotropic_shape_logdensity
 
 
 def rotation(theta):
@@ -222,3 +225,27 @@ class TestPreshapeAngles:
     def test_degenerate(self):
         with pytest.raises(DegenerateConfigurationError):
             preshape_angles(np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("Nm1,K", [(3, 1), (1, 1), (2, 3), (3, 4)])
+@pytest.mark.parametrize("entry", ["LandmarkSet", "svd_shape", "ModelSpec",
+                                   "isotropic_shape_logdensity", "verify"])
+def test_every_entry_refuses_a_size_without_a_shape(entry, Nm1, K):
+    # one rule, K >= 2 and N-1 >= K, with one message, wherever a size enters
+    Y = np.random.default_rng(3).normal(size=(Nm1, K))
+    message = f"a shape needs K >= 2 and N-1 >= K, got N-1 = {Nm1}, K = {K}"
+    if entry == "verify":
+        res = invoke(["verify", "--landmarks", str(Nm1 + 1), "--dimension", str(K),
+                      "--mc-samples", "200", "--sim-count", "1000"])
+        assert (res.exit_code, res.stdout, res.stderr) == (3, "", f"domain error: {message}\n")
+        return
+    with pytest.raises(DomainError) as err:
+        if entry == "LandmarkSet":
+            LandmarkSet("s", np.vstack([Y, np.ones(K)]))
+        elif entry == "svd_shape":
+            svd_shape(Y)
+        elif entry == "ModelSpec":
+            ModelSpec(GeneratorSpec(M=Nm1 * K), np.eye(Nm1), np.eye(K), Y)
+        else:
+            isotropic_shape_logdensity(np.zeros(Nm1 * K - 1), Y, 1.0, IsotropicKind.GAUSSIAN)
+    assert str(err.value) == message

@@ -280,6 +280,16 @@ class TestCli:
         assert "domain error:" in res.stderr
         assert "3x3" in res.stderr and "K=2" in res.stderr
 
+    def test_verify_theta_size_must_match_its_dimension(self, tmp_path):
+        # verify reads no landmarks: its Theta is checked against --dimension,
+        # with shape's message, before a mu is built that could be blamed
+        theta = tmp_path / "theta3.txt"
+        theta.write_text("1 0 0\n0 1 0\n0 0 1\n")
+        res = run_cli("verify", "--landmarks", "4", "--dimension", "2", "--theta", str(theta))
+        assert res.exit_code == 3
+        assert res.stderr == ("domain error: Theta is 3x3 but the landmarks have K=2 "
+                              "coordinates; it must be 2x2\n")
+
     def test_numeric_failure_exit_code(self, specimens_k3, tmp_path):
         # a tiny degree budget cannot sum the K = 3 series for a huge location
         path = tmp_path / "k3.txt"
@@ -486,18 +496,20 @@ class TestCli:
         assert res.exit_code == 3, res.exception
         assert "domain error" in res.stderr and "Traceback" not in res.stderr
 
-    def test_verify_runs_K_1(self, tmp_path):
-        # the only command that reaches the K = 1 kernels
+    def test_verify_refuses_K_1(self, tmp_path):
+        # a shape needs K >= 2, so there is no K = 1 model to verify
         mu_path = tmp_path / "mu.txt"
         mu_path.write_text("0.5\n0.2\n-0.3\n")
         res = run_cli("verify", "--dimension", "1", "--landmarks", "4", "--mu", str(mu_path),
                       "--mc-samples", "2000", "--sim-count", "1000", "--seed", "0")
-        assert res.exit_code == 0, res.stderr
-        assert len(json.loads(res.stdout)["simulation"]["marginals"]) == 2
+        assert res.exit_code == 3
+        assert res.stderr == ("domain error: a shape needs K >= 2 and N-1 >= K, "
+                              "got N-1 = 3, K = 1\n")
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("command", ["density", "fit", "verify"])
     def test_series_commands_reject_K_4_at_once(self, command, tmp_path):
-        # the zonal kernels serve K = 1, 2 and 3; shape, and a zero mu, which
+        # the zonal kernels serve K = 2 and 3; shape, and a zero mu, which
         # sums no series, still accept K = 4
         rng = np.random.default_rng(21)
         mu = 0.3 * rng.normal(size=(5, 4))
@@ -512,7 +524,7 @@ class TestCli:
                            str(mu_path), "--mc-samples", "200", "--sim-count", "1000")}[command]
         res = run_cli(*args)
         assert res.exit_code == 3
-        assert "domain error: zonal series support K in {1, 2, 3}" in res.stderr
+        assert "domain error: zonal series support K in {2, 3}" in res.stderr
         assert run_cli("shape", str(path)).exit_code == 0
 
     def test_density_names_the_unconverged_specimen(self, specimens_k3, tmp_path):

@@ -84,12 +84,9 @@ class TestMcNormalization:
         mass, se = mc_normalization(model, mc_samples=40000, seed=6)
         assert abs(mass - 1.0) < 3 * se
 
-    @pytest.mark.parametrize("K", [1, 2])
-    def test_plain_box_average(self, anis, K):
-        # the one-bin mass is the box volume times the mean over every draw,
-        # at M = 2 (K = 1) too, where angle 0 ranges over [0, 2 pi]
-        Sigma, Theta, mu = anis
-        model = gaussian_model(Sigma, Theta[:K, :K], mu[:, :K])
+    def test_plain_box_average(self, anis):
+        # the one-bin mass is the box volume times the mean over every draw
+        model = gaussian_model(*anis)
         vals = np.concatenate([w for _, w in _box_draws(model, None, 30000, 9)])
         vol = math.pi ** (model.M - 2) * 2.0 * math.pi
         mass, se = mc_normalization(model, mc_samples=30000, seed=9)
@@ -182,14 +179,3 @@ class TestSimulationVsDensity:
         want = stats.chi2.ppf(0.99, dof)
         got = np.array([_chi2_critical_99(int(d)) for d in dof])
         assert np.all(np.abs(got - want) <= 1e-12 * want)
-
-
-@pytest.mark.parametrize("check,mu", [("mass", 0.0), ("simulation", 0.0), ("simulation", 1.0)])
-def test_a_model_without_angles_is_a_domain_error(check, mu):
-    # N - 1 = K = 1: M = 1 leaves no shape angle, as the densities say
-    model = gaussian_model(np.eye(1), np.eye(1), np.array([[mu]]))
-    with pytest.raises(DomainError, match=r"a shape needs \(N-1\) K >= 2"):
-        if check == "mass":
-            mc_normalization(model, mc_samples=200)
-        else:
-            simulation_vs_density(model, sim_count=1000)
