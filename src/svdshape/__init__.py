@@ -20,9 +20,9 @@ _EXPORTS = {
     "geometry": ("LandmarkSet", "Mode", "SampleOfShapes", "ShapeCoords",
                  "angles_to_unitvec", "helmert_submatrix", "polar_jacobian",
                  "preprocess", "preshape_angles", "svd_shape", "unitvec_to_angles"),
-    "inference": ("EvidenceGrade", "FitResult", "LrTestResult", "OptimizerConfig",
-                  "ShapeLikelihood", "bic_star", "evidence_grade", "fit_location",
-                  "log_likelihood", "lr_test_equal_means"),
+    "inference": ("EvidenceGrade", "FitResult", "LrTestResult", "ShapeLikelihood",
+                  "bic_star", "evidence_grade", "fit_location", "log_likelihood",
+                  "lr_test_equal_means"),
     "io": ("emit_landmarks", "ingest_landmarks", "read_matrix"),
     "models": ("GeneratorSpec", "IsotropicKind", "ModelSpec", "gaussian_model", "h_value",
                "kotz_model"),

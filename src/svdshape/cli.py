@@ -248,12 +248,11 @@ def cmd_density(input_file, config_path, **flags):
 
 def cmd_fit(input_file, config_path, **flags):
     """Maximum-likelihood location fit (sigma2 fixed by protocol)."""
-    from .inference import OptimizerConfig, fit_location
+    from .inference import fit_location
     config = _build_config(config_path, **flags)
     sample = _load_sample(input_file, config, "input", _read_theta(config))
     fit = _naming_specimen(sample.items, lambda: fit_location(
-        sample, config.generator(sample.Nm1 * sample.K), config.sigma2,
-        OptimizerConfig(seed=config.seed), config.ctrl))
+        sample, config.generator(sample.Nm1 * sample.K), config.sigma2, config.ctrl))
     _emit(config, {"command": "fit", "model": config.model, "kind": config.kind,
                    "mu_hat": fit.mu_hat, "sigma2": fit.sigma2,
                    "loglik": fit.loglik, "n_params": fit.n_params,
@@ -267,13 +266,12 @@ def cmd_fit(input_file, config_path, **flags):
 
 def cmd_compare(input_file, config_path, **flags):
     """Fit Gaussian, Kotz T=2 and Kotz T=3; rank by modified BIC."""
-    from .inference import OptimizerConfig, evidence_grade, fit_location
+    from .inference import evidence_grade, fit_location
     from .models import IsotropicKind
     config = _build_config(config_path, **flags)
     sample = _load_sample(input_file, config, "input", _read_theta(config))
     fits = {kind.value: _naming_specimen(sample.items, lambda: fit_location(
-                sample, kind.generator(sample.Nm1 * sample.K), config.sigma2,
-                OptimizerConfig(seed=config.seed), config.ctrl))
+                sample, kind.generator(sample.Nm1 * sample.K), config.sigma2, config.ctrl))
             for kind in IsotropicKind}
     ranked = sorted(fits, key=lambda k: fits[k].bic_star)
     pairwise = []
@@ -296,15 +294,14 @@ def cmd_compare(input_file, config_path, **flags):
 
 def cmd_test(group1_file, group2_file, config_path, **flags):
     """Likelihood-ratio test of equal mean shapes across two groups."""
-    from .inference import OptimizerConfig, lr_test_equal_means
+    from .inference import lr_test_equal_means
     config = _build_config(config_path, **flags)
     theta = _read_theta(config)
     s1 = _load_sample(group1_file, config, "group1", theta)
     s2 = _load_sample(group2_file, config, "group2", theta)
     # an error's row numbers the pooled specimens
     res = _naming_specimen(s1.items + s2.items, lambda: lr_test_equal_means(
-        s1, s2, config.generator(s1.Nm1 * s1.K), config.sigma2,
-        OptimizerConfig(seed=config.seed), config.ctrl))
+        s1, s2, config.generator(s1.Nm1 * s1.K), config.sigma2, config.ctrl))
     _emit(config, {"command": "test", "kind": config.kind,
                    "statistic": res.statistic, "df": res.df,
                    "p_value": res.p_value,
@@ -390,9 +387,9 @@ def _parser() -> argparse.ArgumentParser:
     model, series = "--model --kotz-T --sigma2 --theta", "--max-degree --tol"
     command("shape", cmd_shape, "--theta --mode", "input_file")
     command("density", cmd_density, f"{model} --mu {series}", "input_file")
-    command("fit", cmd_fit, f"{model} {series} --seed", "input_file")
-    command("compare", cmd_compare, f"--sigma2 --theta {series} --seed", "input_file")
-    command("test", cmd_test, f"{model} {series} --seed", "group1_file", "group2_file")
+    command("fit", cmd_fit, f"{model} {series}", "input_file")
+    command("compare", cmd_compare, f"--sigma2 --theta {series}", "input_file")
+    command("test", cmd_test, f"{model} {series}", "group1_file", "group2_file")
     verify = command("verify", cmd_verify, f"{model} --mu {series} --seed")
     verify.add_argument("--mc-samples", type=int, default=50000, metavar="INT")
     verify.add_argument("--sim-count", type=int, default=20000, metavar="INT")

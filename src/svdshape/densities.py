@@ -125,11 +125,12 @@ def _polynomial_coeffs(delta: np.ndarray, log_factor: np.ndarray) -> tuple[np.nd
 
 def _check_positive(sums: np.ndarray) -> None:
     """:class:`NumericError` for the first row whose density sum is not
-    positive: the density is, so cancellation took the sum's digits."""
-    bad = np.flatnonzero(sums <= 0)
+    positive (NaN included): the density is, so cancellation took the sum's
+    digits or an overflow its value."""
+    bad = np.flatnonzero(~(sums > 0))
     if len(bad):
-        raise NumericError(f"the sum at row {bad[0]} came out non-positive: cancellation "
-                           "lost its digits", row=int(bad[0]))
+        raise NumericError(f"the sum at row {bad[0]} came out non-positive or NaN: cancellation "
+                           "lost its digits or an overflow its value", row=int(bad[0]))
 
 
 def shape_logdensity(u: np.ndarray, model: ModelSpec,
@@ -228,6 +229,8 @@ def _shape_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: float
     return out, used, tail, d_G, d_b
 
 
+# an overflow (a far mu at a tiny sigma^2) turns the sum NaN, which _check_positive refuses
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _planar_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: float,
                        partials: bool = False):
     """The K = 2 log series of :func:`_shape_log_series` in closed form,
@@ -253,8 +256,7 @@ def _planar_log_series(gen: GeneratorSpec, G: np.ndarray, a: np.ndarray, b: floa
     z = (R / (2.0 * a))[:, None] * np.sum(A * A, axis=(2, 3))
     pi_table, slope_table, log_coef, exponent, moment_table = _planar_tables(T, gen.M, R)
     # log g_i, i <= min(T, n - 1), from h's terms k >= i; the largest is finite
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = log_coef + np.where(exponent > 0, exponent * np.log(z)[..., None, None], 0.0)
+    logs = log_coef + np.where(exponent > 0, exponent * np.log(z)[..., None, None], 0.0)
     top = logs.max(axis=3, keepdims=True)
     log_g = top[..., 0] + np.log(np.sum(np.exp(logs - top), axis=3))
     powers = z[..., None] ** np.arange(T)

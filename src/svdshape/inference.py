@@ -33,6 +33,8 @@ from .zonal import SeriesControl
 _GTOL = 1e-6
 # cap on the value-and-gradient evaluations (and iterations) of one start
 _MAX_EVALUATIONS = 50000
+# BFGS starts of one fit: the moment seed and perturbations of it
+_N_STARTS = 4
 # strong-Wolfe constants of the line search: sufficient decrease, curvature
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
@@ -41,18 +43,6 @@ _LINE_SEARCH_TRIALS = 40
 # relative rounding noise of a log-likelihood value: a converged start this
 # close to the lowest value is preferred to an unconverged one below it
 _VALUE_NOISE = 1e-10
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Multi-start BFGS settings for :func:`fit_location`."""
-
-    n_starts: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_starts < 1:
-            raise DomainError("need at least one optimizer start")
 
 
 @dataclass(frozen=True)
@@ -136,7 +126,7 @@ class EvidenceGrade(Enum):
 
 def evidence_grade(delta_bic: float) -> EvidenceGrade:
     """Grade of evidence for a BIC difference; boundaries go to the lower band."""
-    if delta_bic < 0:
+    if not delta_bic >= 0:
         raise DomainError(f"delta_bic must be non-negative, got {delta_bic}")
     if delta_bic <= 2.0:
         return EvidenceGrade.WEAK
@@ -268,8 +258,7 @@ def _canonical_sign(mu: np.ndarray) -> np.ndarray:
 
 
 def fit_location(sample: SampleOfShapes, generator: GeneratorSpec,
-                 sigma2_fixed: float, opt: OptimizerConfig | None = None,
-                 ctrl: SeriesControl | None = None) -> FitResult:
+                 sigma2_fixed: float, ctrl: SeriesControl | None = None) -> FitResult:
     """Maximum-likelihood location fit under ``generator`` (of dimension
     M = (N-1)K) with sigma^2 fixed by protocol.
 
@@ -277,7 +266,8 @@ def fit_location(sample: SampleOfShapes, generator: GeneratorSpec,
     (:meth:`ShapeLikelihood.loglik_and_grad`); each start stops once no
     gradient component exceeds 1e-6. Start 0 is the moment seed
     mean_i(r_i W_i) (an unbiased location estimate up to the rotation orbit),
-    each other start adds N(0, scale^2) noise from ``random.Random(opt.seed)``.
+    each other start adds N(0, scale^2) noise from ``random.Random(0)``, so
+    the fit is a function of the sample alone.
     A start whose first evaluation raises :class:`NumericError` or
     :class:`SeriesTruncationError` fails; the fit raises the first start's
     error only when every start fails. ``evaluations`` counts the
@@ -288,16 +278,15 @@ def fit_location(sample: SampleOfShapes, generator: GeneratorSpec,
     (N-1)K parameters: the likelihood depends on (mu, sigma^2) only through
     mu / sigma, so shapes alone do not identify sigma^2.
     """
-    opt = opt or OptimizerConfig()
     Nm1, K = sample.Nm1, sample.K
     n_loc = Nm1 * K
     like = ShapeLikelihood(sample, generator, sigma2_fixed, ctrl)
     seed0 = np.mean([sc.r * sc.W for _, sc in sample.items], axis=0).reshape(-1)
-    rng = random.Random(opt.seed)
+    rng = random.Random(0)
     scale = 0.25 * float(np.linalg.norm(seed0)) / math.sqrt(n_loc) \
         + math.sqrt(sigma2_fixed / sample.size)
     starts = [seed0] + [seed0 + np.array([rng.gauss(0.0, scale) for _ in range(n_loc)])
-                        for _ in range(opt.n_starts - 1)]
+                        for _ in range(_N_STARTS - 1)]
 
     def objective(theta):
         value, grad = like.loglik_and_grad(theta)
@@ -335,7 +324,6 @@ class LrTestResult:
 
 def lr_test_equal_means(sample1: SampleOfShapes, sample2: SampleOfShapes,
                         generator: GeneratorSpec, sigma2_fixed: float,
-                        opt: OptimizerConfig | None = None,
                         ctrl: SeriesControl | None = None) -> LrTestResult:
     """Likelihood-ratio test of equal locations across two groups, under
     one ``generator``.
@@ -350,10 +338,10 @@ def lr_test_equal_means(sample1: SampleOfShapes, sample2: SampleOfShapes,
     if (sample1.Nm1, sample1.K) != (sample2.Nm1, sample2.K):
         raise DomainError("groups must share N and K")
     pooled = sample1.merged(sample2, f"{sample1.group_id}+{sample2.group_id}")
-    fit0 = fit_location(pooled, generator, sigma2_fixed, opt, ctrl)
-    fit1 = fit_location(sample1, generator, sigma2_fixed, opt, ctrl)
+    fit0 = fit_location(pooled, generator, sigma2_fixed, ctrl)
+    fit1 = fit_location(sample1, generator, sigma2_fixed, ctrl)
     try:
-        fit2 = fit_location(sample2, generator, sigma2_fixed, opt, ctrl)
+        fit2 = fit_location(sample2, generator, sigma2_fixed, ctrl)
     except (SeriesTruncationError, NumericError) as exc:
         if exc.row is not None:
             exc.row += sample1.size

@@ -20,7 +20,7 @@ def chi_square_sf(x: float, df: int) -> float:
         raise DomainError(f"degrees of freedom must be an integer, got {df}")
     if df < 1:
         raise DomainError(f"degrees of freedom must be >= 1, got {df}")
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"chi-square statistic must be non-negative, got {x}")
     if x == 0:
         return 1.0

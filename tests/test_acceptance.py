@@ -15,9 +15,9 @@ from scipy import stats
 
 from svdshape.densities import shape_logdensity
 from svdshape.geometry import preprocess, svd_shape
-from svdshape.inference import (EvidenceGrade, OptimizerConfig, SampleOfShapes,
-                                bic_star, evidence_grade, fit_location,
-                                lr_test_equal_means)
+from svdshape import inference
+from svdshape.inference import (EvidenceGrade, SampleOfShapes, bic_star, evidence_grade,
+                                fit_location, lr_test_equal_means)
 from svdshape.io import ingest_landmarks
 from svdshape.models import GeneratorSpec, IsotropicKind, gaussian_model, h_value, kotz_model
 from svdshape.oracle import (enumerate_partitions, exp_trace_integral_series,
@@ -252,18 +252,18 @@ def _synthetic_sample(gid, mu, sigma2, count, seed):
     return SampleOfShapes(gid, items)
 
 
-def test_inference_protocol(report):
+def test_inference_protocol(report, monkeypatch):
     """Null p-values of the equal-means test are uniform; BIC* arithmetic exact."""
     start = time.time()
     sigma2 = 50.0
     mu_star = np.random.default_rng(42).normal(size=(5, 2)) * 8.0
-    opt = OptimizerConfig(n_starts=2, seed=0)
+    monkeypatch.setattr(inference, "_N_STARTS", 2)
     pvals, min_stat = [], np.inf
     for s in range(20):
         g1 = _synthetic_sample("g1", mu_star, sigma2, 23, seed=1000 + s)
         g2 = _synthetic_sample("g2", mu_star, sigma2, 23, seed=2000 + s)
         res = lr_test_equal_means(g1, g2, IsotropicKind.GAUSSIAN.generator(10), sigma2,
-                                  opt, CTRL)
+                                  CTRL)
         pvals.append(res.p_value)
         min_stat = min(min_stat, res.statistic)
     ks = stats.kstest(pvals, stats.uniform.cdf)
@@ -302,7 +302,6 @@ def test_reference_dataset_reproduction(report, capsys):
                   "tests/data/group{1,2}.txt)")
         pytest.skip("reference landmark files not supplied")
     sigma2 = 50.0
-    opt = OptimizerConfig(seed=0)
     samples = []
     for gid, path in zip(("group1", "group2"), paths):
         specimens = ingest_landmarks(path)
@@ -311,12 +310,12 @@ def test_reference_dataset_reproduction(report, capsys):
                        for sp in specimens)))
     small = min(samples, key=lambda s: s.size)
     M = small.Nm1 * small.K
-    fits = {kind: fit_location(small, kind.generator(M), sigma2, opt, CTRL)
+    fits = {kind: fit_location(small, kind.generator(M), sigma2, CTRL)
             for kind in (IsotropicKind.GAUSSIAN, IsotropicKind.KOTZ_T3)}
     delta = (fits[IsotropicKind.GAUSSIAN].bic_star
              - fits[IsotropicKind.KOTZ_T3].bic_star)
     res = lr_test_equal_means(samples[0], samples[1], IsotropicKind.KOTZ_T3.generator(M),
-                              sigma2, opt, CTRL)
+                              sigma2, CTRL)
     ok = delta > 0 and evidence_grade(delta) is EvidenceGrade.VERY_STRONG \
         and res.p_value > 0.05
     report(ok, "reference dataset reproduction",

@@ -599,6 +599,26 @@ class TestCli:
         assert (f"numeric failure: specimen {specimens[row].id!r}: the sum at row {row} came "
                 "out non-positive") in res.stderr
 
+    def test_a_fit_whose_sum_overflows_names_the_specimen(self, tmp_path):
+        # twelve N = 4 specimens around a mean of Frobenius norm 20 at
+        # sigma2 = 1e-300: mu / sigma2 overflows and every likelihood sum
+        # comes out NaN, which no command may report as a result
+        from svdshape.geometry import LandmarkSet
+        rng = np.random.default_rng(0)
+        mean = rng.normal(size=(4, 2))
+        mean *= 20.0 / np.linalg.norm(mean - mean.mean(axis=0))
+        specimens = [LandmarkSet(f"s{i}", mean + math.sqrt(50.0) * rng.normal(size=(4, 2)))
+                     for i in range(12)]
+        path = str(tmp_path / "group.txt")
+        emit_landmarks(specimens, path)
+        for args in (("fit", path, "--model", "kotz", "--kotz-T", "3"), ("compare", path),
+                     ("test", path, path)):
+            res = run_cli(*args, "--sigma2", "1e-300")
+            assert res.exit_code == 3, (args, res.exception)
+            assert res.stdout == ""
+            assert res.stderr.startswith("numeric failure: specimen 's0': the sum at row 0 "
+                                         "came out non-positive or NaN"), res.stderr
+
     def test_density_names_the_specimen_past_the_k3_kernel_cap(self, tmp_path):
         # --max-degree 400 is above the K = 3 kernel's cap of 300: a series
         # that has not stopped there is a truncation of its specimen
@@ -713,9 +733,9 @@ _OPTIONS = ("--model", "--kotz-T", "--sigma2", "--theta", "--mu",
 _READS = {
     "shape": ("--theta", "--mode"),
     "density": ("--model", "--kotz-T", "--sigma2", "--theta", "--mu", "--max-degree", "--tol"),
-    "fit": ("--model", "--kotz-T", "--sigma2", "--theta", "--max-degree", "--tol", "--seed"),
-    "compare": ("--sigma2", "--theta", "--max-degree", "--tol", "--seed"),
-    "test": ("--model", "--kotz-T", "--sigma2", "--theta", "--max-degree", "--tol", "--seed"),
+    "fit": ("--model", "--kotz-T", "--sigma2", "--theta", "--max-degree", "--tol"),
+    "compare": ("--sigma2", "--theta", "--max-degree", "--tol"),
+    "test": ("--model", "--kotz-T", "--sigma2", "--theta", "--max-degree", "--tol"),
     "verify": ("--model", "--kotz-T", "--sigma2", "--theta", "--mu", "--max-degree", "--tol",
                "--seed", "--mc-samples", "--sim-count", "--landmarks", "--dimension"),
 }
@@ -756,6 +776,22 @@ class TestUsage:
         verify_own = {"mc_samples", "sim_count", "landmarks", "dimension"}
         assert flags - {"help", "config"} - verify_own == set(_CONFIG_CASTS)
         assert len(_CONFIG_CASTS) == len(_OPTIONS) - 1
+
+    def test_readme_option_table_is_the_parser(self):
+        # README lists each command's options in a table written by hand
+        import argparse
+
+        from svdshape.cli import _parser
+        commands = next(action for action in _parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        parsed = {name: {option for action in sub._actions for option in action.option_strings}
+                  - {"-h", "--help", "--out", "--config"}
+                  for name, sub in commands.choices.items()}
+        with open(os.path.join(os.path.dirname(_TESTS), "README.md"), encoding="utf-8") as fh:
+            rows = re.findall(r"^\| (`\w+`(?:, `\w+`)*) \| (`--.*`) \|$", fh.read(), re.M)
+        table = {name: set(re.findall(r"`(--[\w-]+)`", options))
+                 for names, options in rows for name in re.findall(r"`(\w+)`", names)}
+        assert table == parsed
 
     @pytest.mark.parametrize("command,option", _UNREAD)
     def test_an_unread_option_is_a_usage_error(self, command, option, landmark_file):

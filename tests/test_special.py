@@ -125,8 +125,9 @@ class TestChiSquareSf:
         assert chi_square_sf(0.0, 3) == 1.0
         assert chi_square_sf(0.0, 4) == 1.0
         assert chi_square_sf(math.inf, 3) == 0.0
-        with pytest.raises(DomainError):
-            chi_square_sf(-1.0, 3)
+        for x in (-1.0, math.nan):
+            with pytest.raises(DomainError):
+                chi_square_sf(x, 3)
         with pytest.raises(DomainError):
             chi_square_sf(1.0, 0)
         with pytest.raises(DomainError):
